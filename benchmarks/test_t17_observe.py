@@ -15,11 +15,26 @@ Two claims behind the flight recorder (docs/OBSERVABILITY.md):
     snapshots; under the T16 fault storm the tail (p99) must reflect the
     outages that the median (p50) rides through.
 
-``python benchmarks/test_t17_observe.py`` writes BENCH_observe.json.
+(c) **Free in virtual time is not free on the host.**  Every span is
+    retained until export, so what one costs in bytes — and what
+    recording costs in wall time — is the recorder's real price.  On the
+    T18 cluster storm (an rpc span and a handler span per round trip)
+    this reports retained bytes per span (``tracemalloc``, tracing on
+    minus off: repeats to a byte, and the CI gate) and wall seconds / spans
+    per second with tracing on vs off (reported, never gated: shared
+    runners are too noisy), beside the same numbers measured the same
+    way at the commit before the span log went columnar.
+
+``python benchmarks/test_t17_observe.py`` merges its sections into
+BENCH_observe.json (the T21 section is left as-is).
 """
 
+import gc
 import json
+import os
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -28,6 +43,7 @@ from repro.config import CostModel
 from repro.errors import LocusError
 from repro.faults import FaultPlan
 from _harness import Measure, print_table, run_experiment
+from test_t18_simcore import build_cluster, run_cluster_storm
 
 DEPTH = 3
 FANOUT = 60
@@ -127,6 +143,62 @@ def _storm_metrics(seed):
     return out
 
 
+# -- scenario (c): host cost of recording on the T18 cluster storm ----------
+
+BYTES_PER_SPAN_BUDGET = 250.0
+# This scenario run against the parent commit (PR 11, f22e8e7: one
+# slot-less dataclass, an attrs dict and an events list per span).
+PARENT_HOST_COST = {
+    "bytes_per_span": 600.9, "spans": 72757,
+    "wall_on_s": 2.93, "wall_off_s": 1.935, "on_over_off": 1.514,
+    "spans_per_s": 24835,
+}
+
+
+def _storm_retained(trace_enabled):
+    """Bytes a small storm leaves allocated, and the spans it recorded."""
+    cluster = build_cluster(trace_enabled=trace_enabled, n_sites=4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_cluster_storm(cluster, tasks_per_site=100, rounds=10,
+                          heartbeats=40)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained, len(cluster.tracer.spans)
+
+
+def _storm_wall(trace_enabled):
+    """Best-of-two wall seconds of the full T18 storm, and its spans."""
+    best = None
+    for __ in range(2):
+        cluster = build_cluster(trace_enabled=trace_enabled)
+        gc.collect()
+        t0 = time.perf_counter()
+        run_cluster_storm(cluster)
+        wall = time.perf_counter() - t0
+        best = wall if best is None else min(best, wall)
+    return best, len(cluster.tracer.spans)
+
+
+def _host_cost():
+    off_bytes, __ = _storm_retained(False)
+    on_bytes, small_spans = _storm_retained(True)
+    wall_off, __ = _storm_wall(False)
+    wall_on, spans = _storm_wall(True)
+    return {
+        "bytes_per_span": round((on_bytes - off_bytes) / small_spans, 1),
+        "spans": spans,
+        "wall_on_s": round(wall_on, 3),
+        "wall_off_s": round(wall_off, 3),
+        "on_over_off": round(wall_on / wall_off, 3),
+        "spans_per_s": round(spans / wall_on),
+    }
+
+
 def _experiment():
     on = _walk_metrics(True)
     off = _walk_metrics(False)
@@ -138,6 +210,7 @@ def _experiment():
         "walk_off": off,
         "vtime_delta": vtime_delta,
         "storms": storms,
+        "host_cost": _host_cost(),
     }
 
 
@@ -204,9 +277,32 @@ def test_t17_percentile_determinism(benchmark):
     assert out["equal"]
 
 
+@pytest.mark.benchmark(group="T17")
+def test_t17_host_cost(benchmark):
+    """T18 cluster storm: bytes retained per span (gated) and the wall
+    cost of recording (reported)."""
+    out = run_experiment(benchmark, _host_cost)
+    print_table(
+        "T17: host cost of the flight recorder, T18 cluster storm",
+        ["commit", "bytes/span", "wall on", "wall off", "on/off",
+         "spans/s"],
+        [[name, d["bytes_per_span"], d["wall_on_s"], d["wall_off_s"],
+          d["on_over_off"], d["spans_per_s"]]
+         for name, d in (("parent", PARENT_HOST_COST), ("this", out))])
+    # An rpc and a handler span per round trip, plus the set-up traffic.
+    assert out["spans"] >= 2 * 12 * 250 * 12
+    assert out["bytes_per_span"] <= BYTES_PER_SPAN_BUDGET
+
+
 if __name__ == "__main__":
     out = _experiment()
-    baseline = {
+    here = os.path.dirname(os.path.abspath(__file__))
+    target = os.path.join(os.path.dirname(here), "BENCH_observe.json")
+    baseline = {}
+    if os.path.exists(target):
+        with open(target) as fh:
+            baseline = json.load(fh)
+    baseline.update({
         "experiment": "T17 flight-recorder overhead and percentiles",
         "t14_walk": {
             "trace_on": {k: out["walk_on"][k]
@@ -227,8 +323,9 @@ if __name__ == "__main__":
             }
             for seed, m in out["storms"].items()
         },
-    }
-    with open("BENCH_observe.json", "w") as fh:
+        "host_cost": {"parent": PARENT_HOST_COST, **out["host_cost"]},
+    })
+    with open(target, "w") as fh:
         json.dump(baseline, fh, indent=2, default=str)
         fh.write("\n")
     json.dump(baseline, sys.stdout, indent=2, default=str)

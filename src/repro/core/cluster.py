@@ -122,7 +122,7 @@ class LocusCluster:
             pack.write_block(block, seed)
             inode.pages = [block]
             inode.size = len(seed)
-            inode.version = root_vv.copy()
+            inode.version = root_vv
             self.sites[site_id].packs[gfs] = pack
 
     def _attach_subsystems(self) -> None:

@@ -11,7 +11,8 @@ procedure call is needed and no messages move.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Generator, NamedTuple, Optional, Set,
+                    Tuple)
 
 from repro.config import ClusterConfig, CostModel
 from repro.errors import (CircuitClosed, EWOULDCONFLICT, NetworkError,
@@ -27,6 +28,27 @@ from repro.storage.buffer_cache import BufferCache
 from repro.storage.pack import Pack
 
 Handler = Callable[[int, dict], Generator]
+
+class _OpLabels(NamedTuple):
+    """The strings one protocol operation is reported under."""
+    metric: str         # "rpc.<op>"   latency histogram key
+    rpc: str            # "rpc:<op>"   span of one remote call
+    srpc: str           # "srpc:<op>"  span of a supervised call
+    serve: str          # "serve:<op>" span of the handler
+
+
+# The op vocabulary is small and static, so every call after the first
+# reuses the same strings instead of formatting — and, in the span log,
+# retaining — fresh ones.
+_op_labels: Dict[str, _OpLabels] = {}
+
+
+def _labels(op: str) -> _OpLabels:
+    labels = _op_labels.get(op)
+    if labels is None:
+        labels = _op_labels[op] = _OpLabels(
+            "rpc." + op, "rpc:" + op, "srpc:" + op, "serve:" + op)
+    return labels
 
 
 class Site:
@@ -84,10 +106,8 @@ class Site:
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[Tuple[int, int], Any] = {}  # (peer, reqid) -> Future
         self._reqids = itertools.count(1)
-        # Hot-path label caches: op -> "rpc.<op>" metric key and
-        # mtype -> "serve:<mtype>@<id>" task name.  The op vocabulary is
-        # small and static, so caching removes an f-string per call.
-        self._rpc_keys: Dict[str, str] = {}
+        # Hot-path label cache: mtype -> "serve:<mtype>@<id>" task name
+        # (the labels that do not name the site are shared, see _labels).
         self._serve_names: Dict[str, str] = {}
         self._task_name = f"site{site_id}"
         self._tasks: Set[Task] = set()
@@ -168,13 +188,11 @@ class Site:
             return result
         tracer = self.tracer
         start = self.sim.now
+        labels = _labels(op)
         span = prev = None
         if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin(f"rpc:{op}", "rpc", self.site_id,
-                                      attrs={"dst": dst})
-        metric_key = self._rpc_keys.get(op)
-        if metric_key is None:
-            metric_key = self._rpc_keys[op] = "rpc." + op
+            span, prev = tracer.begin(labels.rpc, "rpc", self.site_id,
+                                      peer=dst)
         status_label = "ok"
         try:
             cpu_msg = self.cost.cpu_msg
@@ -185,9 +203,7 @@ class Site:
             self._pending[(dst, reqid)] = fut
             msg = self.net.make_message(self.site_id, dst, op,
                                         MsgKind.REQUEST, payload,
-                                        reqid=reqid,
-                                        trace_ctx=span.ctx
-                                        if span is not None else None)
+                                        reqid=reqid, trace_ctx=span)
             try:
                 self.net.send(self.site_id, dst, msg)
             except Exception as exc:
@@ -213,7 +229,7 @@ class Site:
             status_label = type(exc).__name__
             raise
         finally:
-            self.metrics.observe(metric_key, self.sim.now - start)
+            self.metrics.observe(labels.metric, self.sim.now - start)
             if span is not None:
                 tracer.finish(span, prev, status=status_label)
 
@@ -268,7 +284,8 @@ class Site:
             tracer = self.tracer
             span = prev = None
             if tracer is not None and tracer.enabled:
-                span, prev = tracer.begin(f"srpc:{op}", "rpc", self.site_id)
+                span, prev = tracer.begin(_labels(op).srpc, "rpc",
+                                          self.site_id)
             status_label = "ok"
             try:
                 attempt = 0
@@ -381,11 +398,10 @@ class Site:
         if tracer is not None and tracer.enabled:
             # The handler span parents under the caller's rpc span carried
             # in the message header — the cross-site causal link.
-            span, prev = tracer.begin(f"serve:{msg.mtype}", "handler",
+            span, prev = tracer.begin(_labels(msg.mtype).serve, "handler",
                                       self.site_id,
                                       parent_ctx=msg.trace_ctx,
-                                      inherit=False,
-                                      attrs={"src": msg.src})
+                                      inherit=False, peer=msg.src)
         served_start = self.sim.now
         status_label = "ok"
         try:

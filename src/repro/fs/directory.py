@@ -128,7 +128,7 @@ class DirView:
         if entry is None:
             raise ENOENT(name)
         entry.deleted = True
-        entry.dvv = target_vv.copy()
+        entry.dvv = target_vv
         return entry
 
     def live_entries(self) -> List[DirEntry]:

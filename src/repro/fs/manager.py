@@ -312,7 +312,7 @@ class FsManager(PathMixin, NamespaceMixin):
                                          sync=False)
         us_vv = None
         if self.stores_locally(gfile):
-            us_vv = self.local_inode(gfile).version.copy()
+            us_vv = self.local_inode(gfile).version
         # Supervised: the dst callable re-resolves the CSS before every
         # attempt, so a retry after a CSS crash chases the re-elected one.
         # Stamped (exactly-once): css_open mutates CSS bookkeeping, so a
@@ -334,7 +334,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # must not grant a stale replica — it merges this floor into
             # its latest-version knowledge before selecting a storage
             # site.
-            payload["known_vv"] = known_vv.copy()
+            payload["known_vv"] = known_vv
         resp = yield from self.site.supervised_rpc(
             lambda: self.mount.css_for(gfile[0]), "fs.css_open", payload,
             once=True)
@@ -482,7 +482,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # Optimization 1: the US already stores the latest version.
             if us_vv is not None and us in entry.storage_sites and \
                     us_vv.dominates(latest):
-                entry.latest_vv = latest = us_vv.copy()
+                entry.latest_vv = latest = us_vv
                 return us, attrs
             # Optimization 2: the CSS itself stores the latest version.
             if self.stores_locally(entry.gfile):
@@ -527,7 +527,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 latest = latest.merge(heard)
             entry = CssEntry(gfile=gfile,
                              storage_sites=list(attrs["storage_sites"]),
-                             latest_vv=latest.copy())
+                             latest_vv=latest)
             self.css_entries[gfile] = entry
         return entry
 
@@ -551,7 +551,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # are a conflict, and the reconciliation path owns those.
             if attrs["version"].dominates(entry.latest_vv):
                 self._note_version(gfile, attrs["version"])
-                entry.latest_vv = attrs["version"].copy()
+                entry.latest_vv = attrs["version"]
         return None
 
     def _note_version(self, gfile: Gfile, version: VersionVector) -> None:
@@ -679,9 +679,9 @@ class FsManager(PathMixin, NamespaceMixin):
         if tracer is not None and tracer.enabled:
             # Annotate the span whose work is being failed over (the
             # enclosing syscall/recovery span carried by the task)...
-            tracer.event_on(tracer.current_ctx(), "failover",
-                            {"gfile": list(handle.gfile),
-                             "failed_ss": failed_ss})
+            tracer.event(tracer.current_ctx(), "failover",
+                         {"gfile": list(handle.gfile),
+                          "failed_ss": failed_ss})
             # ...and give the substitution itself a span, so storm traces
             # show the re-home instead of an anonymous rpc:fs.css_open.
             span, prev = tracer.begin("fs.failover", "fs", self.sid,
@@ -705,10 +705,10 @@ class FsManager(PathMixin, NamespaceMixin):
             handle.run_len = 0
             self.us.pop(replacement.hid, None)
             if tracer is not None and tracer.enabled:
-                tracer.event_on(tracer.current_ctx(), "failover_complete",
-                                {"gfile": list(handle.gfile),
-                                 "failed_ss": failed_ss,
-                                 "new_ss": replacement.ss_site})
+                tracer.event(tracer.current_ctx(), "failover_complete",
+                             {"gfile": list(handle.gfile),
+                              "failed_ss": failed_ss,
+                              "new_ss": replacement.ss_site})
                 tracer.annotate(span, "new_ss", replacement.ss_site)
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
@@ -743,9 +743,9 @@ class FsManager(PathMixin, NamespaceMixin):
         span = prev = None
         status_label = "ok"
         if tracer is not None and tracer.enabled:
-            tracer.event_on(tracer.current_ctx(), "write_failover",
-                            {"gfile": list(handle.gfile),
-                             "failed_ss": failed_ss})
+            tracer.event(tracer.current_ctx(), "write_failover",
+                         {"gfile": list(handle.gfile),
+                          "failed_ss": failed_ss})
             span, prev = tracer.begin("fs.write_failover", "fs", self.sid,
                                       attrs={"gfile": list(handle.gfile),
                                              "failed_ss": failed_ss})
@@ -766,12 +766,12 @@ class FsManager(PathMixin, NamespaceMixin):
             handle.run_len = 0
             staged = yield from self._replay_staged(handle)
             if tracer is not None and tracer.enabled:
-                tracer.event_on(tracer.current_ctx(),
-                                "write_failover_complete",
-                                {"gfile": list(handle.gfile),
-                                 "failed_ss": failed_ss,
-                                 "new_ss": handle.ss_site,
-                                 "restaged": staged})
+                tracer.event(tracer.current_ctx(),
+                             "write_failover_complete",
+                             {"gfile": list(handle.gfile),
+                              "failed_ss": failed_ss,
+                              "new_ss": handle.ss_site,
+                              "restaged": staged})
                 tracer.annotate(span, "new_ss", handle.ss_site)
                 tracer.annotate(span, "restaged", staged)
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
@@ -853,10 +853,10 @@ class FsManager(PathMixin, NamespaceMixin):
                 self.site.metrics.count("fs.read_retries")
                 tracer = self.site.tracer
                 if tracer is not None and tracer.enabled:
-                    tracer.event_on(tracer.current_ctx(), "read_retry",
-                                    {"attempt": attempt, "op": op,
-                                     "failed_ss": failed_ss,
-                                     "error": type(exc).__name__})
+                    tracer.event(tracer.current_ctx(), "read_retry",
+                                 {"attempt": attempt, "op": op,
+                                  "failed_ss": failed_ss,
+                                  "error": type(exc).__name__})
                 # Backoff first: gives the partition protocol time to agree
                 # on the new membership before the reopen picks a copy.
                 if writable:
@@ -1796,7 +1796,7 @@ class FsManager(PathMixin, NamespaceMixin):
             entry = self.css_entries.get(gfile)
             if entry is not None:
                 if attrs["version"].dominates(entry.latest_vv):
-                    entry.latest_vv = attrs["version"].copy()
+                    entry.latest_vv = attrs["version"]
                 entry.storage_sites = list(attrs["storage_sites"])
         if p.get("_recovery_reply"):
             # A holder superseded what our recovery sweep pushed: the

@@ -134,7 +134,7 @@ class NameCache:
     # -- fill / invalidate ----------------------------------------------
 
     def put(self, gfile: Gfile, version: VersionVector, entries) -> None:
-        self._entries[gfile] = _NameEntry(version=version.copy(),
+        self._entries[gfile] = _NameEntry(version=version,
                                           entries=tuple(
                                               self.copy_entries(entries)))
         self._entries.move_to_end(gfile)
@@ -144,7 +144,7 @@ class NameCache:
 
     def put_negative(self, gfile: Gfile, name: str,
                      version: VersionVector) -> None:
-        self._negative[(gfile, name)] = version.copy()
+        self._negative[(gfile, name)] = version
         self._negative.move_to_end((gfile, name))
         self.stats.neg_fills += 1
         while len(self._negative) > self.capacity:

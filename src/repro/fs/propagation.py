@@ -453,7 +453,7 @@ class Propagator:
             # Pulling a live version resurrects a locally-tombstoned copy
             # (the undo-delete of section 4.4 rule d).
             shadow.set_attrs(deleted=False, has_data=True)
-            shadow.commit(new_version=target_vv.copy(),
+            shadow.commit(new_version=target_vv,
                           mtime=remote_attrs["mtime"])
         except BaseException:
             shadow.abort()   # coherent, complete, out-of-date copy remains

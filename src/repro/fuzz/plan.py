@@ -25,11 +25,18 @@ OPS = ("read", "write", "mkdir", "rename", "unlink", "link",
        "readdir", "stat")
 
 
+# Content byte i of a payload is (base + 131 * i) % 256: one fixed cycle
+# of period 256 (131 is odd), entered at the offset where it reads base.
+_CYCLE = bytes(131 * i % 256 for i in range(256)) * 2
+_ENTRY = pow(131, -1, 256)          # _CYCLE[base * _ENTRY % 256] == base
+
+
 def payload(seed: int, tag: int, size: int) -> bytes:
     """Deterministic file content derived from plan fields alone (no RNG
     state needed), so replaying from JSON reproduces every byte."""
     base = (seed * 1000003 + tag * 8191) & 0xFFFFFFFF
-    return bytes((base + i * 131) % 256 for i in range(size))
+    entry = base * _ENTRY % 256
+    return (_CYCLE[entry:entry + 256] * (size // 256 + 1))[:size]
 
 
 @dataclass

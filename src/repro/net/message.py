@@ -78,9 +78,11 @@ def payload_size(payload: Any) -> int:
     protocol correctness never depends on it.
 
     Exact-type checks cover the overwhelmingly common payload shapes
-    without the isinstance chain; subclasses (and bool, which must charge 1
-    rather than int's 8) fall through to the original chain below and
-    produce identical sizes.
+    without an isinstance chain.  A structured wire value — a version
+    vector, the inode-attributes record — states its own size through
+    ``__wire_size__()``, an O(1) closed form that equals what walking its
+    serialized form would count, so a reply carrying hundreds of inode
+    records costs one call per record rather than one per field.
     """
     tp = type(payload)
     if payload is None:
@@ -97,36 +99,40 @@ def payload_size(payload: Any) -> int:
         # timing is identical with exactly-once stamping on or off.
         total = payload.get("__wire_bytes__", 0)
         for k, v in payload.items():
-            if type(k) is not str or not k.startswith("_"):
-                total += payload_size(k) + payload_size(v)
+            tk = type(k)
+            if tk is str:
+                if k.startswith("_"):
+                    continue
+                total += len(k)
+            elif tk is int:
+                total += 8
+            else:
+                total += payload_size(k)
+            total += payload_size(v)
         return total
     if tp is list or tp is tuple:
         total = 0
         for v in payload:
             total += payload_size(v)
         return total
+    if tp is bool:
+        return 1
+    sized = getattr(tp, "__wire_size__", None)
+    if sized is not None:
+        return sized(payload)
     return _payload_size_slow(payload)
 
 
 def _payload_size_slow(payload: Any) -> int:
-    """Original isinstance chain, kept for subclasses and rare shapes."""
-    if isinstance(payload, (bytes, bytearray)):
+    """Rare shapes: subclasses of the wire types are sized as their base
+    type, anything else (an enum member, an exception in an error reply)
+    as one small fixed-size object."""
+    if isinstance(payload, (bytes, bytearray, str)):
         return len(payload)
-    if isinstance(payload, str):
-        return len(payload)
-    if isinstance(payload, bool):
-        return 1
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, dict):
-        extra = payload.get("__wire_bytes__", 0)
-        return extra + sum(payload_size(k) + payload_size(v)
-                           for k, v in payload.items()
-                           if not (isinstance(k, str) and k.startswith("_")))
+        return payload_size(dict(payload))
     if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(payload_size(v) for v in payload)
-    # Fallback for small structured objects (version vectors expose to_dict).
-    to_dict = getattr(payload, "to_dict", None)
-    if callable(to_dict):
-        return payload_size(to_dict())
+        return payload_size(list(payload))
     return 16

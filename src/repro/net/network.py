@@ -6,13 +6,13 @@ paper section 5.4) lives in each site's topology service.  The merge protocol
 relies on this distinction: it polls sites "thought to be down" and succeeds
 once the physical fault heals.
 
-The send path is tiered for throughput: when no fault hook, loss rate,
-per-pair extra latency or live tracer is armed — the overwhelmingly common
-case in large storms — a message goes from ``send`` to a scheduled delivery
-with a handful of dict operations on tuple keys and no intermediate
-allocations beyond the delivery event.  Arming any hook falls back to the
-full bookkeeping path; both paths charge identical virtual time and record
-identical message statistics, so the fast path is observationally invisible.
+The send path is built for throughput: when no fault hook, loss rate or
+per-pair extra latency is armed — the overwhelmingly common case in large
+storms, tracing on or off — a message goes from ``send`` to a scheduled
+delivery with a handful of dict operations on tuple keys and no
+intermediate allocations beyond the delivery event.  Arming a hook adds
+one call that runs the taps and loss draws before the same tail, so both
+cases charge identical virtual time and record identical statistics.
 """
 
 from __future__ import annotations
@@ -196,60 +196,47 @@ class Network:
         stats.sent[key] += 1
         stats.bytes_sent[key] += msg.size
         if (self.taps or self.drop_filters or self.loss_rate
-                or self.extra_latency
-                or (self.tracer is not None and self.tracer.enabled)):
-            self._send_hooked(src, dst, msg)
-            return
-        # Fast path: no fault hook, loss, asymmetric latency or live tracer
-        # armed — one dict-free dispatch to the delivery event.  Virtual
-        # time and statistics are identical to the hooked path.
-        wire = self.cost.message_delay(msg.size)
-        arrival = self.sim.now + wire
+                or self.extra_latency):
+            if self._lost_to_fault(src, dst, msg):
+                return
+            wire = self.latency(src, dst, msg.size)
+        else:
+            wire = self.cost.message_delay(msg.size)
+        now = self.sim.now
+        arrival = now + wire
         dkey = (src, dst)
         last = self._last_delivery
         floor = last.get(dkey)
         if floor is not None and arrival <= floor:
-            queue_wait = floor + 1e-9 - arrival
-            arrival = floor + 1e-9      # FIFO: queue behind the predecessor
-            self.metrics.observe("net.queue_wait", queue_wait)
+            # FIFO: queue behind the predecessor.  Rare, so this is also
+            # where the flight recorder's one need from the network lives:
+            # the transit split into pure wire time and queue wait, pinned
+            # on the rpc span the message serves (observational only).
+            arrival = floor + 1e-9
+            queue_wait = arrival - now - wire
+            if queue_wait > 0.0:
+                self.metrics.observe("net.queue_wait", queue_wait)
+                if self.tracer is not None:
+                    self.tracer.event(msg.trace_ctx, "queue_wait",
+                                      {"delay": queue_wait, "mtype": key})
         last[dkey] = arrival
         self._wire_hist.observe(wire)
-        self.sim._schedule_recycled(arrival - self.sim.now,
-                                    self._deliver, (msg,))
+        self.sim._schedule_recycled(arrival - now, self._deliver, (msg,))
 
-    def _send_hooked(self, src: int, dst: int, msg: Message) -> None:
-        """Full-bookkeeping send: fault taps, scripted and random loss,
-        asymmetric latency, and flight-recorder queue-wait events."""
+    def _lost_to_fault(self, src: int, dst: int, msg: Message) -> bool:
+        """Run the armed fault hooks — taps, then scripted and random loss
+        — on one send; True when the message was lost (circuit closed)."""
         for tap in self.taps:
             tap(msg)
         if self.drop_filters and any(f(msg) for f in self.drop_filters):
-            self.stats.dropped += 1
-            self._close_circuit((src, dst), "message lost (fault)")
-            return
-        if self.loss_rate and self.sim.rng.random() < self.loss_rate:
-            self.stats.dropped += 1
-            self._close_circuit((src, dst), "message lost")
-            return
-        wire = self.latency(src, dst, msg.size)
-        arrival = self.sim.now + wire
-        key = (src, dst)
-        floor = self._last_delivery.get(key, 0.0)
-        queue_wait = 0.0
-        if arrival <= floor:
-            arrival = floor + 1e-9      # FIFO: queue behind the predecessor
-            queue_wait = arrival - self.sim.now - wire
-        self._last_delivery[key] = arrival
-        # Flight recorder: split transit into pure wire time and the FIFO
-        # queue wait behind circuit predecessors (observational only).
-        self._wire_hist.observe(wire)
-        if queue_wait > 0.0:
-            self.metrics.observe("net.queue_wait", queue_wait)
-            if self.tracer is not None and msg.trace_ctx is not None:
-                self.tracer.event_on(msg.trace_ctx, "queue_wait",
-                                     {"delay": queue_wait,
-                                      "mtype": msg.stat_key()})
-        self.sim._schedule_recycled(arrival - self.sim.now,
-                                    self._deliver, (msg,))
+            reason = "message lost (fault)"
+        elif self.loss_rate and self.sim.rng.random() < self.loss_rate:
+            reason = "message lost"
+        else:
+            return False
+        self.stats.dropped += 1
+        self._close_circuit((src, dst), reason)
+        return True
 
     def _deliver(self, msg: Message) -> None:
         """Delivery-time reachability check: a break in flight drops the

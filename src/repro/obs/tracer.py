@@ -1,7 +1,7 @@
 """The flight recorder: builds the causal span tree for a whole cluster.
 
 One tracer is shared by every site of a cluster (spans from all sites land
-in one ordered list, ids from one counter).  Recording is observational
+in one ordered log, a span's id is its position in it).  Recording is observational
 only — it never charges CPU, sends messages, adds yield points, or touches
 the simulator RNG — so a run's virtual-time behaviour and message counts
 are identical with tracing on or off, and identical seeds yield identical
@@ -11,7 +11,8 @@ Instrumented code uses the begin/finish pair around a timed region::
 
     span = prev = None
     if tracer is not None and tracer.enabled:
-        span, prev = tracer.begin("rpc:fs.open", "rpc", self.site_id)
+        span, prev = tracer.begin("rpc:fs.open", "rpc", self.site_id,
+                                  peer=dst)
     try:
         ...
     finally:
@@ -29,7 +30,7 @@ import functools
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.span import Span, SpanCtx
+from repro.obs.span import OPEN, Span, SpanCtx, SpanLog
 
 
 class Tracer:
@@ -37,12 +38,10 @@ class Tracer:
     def __init__(self, sim, enabled: bool = True):
         self.sim = sim
         self.enabled = enabled
-        self.spans: List[Span] = []
+        self.spans = SpanLog()
         self.instants: List[Dict] = []
-        self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._instant_seq = itertools.count(1)
-        self._by_id: Dict[int, Span] = {}
 
     # -- task context ----------------------------------------------------
 
@@ -50,67 +49,77 @@ class Tracer:
         task = self.sim.current_task
         return task.span_ctx if task is not None else None
 
-    def set_ctx(self, ctx: Optional[SpanCtx]) -> None:
-        task = self.sim.current_task
-        if task is not None:
-            task.span_ctx = ctx
-
     # -- spans -----------------------------------------------------------
 
     def begin(self, name: str, kind: str, site: Optional[int],
               parent_ctx: Optional[SpanCtx] = None,
               attrs: Optional[Dict] = None,
-              inherit: bool = True) -> Tuple[Optional[Span],
-                                             Optional[SpanCtx]]:
+              inherit: bool = True,
+              peer: int = -1) -> Tuple[Optional[SpanCtx],
+                                       Optional[SpanCtx]]:
         """Open a span and make it the running task's context.
 
-        Returns ``(span, previous_ctx)`` — pass both to :meth:`finish`.
-        With ``parent_ctx`` unset the span parents under the current task
-        context (``inherit=False`` forces a fresh root trace instead).
+        Returns ``(ctx, previous_ctx)`` — the new span's own context is
+        the handle :meth:`finish`, :meth:`annotate` and :meth:`event`
+        take, and what a message header carries.  With ``parent_ctx``
+        unset the span parents under the current task context
+        (``inherit=False`` forces a fresh root trace instead).  ``peer``
+        is the other site of an rpc (its ``dst``) or handler (its
+        ``src``) span.
         """
         if not self.enabled:
             return (None, None)
-        prev = self.current_ctx()
+        task = self.sim.current_task
+        prev = task.span_ctx if task is not None else None
         if parent_ctx is None and inherit:
             parent_ctx = prev
         if parent_ctx is not None:
             trace_id, parent_id = parent_ctx
         else:
-            trace_id, parent_id = next(self._trace_ids), None
-        span = Span(span_id=next(self._span_ids), trace_id=trace_id,
-                    parent_id=parent_id, name=name, kind=kind, site=site,
-                    start=self.sim.now, attrs=dict(attrs) if attrs else {})
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
-        self.set_ctx(span.ctx)
-        return (span, prev)
+            trace_id, parent_id = next(self._trace_ids), 0
+        log = self.spans
+        row = len(log.start)
+        log.trace_id.append(trace_id)
+        log.parent_id.append(parent_id)
+        log.name.append(name)
+        log.kind.append(kind)
+        log.site.append(-1 if site is None else site)
+        log.peer.append(peer)
+        log.start.append(self.sim.now)
+        log.end.append(OPEN)
+        if attrs:
+            log.attrs[row] = dict(attrs)
+        ctx = (trace_id, row + 1)
+        if task is not None:
+            task.span_ctx = ctx
+        return (ctx, prev)
 
-    def finish(self, span: Optional[Span], prev: Optional[SpanCtx],
+    def finish(self, span: Optional[SpanCtx], prev: Optional[SpanCtx],
                status: str = "ok") -> None:
         if span is None:
             return
-        if span.end is None:
-            span.end = self.sim.now
-            span.status = status
-        self.set_ctx(prev)
+        log = self.spans
+        row = span[1] - 1
+        if log.end[row] != log.end[row]:        # still open
+            log.end[row] = self.sim.now
+            if status != "ok":
+                log.status[row] = status
+        task = self.sim.current_task
+        if task is not None:
+            task.span_ctx = prev
 
-    def annotate(self, span: Optional[Span], key: str, value) -> None:
+    def annotate(self, span: Optional[SpanCtx], key: str, value) -> None:
         if span is not None:
-            span.attrs[key] = value
+            self.spans.attrs.setdefault(span[1] - 1, {})[key] = value
 
-    def event(self, span: Optional[Span], name: str,
+    def event(self, span: Optional[SpanCtx], name: str,
               attrs: Optional[Dict] = None) -> None:
+        """A timed annotation on the span a context names — the handle
+        :meth:`begin` returned, the running task's context, or a message
+        header's."""
         if span is not None:
-            span.events.append((self.sim.now, name, attrs or {}))
-
-    def event_on(self, ctx: Optional[SpanCtx], name: str,
-                 attrs: Optional[Dict] = None) -> None:
-        """Annotate the span a context names (e.g. from a message header)."""
-        if not self.enabled or ctx is None:
-            return
-        span = self._by_id.get(ctx[1])
-        if span is not None:
-            span.events.append((self.sim.now, name, attrs or {}))
+            self.spans.events.setdefault(span[1] - 1, []).append(
+                (self.sim.now, name, attrs or {}))
 
     # -- instants --------------------------------------------------------
 
@@ -131,26 +140,19 @@ class Tracer:
     # -- queries (tests, export, inspection) -----------------------------
 
     def span(self, span_id: int) -> Optional[Span]:
-        return self._by_id.get(span_id)
-
-    def children(self, span_id: int) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
-    def trace_spans(self, trace_id: int) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
-
-    def roots(self, name_prefix: str = "") -> List[Span]:
-        return [s for s in self.spans
-                if s.parent_id is None and s.name.startswith(name_prefix)]
+        if 0 < span_id <= len(self.spans):
+            return self.spans[span_id - 1]
+        return None
 
     def open_spans(self, site: Optional[int] = None,
                    kind: Optional[str] = None) -> List[Span]:
         """Spans begun but never finished.  At quiescence on a healthy
         site these are stuck work — the fuzz oracle's liveness signal
         (spans on a site that crashed die legitimately unfinished)."""
-        return [s for s in self.spans if s.end is None
-                and (site is None or s.site == site)
-                and (kind is None or s.kind == kind)]
+        log = self.spans
+        return [log[row] for row, end in enumerate(log.end) if end != end
+                and (site is None or log.site[row] == site)
+                and (kind is None or log.kind[row] == kind)]
 
 
 def traced_syscall(name: str, fn):

@@ -465,7 +465,7 @@ class TopologyService:
                     entry = CssEntry(
                         gfile=gfile,
                         storage_sites=list(attrs["storage_sites"]),
-                        latest_vv=attrs["version"].copy())
+                        latest_vv=attrs["version"])
                     fs.css_entries[gfile] = entry
                 entry.note_open(item["us"], item["mode"], item["ss"])
         return None

@@ -192,4 +192,4 @@ def _resolve_pair(a: DirEntry, b: DirEntry,
 def _clone(entry: DirEntry) -> DirEntry:
     return DirEntry(name=entry.name, ino=entry.ino, ftype=entry.ftype,
                     deleted=entry.deleted,
-                    dvv=entry.dvv.copy() if entry.dvv is not None else None)
+                    dvv=entry.dvv)

@@ -134,8 +134,8 @@ class RecoveryManager:
         tracer = getattr(self.site, "tracer", None)
         if tracer is not None and tracer.enabled:
             # The delayed access's span shows why it waited.
-            tracer.event_on(tracer.current_ctx(), "demand_recovery",
-                            {"gfile": list(gfile)})
+            tracer.event(tracer.current_ctx(), "demand_recovery",
+                         {"gfile": list(gfile)})
         inventories = self._sweep_inventories.get(gfs, {})
         self.pending.get(gfs, set()).discard(ino)
         done = self.site.sim.create_future(f"demand:{gfile}")

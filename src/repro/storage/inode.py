@@ -27,6 +27,22 @@ class FileType(enum.Enum):
     DEVICE = "device"              # remote-transparent device node
 
 
+class InodeAttrs(dict):
+    """The wire representation of inode attributes: a plain dict to every
+    reader, plus the size of its own serialized form so the wire-time
+    model does not walk eleven fields per inode per message.  Built
+    complete by :meth:`DiskInode.attrs` and never patched — a receiver
+    that wants to change a field copies it into a ``dict`` of its own."""
+
+    __slots__ = ()
+
+    def __wire_size__(self) -> int:
+        # Key lengths (67) plus the fixed-size values — six 8-byte numbers,
+        # a 16-byte file type, two 1-byte flags (58) — plus the rest.
+        return (125 + len(self["owner"]) + self["version"].__wire_size__()
+                + 8 * len(self["storage_sites"]))
+
+
 @dataclass
 class DiskInode:
     """Persistent per-file metadata as stored in one pack.
@@ -51,22 +67,22 @@ class DiskInode:
     conflict: bool = False
     mtime: float = 0.0
 
-    def attrs(self) -> dict:
+    def attrs(self) -> InodeAttrs:
         """The wire representation of inode attributes (no page pointers —
         'The US function never deals with actual disk blocks')."""
-        return {
+        return InodeAttrs({
             "ino": self.ino,
             "ftype": self.ftype,
             "size": self.size,
             "owner": self.owner,
             "perms": self.perms,
             "nlink": self.nlink,
-            "version": self.version.copy(),
+            "version": self.version,
             "deleted": self.deleted,
             "storage_sites": list(self.storage_sites),
             "conflict": self.conflict,
             "mtime": self.mtime,
-        }
+        })
 
     def apply_attrs(self, attrs: dict) -> None:
         """Install attributes received from another site (propagation)."""
@@ -75,7 +91,7 @@ class DiskInode:
         self.owner = attrs["owner"]
         self.perms = attrs["perms"]
         self.nlink = attrs["nlink"]
-        self.version = attrs["version"].copy()
+        self.version = attrs["version"]
         self.deleted = attrs["deleted"]
         self.storage_sites = list(attrs["storage_sites"])
         self.conflict = attrs["conflict"]
@@ -92,7 +108,7 @@ class DiskInode:
             nlink=self.nlink,
             has_data=self.has_data,
             pages=list(self.pages),
-            version=self.version.copy(),
+            version=self.version,
             deleted=self.deleted,
             storage_sites=list(self.storage_sites),
             conflict=self.conflict,

@@ -22,9 +22,15 @@ class Ordering(enum.Enum):
 
 
 class VersionVector:
-    """An immutable-by-convention map from site id to update count."""
+    """An immutable map from site id to update count.
 
-    __slots__ = ("_counts",)
+    Nothing outside this module reaches ``_counts`` and no method changes
+    it after construction, so vectors are shared freely — between an
+    inode, its wire attributes and every cache that remembers them —
+    never copied.
+    """
+
+    __slots__ = ("_counts", "_hash")
 
     def __init__(self, counts: Optional[Dict[int, int]] = None):
         self._counts: Dict[int, int] = {
@@ -32,6 +38,16 @@ class VersionVector:
         }
         if any(n < 0 for n in self._counts.values()):
             raise ValueError("version counts must be non-negative")
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _of(cls, counts: Dict[int, int]) -> "VersionVector":
+        """Wrap a dict derived here from valid vectors — all counts
+        positive, referenced by nobody else — without re-validating it."""
+        vv = cls.__new__(cls)
+        vv._counts = counts
+        vv._hash = None
+        return vv
 
     # -- access ----------------------------------------------------------
 
@@ -48,8 +64,10 @@ class VersionVector:
     def to_dict(self) -> Dict[int, int]:
         return dict(self._counts)
 
-    def copy(self) -> "VersionVector":
-        return VersionVector(self._counts)
+    def __wire_size__(self) -> int:
+        """Bytes on the wire (see ``payload_size``): a site id and a
+        count, 8 bytes each, per component."""
+        return 16 * len(self._counts)
 
     # -- evolution ---------------------------------------------------------
 
@@ -58,7 +76,7 @@ class VersionVector:
         originated at ``site``)."""
         counts = dict(self._counts)
         counts[site] = counts.get(site, 0) + 1
-        return VersionVector(counts)
+        return VersionVector._of(counts)
 
     def merge(self, other: "VersionVector") -> "VersionVector":
         """Pointwise maximum: the reconciliation result's history covers
@@ -67,7 +85,7 @@ class VersionVector:
         for site, n in other._counts.items():
             if n > counts.get(site, 0):
                 counts[site] = n
-        return VersionVector(counts)
+        return VersionVector._of(counts)
 
     # -- comparison ----------------------------------------------------------
 
@@ -99,7 +117,9 @@ class VersionVector:
         return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._counts.items())))
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self._counts.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ",".join(f"{s}:{n}" for s, n in sorted(self._counts.items()))

@@ -26,6 +26,16 @@ def test_payload_is_deterministic():
     assert payload(12, 9, 64) != payload(13, 9, 64)
 
 
+def test_payload_matches_its_defining_expression():
+    """The tiled 256-byte cycle is byte-identical to the per-byte
+    generator it replaced (committed plans carry content digests)."""
+    for seed, tag in ((0, 0), (12, 9), (977, 40), (2**31, 2**20), (5, 131)):
+        base = (seed * 1000003 + tag * 8191) & 0xFFFFFFFF
+        for size in (0, 1, 255, 256, 257, 8192):
+            assert payload(seed, tag, size) == bytes(
+                (base + i * 131) % 256 for i in range(size))
+
+
 def test_plan_round_trips_canonically():
     plan = generate_plan(42, n_ops=12, n_faults=4)
     text = plan.to_json()

@@ -1,0 +1,328 @@
+"""What recording and sizing cost on the host — and that making them
+cheap changed nothing anyone can observe (ISSUE 14).
+
+* Differential sizing: ``payload_size`` with its ``__wire_size__`` closed
+  forms against the recursive walk it replaced, kept verbatim below, on
+  seeded random payloads and on every message of the canonical storm.
+* Export pin: the storm's JSONL and Chrome exports hash to what the
+  commit before the compact span log produced.
+* Span budget: bytes retained per recorded span, and no aliasing between
+  spans that share a name and a peer.
+"""
+
+import enum
+import gc
+import hashlib
+import random
+import tracemalloc
+
+import pytest
+
+from repro import LocusCluster
+from repro.cli import main as cli_main
+from repro.config import CostModel
+from repro.errors import EBUSY
+from repro.net.message import payload_size
+from repro.obs.span import Span
+from repro.obs.tracer import Tracer
+from repro.storage.inode import DiskInode, FileType
+from repro.storage.version_vector import VersionVector
+
+
+# ----------------------------------------------------------------------
+# The sizing reference: net/message.py's payload_size as of PR 11,
+# verbatim.  Do not optimise it — it is the definition.
+# ----------------------------------------------------------------------
+
+def reference_size(payload):
+    tp = type(payload)
+    if payload is None:
+        return 0
+    if tp is str or tp is bytes:
+        return len(payload)
+    if tp is int or tp is float:
+        return 8
+    if tp is dict:
+        total = payload.get("__wire_bytes__", 0)
+        for k, v in payload.items():
+            if type(k) is not str or not k.startswith("_"):
+                total += reference_size(k) + reference_size(v)
+        return total
+    if tp is list or tp is tuple:
+        total = 0
+        for v in payload:
+            total += reference_size(v)
+        return total
+    return _reference_size_slow(payload)
+
+
+def _reference_size_slow(payload):
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload)
+    if isinstance(payload, str):
+        return len(payload)
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, (int, float)):
+        return 8
+    if isinstance(payload, dict):
+        extra = payload.get("__wire_bytes__", 0)
+        return extra + sum(reference_size(k) + reference_size(v)
+                           for k, v in payload.items()
+                           if not (isinstance(k, str) and k.startswith("_")))
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return sum(reference_size(v) for v in payload)
+    to_dict = getattr(payload, "to_dict", None)
+    if callable(to_dict):
+        return reference_size(to_dict())
+    return 16
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _random_attrs(rng):
+    inode = DiskInode(ino=rng.randrange(1 << 20),
+                      ftype=rng.choice(list(FileType)),
+                      size=rng.randrange(1 << 16),
+                      owner="u" * rng.randrange(9),
+                      nlink=rng.randrange(4),
+                      deleted=rng.random() < 0.2,
+                      storage_sites=list(range(rng.randrange(5))),
+                      conflict=rng.random() < 0.2,
+                      mtime=rng.random() * 1e4)
+    inode.version = _random_vv(rng)
+    return inode.attrs()
+
+
+def _random_vv(rng):
+    return VersionVector({site: rng.randrange(4)
+                          for site in range(rng.randrange(5))})
+
+
+def _random_payload(rng, depth=0):
+    leaves = [
+        lambda: None,
+        lambda: rng.random() < 0.5,                   # bool, not int
+        lambda: rng.randrange(-5, 1 << 40),
+        lambda: rng.random() * 1e6,
+        lambda: "s" * rng.randrange(40),
+        lambda: b"b" * rng.randrange(600),
+        lambda: bytearray(rng.randrange(30)),
+        lambda: _Str("sub" * rng.randrange(4)),
+        lambda: _Int(rng.randrange(99)),
+        lambda: _Level.LOW,
+        lambda: rng.choice(list(FileType)),
+        lambda: EBUSY("refused"),
+        lambda: _random_vv(rng),
+        lambda: _random_attrs(rng),
+    ]
+    if depth >= 4 or rng.random() < 0.45:
+        return rng.choice(leaves)()
+
+    def items():
+        return [_random_payload(rng, depth + 1)
+                for __ in range(rng.randrange(5))]
+
+    def mapping():
+        # No str-subclass key starts with "_": that is the one shape the
+        # reference's own two dict paths size differently (exact dict
+        # counts it, dict subclass skips it), and no payload has it.
+        keys = ["k%d" % i for i in range(rng.randrange(5))]
+        keys += rng.sample(["_stamp", "_ack", "__wire_bytes__", 7, _Str("q")],
+                           rng.randrange(3))
+        out = {k: _random_payload(rng, depth + 1) for k in keys}
+        if "__wire_bytes__" in out:
+            out["__wire_bytes__"] = rng.randrange(1 << 16)
+        return out
+
+    shape = rng.randrange(7)
+    if shape == 0:
+        return mapping()
+    if shape == 1:
+        return _Dict(mapping())
+    if shape == 2:
+        return items()
+    if shape == 3:
+        return tuple(items())
+    if shape == 4:
+        return _List(items())
+    if shape == 5:
+        return _Tuple(items())
+    return frozenset(rng.randrange(1 << 30) for __ in range(rng.randrange(5)))
+
+
+class TestDifferentialSizing:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_nested_payloads(self, seed):
+        rng = random.Random(seed)
+        for __ in range(400):
+            payload = _random_payload(rng)
+            assert payload_size(payload) == reference_size(payload), payload
+
+    def test_closed_forms(self):
+        vv = VersionVector({0: 2, 3: 1, 4: 7})
+        assert payload_size(vv) == reference_size(vv) == 48
+        inode = DiskInode(ino=9, owner="locus", storage_sites=[0, 1, 2])
+        inode.version = vv
+        attrs = inode.attrs()
+        assert payload_size(attrs) == reference_size(attrs) \
+            == 125 + 5 + 48 + 24
+        assert payload_size(True) == 1 and payload_size(1) == 8
+        assert payload_size(FileType.DIRECTORY) == 16
+
+    def test_attrs_record_is_still_a_plain_dict_to_readers(self):
+        attrs = DiskInode(ino=4).attrs()
+        assert attrs == dict(attrs) and isinstance(attrs, dict)
+        assert type(dict(attrs)) is dict
+
+
+# ----------------------------------------------------------------------
+# The canonical storm: every message sized both ways, exports pinned
+# ----------------------------------------------------------------------
+
+# sha1 of `cli trace --workload storm --seed 11` exports at the commit
+# before the span log went columnar (PR 11, f22e8e7).
+STORM_JSONL_SHA1 = "9d372f61f77d268d663f0cc36bb3e41b0676004c"
+STORM_CHROME_SHA1 = "67146f4dde562efd4b1541a459ca0a126eb1bbab"
+
+
+def _sha1(path):
+    return hashlib.sha1(path.read_bytes()).hexdigest()
+
+
+def test_storm_sizes_every_message_alike_and_exports_are_pinned(
+        tmp_path, monkeypatch, capsys):
+    sized = []
+
+    def checked(payload):
+        size = payload_size(payload)
+        assert size == reference_size(payload), payload
+        sized.append(size)
+        return size
+
+    monkeypatch.setattr("repro.net.network.payload_size", checked)
+    assert cli_main(["trace", "--workload", "storm", "--seed", "11",
+                     "--out", str(tmp_path), "--check"]) == 0
+    capsys.readouterr()
+    assert len(sized) > 1000
+    assert _sha1(tmp_path / "trace.jsonl") == STORM_JSONL_SHA1
+    assert _sha1(tmp_path / "trace.chrome.json") == STORM_CHROME_SHA1
+
+
+# ----------------------------------------------------------------------
+# Span budget and aliasing
+# ----------------------------------------------------------------------
+
+N_RPCS = 5000
+
+
+def _retained_by_rpcs(trace_enabled):
+    """Bytes still allocated after N_RPCS remote calls, and the spans
+    they recorded."""
+    cost = CostModel().with_overrides(trace_enabled=trace_enabled)
+    cluster = LocusCluster(n_sites=2, seed=1, cost=cost)
+
+    def pong(src, payload):
+        return payload
+        yield
+
+    cluster.sites[1].register_handler("budget.ping", pong)
+
+    def pinger(n):
+        for i in range(n):
+            yield from cluster.sites[0].rpc(1, "budget.ping", {"i": i})
+
+    cluster.call(0, pinger(50))         # op labels, histograms, circuits
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spans_before = len(cluster.tracer.spans)
+        cluster.call(0, pinger(N_RPCS))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained, len(cluster.tracer.spans) - spans_before
+
+
+def test_span_budget():
+    """An rpc span and its handler span retain at most 250 bytes each
+    (640 before the columnar log; tests/bench measure ~80)."""
+    off, no_spans = _retained_by_rpcs(trace_enabled=False)
+    on, spans = _retained_by_rpcs(trace_enabled=True)
+    assert no_spans == 0 and spans == 2 * N_RPCS
+    assert (on - off) / spans <= 250.0
+
+
+class _Clock:
+    now = 0.0
+    current_task = None
+
+
+class TestSpanAliasing:
+    def test_annotations_stay_on_their_span(self):
+        tracer = Tracer(_Clock())
+        shared = {"gfile": [1, 2]}
+        a, __ = tracer.begin("rpc:x", "rpc", 0, peer=3, attrs=shared)
+        b, __ = tracer.begin("rpc:x", "rpc", 0, peer=3, attrs=shared)
+        c, __ = tracer.begin("rpc:x", "rpc", 0, peer=3)
+        tracer.annotate(a, "ss", 7)
+        tracer.event(a, "retry", {"attempt": 1})
+        shared["late"] = True            # the caller's dict is not ours
+        tracer.finish(a, None, status="EIO")
+        sa, sb, sc = tracer.spans[0:3]
+        assert sa.attrs == {"gfile": [1, 2], "ss": 7, "dst": 3}
+        assert [e[1] for e in sa.events] == ["retry"]
+        assert sa.status == "EIO" and sa.end == 0.0
+        assert sb.attrs == {"gfile": [1, 2], "dst": 3} and sb.events == []
+        assert sc.attrs == {"dst": 3} and sc.events == []
+        assert sb.end is None and sb.status == "ok"
+
+    def test_records_are_snapshots(self):
+        tracer = Tracer(_Clock())
+        ctx, __ = tracer.begin("serve:x", "handler", 1, peer=0)
+        snap = tracer.span(ctx[1])
+        snap.attrs["scribble"] = 1
+        snap.events.append((0.0, "scribble", {}))
+        again = tracer.spans[-1]
+        assert again.attrs == {"src": 0} and again.events == []
+
+    def test_log_is_a_sequence_of_spans(self):
+        tracer = Tracer(_Clock())
+        for i in range(5):
+            tracer.begin(f"n{i}", "fs", None, inherit=False)
+        log = tracer.spans
+        assert len(log) == 5 and bool(log)
+        assert [s.name for s in log] == ["n0", "n1", "n2", "n3", "n4"]
+        assert [s.span_id for s in log[3:]] == [4, 5]
+        assert log[-1].name == "n4" and log[0].site is None
+        assert log[1].parent_id is None and log[1].trace_id == 2
+        with pytest.raises(IndexError):
+            log[5]
+        assert tracer.span(0) is None and tracer.span(6) is None
+        assert isinstance(log[2], Span)
+        assert [s.span_id for s in tracer.open_spans(kind="fs")] \
+            == [1, 2, 3, 4, 5]

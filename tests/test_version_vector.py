@@ -1,5 +1,8 @@
 """Unit and property-based tests for version vectors [PARK83]."""
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +56,50 @@ class TestBasics:
         a = vv(s1=1)
         a.bump(1)
         assert a == vv(s1=1)
+
+
+class TestImmutability:
+    """Vectors are shared, never copied (ISSUE 14): that is only sound
+    while nothing can change one after construction."""
+
+    @given(st.dictionaries(st.integers(0, 5), st.integers(0, 8), max_size=6),
+           st.dictionaries(st.integers(0, 5), st.integers(0, 8), max_size=6),
+           st.integers(0, 5))
+    def test_bump_and_merge_never_touch_the_receiver(self, da, db, site):
+        a, b = VersionVector(da), VersionVector(db)
+        before_a, before_b = a.to_dict(), b.to_dict()
+        hash_a = hash(a)
+        bumped, merged = a.bump(site), a.merge(b)
+        assert a.to_dict() == before_a and b.to_dict() == before_b
+        assert hash(a) == hash_a                       # cached, and still right
+        assert hash(a) == hash(VersionVector(before_a))
+        # Derived vectors are as canonical as validated ones.
+        assert bumped == VersionVector(bumped.to_dict())
+        assert merged == VersionVector(merged.to_dict())
+        assert hash(merged) == hash(VersionVector(merged.to_dict()))
+        assert bumped is not a and bumped != a
+
+    def test_caller_keeps_its_dict(self):
+        counts = {1: 2}
+        a = VersionVector(counts)
+        counts[1] = 99
+        assert a.get(1) == 2
+        a.to_dict()[1] = 99
+        assert a.get(1) == 2
+
+    def test_no_code_outside_the_module_reaches_counts(self):
+        """``vv._counts`` anywhere else could mutate a shared vector; a
+        class's own ``self._counts`` (obs/load.py has one) is unrelated."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path.name != "version_vector.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"(?<!\bself)\._counts\b", line)
+        ]
+        assert offenders == []
+        assert not hasattr(VersionVector, "copy")
 
 
 class TestLatest:

@@ -1,28 +1,28 @@
-"""T18 — simulator-core throughput: the calendar-queue kernel vs the
-original global-heap kernel on the same million-event storm.
+"""T18 — simulator-core throughput: the production kernel ("fast") vs the
+original kernel kept as the reference, on the same million-event storm.
 
 Unlike T1–T17, the reproduced quantity here is *wall-clock* events/sec:
 the virtual-time results must be byte-identical between kernels (that is
 asserted, not measured), and the benchmark records how much faster the
-calendar-queue kernel turns the same schedule.
+production kernel turns the same schedule.
 
 Two workloads:
 
 **Kernel storm** (raw scheduler primitives, no cluster) — three phases
-built to exercise every structure the overhaul touched:
+built to exercise every structure the production kernel has:
 
 1. *Arm flood*: a large population of long-horizon maintenance timers
    (lease expiries, retransmit watchdogs) plus heartbeat tasks.  These sit
    pending through the whole storm — the backdrop that makes every
-   old-kernel heap operation pay a deep Python-level ``__lt__`` sift.
+   reference-kernel heap operation pay a deep Python-level ``__lt__`` sift.
 2. *Cascade storm*: chains of zero-delay ``call_soon`` wakeups re-armed
    every virtual second — the RPC-completion shape that dominates protocol
-   runs.  The calendar kernel rides the ready deque with recycled events;
-   the old kernel pays a full-depth sift against the armed backdrop for
+   runs.  The fast kernel rides the ready deque with recycled events;
+   the reference pays a full-depth sift against the armed backdrop for
    every single event.
 3. *Expiry flood*: most watchdogs are cancelled (their operations
-   completed), the rest expire.  The old kernel heappops every tombstone
-   individually; the calendar kernel compacts them in one linear purge.
+   completed), the rest expire.  The reference heappops every tombstone
+   individually; the fast kernel compacts them in one linear sweep.
 
 **Cluster storm** (12 sites, RPC chatter + heartbeats + filesystem
 traffic) — the end-to-end sanity check: message counts, per-site cpu and
@@ -30,7 +30,9 @@ the filesystem digest must match across kernels exactly, with tracing on
 or off.
 
 Run ``python benchmarks/test_t18_simcore.py`` to regenerate
-BENCH_simcore.json (full scale, several minutes on the legacy side).
+BENCH_simcore.json (full scale, several minutes on the reference side;
+the ``parent_calendar`` block in that file is PR 15's record of the
+calendar-queue kernel this one replaced and is carried over by hand).
 The pytest entry points run a reduced scale.
 """
 
@@ -142,7 +144,7 @@ def run_kernel_storm(simcls, n_timers, n_tasks, n_chains, links,
     finally:
         gc.enable()
     return {
-        "kernel": "heap" if simcls is LegacySimulator else "calendar",
+        "kernel": "reference" if simcls is LegacySimulator else "fast",
         "events": sim.events_processed,
         "seq": sim._seq,
         "vtime": sim.now,
@@ -160,7 +162,7 @@ _KERNEL_OBSERVABLES = ("events", "seq", "vtime", "expired", "chain_fires",
 
 # -- cluster storm ---------------------------------------------------------
 
-def build_cluster(sim_kernel="calendar", trace_enabled=False,
+def build_cluster(sim_kernel="fast", trace_enabled=False,
                   n_sites=N_SITES):
     cfg = ClusterConfig(
         n_sites=n_sites, seed=18, root_pack_sites=[0, 1],
@@ -240,24 +242,24 @@ def test_t18_cluster_parity_and_trace():
     """Cluster-level observables (messages, cpu, fs digest) are identical
     across kernels, and tracing on/off does not perturb the schedule."""
     outs = {}
-    for kernel in ("heap", "calendar"):
+    for kernel in ("reference", "fast"):
         cluster = build_cluster(sim_kernel=kernel, n_sites=4)
         outs[kernel] = run_cluster_storm(cluster, tasks_per_site=30,
                                          rounds=4, heartbeats=40)
     for key in _CLUSTER_OBSERVABLES:
-        assert outs["heap"][key] == outs["calendar"][key], key
+        assert outs["reference"][key] == outs["fast"][key], key
 
     traced = run_cluster_storm(build_cluster(trace_enabled=True, n_sites=4),
                                tasks_per_site=30, rounds=4, heartbeats=40)
     for key in _CLUSTER_OBSERVABLES:
-        assert traced[key] == outs["calendar"][key], key
+        assert traced[key] == outs["fast"][key], key
 
 
 @pytest.mark.benchmark(group="T18")
 def test_t18_kernel_throughput(benchmark):
-    """Reduced-scale storm: the calendar kernel must beat the old heap
-    kernel comfortably even at smoke scale (the full-scale ratio is
-    recorded in BENCH_simcore.json)."""
+    """Reduced-scale storm: the fast kernel must beat the reference
+    comfortably even at smoke scale (the full-scale ratio is recorded in
+    BENCH_simcore.json)."""
 
     def _experiment():
         new = run_kernel_storm(Simulator, **SMOKE)
@@ -266,8 +268,8 @@ def test_t18_kernel_throughput(benchmark):
             assert new[key] == old[key], (key, new[key], old[key])
         return {
             "events": new["events"],
-            "calendar_eps": new["events_per_sec"],
-            "heap_eps": old["events_per_sec"],
+            "fast_eps": new["events_per_sec"],
+            "reference_eps": old["events_per_sec"],
             "speedup": round(new["events_per_sec"] /
                              old["events_per_sec"], 2),
         }
@@ -275,10 +277,10 @@ def test_t18_kernel_throughput(benchmark):
     out = run_experiment(benchmark, _experiment)
     print_table("T18 smoke: kernel storm",
                 ["kernel", "events", "events/sec"],
-                [["calendar", out["events"], out["calendar_eps"]],
-                 ["heap", out["events"], out["heap_eps"]]])
+                [["fast", out["events"], out["fast_eps"]],
+                 ["reference", out["events"], out["reference_eps"]]])
     # Conservative floor: the full-scale target is >= 10x, but smoke scale
-    # has a smaller backdrop (shallower old-kernel heap) and noisy runners.
+    # has a smaller backdrop (shallower reference heap) and noisy runners.
     assert out["speedup"] >= 2.5, out
 
 
@@ -305,7 +307,7 @@ def _storm_best_of_two(scale):
               f"wall={out['wall_s']:.2f}s eps={out['events_per_sec']:,.0f}",
               file=sys.stderr)
     for key in _KERNEL_OBSERVABLES:
-        assert results["calendar"][key] == results["heap"][key], key
+        assert results["fast"][key] == results["reference"][key], key
     return results
 
 
@@ -314,8 +316,8 @@ def _smoke_bench():
     speedup *ratio* is what CI regression-checks against the committed
     baseline — absolute events/sec vary across runners, ratios travel."""
     results = _storm_best_of_two(SMOKE)
-    ratio = (results["calendar"]["events_per_sec"] /
-             results["heap"]["events_per_sec"])
+    ratio = (results["fast"]["events_per_sec"] /
+             results["reference"]["events_per_sec"])
     return {
         "workload": {"kernel_storm_smoke": SMOKE},
         "kernel_storm_smoke": results,
@@ -327,7 +329,7 @@ def _bench():
     results = _storm_best_of_two(FULL)
 
     cluster_results = {}
-    for kernel in ("heap", "calendar"):
+    for kernel in ("reference", "fast"):
         out = run_cluster_storm(build_cluster(sim_kernel=kernel))
         cluster_results[kernel] = out
         print(f"cluster storm [{kernel:9s}] events={out['events']} "
@@ -335,13 +337,13 @@ def _bench():
               f"msgs={out['messages']} digest={out['fs_digest']}",
               file=sys.stderr)
     for key in _CLUSTER_OBSERVABLES:
-        assert cluster_results["calendar"][key] == \
-            cluster_results["heap"][key], key
+        assert cluster_results["fast"][key] == \
+            cluster_results["reference"][key], key
 
-    kernel_ratio = (results["calendar"]["events_per_sec"] /
-                    results["heap"]["events_per_sec"])
-    cluster_ratio = (cluster_results["calendar"]["events_per_sec"] /
-                     cluster_results["heap"]["events_per_sec"])
+    kernel_ratio = (results["fast"]["events_per_sec"] /
+                    results["reference"]["events_per_sec"])
+    cluster_ratio = (cluster_results["fast"]["events_per_sec"] /
+                     cluster_results["reference"]["events_per_sec"])
     return {
         "workload": {"kernel_storm": FULL,
                      "cluster_storm": {"n_sites": N_SITES,

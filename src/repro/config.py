@@ -183,11 +183,12 @@ class ClusterConfig:
     n_sites: int = 3
     seed: int = 0
     cost: CostModel = field(default_factory=CostModel)
-    # Event-loop scheduler: "calendar" (bucketed calendar queue, the
-    # default) or "heap" (the pre-overhaul single global heap, kept as the
-    # T18 benchmark's measuring stick).  Both produce the identical event
-    # schedule; they differ only in wall-clock throughput.
-    sim_kernel: str = "calendar"
+    # Event-loop scheduler: "fast" (sim/simulator.py: a heap of tuples plus
+    # a ready deque, the default) or "reference" (sim/legacy.py: the original
+    # heap of event objects, which the kernel tests and T18 compare against).
+    # Both produce the identical event schedule; they differ only in
+    # wall-clock throughput.
+    sim_kernel: str = "fast"
     # Sites holding a physical container (pack) of the root filegroup.
     # ``None`` means every site stores a pack, the fully replicated default.
     root_pack_sites: "list[int] | None" = None

@@ -41,10 +41,10 @@ class LocusCluster:
                                    cost=cost or CostModel(),
                                    root_pack_sites=root_pack_sites)
         self.config = config
-        if config.sim_kernel == "heap":
+        if config.sim_kernel == "reference":
             from repro.sim.legacy import LegacySimulator
             self.sim = LegacySimulator(seed=config.seed)
-        elif config.sim_kernel == "calendar":
+        elif config.sim_kernel == "fast":
             self.sim = Simulator(seed=config.seed)
         else:
             raise ValueError(f"unknown sim_kernel {config.sim_kernel!r}")

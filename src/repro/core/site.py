@@ -61,6 +61,13 @@ class Site:
         self.net = net
         self.config = config
         self.cost: CostModel = config.cost
+        # The supervised per-op RPC timeout backstop (None: wait forever,
+        # the paper's unsupervised behaviour).  The cost model is fixed
+        # once a cluster is built, so this is computed once.  Timeouts are
+        # NetworkErrors, so callers' retry/skip handling covers them.
+        self.backstop: Optional[float] = (
+            (self.cost.rpc_timeout or None)
+            if self.cost.supervise_remote_ops else None)
         self.up = True
         self.cpu_used = 0.0
         self.cpu_type = "vax"          # machine type (section 2.4.1)
@@ -275,7 +282,7 @@ class Site:
                 result = yield from self.rpc(resolve(), op, payload)
                 return result
             if timeout is None:
-                timeout = cost.rpc_timeout or None
+                timeout = self.backstop
             if retries is None:
                 retries = cost.rpc_retries
             if backoff is None:

@@ -243,14 +243,3 @@ class TxAborted(TxError):
                          else f"transaction {tid} aborted")
         self.tid = tid
         self.reason = reason
-
-
-class TxConflict(TxError):
-    """A lock request conflicted with another active transaction."""
-
-    def __init__(self, tid: int, holder: int, resource):
-        super().__init__(
-            f"transaction {tid} blocked by transaction {holder} on {resource}")
-        self.tid = tid
-        self.holder = holder
-        self.resource = resource

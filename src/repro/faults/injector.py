@@ -31,7 +31,6 @@ class FaultInjector:
         self.messages_seen = 0
         self._per_mtype: Dict[str, int] = {}
         self._msg_triggers: List[FaultEvent] = []
-        self._scheduled: List[object] = []
         self._pending_checks = 0
         self._armed = False
 
@@ -49,22 +48,10 @@ class FaultInjector:
                 self._msg_triggers.append(ev)
             else:
                 delay = max(0.0, ev.at - sim.now)
-                self._scheduled.append(sim.schedule(delay, self._fire, ev))
+                sim.schedule(delay, self._fire, ev)
         self.cluster.net.taps.append(self._tap)
         sim.idle_hooks.append(self._on_idle)
         return self
-
-    def disarm(self) -> None:
-        """Cancel everything still pending (scripts that outlive a test)."""
-        for ev in self._scheduled:
-            ev.cancel()
-        self._scheduled.clear()
-        self._msg_triggers.clear()
-        net, sim = self.cluster.net, self.cluster.sim
-        if self._tap in net.taps:
-            net.taps.remove(self._tap)
-        if self._on_idle in sim.idle_hooks:
-            sim.idle_hooks.remove(self._on_idle)
 
     # -- triggers --------------------------------------------------------
 
@@ -128,8 +115,7 @@ class FaultInjector:
             net.loss_rate = prev
             self._note("loss_restore", f"rate={prev}")
 
-        self._scheduled.append(
-            self.cluster.sim.schedule(ev.duration, _restore))
+        self.cluster.sim.schedule(ev.duration, _restore)
 
     def _latency_pairs(self, ev: FaultEvent) -> List[tuple]:
         if ev.src is not None and ev.dst is not None:
@@ -157,8 +143,7 @@ class FaultInjector:
                     net.extra_latency[pair] = left
             self._note("latency_restore", f"delta={ev.delta}")
 
-        self._scheduled.append(
-            self.cluster.sim.schedule(ev.duration, _restore))
+        self.cluster.sim.schedule(ev.duration, _restore)
 
     def _do_disk_errors(self, ev: FaultEvent) -> None:
         site = self.cluster.site(ev.site)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import EEXIST, EINVAL, ENAMETOOLONG, ENOENT
 from repro.storage.inode import FileType
@@ -140,7 +140,3 @@ class DirView:
 
     def is_empty(self) -> bool:
         return not self.names()
-
-    def by_name(self) -> Dict[str, DirEntry]:
-        """All entries (tombstones included) keyed by name — merge input."""
-        return {e.name: e for e in self.entries}

@@ -536,13 +536,13 @@ class FsManager(PathMixin, NamespaceMixin):
         into ``entry.latest_vv`` (best effort: an unreachable peer is
         skipped — its commits resurface through reconciliation)."""
         gfile = entry.gfile
-        timeout = self.cost.rpc_timeout or None
         for s in entry.storage_sites:
             if s == self.sid:
                 continue
             try:
                 attrs = yield from self.site.rpc(
-                    s, "fs.fetch_attrs", {"gfile": gfile}, timeout=timeout)
+                    s, "fs.fetch_attrs", {"gfile": gfile},
+                    timeout=self.site.backstop)
             except (FsError, NetworkError):
                 continue
             # Adopt only strictly-newer knowledge.  Merging an
@@ -832,7 +832,7 @@ class FsManager(PathMixin, NamespaceMixin):
         # the shadow pages, which plain copy substitution cannot do.
         supervised = cost.supervise_remote_ops and (
             not handle.mode.writable or cost.exactly_once_writes)
-        timeout = (cost.rpc_timeout or None) if supervised else None
+        timeout = self.site.backstop if supervised else None
         attempt = 0
         while True:
             try:
@@ -1585,7 +1585,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 try:
                     vv = yield from self.site.rpc(
                         target, "fs.commit", payload,
-                        timeout=cost.rpc_timeout or None)
+                        timeout=self.site.backstop)
                     return vv
                 except EWRITELOST:
                     # The SS received fewer page writes than we shipped
@@ -2094,7 +2094,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 try:
                     yield from self.site.rpc(
                         css, "fs.css_ss_close", payload,
-                        timeout=self.cost.rpc_timeout or None)
+                        timeout=self.site.backstop)
                     self.site.stamp_done(payload["_stamp"][1])
                 except NetworkError:
                     # The release must land or the writer token leaks
@@ -2186,8 +2186,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 try:
                     reply = yield from self.site.rpc(
                         us, "fs.validate_open", {"gfile": gfile},
-                        timeout=(self.cost.rpc_timeout or None)
-                        if self.cost.supervise_remote_ops else None)
+                        timeout=self.site.backstop)
                     alive = bool(reply["open"])
                 except (NetworkError, FsError):
                     continue   # unreachable: membership cleanup owns that

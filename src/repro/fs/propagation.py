@@ -313,9 +313,9 @@ class Propagator:
             self.stats.manifest_requests += 1
             self.stats.sync_waits += 1
             try:
-                resp = yield from self._rpc(hint, "fs.pull_manifest", {
+                resp = yield from self.site.rpc(hint, "fs.pull_manifest", {
                     "gfiles": [r.gfile for r in by_hint[hint]],
-                })
+                }, timeout=self.site.backstop)
             except (FsError, NetworkError):
                 continue   # per-file fs.pull_open fallback below
             manifests[hint] = resp["files"]
@@ -368,17 +368,6 @@ class Propagator:
             self._retire(req.gfile, "failed")
             self._retire_placeholder(req.gfile)
         return waits[0]
-
-
-    def _rpc(self, dst: int, op: str, payload: dict) -> Generator:
-        """Pull-protocol RPC with the supervised per-op timeout backstop.
-        Timeouts are NetworkErrors (unified contract), so every existing
-        retry/fallback path in this module handles them unchanged."""
-        cost = self.fs.cost
-        timeout = (cost.rpc_timeout or None) if cost.supervise_remote_ops \
-            else None
-        result = yield from self.site.rpc(dst, op, payload, timeout=timeout)
-        return result
 
     # -- the pull itself ----------------------------------------------------
 
@@ -483,9 +472,9 @@ class Propagator:
         if batch == 1 and depth == 1:
             for page in pages:
                 self._count_wait(waits)
-                data = yield from self._rpc(source, "fs.pull_read", {
+                data = yield from self.site.rpc(source, "fs.pull_read", {
                     "gfile": gfile, "page": page,
-                })
+                }, timeout=self.site.backstop)
                 shadow.write_page(page, data)
                 yield from self.site.cpu(fs.cost.disk_write)
                 self.stats.pages_pulled += 1
@@ -512,14 +501,14 @@ class Propagator:
                      chunk: List[int]) -> Generator:
         """Fetch one chunk of committed pages; ``{page: data}``."""
         if len(chunk) == 1 and self.fs.cost.batch_pages == 1:
-            data = yield from self._rpc(source, "fs.pull_read", {
+            data = yield from self.site.rpc(source, "fs.pull_read", {
                 "gfile": gfile, "page": chunk[0],
-            })
+            }, timeout=self.site.backstop)
             return {chunk[0]: data}
         self.stats.range_requests += 1
-        resp = yield from self._rpc(source, "fs.pull_read_range", {
+        resp = yield from self.site.rpc(source, "fs.pull_read_range", {
             "gfile": gfile, "pages": list(chunk),
-        })
+        }, timeout=self.site.backstop)
         return resp["pages"]
 
     def _open_source(self, req: _Request,
@@ -533,8 +522,9 @@ class Propagator:
         for cand in candidates:
             self._count_wait(waits)
             try:
-                attrs = yield from self._rpc(cand, "fs.pull_open",
-                                                 {"gfile": req.gfile})
+                attrs = yield from self.site.rpc(cand, "fs.pull_open",
+                                                 {"gfile": req.gfile},
+                                                 timeout=self.site.backstop)
             except (FsError, NetworkError) as exc:
                 last_exc = exc
                 continue

@@ -197,13 +197,6 @@ class ScrubManager:
         if monitor is not None and monitor.enabled:
             monitor.note_detection(category, site=self.sid, gfile=gfile)
 
-    def _rpc(self, dst: int, op: str, payload: dict) -> Generator:
-        cost = self.site.cost
-        timeout = (cost.rpc_timeout or None) if cost.supervise_remote_ops \
-            else None
-        result = yield from self.site.rpc(dst, op, payload, timeout=timeout)
-        return result
-
     def _summaries(self, gfs: int) -> Generator:
         """One fs.scrub_digest RPC per reachable pack holder.  Returns
         ``(summaries, expected)`` — the holders that answered and the set
@@ -215,8 +208,9 @@ class ScrubManager:
         summaries: Dict[int, Dict[int, dict]] = {}
         for s in sorted(expected):
             try:
-                summaries[s] = yield from self._rpc(
-                    s, "fs.scrub_digest", {"gfs": gfs})
+                summaries[s] = yield from self.site.rpc(
+                    s, "fs.scrub_digest", {"gfs": gfs},
+                    timeout=self.site.backstop)
             except (NetworkError, FsError):
                 continue
         return summaries, expected

@@ -103,9 +103,6 @@ class Network:
     def site_ids(self) -> List[int]:
         return sorted(self._deliver_fns)
 
-    def is_up(self, site_id: int) -> bool:
-        return site_id in self._up
-
     def reachable(self, a: int, b: int) -> bool:
         """Physical reachability: both up and on the same segment."""
         if a == b:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 
 @dataclass
@@ -54,10 +54,6 @@ class NetStats:
             circuits_opened=self.circuits_opened,
             circuits_closed=self.circuits_closed,
         )
-
-    def by_prefix(self, prefix: str) -> Dict[str, int]:
-        """Message counts for all mtypes starting with ``prefix``."""
-        return {k: v for k, v in self.sent.items() if k.startswith(prefix)}
 
 
 @dataclass

@@ -1,19 +1,21 @@
-"""The pre-calendar-queue simulator kernel, preserved verbatim.
+"""The original simulator kernel, preserved verbatim as the reference.
 
-This is the original single-heap scheduler: one global ``heapq`` of
-``_HeapEvent`` objects ordered by a Python-level ``__lt__``, a fresh event
-allocation per schedule, ``call_soon`` as ``schedule(0)``, and tombstone
-draining inline in ``step``.
+This is the seed scheduler: one global ``heapq`` of ``_HeapEvent`` objects
+ordered by a Python-level ``__lt__``, a fresh event allocation per
+schedule, ``call_soon`` as ``schedule(0)``, and tombstone draining inline
+in ``step``.
 
-It exists so the T18 simulator-core benchmark can run the *same* workload
-on the old and new kernels in one process and assert two things forever:
+It exists so the kernel tests (``tests/test_sim_kernel.py``, golden pin
+and seeded differential test) and the T18 simulator-core benchmark can run
+the *same* program on this kernel and on :class:`Simulator` in one process
+and assert two things forever:
 
-* the calendar-queue kernel reproduces the old kernel's schedule exactly
-  (identical virtual time, event counts, message counts, post-state);
+* the production kernel reproduces this kernel's schedule exactly
+  (identical fire order, virtual time, event counts, post-state);
 * the throughput win does not quietly erode (events/sec ratio).
 
-Select it with ``ClusterConfig(sim_kernel="heap")``.  Do not use it for
-new work — it is a measuring stick, not a second kernel to maintain.
+Select it with ``ClusterConfig(sim_kernel="reference")``.  Do not use it
+for new work — it is a measuring stick, not a second kernel to maintain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ _INF = float("inf")
 
 class _HeapEvent:
     """The original event: compared via Python ``__lt__`` on every heap
-    sift — the dominant cost the calendar queue removed."""
+    sift — the dominant cost the tuple entries of :class:`Simulator`
+    removed."""
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
 

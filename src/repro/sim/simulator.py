@@ -1,61 +1,49 @@
 """The discrete-event simulator: clock, event queue, task scheduler.
 
-The scheduler is a bucketed calendar queue, rebuilt for wall-clock
-throughput (million-event storms) while keeping the schedule bit-identical
-to the original single-heap kernel:
+The schedule is one binary heap plus one FIFO deque:
 
-* **Total order.**  Every queue entry carries ``(time, seq)`` with ``seq``
-  drawn from one global counter; entries fire in exactly that order no
-  matter which internal structure holds them.  This is the determinism
-  contract: the calendar buckets, the ready deque and the overflow heap
-  are pure containers — they never reorder equal-time entries.
+* **Total order.**  Every entry carries ``(time, seq)`` with ``seq`` drawn
+  from one global counter, and entries fire in exactly that order.  This
+  is the determinism contract; the two containers below never reorder
+  equal-time entries.
 
-* **Near-future buckets.**  Entries within the calendar window (``_base``
-  to ``_limit``) land in one of ``_NBUCKETS`` buckets, each a small binary
-  heap of tuples whose first two elements are ``(time, seq)`` — all heap
-  comparisons happen in C (the old kernel burned most of its time in a
-  Python ``__lt__`` on a single ever-deeper heap).  The bucket width
-  adapts at each window rotation to span the entire far-future overflow,
-  so steady-state pushes land directly in buckets and nothing cycles
-  through the overflow heap twice.
+* **The heap.**  Everything with a delay lives in ``_queue``, a ``heapq``
+  of tuples whose first two elements are ``(time, seq)``, so every heap
+  comparison happens in C.  There is no per-timer object: a sleeping task
+  is ``(time, seq, task)`` and is resumed inline by the loop, an internal
+  callback (message delivery) is ``(time, seq, fn, args)``, and only
+  :meth:`schedule`, which hands out a cancellable handle, allocates an
+  event: ``(time, seq, event)``.
 
-* **Far-future overflow heap.**  Entries beyond the window go to ``_far``;
-  when the window drains, the calendar rotates forward and re-buckets the
-  overflow that now falls inside it.
+* **The ready deque.**  Zero-delay work — ``call_soon`` events, future
+  resumptions, task starts — skips the heap and rides ``_ready``.  A ready
+  entry sits at the current clock, so it fires unless the heap holds an
+  entry at the same instant with a smaller ``seq``.
 
-* **Ready deque.**  Zero-delay work — ``call_soon`` events, future
-  resumptions, task starts — skips the calendar entirely and rides a FIFO
-  deque.  A deque entry is only popped when no calendar entry with the
-  same timestamp and a smaller ``seq`` is pending, preserving the global
-  order.
+* **Recycled ``call_soon`` handles.**  ``call_soon`` returns a cancellable
+  handle drawn from a freelist and recycled after it fires — hold it only
+  to cancel *before* it runs, never afterwards.  Events returned by
+  :meth:`schedule` are never recycled: callers may hold them and call
+  ``cancel`` arbitrarily late.
 
-* **Slab recycling and tuple entries.**  The hot internal paths never
-  allocate an event object at all: task sleep timers are ``(time, seq,
-  task)`` tuples resumed inline by :meth:`step`, internal callbacks
-  (message delivery) are ``(time, seq, fn, args)`` tuples, and future
-  resumptions are ``(seq, task, future)`` ready entries.  ``call_soon``
-  returns a cancellable handle drawn from a freelist and recycled after
-  it fires — hold it only to cancel *before* it runs, never afterwards.
-  Events returned by :meth:`schedule` are never recycled: callers may
-  hold them and call ``cancel`` arbitrarily late.
-
-Cancellation leaves a tombstone; tombstones are skipped (and discarded)
-during peeks and pops and are excluded from :meth:`pending`.
+Cancellation leaves a tombstone; tombstones are discarded when they reach
+the top of the heap (or all at once by :meth:`_purge` when they pile up)
+and are excluded from :meth:`pending`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import DeadlockError, SimTimeout
 from repro.sim.future import Future, _PENDING
 from repro.sim.task import Task
 
-_NBUCKETS = 2048        # calendar buckets per window
-_FREE_MAX = 4096         # freelist cap (slab of recycled call_soon events)
+_FREE_MAX = 4096         # freelist cap (recycled call_soon events)
+_PURGE_MIN = 4096        # discards before a compaction sweep is considered
 _INF = float("inf")
 
 
@@ -66,22 +54,16 @@ class _Event:
     itself is never compared, so heap operations stay entirely in C.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "recyclable")
+    __slots__ = ("seq", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 recyclable: bool = False):
-        self.time = time
+    def __init__(self, seq: int, fn: Callable, args: tuple):
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.recyclable = recyclable
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Simulator:
@@ -107,30 +89,16 @@ class Simulator:
         # hangs its post-heal fsck here so checks never race in-flight
         # protocols.  Hooks run synchronously and may schedule new events.
         self.idle_hooks: List[Callable[[], None]] = []
-        # -- calendar-queue state --------------------------------------
         # Ready entries: _Event (call_soon) or (seq, task, future|None).
         self._ready: deque = deque()
-        # Bucket/far entries: (time, seq, _Event) from schedule(),
-        # (time, seq, Task) sleep timers, (time, seq, fn, args) internal.
-        self._buckets: List[list] = [[] for _ in range(_NBUCKETS)]
-        self._width = 8.0                         # current bucket width
-        self._inv_width = 1.0 / 8.0
-        self._base = 0.0                          # window start
-        self._limit = _NBUCKETS * 8.0             # window end
-        self._cursor = 0                          # first maybe-nonempty bucket
-        self._bucket_count = 0                    # entries in buckets (+tombs)
-        self._far: list = []                      # overflow heap beyond window
-        self._far_max = 0.0                       # newest far entry's time
+        # Heap entries: (time, seq, _Event) from schedule(), (time, seq,
+        # Task) sleep timers, (time, seq, fn, args) internal callbacks.
+        self._queue: list = []
         # Recycled call_soon events.  Bounded deque: append past maxlen
         # silently evicts the oldest — no length check on the fire path.
         self._free: deque = deque(maxlen=_FREE_MAX)
-        # Tombstones discarded one-by-one since the last compaction; once
-        # this rivals the pending population, a purge sweep is cheaper
-        # than continuing to heappop dead entries individually.
+        # Tombstones popped one by one since the last compaction (_purge).
         self._discards = 0
-        # Set by every calendar mutation; lets the hot loop reuse its
-        # cached head instead of re-walking the buckets per event.
-        self._cal_dirty = True
 
     # -- scheduling ------------------------------------------------------
 
@@ -138,36 +106,34 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` units of virtual time.
 
         The returned event may be held and cancelled at any time, so it is
-        never slab-recycled.
+        never recycled.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        t = self.now + delay
         self._seq += 1
-        ev = _Event(t, self._seq, fn, args)
-        self._push_entry(t, (t, self._seq, ev))
+        ev = _Event(self._seq, fn, args)
+        heappush(self._queue, (self.now + delay, self._seq, ev))
         return ev
 
     def call_soon(self, fn: Callable, *args: Any) -> _Event:
         """Zero-delay schedule on the ready deque.
 
         The event fires after every already-pending event with the same
-        timestamp (FIFO at equal times, like the old kernel).  The handle
-        supports ``cancel`` until it fires; it is recycled afterwards, so
-        do not retain it past that point.
+        timestamp (FIFO at equal times).  The handle supports ``cancel``
+        until it fires; it is recycled afterwards, so do not retain it
+        past that point.
         """
         seq = self._seq + 1
         self._seq = seq
         free = self._free
         if free:
             ev = free.pop()
-            ev.time = self.now
             ev.seq = seq
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
         else:
-            ev = _Event(self.now, seq, fn, args, True)
+            ev = _Event(seq, fn, args)
         self._ready.append(ev)
         return ev
 
@@ -178,36 +144,16 @@ class Simulator:
         event object at all."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        t = self.now + delay
         self._seq += 1
-        self._cal_dirty = True
-        if self._base <= t < self._limit:
-            idx = int((t - self._base) * self._inv_width)
-            if idx >= _NBUCKETS:              # float-boundary safety clamp
-                idx = _NBUCKETS - 1
-            if idx < self._cursor:
-                self._cursor = idx
-            heappush(self._buckets[idx], (t, self._seq, fn, args))
-            self._bucket_count += 1
-        else:
-            self._push_entry(t, (t, self._seq, fn, args))
+        heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
     def _schedule_timer(self, delay: float, task: Task) -> None:
         """A task sleeping ``delay`` (``yield seconds``): the entry is the
-        task itself; :meth:`step` resumes its generator inline."""
-        t = self.now + delay
+        task itself; the loop resumes its generator inline.  Negative
+        delays never get here: :meth:`Task._handle_yield` throws
+        ``ValueError`` into the task instead."""
         self._seq += 1
-        self._cal_dirty = True
-        if self._base <= t < self._limit:
-            idx = int((t - self._base) * self._inv_width)
-            if idx >= _NBUCKETS:
-                idx = _NBUCKETS - 1
-            if idx < self._cursor:
-                self._cursor = idx
-            heappush(self._buckets[idx], (t, self._seq, task))
-            self._bucket_count += 1
-        else:
-            self._push_entry(t, (t, self._seq, task))
+        heappush(self._queue, (self.now + delay, self._seq, task))
 
     def _ready_resume(self, task: Task, fut: Optional[Future]) -> None:
         """A task whose awaited future completed: resumed from the ready
@@ -219,27 +165,6 @@ class Simulator:
         """First step of a freshly spawned task."""
         self._seq += 1
         self._ready.append((self._seq, task, None))
-
-    def _push_entry(self, t: float, entry: tuple) -> None:
-        """Generic insert: bucket when inside the window, far heap beyond,
-        window rebuild when behind it."""
-        self._cal_dirty = True
-        if t < self._limit:
-            if t < self._base:
-                # Possible only after an idle-time window rotation or a
-                # run(until=...) jump; rebuild the window around t.
-                self._rebase(t)
-            idx = int((t - self._base) * self._inv_width)
-            if idx >= _NBUCKETS:
-                idx = _NBUCKETS - 1
-            if idx < self._cursor:
-                self._cursor = idx
-            heappush(self._buckets[idx], entry)
-            self._bucket_count += 1
-        else:
-            heappush(self._far, entry)
-            if t > self._far_max:
-                self._far_max = t
 
     def create_future(self, label: str = "") -> Future:
         return Future(label=label)
@@ -253,196 +178,46 @@ class Simulator:
         self._ready_start(task)
         return task
 
-    # -- calendar internals ----------------------------------------------
+    # -- heap internals --------------------------------------------------
 
-    def _rebase(self, anchor: float) -> None:
-        """Rebuild the calendar window to start at ``anchor`` (which must
-        not exceed any queued entry's time) using the current width."""
-        entries: list = []
-        for bucket in self._buckets:
-            entries.extend(bucket)
-            del bucket[:]
-        entries.extend(self._far)
-        del self._far[:]
-        self._bucket_count = 0
-        self._cursor = 0
-        self._base = anchor
-        self._limit = anchor + _NBUCKETS * self._width
-        inv = self._inv_width
-        buckets = self._buckets
-        far = self._far
-        for entry in entries:
-            t = entry[0]
-            if t < self._limit:
-                idx = int((t - anchor) * inv)
-                if idx >= _NBUCKETS:
-                    idx = _NBUCKETS - 1
-                heappush(buckets[idx], entry)
-                self._bucket_count += 1
-            else:
-                heappush(far, entry)
-                if t > self._far_max:
-                    self._far_max = t
-
-    def _purge(self) -> None:
-        """Compact the calendar: drop every cancelled entry in one linear
-        sweep and re-bucket the survivors.  Lazy deletion pays one
-        expensive heappop per tombstone; once tombstones rival the live
-        population (watchdog-heavy workloads cancel most of what they
-        arm), a single O(n) sweep is far cheaper than n deep pops.
-
-        The rebuild reuses the rotation width policy, so a population
-        first bucketed under a stale width (a dense far-future cluster
-        pushed while the window was still coarse) comes out spread across
-        the whole bucket array instead of piled into a few deep heaps."""
-        live: list = []
-        for bucket in self._buckets:
-            if bucket:
-                live.extend(e for e in bucket
-                            if not (e[2].__class__ is _Event
-                                    and e[2].cancelled))
-                del bucket[:]
-        far = self._far
-        if far:
-            live.extend(e for e in far
-                        if not (e[2].__class__ is _Event and e[2].cancelled))
-            del far[:]
-        self._cursor = 0
-        self._discards = 0
-        self._cal_dirty = True
-        if not live:
-            self._bucket_count = 0
-            return
-        base = min(live)[0]
-        span = max(live)[0] - base
-        width = span * (2.0 / (_NBUCKETS - 1))
-        if width < 1e-9:
-            width = 1e-9
-        self._width = width
-        self._inv_width = inv = 1.0 / width
-        self._base = base
-        self._limit = base + _NBUCKETS * width
-        buckets = self._buckets
-        for entry in live:
-            idx = int((entry[0] - base) * inv)
-            if idx >= _NBUCKETS:
-                idx = _NBUCKETS - 1
-            heappush(buckets[idx], entry)
-        self._bucket_count = len(live)
-
-    def _maybe_purge(self) -> None:
-        """Purge when one-by-one discards since the last sweep exceed a
-        sixteenth of the queued population (amortized O(1) per tombstone:
-        a sweep touches each entry once at C speed, while every skipped
-        discard saves a deep Python-level heappop)."""
-        if self._discards > 4096 and \
-                self._discards << 4 > self._bucket_count + len(self._far):
-            self._purge()
-
-    def _cal_peek(self):
-        """Earliest live entry among buckets + far heap, or None.
-        Discards tombstones; advances the cursor past empty buckets;
-        never rotates the window (rotation happens on take)."""
-        if self._discards > 4096:
-            self._maybe_purge()
-        count = self._bucket_count
-        if count:
-            buckets = self._buckets
-            cursor = self._cursor
-            while cursor < _NBUCKETS:
-                bucket = buckets[cursor]
-                while bucket:
-                    head = bucket[0]
-                    o = head[2]
-                    if o.__class__ is _Event and o.cancelled:
-                        heappop(bucket)
-                        count -= 1
-                        self._discards += 1
-                    else:
-                        self._cursor = cursor
-                        self._bucket_count = count
-                        return head
-                cursor += 1
-            self._cursor = cursor
-            self._bucket_count = count
-        far = self._far
-        while far:
-            head = far[0]
+    def _peek(self) -> Optional[tuple]:
+        """Earliest live heap entry, or None.  Pops tombstones off the top.
+        Each such pop sifts through the whole depth of the heap, so once
+        enough have gone one by one — ``_PURGE_MIN``, and more than a
+        sixty-fourth of what is queued — the rest go in one sweep."""
+        heap = self._queue
+        while heap:
+            head = heap[0]
             o = head[2]
-            if o.__class__ is _Event and o.cancelled:
-                heappop(far)
-                self._discards += 1
-            else:
+            if o.__class__ is not _Event or not o.cancelled:
                 return head
+            heappop(heap)
+            self._discards += 1
+            if self._discards > _PURGE_MIN and \
+                    self._discards << 6 > len(heap):
+                self._purge()
         return None
 
-    def _cal_take(self, head: Optional[tuple] = None) -> Optional[tuple]:
-        """Pop the earliest live calendar entry (tombstones discarded).
-        Rotates the window forward when only far-future entries remain.
-        Callers that already peeked pass the head to skip the re-scan."""
-        self._cal_dirty = True
-        if head is None:
-            head = self._cal_peek()
-            if head is None:
-                return None
-        if self._bucket_count:
-            bucket = self._buckets[self._cursor]
-            if bucket and bucket[0] is head:
-                heappop(bucket)
-                self._bucket_count -= 1
-                return head
-        # Head lives in the far heap: rotate the window to it.  The width
-        # adapts so the window spans the whole overflow — the far heap
-        # empties completely, every future push lands directly in a bucket,
-        # and no entry is double-handled through the far heap twice.  Deep
-        # buckets are harmless (their heaps compare tuples in C); the
-        # expensive pattern is far-heap churn, so the window only ever
-        # grows to cover the observed horizon, never force-shrinks.
-        base = head[0]
-        # Width covers TWICE the observed overflow span: entries scheduled
-        # near the end of a window pass (a horizon of ~span ahead of a
-        # clock that has itself advanced ~span) still land in buckets
-        # instead of churning through the far heap every pass.
-        span = self._far_max - base
-        width = span * (2.0 / (_NBUCKETS - 1))
-        if width < 1e-9:
-            width = 1e-9
-        self._width = width
-        self._inv_width = inv = 1.0 / width
-        self._base = base
-        self._limit = limit = base + _NBUCKETS * width
-        self._cursor = 0
-        far = self._far
-        buckets = self._buckets
-        count = self._bucket_count
-        # limit exceeds _far_max by construction, so the whole far heap
-        # drains every rotation: scan it linearly (heap order is irrelevant
-        # for bucket placement), drop tombstones, and clear — no per-entry
-        # heappop against a deep heap.
-        for entry in far:
-            if entry is head:
-                continue               # the caller fires the head directly
-            o = entry[2]
-            if o.__class__ is _Event and o.cancelled:
-                continue               # drop tombstones instead of moving them
-            idx = int((entry[0] - base) * inv)
-            if idx >= _NBUCKETS:
-                idx = _NBUCKETS - 1
-            heappush(buckets[idx], entry)
-            count += 1
-        del far[:]
-        self._bucket_count = count
-        return head
+    def _purge(self) -> None:
+        """Drop every tombstone in one linear sweep.  Lazy deletion pays
+        one deep heappop per tombstone; when a watchdog-heavy workload has
+        cancelled most of what it armed, filtering and re-heapifying once
+        is far cheaper.  In place: :meth:`_spin` holds the list."""
+        heap = self._queue
+        heap[:] = [e for e in heap
+                   if e[2].__class__ is not _Event or not e[2].cancelled]
+        heapify(heap)
+        self._discards = 0
 
     # -- running ---------------------------------------------------------
 
     def _resume(self, task: Task, fut: Optional[Future]) -> None:
         """Advance a task's generator one step, inline.
 
-        This replaces the old ``_step_send`` path for the two hot resume
-        shapes (sleep timers and completed futures); semantics — finished
-        and cancelled checks, current_task bookkeeping, StopIteration and
-        failure handling — mirror ``Task._step_send`` exactly.
+        The fast path for the two hot resume shapes (sleep timers and
+        completed futures); semantics — finished and cancelled checks,
+        current_task bookkeeping, StopIteration and failure handling —
+        mirror ``Task._step_send`` exactly.
         """
         done = task.done
         if done._state is not _PENDING:
@@ -471,74 +246,91 @@ class Simulator:
             # A cancel raced with this step; the throw is already queued.
             return
         c = y.__class__
-        if c is float:
-            self._schedule_timer(y, task)
+        if c is float and y >= 0.0:
+            self._seq = seq = self._seq + 1
+            heappush(self._queue, (self.now + y, seq, task))
         elif c is Future:
             task._waiting_on = y
             if y._state is _PENDING:
                 y._callbacks.append(task._future_fired)
             else:
                 task._future_fired(y)
-        elif c is int:
-            self._schedule_timer(float(y), task)
         else:
-            task._handle_yield(y)      # subclasses, Task joins, bare yield
+            # ints, negative delays (thrown back into the task),
+            # subclasses, Task joins, bare yield
+            task._handle_yield(y)
+
+    def _spin(self, horizon: float = _INF, stop: float = _INF) -> None:
+        """The event loop — the only place entries are taken and fired.
+
+        Fires entries in ``(time, seq)`` order while the next one is due
+        at or before ``horizon`` and ``events_processed`` is below
+        ``stop``.  Discarded tombstones are not events, so they never
+        count against ``stop``.  Every fired callback may schedule, so
+        only the container identities are held in locals.
+        """
+        ready = self._ready
+        heap = self._queue
+        free = self._free
+        popleft = ready.popleft
+        while self.events_processed < stop:
+            h = ready[0] if ready else None
+            if h is None:
+                top = heap[0] if heap else None
+                if top is not None:
+                    o = top[2]
+                    if o.__class__ is _Event and o.cancelled:
+                        top = self._peek()
+                if top is None or top[0] > horizon:
+                    return
+            else:
+                resume = h.__class__ is tuple
+                if not resume and h.cancelled:
+                    popleft()                      # cancelled call_soon
+                    continue
+                # Ready entries sit at the current clock (≤ horizon); only
+                # a heap entry at the same instant with a smaller seq
+                # fires first.
+                top = None
+                if heap and heap[0][0] == self.now:
+                    top = self._peek()
+                    if top is not None and (top[0] != self.now or top[1] >
+                                            (h[0] if resume else h.seq)):
+                        top = None
+                if top is None:
+                    popleft()
+                    self.events_processed += 1
+                    if resume:
+                        self._resume(h[1], h[2])
+                    else:
+                        fn = h.fn
+                        args = h.args
+                        free.append(h)             # call_soon handle: recycle
+                        fn(*args)
+                    continue
+            # -- take + fire the heap head ------------------------------
+            heappop(heap)
+            self.now = top[0]
+            self.events_processed += 1
+            o = top[2]
+            c = o.__class__
+            if c is Task:
+                self._resume(o, None)
+            elif c is _Event:
+                o.fn(*o.args)
+            else:
+                o(*top[3])
 
     def step(self) -> bool:
         """Process the next entry.  Returns False when the queue is empty
         and the idle hooks (if any) scheduled nothing new."""
+        stop = self.events_processed + 1
         while True:
-            ready = self._ready
-            h = None
-            while ready:
-                h = ready[0]
-                if h.__class__ is tuple or not h.cancelled:
-                    break
-                ready.popleft()
-                h = None
-            if h is not None:
-                # Ready entries sit at the current clock; only a calendar
-                # entry at the same instant with a smaller seq beats them.
-                if self._bucket_count or self._far:
-                    cal = self._cal_peek()
-                    if cal is not None and cal[0] == self.now and cal[1] < \
-                            (h[0] if h.__class__ is tuple else h.seq):
-                        self._cal_take(cal)
-                        self._fire_entry(cal)
-                        return True
-                ready.popleft()
-                self.events_processed += 1
-                if h.__class__ is tuple:
-                    self._resume(h[1], h[2])
-                else:
-                    fn = h.fn
-                    args = h.args
-                    if h.recyclable:
-                        self._free.append(h)
-                    fn(*args)
-                return True
-            entry = self._cal_peek()
-            if entry is not None:
-                self._cal_take(entry)
-                self._fire_entry(entry)
+            self._spin(_INF, stop)
+            if self.events_processed >= stop:
                 return True
             if not self.fire_idle_hooks():
                 return False
-
-    def _fire_entry(self, entry: tuple) -> None:
-        """Advance the clock to a calendar entry and execute it."""
-        t = entry[0]
-        if t != self.now:
-            self.now = t
-        self.events_processed += 1
-        o = entry[2]
-        c = o.__class__
-        if c is Task:
-            self._resume(o, None)
-        elif c is _Event:
-            o.fn(*o.args)
-        else:
-            o(*entry[3])
 
     def fire_idle_hooks(self) -> bool:
         """Run the idle hooks if the queue is truly empty.  Returns True
@@ -556,37 +348,19 @@ class Simulator:
         ``max_events`` is charged on *processed* events (the
         ``events_processed`` delta), so draining tombstones from a
         cancelled-event storm or firing idle hooks never eats budget."""
-        if max_events is None:
-            # No budget to meter: ride the fused hot loop.
-            horizon = _INF if until is None else until
-            while True:
-                self._spin(horizon)
-                if self._peek_time() != _INF:
-                    break              # stopped at the horizon, not empty
+        horizon = _INF if until is None else until
+        stop = _INF if max_events is None else \
+            self.events_processed + max_events
+        while True:
+            self._spin(horizon, stop)
+            t = self._peek_time()
+            if t == _INF:
                 if not self.fire_idle_hooks():
                     break
-            if until is not None and until > self.now:
-                self.now = until
-            return
-        remaining = max_events
-        while True:
-            while True:
-                t = self._peek_time()
-                if t == _INF:
-                    break
-                if until is not None and t > until:
-                    self.now = until
-                    return
-                if remaining is not None:
-                    if remaining <= 0:
-                        return
-                    before = self.events_processed
-                    self.step()
-                    remaining -= self.events_processed - before
-                else:
-                    self.step()
-            if not self.fire_idle_hooks():
+            elif t > horizon:
                 break
+            else:
+                return                 # budget spent with work still due
         if until is not None and until > self.now:
             self.now = until
 
@@ -596,118 +370,6 @@ class Simulator:
         fired entry; idle hooks are the caller's business
         (:meth:`LocusCluster.settle`)."""
         self._spin(horizon)
-
-    def _spin(self, horizon: float) -> None:
-        """The fused hot loop: ready sweep, calendar peek, take and fire in
-        one frame with hoisted locals.  Fires every entry with time ≤
-        ``horizon``; semantically identical to calling :meth:`step` while
-        :meth:`_peek_time` ≤ horizon, minus the per-event call frames.
-
-        Mutable scheduler state (``_cursor``, ``_bucket_count``, ``now``…)
-        stays on ``self``: every fired callback may push new entries.  Only
-        container identities (stable across rotations and rebases) and
-        C functions are hoisted.
-        """
-        ready = self._ready
-        buckets = self._buckets
-        far = self._far
-        free = self._free
-        pop = heappop
-        popleft = ready.popleft
-        cal = None            # cached calendar head (with its bucket)
-        cal0 = cal1 = 0.0     # its unpacked (time, seq)
-        calev = None          # its _Event, when cancellable
-        bucket = None
-        while True:
-            # -- ready sweep (tombstone discard) ------------------------
-            h = None
-            while ready:
-                h = ready[0]
-                if h.__class__ is tuple or not h.cancelled:
-                    break
-                popleft()
-                h = None
-            # -- calendar head: cached unless a push/take dirtied it ----
-            if self._cal_dirty or cal is None or \
-                    (calev is not None and calev.cancelled):
-                if self._discards > 4096:
-                    self._maybe_purge()
-                self._cal_dirty = False
-                cal = None
-                count = self._bucket_count
-                if count:
-                    cursor = self._cursor
-                    while cursor < _NBUCKETS:
-                        bucket = buckets[cursor]
-                        while bucket:
-                            cal = bucket[0]
-                            o = cal[2]
-                            if o.__class__ is _Event and o.cancelled:
-                                pop(bucket)
-                                count -= 1
-                                self._discards += 1
-                                cal = None
-                            else:
-                                break
-                        if cal is not None:
-                            break
-                        cursor += 1
-                    self._cursor = cursor
-                    self._bucket_count = count
-                if cal is None:
-                    while far:
-                        cal = far[0]
-                        o = cal[2]
-                        if o.__class__ is _Event and o.cancelled:
-                            pop(far)
-                            self._discards += 1
-                            cal = None
-                        else:
-                            break
-                    bucket = None
-                if cal is not None:
-                    cal0 = cal[0]
-                    cal1 = cal[1]
-                    o = cal[2]
-                    calev = o if o.__class__ is _Event else None
-            # -- choose: ready head vs calendar head --------------------
-            if h is not None:
-                # Ready entries sit at the current clock (≤ horizon); only
-                # a same-instant calendar entry with a smaller seq preempts.
-                if cal is None or cal0 != self.now or cal1 > \
-                        (h[0] if h.__class__ is tuple else h.seq):
-                    popleft()
-                    self.events_processed += 1
-                    if h.__class__ is tuple:
-                        self._resume(h[1], h[2])
-                    else:
-                        fn = h.fn
-                        args = h.args
-                        if h.recyclable:
-                            free.append(h)
-                        fn(*args)
-                    continue
-            elif cal is None or cal0 > horizon:
-                return
-            # -- take + fire the calendar head --------------------------
-            if bucket is not None:
-                pop(bucket)
-                self._bucket_count -= 1
-            else:
-                self._cal_take(cal)        # far head: rotate the window
-            if cal0 != self.now:
-                self.now = cal0
-            self.events_processed += 1
-            entry = cal
-            cal = None                     # consumed: re-peek next round
-            o = entry[2]
-            c = o.__class__
-            if c is Task:
-                self._resume(o, None)
-            elif c is _Event:
-                o.fn(*o.args)
-            else:
-                o(*entry[3])
 
     def run_task(self, gen: Generator, name: str = "") -> Any:
         """Spawn a task, drive the simulation until it completes, return its
@@ -731,30 +393,20 @@ class Simulator:
             h = ready[0]
             if h.__class__ is tuple or not h.cancelled:
                 # Ready entries always sit at the current clock: the clock
-                # only advances through calendar takes, which require an
-                # empty ready deque.
+                # only advances through heap takes, which require an empty
+                # ready deque.
                 return self.now
             ready.popleft()
-        head = self._cal_peek()
+        head = self._peek()
         return head[0] if head is not None else _INF
 
     def pending(self) -> int:
         """True count of scheduled-but-unfired entries, excluding cancelled
-        tombstones (``len`` of the old heap counted those)."""
-        live = 0
-        for h in self._ready:
-            if h.__class__ is tuple or not h.cancelled:
-                live += 1
-        for bucket in self._buckets:
-            for entry in bucket:
-                o = entry[2]
-                if o.__class__ is not _Event or not o.cancelled:
-                    live += 1
-        for entry in self._far:
-            o = entry[2]
-            if o.__class__ is not _Event or not o.cancelled:
-                live += 1
-        return live
+        tombstones."""
+        return (sum(1 for h in self._ready
+                    if h.__class__ is tuple or not h.cancelled) +
+                sum(1 for e in self._queue
+                    if e[2].__class__ is not _Event or not e[2].cancelled))
 
     # -- timeouts ---------------------------------------------------------
 
@@ -776,12 +428,6 @@ class Simulator:
 
         fut.add_callback(_mirror)
         return out
-
-    def sleep_future(self, delay: float) -> Future:
-        """A future that resolves after ``delay`` virtual time units."""
-        fut = Future(label=f"sleep:{delay}")
-        self.schedule(delay, fut.resolve, None)
-        return fut
 
     def gather(self, futures: List[Future], label: str = "gather") -> Future:
         """A future resolving with the list of results once all complete.

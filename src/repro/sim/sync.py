@@ -57,10 +57,6 @@ class SimEvent:
         self._set = False
         self._waiters: List[Future] = []
 
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
     def set(self) -> None:
         self._set = True
         waiters, self._waiters = self._waiters, []

@@ -99,20 +99,29 @@ class Task:
         # charges and futures), isinstance fallbacks after for subclasses.
         cls = yielded.__class__
         if cls is float or cls is int:
-            # Timer step: the simulator queues the task itself, no event.
-            self.sim._schedule_timer(float(yielded), self)
+            self._sleep(yielded)
         elif cls is Future or isinstance(yielded, Future):
             self._wait_future(yielded)
         elif isinstance(yielded, Task):
             self._wait_future(yielded.done)
         elif isinstance(yielded, (int, float)):
-            self.sim._schedule_timer(float(yielded), self)
+            self._sleep(yielded)
         elif yielded is None:
             # Bare yield: reschedule immediately (cooperative yield point).
             self.sim.call_soon(self._step_send, None)
         else:
             self._step_throw(TypeError(
                 f"task {self.name!r} yielded unsupported {yielded!r}"))
+
+    def _sleep(self, delay: float) -> None:
+        """Timer step: the simulator queues the task itself, no event.  A
+        negative delay would run the clock backwards, so it is thrown back
+        into the task like any other unsupported yield."""
+        if delay < 0:
+            self._step_throw(ValueError(
+                f"task {self.name!r} yielded negative delay {delay!r}"))
+        else:
+            self.sim._schedule_timer(float(delay), self)
 
     def _wait_future(self, fut: Future) -> None:
         self._waiting_on = fut

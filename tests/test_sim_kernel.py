@@ -1,14 +1,17 @@
-"""Calendar-queue kernel: determinism pin, legacy-heap parity, tombstone
-accounting, and scheduling edge cases.
+"""Simulator kernel: determinism pin, parity with the reference kernel,
+tombstone accounting, and scheduling edge cases.
 
-The simulator overhaul (calendar buckets + far heap, slab-recycled
-``call_soon``, tombstone purge) must be invisible in virtual time: these
-tests pin the schedule against committed golden values and against the
-original single-heap kernel (``repro.sim.legacy.LegacySimulator``), which
-is kept verbatim as a measuring stick.
+Whatever the production kernel does for speed (tuple heap entries, the
+ready deque, recycled ``call_soon`` handles, tombstone compaction) must be
+invisible in virtual time: these tests pin the schedule against committed
+golden values and against the original kernel
+(``repro.sim.legacy.LegacySimulator``), which is kept verbatim as the
+reference.
 """
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -34,7 +37,7 @@ GOLDEN = {
 }
 
 
-def _pin_storm(sim_kernel="calendar", trace_enabled=False):
+def _pin_storm(sim_kernel="fast", trace_enabled=False):
     """A small seeded multi-site storm touching RPC, timers, watchdogs and
     the filesystem — every scheduling primitive the kernels implement."""
     cfg = ClusterConfig(
@@ -85,14 +88,14 @@ def _pin_storm(sim_kernel="calendar", trace_enabled=False):
 
 class TestDeterminismPin:
 
-    def test_calendar_matches_golden(self):
-        assert _pin_storm("calendar") == GOLDEN
+    def test_fast_matches_golden(self):
+        assert _pin_storm("fast") == GOLDEN
 
-    def test_calendar_matches_golden_with_tracing(self):
-        assert _pin_storm("calendar", trace_enabled=True) == GOLDEN
+    def test_fast_matches_golden_with_tracing(self):
+        assert _pin_storm("fast", trace_enabled=True) == GOLDEN
 
     def test_legacy_heap_matches_golden(self):
-        assert _pin_storm("heap") == GOLDEN
+        assert _pin_storm("reference") == GOLDEN
 
 
 # -- kernel parity under randomized scheduling -----------------------------
@@ -109,7 +112,7 @@ def _chaos_schedule(simcls, seed):
         log.append((round(sim.now, 9), tag))
         r = rng.random()
         if r < 0.30:
-            # Mixed magnitudes exercise buckets, far heap and rotation.
+            # Mixed magnitudes: same instant, near and far future.
             delay = rng.choice([0.0, 0.1, 3.0, 250.0, 9e4])
             handles[tag] = sim.schedule(delay, fire, f"{tag}.s")
         elif r < 0.45:
@@ -138,6 +141,134 @@ def test_chaos_fire_order_parity(seed):
     new = _chaos_schedule(Simulator, seed)
     old = _chaos_schedule(LegacySimulator, seed)
     assert new == old
+
+
+# -- differential property test --------------------------------------------
+
+def _random_program(simcls, seed):
+    """Run one seeded random program over every public scheduling primitive
+    in slices; return the fire log and a snapshot of the kernel's
+    observable state after every slice.
+
+    The program draws its choices from its own RNG *as it runs*, so any
+    difference in fire order between two kernels also changes what the
+    program does next: a divergence cannot cancel out."""
+    sim = simcls(seed=seed)
+    rng = random.Random(seed)
+    log = []
+    handles = {}          # schedule() handles, kept past firing: late cancel
+    soon = {}             # call_soon() handles, dropped when they fire
+    futures = []          # futures some task may be blocked on
+    tasks = []
+    ids = itertools.count(1)
+
+    def delay():
+        r = rng.random()
+        if r < 0.2:
+            return 0.0
+        if r < 0.55:
+            return rng.random() * 4.0
+        if r < 0.9:
+            return rng.random() * 300.0
+        return rng.uniform(1e5, 5e6)
+
+    def act():
+        n = next(ids)
+        r = rng.random()
+        if r < 0.22:
+            handles[n] = sim.schedule(delay(), fire, n)
+        elif r < 0.36:
+            soon[n] = sim.call_soon(fire_soon, n)
+        elif r < 0.46 and handles:
+            handles[rng.choice(sorted(handles))].cancel()
+        elif r < 0.52 and soon:
+            soon.pop(rng.choice(sorted(soon))).cancel()
+        elif r < 0.62:
+            tasks.append(sim.spawn(worker(n, 2), name=f"w{n}"))
+        elif r < 0.72:
+            fut = sim.create_future(f"f{n}")
+            futures.append(fut)
+            sim.spawn(waiter(n, sim.with_timeout(fut, delay())))
+        elif r < 0.84 and futures:
+            futures.pop(rng.randrange(len(futures))).resolve(n)
+        elif r < 0.88 and tasks:
+            tasks.pop(rng.randrange(len(tasks))).cancel()
+
+    def fire(n):
+        log.append((sim.now, "fire", n))
+        act()
+
+    def fire_soon(n):
+        del soon[n]
+        log.append((sim.now, "soon", n))
+        act()
+
+    def worker(n, depth):
+        for i in range(rng.randrange(1, 4)):
+            r = rng.random()
+            if r < 0.5:
+                yield delay()
+            elif r < 0.65:
+                yield rng.randrange(0, 3)          # int delays
+            elif r < 0.75:
+                yield                              # bare yield
+            elif r < 0.9 or not depth:
+                fut = sim.create_future(f"w{n}.{i}")
+                futures.append(fut)
+                got = yield fut
+                log.append((sim.now, "got", n, got))
+            else:
+                child = sim.spawn(worker(next(ids), depth - 1))
+                yield child                        # join
+            log.append((sim.now, "work", n, i))
+            act()
+
+    def waiter(n, fut):
+        try:
+            got = yield fut
+        except Exception as exc:
+            got = type(exc).__name__
+        log.append((sim.now, "wait", n, got))
+
+    snapshots = []
+
+    def snap():
+        snapshots.append((len(log), sim.now, sim.events_processed, sim._seq,
+                          sim.pending()))
+
+    for _ in range(12):
+        act()
+    for _ in range(14):
+        r = rng.random()
+        if r < 0.35:
+            sim.run(max_events=rng.randrange(0, 25))
+        elif r < 0.7:
+            sim.run(until=sim.now + delay())
+        elif r < 0.85:
+            sim.run(until=sim.now + delay(), max_events=rng.randrange(1, 25))
+        else:
+            for _ in range(rng.randrange(1, 6)):
+                sim.step()
+        snap()
+        act()
+    for fut in futures:                            # unblock, then drain
+        fut.resolve(None)
+    sim.run()
+    snap()
+    return log, snapshots
+
+
+def test_differential_random_programs():
+    """The production kernel and the reference agree on fire order, clock,
+    event count, seq allocation and pending() after every slice of 250
+    random programs."""
+    events = 0
+    for seed in range(250):
+        new = _random_program(Simulator, seed)
+        old = _random_program(LegacySimulator, seed)
+        assert new == old, f"seed {seed}"
+        events += new[1][-1][2]
+    assert events > 20_000                         # the programs do run
 
 
 # -- run(max_events=...) accounting ----------------------------------------
@@ -204,13 +335,13 @@ class TestPending:
         assert gauges["sim"]["events_processed"] == sim.events_processed
 
 
-# -- calendar-structure edge cases -----------------------------------------
+# -- scheduling edge cases -------------------------------------------------
 
-class TestCalendarEdges:
+class TestScheduleEdges:
 
-    def test_mass_cancel_triggers_purge(self):
+    def test_mass_cancel_fires_survivors_in_order(self):
         """A watchdog storm cancelling most of what it armed must still
-        fire the survivors in exact time order (the purge path)."""
+        fire the survivors in exact time order (the compaction path)."""
         sim = Simulator(seed=0)
         fired = []
         handles = [sim.schedule(10.0 + i * 0.01, fired.append, i)
@@ -223,9 +354,9 @@ class TestCalendarEdges:
         assert sim.pending() == 0
         assert sim._discards == 0          # the sweep really ran
 
-    def test_far_future_rotation(self):
-        """Entries far beyond the initial window come back in order when
-        the window rotates out to them."""
+    def test_far_future_entries_fire_in_order(self):
+        """Delays spanning several orders of magnitude, scheduled out of
+        order, come back sorted and leave the clock at the last one."""
         sim = Simulator(seed=0)
         fired = []
         times = [9e5, 1e5, 5e6, 2e4, 3e6, 2e4 + 0.5]
@@ -244,16 +375,16 @@ class TestCalendarEdges:
         sim.run(until=100.0)
         assert fired == [1] and sim.now == 100.0
 
-    def test_schedule_behind_rebased_window(self):
-        """After a purge re-anchors the window at a far-future population,
-        a short-delay schedule must still fire first (rebase path)."""
+    def test_short_delay_after_mass_cancel(self):
+        """After a mass cancel compacts a far-future population, an entry
+        scheduled ahead of all of it must still fire first."""
         sim = Simulator(seed=0)
         fired = []
         handles = [sim.schedule(5000.0 + i * 0.01, fired.append, i)
                    for i in range(8000)]
         for i, h in enumerate(handles):
             if i % 8:
-                h.cancel()                 # enough discards to purge
+                h.cancel()                 # enough discards to compact
         sim.schedule(4000.0, fired.append, "probe")
         sim.run(until=4500.0)
         assert fired == ["probe"]
@@ -270,6 +401,59 @@ class TestCalendarEdges:
         sim.run()
         assert fired == ["keep"]
         assert keep.cancelled is False
+
+
+# -- negative delays -------------------------------------------------------
+
+class TestNegativeDelay:
+
+    @pytest.mark.parametrize("simcls", KERNELS)
+    @pytest.mark.parametrize("bad_delay", [-4.0, -1])
+    def test_negative_yield_fails_the_task_not_the_clock(self, simcls,
+                                                         bad_delay):
+        """``yield -4.0`` must not resume the task in the past: the task
+        gets a ValueError, the clock stays monotone, others keep going."""
+        sim = simcls(seed=0)
+        clock = []
+
+        def offender():
+            yield 10.0
+            clock.append(sim.now)
+            yield bad_delay
+            clock.append(sim.now)                  # never reached
+
+        def bystander():
+            for _ in range(4):
+                yield 4.0
+                clock.append(sim.now)
+
+        bad = sim.spawn(offender())
+        good = sim.spawn(bystander())
+        sim.run()
+        assert isinstance(bad.done.exception(), ValueError)
+        assert "negative delay" in str(bad.done.exception())
+        assert clock == [4.0, 8.0, 10.0, 12.0, 16.0]
+        assert good.finished and sim.now == 16.0
+
+    @pytest.mark.parametrize("simcls", KERNELS)
+    def test_negative_yield_after_a_caught_failure(self, simcls):
+        """Same rule on the resume-by-throw path, and the task may catch
+        the ValueError and carry on."""
+        sim = simcls(seed=0)
+        fut = sim.create_future("doomed")
+        sim.schedule(3.0, fut.fail, RuntimeError("boom"))
+
+        def task():
+            try:
+                yield fut
+            except RuntimeError:
+                try:
+                    yield -2.0
+                except ValueError:
+                    yield 1.0
+            return sim.now
+
+        assert sim.run_task(task()) == 4.0
 
 
 # -- adaptive readahead ----------------------------------------------------

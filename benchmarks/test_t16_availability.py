@@ -50,25 +50,10 @@ WRITE_INTERVAL = 150.0
 
 def _env_flags():
     """The CI chaos-soak matrix re-runs the storm under
-    ``LOCUS_COST_FLAGS`` (same syntax as tests/conftest.py).  Parsed here
+    ``LOCUS_COST_FLAGS`` (same syntax as tests/conftest.py).  Applied here
     so BOTH combos share the base — tests/conftest.py only touches
     default-cost clusters and would skew the ablation otherwise."""
-    defaults = CostModel()
-    out = {}
-    for part in os.environ.get("LOCUS_COST_FLAGS", "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, __, val = part.partition("=")
-        key, val = key.strip(), (val.strip() or "1")
-        current = getattr(defaults, key)     # unknown keys fail loudly
-        if isinstance(current, bool):
-            out[key] = val.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
-    return out
+    return CostModel.parse_flags(os.environ.get("LOCUS_COST_FLAGS", ""))
 
 
 def _storm(seed, t0):

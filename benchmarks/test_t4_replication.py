@@ -6,22 +6,28 @@ Three series over replication factor 1..4 on a 4-site network:
   * read latency at a site that may or may not hold a copy,
   * fraction of files still readable under every single-site failure,
   * update (write+commit+propagate) cost.
+
+Runs the paper's protocol — one page of readahead (``readahead_max=1``) —
+which is what the EXPERIMENTS.md table was recorded with; the default
+adaptive readahead pipelines the remote reader's sequential scan.
 """
 
 import pytest
 
-from repro import LocusCluster
+from repro import CostModel, LocusCluster
 from repro.errors import FsError, NetworkError
+from repro.net.stats import StatsWindow
 from _harness import print_table, run_experiment
 
 N_SITES = 4
+PAPER = CostModel(readahead_max=1)
 
 
 def _experiment():
     size = 8192
     rows = []
     for rf in (1, 2, 3, 4):
-        cluster = LocusCluster(n_sites=N_SITES, seed=60 + rf)
+        cluster = LocusCluster(n_sites=N_SITES, seed=60 + rf, cost=PAPER)
         sh0 = cluster.shell(0)
         sh0.setcopies(rf)
         sh0.write_file("/data", b"d" * size)
@@ -38,7 +44,8 @@ def _experiment():
         survivals = 0
         trials = 0
         for dead in range(N_SITES):
-            probe_cluster = LocusCluster(n_sites=N_SITES, seed=60 + rf)
+            probe_cluster = LocusCluster(n_sites=N_SITES, seed=60 + rf,
+                                         cost=PAPER)
             psh = probe_cluster.shell(0)
             psh.setcopies(rf)
             psh.write_file("/data", b"d" * size)
@@ -53,13 +60,18 @@ def _experiment():
             trials += 1
         availability = survivals / trials
 
-        # Update cost: write and let propagation finish.
+        # Update cost: write and let propagation finish.  Elapsed time
+        # understates it — the replicas pull in parallel and share the
+        # source's buffer cache — so the message count is recorded too.
         t1 = cluster.sim.now
+        window = StatsWindow(cluster.stats)
         sh0.write_file("/data", b"e" * size)
         cluster.settle()
         update_cost = cluster.sim.now - t1
+        update_msgs = window.close().total_messages
 
-        rows.append([rf, read_latency, availability, update_cost])
+        rows.append([rf, read_latency, availability, update_cost,
+                     update_msgs])
     return {"rows": rows}
 
 
@@ -69,7 +81,7 @@ def test_t4_replication_tradeoffs(benchmark):
     print_table(
         "T4: replication factor tradeoffs (4 sites; reader at site 3)",
         ["copies", "remote-reader latency", "availability (1 crash)",
-         "update+propagate vtime"],
+         "update+propagate vtime", "update messages"],
         out["rows"])
     by_rf = {row[0]: row for row in out["rows"]}
     # Fully replicated: the reader has a local copy and reads faster — "in
@@ -82,3 +94,5 @@ def test_t4_replication_tradeoffs(benchmark):
     assert avail[-1] == 1.0
     # Updates get more expensive as more copies must be brought current.
     assert by_rf[4][3] > by_rf[1][3]
+    msgs = [row[4] for row in out["rows"]]
+    assert all(a < b for a, b in zip(msgs, msgs[1:])), msgs

@@ -46,10 +46,14 @@ class CostModel:
     # Protocol behaviour
     readahead: bool = True          # one-page readahead on sequential reads
     delta_propagation: bool = True  # pull only changed pages when sound
-    # Hot-path optimizations (each one a measurable ablation; the defaults
-    # keep the paper's exact per-message protocols, like pathname_shipping):
-    # cache decoded directory entries keyed by committed version vector so
-    # repeat pathname components skip the open/read/decode/close cycle.
+    # Hot-path optimizations, each one a measurable ablation.  All default
+    # to the paper's exact per-message protocols (like pathname_shipping)
+    # except adaptive readahead: readahead_max=8 pipelines a sequential
+    # remote scan, and readahead_max=1 restores the paper's one-page
+    # readahead (T3 and T4 select it to reproduce their recorded tables).
+    # name_cache: cache decoded directory entries keyed by committed version
+    # vector so repeat pathname components skip the open/read/decode/close
+    # cycle.
     name_cache: bool = False
     name_cache_entries: int = 256   # per-site name cache capacity (dirs)
     # Batched page transfer: up to this many pages per fs.read_pages /
@@ -93,38 +97,29 @@ class CostModel:
     pathname_shipping: bool = False
     msg_header_bytes: int = 64      # wire overhead per message
 
-    # Remote-operation supervision (ISSUE 3).  With the flag on, idempotent
-    # remote calls get a per-op timeout plus bounded deterministic
-    # exponential backoff, and the US read path fails over to another pack
-    # copy when its SS dies mid-call (paper sections 2.3.2 and 5.6: "the
-    # system will substitute a different copy").  Off reproduces the paper's
-    # unsupervised calls: any mid-call failure surfaces to the caller.
-    # Fault-free runs are identical either way — no retry ever fires and
-    # timeout events are cancelled without advancing the clock.
+    # Remote-operation supervision: one switch, two arms.  Off is the paper:
+    # bare remote calls (section 2.3.2), any mid-call failure surfaces to
+    # the caller, and cleanup applies the section 5.6 failure-action table
+    # as written (T16's unsupervised arm measures this).  On, the default,
+    # is supervised and exactly-once: remote calls get the rpc_timeout
+    # backstop and bounded deterministic exponential backoff; the US read
+    # path fails over to another pack copy when its SS dies mid-call ("the
+    # system will substitute a different copy"); and every mutating RPC
+    # (commit, create, css_open/close) carries a ``(client_id, op_seq)``
+    # stamp the CSS and SS deduplicate against a per-client idempotency
+    # ledger, so a retry whose first attempt already applied replays the
+    # recorded reply.  That makes the write path safe to retry, lets an
+    # open-for-write re-home to a surviving replica (the pages staged on
+    # the handle are re-staged there), and retires the merge conflict
+    # window: the CSS refuses writer opens with EWOULDCONFLICT while a file
+    # is queued for reconciliation.  Fault-free runs are byte-identical
+    # either way: no retry, replay or refusal fires, timeouts are cancelled
+    # without advancing the clock, and stamps ride header slots excluded
+    # from the wire-size model.
     supervise_remote_ops: bool = True
-    rpc_timeout: float = 400.0      # per-op backstop for idempotent RPCs
+    rpc_timeout: float = 400.0      # per-op backstop for supervised RPCs
     rpc_retries: int = 3            # bounded retry / failover attempts
     rpc_backoff: float = 8.0        # base of the exponential retry backoff
-    # Exactly-once mutating syscalls (ISSUE 8).  With the flag on, every
-    # mutating RPC (commit, create, css_open/close) carries a
-    # ``(client_id, op_seq)`` stamp and the CSS and SS keep a bounded
-    # per-client idempotency ledger: a retried or failed-over request whose
-    # first attempt already applied replays the recorded reply instead of
-    # re-executing.  That makes the non-idempotent write path safe to retry
-    # under supervision, lets open-for-write re-home to a surviving replica
-    # mid-storm (staged shadow pages are re-staged at the new SS), and
-    # retires the merge conflict window: the CSS refuses writer opens with
-    # EWOULDCONFLICT while a file is queued for reconciliation.  Stamps
-    # ride the header slots excluded from the wire-size model, and on
-    # fault-free runs no retry, replay, or refusal ever fires, so flag-off
-    # post-state is byte-identical.
-    exactly_once_writes: bool = True
-    ledger_window: int = 16         # memoized replies retained per client
-    # Adaptive flush sizing for batch_writes: staged dirty pages also flush
-    # when they have been sitting for this much virtual time, so a slow
-    # writer's pages are not hostage to the next ordering point (0 = only
-    # full batches and ordering points flush).
-    write_flush_deadline: float = 0.0
 
     # Flight recorder (ISSUE 5).  With the flag on, every syscall, RPC and
     # message handler records a causal span and a virtual-time latency
@@ -174,6 +169,27 @@ class CostModel:
     def with_overrides(self, **kw) -> "CostModel":
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)
+
+    @classmethod
+    def parse_flags(cls, spec: str) -> dict:
+        """Field overrides from a ``name=value,...`` string, the syntax of
+        the CI matrix's ``LOCUS_COST_FLAGS``.  A bare name means on; an
+        unknown name fails loudly."""
+        defaults = cls()
+        out = {}
+        for part in spec.split(","):
+            key, __, val = part.strip().partition("=")
+            if not key:
+                continue
+            key, val = key.strip(), (val.strip() or "1")
+            current = getattr(defaults, key)
+            if isinstance(current, bool):
+                out[key] = val.lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int):
+                out[key] = int(val)
+            else:
+                out[key] = float(val)
+        return out
 
 
 @dataclass

@@ -241,99 +241,86 @@ class Site:
                 tracer.finish(span, prev, status=status_label)
 
     def supervised_rpc(self, dst, op: str, payload: Optional[dict] = None,
-                       idempotent: bool = True,
-                       timeout: Optional[float] = None,
-                       retries: Optional[int] = None,
-                       backoff: Optional[float] = None,
                        once: bool = False) -> Generator:
-        """Supervised remote call: a per-op timeout plus bounded
-        deterministic exponential backoff for idempotent operations.
+        """Supervised remote call: the ``backstop`` timeout plus bounded
+        deterministic exponential backoff (``cost.rpc_retries`` attempts on
+        a base of ``cost.rpc_backoff``).
 
         ``dst`` may be a callable re-evaluated before every attempt so a
         retry chases responsibility that moved during the failure (e.g. a
-        CSS re-elected while this call was failing).  Non-idempotent calls
-        get the timeout backstop but never blind-retry — unless ``once``
-        marks them for exactly-once delivery, in which case the payload is
-        stamped with ``(client_id, op_seq)`` and retried like an idempotent
-        call: the server's idempotency ledger turns the duplicate into a
-        replay of the recorded reply, so at-least-once delivery plus
-        server-side dedup yields exactly-once execution.  A caller that
-        pre-stamped the payload (write-path failover re-homing a commit)
-        keeps its own stamp and its own completion bookkeeping.
+        CSS re-elected while this call was failing).  Callers pass
+        operations that are idempotent against duplicate delivery as they
+        are; ``once`` marks a mutating one for exactly-once delivery: the
+        payload is stamped with ``(client_id, op_seq)`` and the server's
+        idempotency ledger turns a duplicate into a replay of the recorded
+        reply, so at-least-once delivery plus server-side dedup yields
+        exactly-once execution.  A caller that pre-stamped the payload
+        (a background retry of a timed-out notification) keeps its own
+        stamp and its own completion bookkeeping.
 
         ``EWOULDCONFLICT`` — the CSS refusing a writer open while the file
         is queued for reconciliation — is always retryable (the refusal
         precedes any state change) and gets a larger attempt budget so a
         writer can wait out a post-heal merge sweep.
 
-        With ``cost.supervise_remote_ops`` off this degenerates to plain
-        :meth:`rpc` — the paper's unsupervised behaviour.
+        With ``cost.supervise_remote_ops`` off this is plain :meth:`rpc`,
+        unstamped — the paper's unsupervised behaviour.
         """
         resolve = dst if callable(dst) else (lambda: dst)
         cost = self.cost
         payload = payload if payload is not None else {}
-        own_stamp = (once and cost.exactly_once_writes
-                     and cost.supervise_remote_ops
-                     and "_stamp" not in payload)
+        if not cost.supervise_remote_ops:
+            result = yield from self.rpc(resolve(), op, payload)
+            return result
+        own_stamp = once and "_stamp" not in payload
         if own_stamp:
             payload["_stamp"] = self.next_stamp()
+        retries = cost.rpc_retries
+        backoff = cost.rpc_backoff
+        tracer = self.tracer
+        span = prev = None
+        if tracer is not None and tracer.enabled:
+            span, prev = tracer.begin(_labels(op).srpc, "rpc", self.site_id)
+        status_label = "ok"
         try:
-            if not cost.supervise_remote_ops:
-                result = yield from self.rpc(resolve(), op, payload)
-                return result
-            if timeout is None:
-                timeout = self.backstop
-            if retries is None:
-                retries = cost.rpc_retries
-            if backoff is None:
-                backoff = cost.rpc_backoff
-            can_retry = idempotent or "_stamp" in payload
-            tracer = self.tracer
-            span = prev = None
-            if tracer is not None and tracer.enabled:
-                span, prev = tracer.begin(_labels(op).srpc, "rpc",
-                                          self.site_id)
-            status_label = "ok"
-            try:
-                attempt = 0
-                conflict_waits = 0
-                while True:
-                    if "_stamp" in payload:
-                        payload["_ack"] = self.stamp_ack()
-                    try:
-                        result = yield from self.rpc(resolve(), op, payload,
-                                                     timeout=timeout)
-                        return result
-                    except NetworkError as exc:
-                        if not can_retry or attempt >= retries or not self.up:
-                            raise
-                        self.metrics.count("rpc.retries")
-                        if span is not None:
-                            tracer.event(span, "retry",
-                                         {"attempt": attempt,
-                                          "error": type(exc).__name__,
-                                          "backoff": backoff * (2 ** attempt)})
-                        # Deterministic exponential backoff: gives the
-                        # partition protocol time to converge before the
-                        # retry resolves dst.
-                        yield backoff * (2 ** attempt)
-                        attempt += 1
-                    except EWOULDCONFLICT:
-                        # Conflict-window refusal: wait for the merge the
-                        # CSS has scheduled, on its own (longer) budget so
-                        # network retries stay bounded independently.
-                        if conflict_waits >= max(2 * retries, 8) or not self.up:
-                            raise
-                        self.metrics.count("rpc.conflict_retries")
-                        yield backoff * (2 ** min(conflict_waits, 4))
-                        conflict_waits += 1
-            except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-                status_label = type(exc).__name__
-                raise
-            finally:
-                if span is not None:
-                    tracer.finish(span, prev, status=status_label)
+            attempt = 0
+            conflict_waits = 0
+            while True:
+                if "_stamp" in payload:
+                    payload["_ack"] = self.stamp_ack()
+                try:
+                    result = yield from self.rpc(resolve(), op, payload,
+                                                 timeout=self.backstop)
+                    return result
+                except NetworkError as exc:
+                    if attempt >= retries or not self.up:
+                        raise
+                    self.metrics.count("rpc.retries")
+                    if span is not None:
+                        tracer.event(span, "retry",
+                                     {"attempt": attempt,
+                                      "error": type(exc).__name__,
+                                      "backoff": backoff * (2 ** attempt)})
+                    # Deterministic exponential backoff: gives the
+                    # partition protocol time to converge before the
+                    # retry resolves dst.
+                    yield backoff * (2 ** attempt)
+                    attempt += 1
+                except EWOULDCONFLICT:
+                    # Conflict-window refusal: wait for the merge the
+                    # CSS has scheduled, on its own (longer) budget so
+                    # network retries stay bounded independently.
+                    if conflict_waits >= max(2 * retries, 8) or not self.up:
+                        raise
+                    self.metrics.count("rpc.conflict_retries")
+                    yield backoff * (2 ** min(conflict_waits, 4))
+                    conflict_waits += 1
+        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
+            status_label = type(exc).__name__
+            raise
         finally:
+            if span is not None:
+                tracer.finish(span, prev, status=status_label)
             if own_stamp:
                 # Success or final failure, this client will never re-send
                 # this seq: let the servers' ledgers retire it.

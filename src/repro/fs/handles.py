@@ -41,10 +41,9 @@ class UsHandle:
     pending_writes: Dict[int, bytes] = field(default_factory=dict)
     pending_size: int = 0
     pages_sent: int = 0
-    # Adaptive flush sizing (write_flush_deadline): the pending deadline
-    # timer event, and the completion future of a deadline flush still on
-    # the wire (ordering points queue behind it).
-    flush_timer: Optional[object] = None
+    # Completion future of a write-behind flush still on the wire: an
+    # ordering point issued by another task sharing the handle queues
+    # behind it, so a commit never overtakes staged pages.
     flush_done: Optional[object] = None
     # In-progress failover (replica substitution): concurrent substitutions
     # for the same handle wait here instead of double-registering.

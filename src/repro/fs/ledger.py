@@ -26,7 +26,7 @@ Two deployment flavours share this class:
 Entries are garbage collected on two triggers: the client piggybacks the
 highest op_seq below which **all** its operations completed (``_ack`` on
 every stamped request), which retires everything at or below it; and a
-bounded per-client window (``CostModel.ledger_window``) caps memory as a
+bounded per-client window (``IdempotencyLedger.window``) caps memory as a
 backstop, evicting oldest-first.  The window must be at least as large as
 a client's maximum number of concurrently outstanding mutating ops —
 LOCUS sites run a handful of kernel processes, so the default of 16 is

@@ -79,7 +79,7 @@ class FsManager(PathMixin, NamespaceMixin):
         # state those ops touch (CSS entries, SS open records) dies with
         # the site anyway, so durability would buy nothing.  Commit and
         # create replies live on the pack's durable ledger instead.
-        self.op_ledger = IdempotencyLedger(self.cost.ledger_window)
+        self.op_ledger = IdempotencyLedger()
         self.propagator = Propagator(self)
         self._register_handlers()
         self._register_metric_sources()
@@ -158,7 +158,7 @@ class FsManager(PathMixin, NamespaceMixin):
         self._inflight.clear()
         self._delete_acks.clear()
         self._vv_probe_epoch.clear()
-        self.op_ledger = IdempotencyLedger(self.cost.ledger_window)
+        self.op_ledger = IdempotencyLedger()
         for pack in self.site.packs.values():
             if pack.ledger is not None:
                 # Memoized replies are disk state and survive; in-flight
@@ -209,7 +209,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if pack is None:
             return None
         if pack.ledger is None:
-            pack.ledger = IdempotencyLedger(self.cost.ledger_window)
+            pack.ledger = IdempotencyLedger()
         return pack.ledger
 
     def _exactly_once(self, p: dict, ledger: Optional[IdempotencyLedger],
@@ -223,7 +223,7 @@ class FsManager(PathMixin, NamespaceMixin):
         re-running a failed one is safe).  Unstamped requests, and sites
         without a ledger for the filegroup, run the body directly.
         """
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
+        stamp = p.get("_stamp")
         if stamp is None or ledger is None:
             result = yield from run()
             return result
@@ -391,7 +391,6 @@ class FsManager(PathMixin, NamespaceMixin):
         recovery = self.site.recovery
         if recovery is not None and recovery.needs(gfile):
             if (mode.writable and not reclaiming
-                    and self.cost.exactly_once_writes
                     and self.cost.supervise_remote_ops):
                 # Conflict-window retirement: no write token while copies
                 # await reconciliation — a writer admitted here could race
@@ -410,7 +409,6 @@ class FsManager(PathMixin, NamespaceMixin):
             self._note_version(gfile, known)
             entry.latest_vv = entry.latest_vv.merge(known)
         if mode.writable and self.topology_epoch \
-                and self.cost.exactly_once_writes \
                 and self.cost.supervise_remote_ops \
                 and self._vv_probe_epoch.get(gfile) != \
                 self.topology_epoch:
@@ -561,11 +559,17 @@ class FsManager(PathMixin, NamespaceMixin):
 
     def _css_local_attrs(self, gfile: Gfile) -> Generator:
         """Inode attributes as known at the CSS (its pack holds a copy of
-        the disk inode whether or not it stores the file)."""
+        the disk inode whether or not it stores the file; a CSS without a
+        pack for this filegroup fetches from a pack site)."""
         inode = self.local_inode(gfile)
         if inode is not None:
             return inode.attrs()
-        # CSS without a pack for this filegroup: fetch from a pack site.
+        attrs = yield from self._fetch_attrs_remote(gfile)
+        return attrs
+
+    def _fetch_attrs_remote(self, gfile: Gfile) -> Generator:
+        """Inode attributes from the first other pack site of the filegroup
+        that knows the file."""
         unreachable = []
         for s in self.mount.pack_sites(gfile[0]):
             if s == self.sid:
@@ -581,12 +585,12 @@ class FsManager(PathMixin, NamespaceMixin):
         if unreachable and self._any_believed_up(unreachable):
             # A pack site we believe is *up* didn't answer: a transient
             # transport failure, not evidence the file does not exist —
-            # surface it as such so a supervised open retries instead of
+            # surface it as such so a supervised caller retries instead of
             # reporting a phantom ENOENT.  Sites the partition protocol
             # already declared gone stay ENOENT (the paper's answer for a
             # filegroup isolated in another partition).
             raise NetworkError(f"no pack site for {gfile} reachable")
-        raise ENOENT(f"gfile {gfile} unknown at CSS")
+        raise ENOENT(f"gfile {gfile}: no reachable pack site knows it")
 
     def _any_believed_up(self, sites) -> bool:
         """True when current membership still contains any of ``sites``."""
@@ -816,28 +820,25 @@ class FsManager(PathMixin, NamespaceMixin):
         return len(staged)
 
     def _read_rpc(self, handle: UsHandle, op: str, payload: dict) -> Generator:
-        """Supervised read-path RPC to the handle's storage site.
+        """Supervised RPC to the handle's storage site.
 
         When the SS crashes or the circuit closes mid-call (also: the SS
         restarted and lost its open state, or refuses as stale), fail over
         to the next available pack copy and retry — bounded by
-        ``cost.rpc_retries`` with deterministic exponential backoff.  Only
-        the read path retries; commit/write paths abort the shadow instead
-        (a blind retry could double-apply).  With supervision off this is a
-        plain unsupervised call, the paper's behaviour.
+        ``cost.rpc_retries`` with deterministic exponential backoff.  A
+        reader substitutes another copy of the same version; a writer
+        re-homes its write token and re-stages its shadow pages
+        (``_failover_write``), which is also what makes the idempotent
+        handle operations of the write path (truncate, attribute change)
+        safe to send through here.  With supervision off this is a plain
+        unsupervised call, the paper's behaviour.
         """
         cost = self.cost
-        # Writable handles join the supervised path only under exactly-once
-        # writes: their failover must re-home the write token and re-stage
-        # the shadow pages, which plain copy substitution cannot do.
-        supervised = cost.supervise_remote_ops and (
-            not handle.mode.writable or cost.exactly_once_writes)
-        timeout = self.site.backstop if supervised else None
         attempt = 0
         while True:
             try:
-                result = yield from self.site.rpc(handle.ss_site, op,
-                                                  payload, timeout=timeout)
+                result = yield from self.site.rpc(
+                    handle.ss_site, op, payload, timeout=self.site.backstop)
                 return result
             except (NetworkError, EBADF, ESTALE) as exc:
                 writable = handle.mode.writable
@@ -846,7 +847,8 @@ class FsManager(PathMixin, NamespaceMixin):
                 # whole loss burst rather than fail the syscall.
                 budget = max(2 * cost.rpc_retries, 8) if writable \
                     else max(1, cost.rpc_retries)
-                if not supervised or handle.closed or attempt >= budget:
+                if not cost.supervise_remote_ops or handle.closed \
+                        or attempt >= budget:
                     raise
                 attempt += 1
                 failed_ss = handle.ss_site
@@ -1227,10 +1229,9 @@ class FsManager(PathMixin, NamespaceMixin):
             yield from self._ss_apply_write(so, page, data, new_size,
                                             writer=self.sid)
             return
-        if self.cost.exactly_once_writes:
-            # Retain the image beyond the flush: write failover re-stages
-            # it at the surviving replica.
-            handle.staged_pages[page] = data
+        # Retain the image beyond the flush: write failover re-stages it
+        # at the surviving replica.
+        handle.staged_pages[page] = data
         self.site.cache.put(self._page_key(gfile, page), data)
         if self.cost.batch_writes:
             # Write-behind: stage the page and ship a full batch at once.
@@ -1242,14 +1243,6 @@ class FsManager(PathMixin, NamespaceMixin):
             handle.pending_size = max(handle.pending_size, new_size)
             if len(handle.pending_writes) >= max(1, self.cost.batch_pages):
                 yield from self._flush_writes(handle)
-            elif (self.cost.write_flush_deadline > 0
-                    and handle.flush_timer is None):
-                # Adaptive flush sizing: a partial batch also ships after a
-                # vtime deadline, so a slow writer's staged pages are not
-                # hostage to the next ordering point.
-                handle.flush_timer = self.site.sim.schedule(
-                    self.cost.write_flush_deadline,
-                    self._deadline_flush, handle)
             return
         # The write protocol is a single one-way message (section 2.3.5).
         yield from self.site.oneway(handle.ss_site, "fs.write_page", {
@@ -1266,12 +1259,10 @@ class FsManager(PathMixin, NamespaceMixin):
         of one page keeps the paper-exact ``fs.write_page`` message.  The
         shipped count accumulates in ``handle.pages_sent``; the batched
         commit carries it so a lost chunk can never half-commit."""
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
         while handle.flush_done is not None and not handle.flush_done.done:
-            # A deadline flush is still on the wire: ordering points must
-            # queue behind it so a commit never overtakes staged pages.
+            # Another task sharing the handle has a flush still on the
+            # wire: ordering points must queue behind it so a commit never
+            # overtakes staged pages.
             yield handle.flush_done
         pending = handle.pending_writes
         if not pending:
@@ -1311,16 +1302,6 @@ class FsManager(PathMixin, NamespaceMixin):
                 handle.flush_done = None
             flush_done.resolve(None)
         return None
-
-    def _deadline_flush(self, handle: UsHandle) -> None:
-        """Timer callback for the write_flush_deadline: ship the partial
-        batch unless an ordering point got there first."""
-        handle.flush_timer = None
-        if (handle.closed or not handle.pending_writes or not self.site.up
-                or self.us.get(handle.hid) is not handle):
-            return
-        self.site.spawn(self._flush_writes(handle),
-                        name=f"flush-deadline:{handle.gfile}")
 
     def h_write_page(self, src: int, p: dict) -> Generator:
         so = self.ss.get(p["gfile"])
@@ -1418,29 +1399,20 @@ class FsManager(PathMixin, NamespaceMixin):
             # post-state the per-page protocol reaches.
             handle.pending_writes.clear()
             handle.pending_size = 0
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
-        if self.cost.exactly_once_writes:
-            # Earlier page images are dropped by the truncate; a failover
-            # replay starts from the truncate instead.
-            handle.staged_pages.clear()
-            handle.staged_truncate = True
+        # Earlier page images are dropped by the truncate; a failover
+        # replay starts from the truncate instead.
+        handle.staged_pages.clear()
+        handle.staged_truncate = True
         if handle.ss_site == self.sid:
             so = self.ss[handle.gfile]
             yield from self._ss_truncate(so)
-        elif self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
+        else:
             # Failover-aware: an SS that dropped our open state after an
             # asymmetric partition answers EBADF — re-home the handle (the
             # staged truncate replays there) and retry.  Truncating twice
             # is truncating once, so duplicate delivery is safe too.
             yield from self._read_rpc(handle, "fs.truncate",
                                       {"gfile": handle.gfile})
-        else:
-            # Idempotent against duplicate delivery (truncating twice is
-            # truncating once), so a supervised retry is safe.
-            yield from self.site.supervised_rpc(
-                handle.ss_site, "fs.truncate", {"gfile": handle.gfile})
         self.site.cache.invalidate_file(*handle.gfile)
         handle.size = 0
         handle.dirty = True
@@ -1471,25 +1443,18 @@ class FsManager(PathMixin, NamespaceMixin):
         """Stage inode-only changes (ownership, permissions...)."""
         if not handle.mode.writable:
             raise EBADF("attribute change needs a write open")
-        if self.cost.exactly_once_writes:
-            handle.staged_attrs.update(patch)
+        handle.staged_attrs.update(patch)
         if handle.ss_site == self.sid:
             self.ss[handle.gfile].shadow.set_attrs(**patch)
         else:
             # Keep the SS-side operation order of the per-page protocol:
             # staged pages precede the attribute change on the wire.
             yield from self._flush_writes(handle)
-            # Absolute patches are idempotent against duplicate delivery.
-            if self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
-                # Failover-aware like truncate: EBADF from an SS that lost
-                # our open re-homes the handle and replays staged state.
-                yield from self._read_rpc(handle, "fs.set_attrs",
-                                          {"gfile": handle.gfile,
-                                           "patch": patch})
-            else:
-                yield from self.site.supervised_rpc(
-                    handle.ss_site, "fs.set_attrs",
-                    {"gfile": handle.gfile, "patch": patch})
+            # Absolute patches are idempotent against duplicate delivery,
+            # and failover-aware like truncate: EBADF from an SS that lost
+            # our open re-homes the handle and replays staged state.
+            yield from self._read_rpc(handle, "fs.set_attrs",
+                                      {"gfile": handle.gfile, "patch": patch})
         handle.attrs.update(patch)
         handle.dirty = True
         return None
@@ -1543,8 +1508,8 @@ class FsManager(PathMixin, NamespaceMixin):
     def _commit_remote(self, handle: UsHandle) -> Generator:
         """Commit at a remote SS, exactly once.
 
-        Without exactly-once writes this is the paper's single unsupervised
-        ``fs.commit``.  With it, the request is stamped and retried under a
+        With supervision off this is the paper's single unsupervised
+        ``fs.commit``.  With it on, the request is stamped and retried under a
         timeout: a retry reaching the same SS replays the memoized result
         from its durable ledger (the first attempt's reply was lost, not
         its effect), and when the SS itself is gone the handle re-homes to
@@ -1563,14 +1528,14 @@ class FsManager(PathMixin, NamespaceMixin):
             # circuit fails the commit instead of half-applying.
             yield from self._flush_writes(handle)
             payload["expected_pages"] = handle.pages_sent
-        elif cost.exactly_once_writes:
+        else:
             # The per-page protocol's writes are one-way with no delivery
             # guarantee either; the same commit guard applies.  The count
             # rides the header (underscore key, excluded from the wire-size
             # model) so fault-free message timing matches the paper's
             # protocol exactly.
             payload["_expected"] = handle.pages_sent
-        if not (cost.exactly_once_writes and cost.supervise_remote_ops):
+        if not cost.supervise_remote_ops:
             vv = yield from self.site.rpc(handle.ss_site, "fs.commit",
                                           payload)
             return vv
@@ -1654,9 +1619,6 @@ class FsManager(PathMixin, NamespaceMixin):
         handle.staged_pages.clear()
         handle.staged_truncate = False
         handle.staged_attrs.clear()
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
         if handle.ss_site == self.sid:
             yield from self._ss_abort(handle.gfile)
         else:
@@ -1696,8 +1658,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 raise EWRITELOST(
                     f"commit of {p['gfile']} expected {expected} staged "
                     f"page writes, storage site received {received}")
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
-        vv = yield from self._ss_commit(p["gfile"], stamp=stamp,
+        vv = yield from self._ss_commit(p["gfile"], stamp=p.get("_stamp"),
                                         vv_floor=p.get("vv_floor"))
         return vv
 
@@ -2013,7 +1974,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if handle.ss_site == self.sid:
             yield from self._ss_close_local(gfile, handle.mode, self.sid)
         elif handle.sync:
-            if self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
+            if self.cost.supervise_remote_ops:
                 # Stamped: fs.close decrements open counts, so a duplicate
                 # delivery must replay, not double-close.  If the SS is
                 # gone for good, release the CSS registration directly —
@@ -2023,8 +1984,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 try:
                     yield from self.site.supervised_rpc(
                         handle.ss_site, "fs.close",
-                        {"gfile": gfile, "mode": handle.mode},
-                        idempotent=False, once=True)
+                        {"gfile": gfile, "mode": handle.mode}, once=True)
                 except NetworkError:
                     self.site.metrics.count("fs.close_rescues")
                     css = self.mount.css_for(gfile[0])
@@ -2041,8 +2001,7 @@ class FsManager(PathMixin, NamespaceMixin):
                         try:
                             yield from self.site.supervised_rpc(
                                 lambda: self.mount.css_for(gfile[0]),
-                                "fs.css_ss_close", payload,
-                                idempotent=False, once=True)
+                                "fs.css_ss_close", payload, once=True)
                         except (NetworkError, FsError):
                             yield from self.site.oneway_quiet(
                                 css, "fs.css_ss_close", payload)
@@ -2084,8 +2043,7 @@ class FsManager(PathMixin, NamespaceMixin):
             payload = {"gfile": gfile, "us": us, "mode": mode}
             if css == self.sid:
                 yield from self.h_css_ss_close(self.sid, payload)
-            elif self.cost.exactly_once_writes \
-                    and self.cost.supervise_remote_ops:
+            elif self.cost.supervise_remote_ops:
                 # Stamped so a duplicate delivery replays instead of
                 # double-decrementing open counts; the fault-free path
                 # stays the paper's synchronous one-pair notification.
@@ -2119,7 +2077,7 @@ class FsManager(PathMixin, NamespaceMixin):
         try:
             yield from self.site.supervised_rpc(
                 lambda: self.mount.css_for(gfile[0]),
-                "fs.css_ss_close", payload, idempotent=False, once=True)
+                "fs.css_ss_close", payload, once=True)
         except (NetworkError, FsError):
             pass  # reconfiguration will rebuild the CSS state
         finally:
@@ -2222,7 +2180,7 @@ class FsManager(PathMixin, NamespaceMixin):
         inode.mtime = self.site.sim.now
         gfile = (p["gfs"], inode.ino)
         attrs = inode.attrs()
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
+        stamp = p.get("_stamp")
         if stamp is not None:
             # Recorded in the same atomic step as the allocation: a retry
             # arriving after a crash replays these attrs instead of

@@ -47,16 +47,7 @@ class NamespaceMixin:
         site holds the directory's modification lock, this kernel waits and
         retries rather than reflecting EBUSY to the application.
         """
-        handle = None
-        for attempt in range(200):
-            try:
-                handle = yield from self.open_gfile(dir_gfile, Mode.WRITE)
-                break
-            except EBUSY:
-                yield 2.0 + 0.5 * (self.sid % 7)   # deterministic backoff
-        if handle is None:
-            raise EBUSY(f"directory {dir_gfile} modification lock "
-                        f"unavailable")
+        handle = yield from self._open_write_retry(dir_gfile)
         try:
             if handle.attrs["ftype"] not in _DIR_TYPES:
                 raise ENOTDIR(f"gfile {dir_gfile}")
@@ -79,11 +70,11 @@ class NamespaceMixin:
 
     def _open_write_retry(self, gfile: Gfile,
                           allow_conflict: bool = False) -> Generator:
-        """Open a file for modification, waiting out another site's write
-        lock the same way ``_dir_modify`` does for directories: nlink
-        updates are atomic kernel operations, so EBUSY is absorbed by the
-        kernel rather than reflected to the application (and leaving the
-        syscall half-done — entry inserted, count never bumped)."""
+        """Open a file or directory for modification, waiting out another
+        site's write lock: directory entry and nlink updates are atomic
+        kernel operations, so EBUSY is absorbed by the kernel rather than
+        reflected to the application (and leaving the syscall half-done —
+        entry inserted, count never bumped)."""
         for attempt in range(200):
             try:
                 handle = yield from self.open_gfile(
@@ -91,7 +82,7 @@ class NamespaceMixin:
                 return handle
             except EBUSY:
                 yield 2.0 + 0.5 * (self.sid % 7)   # deterministic backoff
-        raise EBUSY(f"file {gfile} modification lock unavailable")
+        raise EBUSY(f"gfile {gfile} modification lock unavailable")
 
     # ------------------------------------------------------------------
     # Storage-site selection (section 2.3.7)
@@ -160,7 +151,7 @@ class NamespaceMixin:
                 "owner": owner,
                 "perms": perms,
                 "storage_sites": chosen,
-            }, idempotent=False, once=True)
+            }, once=True)
         gfile: Gfile = (parent[0], attrs["ino"])
         try:
             yield from self._dir_modify(

@@ -46,26 +46,8 @@ class PathMixin:
         if inode is not None:
             yield from self.site.cpu(self.cost.buffer_hit)
             return inode.attrs()
-        unreachable = []
-        for s in self.mount.pack_sites(gfile[0]):
-            if s == self.sid:
-                continue
-            try:
-                attrs = yield from self.site.rpc(s, "fs.fetch_attrs",
-                                                 {"gfile": gfile})
-                return attrs
-            except ENOENT:
-                continue
-            except NetworkError:
-                unreachable.append(s)
-        if unreachable and self._any_believed_up(unreachable):
-            # Transient: a pack site believed up was cut off mid-exchange.
-            # A NetworkError lets supervised callers retry; an ENOENT here
-            # would turn a circuit blip into a phantom missing file.  Pack
-            # sites already declared gone stay ENOENT (a filegroup isolated
-            # in another partition really is unavailable, not in flux).
-            raise NetworkError(f"no pack site for {gfile} reachable")
-        raise ENOENT(f"gfile {gfile}: no pack site reachable")
+        attrs = yield from self._fetch_attrs_remote(gfile)
+        return attrs
 
     # -- directory reading -------------------------------------------------
 
@@ -250,127 +232,131 @@ class PathMixin:
         comps = self._split(path)
         if not comps:
             return None, None, Leaf(current, FileType.DIRECTORY)
-        if self.cost.pathname_shipping:
-            result = yield from self._walk_shipped(
-                proc, current, comps, follow_leaf_hidden)
-            return result
-        result = yield from self._walk_from(proc, current, comps, 0,
-                                            follow_leaf_hidden)
-        return result
-
-    def _walk_from(self, proc, current: Gfile, comps: List[str],
-                   start_index: int,
-                   follow_leaf_hidden: bool) -> Generator:
-        """The component-by-component interrogation loop (section 2.3.4)."""
-        path = "/".join(comps)
-        hidden_visible = bool(proc and getattr(proc, "hidden_visible", False))
-
-        i = start_index
-        parent: Optional[Gfile] = None
-        while i < len(comps):
-            comp = comps[i]
-            last = (i == len(comps) - 1)
-            if comp == "..":
-                current = yield from self._dotdot(current)
-                if last:
-                    return None, None, Leaf(current, FileType.DIRECTORY)
-                i += 1
-                continue
-            if self.cost.name_cache:
-                absent = yield from self._negative_lookup(current, comp)
-                if absent:
-                    if last:
-                        return current, comp, None
-                    raise ENOENT(f"{comp!r} in path {path!r}")
-            entries = yield from self.read_dir_entries(current)
-            view = DirView(entries)
-            entry = view.lookup(comp)
-            if entry is None:
-                if self.cost.name_cache:
-                    self._negative_fill(current, comp)
-                if last:
-                    return current, comp, None
-                raise ENOENT(f"{comp!r} in path {path!r}")
-            child: Gfile = (current[0], entry.ino)
-            ftype = entry.ftype
-            # Mount crossing: descend into the mounted filegroup's root.
-            crossed = self.mount.crossing(child)
-            if crossed is not None:
-                child = crossed
-                ftype = FileType.DIRECTORY
-            # Hidden directory: substitute the per-process context match.
-            if ftype is FileType.HIDDEN_DIR and not hidden_visible and (
-                    not last or follow_leaf_hidden):
-                parent = child
-                child, ftype = yield from self._resolve_hidden(proc, child)
-                if last:
-                    return parent, comp, Leaf(child, ftype)
-            if last:
-                return current, comp, Leaf(child, ftype)
-            if ftype not in (FileType.DIRECTORY, FileType.HIDDEN_DIR):
-                raise ENOTDIR(f"{comp!r} in path {path!r}")
-            parent = current
-            current = child
-            i += 1
-        raise AssertionError("unreachable")
-
-    def _dotdot(self, current: Gfile) -> Generator:
-        """One step up, handling filegroup-root crossings."""
-        if current[1] == ROOT_INO:
-            mount_point = self.mount.parent_of_root(current[0])
-            if mount_point is None:
-                return current  # '/..' is '/'
-            current = mount_point
-        entries = yield from self.read_dir_entries(current)
-        view = DirView(entries)
-        entry = view.lookup("..")
-        if entry is None:
-            return current
-        return (current[0], entry.ino)
-
-    def _resolve_hidden(self, proc, hidden: Gfile) -> Generator:
-        """Pick the entry matching the process's context (section 2.4.1)."""
-        context = list(getattr(proc, "hidden_context", []) or []) if proc \
-            else []
-        entries = yield from self.read_dir_entries(hidden)
-        view = DirView(entries)
-        for ctx_name in context:
-            entry = view.lookup(ctx_name)
-            if entry is not None:
-                child: Gfile = (hidden[0], entry.ino)
-                crossed = self.mount.crossing(child)
-                if crossed is not None:
-                    return crossed, FileType.DIRECTORY
-                return child, entry.ftype
-        raise ENOENT(f"no context match in hidden directory {hidden} "
-                     f"(context={context})")
-
-    # -- pathname shipping (the section 2.3.4 extension) ----------------------
-
-    def _walk_shipped(self, proc, current: Gfile, comps: List[str],
-                      follow_leaf_hidden: bool) -> Generator:
-        """Resolve by shipping partial pathnames: expand locally as far as
-        possible, then hand the remainder to a site storing the next
-        directory; resume on return (the SS for each intermediate directory
-        can differ)."""
         context = list(getattr(proc, "hidden_context", []) or []) \
             if proc else []
         hidden_visible = bool(proc and getattr(proc, "hidden_visible",
                                                False))
+        step = ("stuck", current, 0)
+        if self.cost.pathname_shipping:
+            step = yield from self._walk_shipped(
+                context, hidden_visible, current, comps, follow_leaf_hidden)
+        if step[0] == "stuck":
+            # The component-by-component interrogation (section 2.3.4).
+            step = yield from self._walk_steps(
+                False, context, hidden_visible, step[1], comps, step[2],
+                follow_leaf_hidden)
+        return step[1:]
+
+    def _walk_steps(self, local: bool, context: List[str],
+                    hidden_visible: bool, current: Gfile, comps: List[str],
+                    i: int, follow_leaf_hidden: bool) -> Generator:
+        """The one loop over pathname components: ``..``, mount crossings
+        and hidden directories (section 2.4.1: a hidden directory is
+        searched for the first name of the process's ``context`` it holds,
+        not for the next component).
+
+        Each directory is read with the US interrogation protocol
+        (``read_dir_entries``, which always finishes) or, when ``local``,
+        from this site's own committed copy (``_local_dir_entries``).
+        Returns ``("done", parent, name, leaf)``, or ``("stuck", current,
+        i)`` — the point to resume from — when a directory needed next is
+        not cleanly stored here.
+        """
+        read = self._local_dir_entries if local else self.read_dir_entries
+        negative = self.cost.name_cache and not local
+        path = "/".join(comps)
+        while i < len(comps):
+            comp = comps[i]
+            last = (i == len(comps) - 1)
+            if comp == "..":
+                up = current
+                if up[1] == ROOT_INO:   # a filegroup root: its mount point
+                    up = self.mount.parent_of_root(up[0])
+                if up is not None:      # else '/..' is '/'
+                    entries = yield from read(up)
+                    if entries is None:
+                        return "stuck", current, i
+                    entry = DirView(entries).lookup("..")
+                    current = (up[0], entry.ino) if entry else up
+                if last:
+                    return "done", None, None, Leaf(current,
+                                                    FileType.DIRECTORY)
+                i += 1
+                continue
+            if negative:
+                absent = yield from self._negative_lookup(current, comp)
+                if absent:
+                    if last:
+                        return "done", current, comp, None
+                    raise ENOENT(f"{comp!r} in path {path!r}")
+            entries = yield from read(current)
+            if entries is None:
+                return "stuck", current, i
+            entry = DirView(entries).lookup(comp)
+            if entry is None:
+                if negative:
+                    self._negative_fill(current, comp)
+                if last:
+                    return "done", current, comp, None
+                raise ENOENT(f"{comp!r} in path {path!r}")
+            parent = current
+            child, ftype = self._entry_target(current, entry)
+            if ftype is FileType.HIDDEN_DIR and not hidden_visible and (
+                    not last or follow_leaf_hidden):
+                # Substitute the per-process context match.
+                entries = yield from read(child)
+                if entries is None:
+                    return "stuck", current, i
+                view = DirView(entries)
+                match = None
+                for ctx_name in context:
+                    match = view.lookup(ctx_name)
+                    if match is not None:
+                        break
+                if match is None:
+                    raise ENOENT(f"no context match in hidden directory "
+                                 f"{child} (context={context})")
+                parent = child
+                child, ftype = self._entry_target(child, match)
+            if last:
+                return "done", parent, comp, Leaf(child, ftype)
+            if ftype not in (FileType.DIRECTORY, FileType.HIDDEN_DIR):
+                raise ENOTDIR(f"{comp!r} in path {path!r}")
+            current = child
+            i += 1
+        raise AssertionError("unreachable")
+
+    def _entry_target(self, directory: Gfile, entry) -> tuple:
+        """What a directory entry names: the inode in the directory's
+        filegroup, or the root of the filegroup mounted on it."""
+        child: Gfile = (directory[0], entry.ino)
+        crossed = self.mount.crossing(child)
+        if crossed is not None:
+            return crossed, FileType.DIRECTORY
+        return child, entry.ftype
+
+    # -- pathname shipping (the section 2.3.4 extension) ----------------------
+
+    def _walk_shipped(self, context: List[str], hidden_visible: bool,
+                      current: Gfile, comps: List[str],
+                      follow_leaf_hidden: bool) -> Generator:
+        """Resolve by shipping partial pathnames: expand locally as far as
+        possible, then hand the remainder to a site storing the next
+        directory; resume on return (the SS for each intermediate directory
+        can differ).  Returns like ``_walk_steps``; "stuck" is where the
+        page-by-page interrogation has to take over."""
         i = 0
         for __ in range(64):   # progress guard
-            out = yield from self._ship_expand_local(
-                context, hidden_visible, current, comps, i,
+            step = yield from self._walk_steps(
+                True, context, hidden_visible, current, comps, i,
                 follow_leaf_hidden)
-            if out["st"] == "done":
-                return out["parent"], out["name"], out["leaf"]
-            if out["st"] == "error":
-                raise out["exc"]
-            current, i = out["current"], out["i"]
+            if step[0] == "done":
+                return step
+            __, current, i = step
             attrs = yield from self._fetch_attrs_anywhere(current)
             targets = [s for s in attrs["storage_sites"] if s != self.sid]
             if not targets:
-                break   # nobody to ship to: interrogate page by page
+                break   # nobody to ship to
             try:
                 out = yield from self.site.rpc(targets[0], "fs.walk_path", {
                     "current": current, "comps": comps, "i": i,
@@ -381,24 +367,24 @@ class PathMixin:
             except NetworkError:
                 break
             if out["st"] == "done":
-                return out["parent"], out["name"], out["leaf"]
-            if out["st"] == "error":
-                raise out["exc"]
+                return "done", out["parent"], out["name"], out["leaf"]
             if (out["current"], out["i"]) == (current, i):
-                break   # the remote made no progress either: fall back
+                break   # the remote made no progress either
             current, i = out["current"], out["i"]
-        result = yield from self._walk_from(proc, current, comps, i,
-                                            follow_leaf_hidden)
-        return result
+        return "stuck", current, i
 
     def h_walk_path(self, src: int, p: dict) -> Generator:
         """Serve a shipped partial pathname: expand over local directories
-        and return either the answer or the resume point."""
-        out = yield from self._ship_expand_local(
-            list(p["hidden_context"]), p["hidden_visible"],
+        and return either the answer or the resume point.  A lookup error
+        (ENOENT, ENOTDIR) travels back as the RPC's error."""
+        step = yield from self._walk_steps(
+            True, list(p["hidden_context"]), p["hidden_visible"],
             tuple(p["current"]), list(p["comps"]), p["i"],
             p["follow_leaf_hidden"])
-        return out
+        if step[0] == "done":
+            return {"st": "done", "parent": step[1], "name": step[2],
+                    "leaf": step[3]}
+        return {"st": "continue", "current": step[1], "i": step[2]}
 
     def _local_dir_entries(self, gfile: Gfile) -> Generator:
         """Committed entries of a directory stored cleanly at this site, or
@@ -421,7 +407,6 @@ class PathMixin:
                 yield from self.site.cpu(self.cost.buffer_hit)
                 return cached
         psz = self.cost.page_size
-        from repro.fs.directory import decode_entries as _decode
         for attempt in range(8):
             version_before = inode.version
             size = inode.size
@@ -430,7 +415,7 @@ class PathMixin:
                 data = yield from self._committed_block(gfile, page)
                 chunks.append(data.ljust(psz, b"\x00"))
             try:
-                entries = _decode(b"".join(chunks)[:size])
+                entries = decode_entries(b"".join(chunks)[:size])
             except ValueError:
                 entries = None
             inode = self.site.packs[gfile[0]].get_inode(gfile[1])
@@ -447,95 +432,6 @@ class PathMixin:
             self.site.cache.invalidate_file(*gfile)
             yield 1.0 + attempt    # torn by a concurrent commit: retry
         return None   # persistently contended: let the caller fall back
-
-    def _ship_expand_local(self, context, hidden_visible, current: Gfile,
-                           comps: List[str], i: int,
-                           follow_leaf_hidden: bool) -> Generator:
-        """Expand components while every needed directory is local."""
-        path = "/".join(comps)
-
-        def stuck():
-            return {"st": "continue", "current": current, "i": i}
-
-        def err(exc):
-            return {"st": "error", "exc": exc}
-
-        while i < len(comps):
-            comp = comps[i]
-            last = (i == len(comps) - 1)
-            if comp == "..":
-                up = current
-                if up[1] == ROOT_INO:
-                    mount_point = self.mount.parent_of_root(up[0])
-                    if mount_point is None:
-                        if last:
-                            return {"st": "done", "parent": None,
-                                    "name": None,
-                                    "leaf": Leaf(up, FileType.DIRECTORY)}
-                        i += 1
-                        continue
-                    up = mount_point
-                entries = yield from self._local_dir_entries(up)
-                if entries is None:
-                    return stuck()
-                parent_entry = DirView(entries).lookup("..")
-                current = (up[0], parent_entry.ino) if parent_entry else up
-                if last:
-                    return {"st": "done", "parent": None, "name": None,
-                            "leaf": Leaf(current, FileType.DIRECTORY)}
-                i += 1
-                continue
-            try:
-                entries = yield from self._local_dir_entries(current)
-            except ENOTDIR:
-                return err(ENOTDIR(f"{comp!r} in path {path!r}"))
-            if entries is None:
-                return stuck()
-            entry = DirView(entries).lookup(comp)
-            if entry is None:
-                if last:
-                    return {"st": "done", "parent": current, "name": comp,
-                            "leaf": None}
-                return err(ENOENT(f"{comp!r} in path {path!r}"))
-            child: Gfile = (current[0], entry.ino)
-            ftype = entry.ftype
-            crossed = self.mount.crossing(child)
-            if crossed is not None:
-                child = crossed
-                ftype = FileType.DIRECTORY
-            if ftype is FileType.HIDDEN_DIR and not hidden_visible and (
-                    not last or follow_leaf_hidden):
-                hidden_entries = yield from self._local_dir_entries(child)
-                if hidden_entries is None:
-                    return stuck()
-                view = DirView(hidden_entries)
-                match = None
-                for ctx_name in context:
-                    match = view.lookup(ctx_name)
-                    if match is not None:
-                        break
-                if match is None:
-                    return err(ENOENT(
-                        f"no context match in hidden directory {child} "
-                        f"(context={context})"))
-                hidden_parent = child
-                child = (child[0], match.ino)
-                ftype = match.ftype
-                crossed = self.mount.crossing(child)
-                if crossed is not None:
-                    child = crossed
-                    ftype = FileType.DIRECTORY
-                if last:
-                    return {"st": "done", "parent": hidden_parent,
-                            "name": comp, "leaf": Leaf(child, ftype)}
-            if last:
-                return {"st": "done", "parent": current, "name": comp,
-                        "leaf": Leaf(child, ftype)}
-            if ftype not in (FileType.DIRECTORY, FileType.HIDDEN_DIR):
-                return err(ENOTDIR(f"{comp!r} in path {path!r}"))
-            current = child
-            i += 1
-        raise AssertionError("unreachable")
 
     # -- public conveniences -------------------------------------------------
 

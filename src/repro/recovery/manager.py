@@ -163,20 +163,25 @@ class RecoveryManager:
     # The filegroup sweep
     # ------------------------------------------------------------------
 
-    def reconcile_filegroup(self, gfs: int) -> Generator:
+    def _inventories(self, gfs: int) -> Generator:
+        """The pack inventory of every pack site of the filegroup in this
+        partition, by site; sites that fail to answer are skipped."""
         members = self.site.topology.partition_set if self.site.topology \
             else set(self.site.net.site_ids)
-        pack_sites = [s for s in self.site.fs.mount.pack_sites(gfs)
-                      if s in members]
         inventories: Dict[int, dict] = {}
-        for s in pack_sites:
+        for s in self.site.fs.mount.pack_sites(gfs):
+            if s not in members:
+                continue
             try:
-                inv = yield from self.site.rpc(s, "fs.pack_inventory",
-                                               {"gfs": gfs},
-                                               timeout=self.site.backstop)
+                inventories[s] = yield from self.site.rpc(
+                    s, "fs.pack_inventory", {"gfs": gfs},
+                    timeout=self.site.backstop)
             except (NetworkError, FsError):
                 continue
-            inventories[s] = inv
+        return inventories
+
+    def reconcile_filegroup(self, gfs: int) -> Generator:
+        inventories = yield from self._inventories(gfs)
         if not inventories:
             return None
         all_inos = set()
@@ -219,18 +224,7 @@ class RecoveryManager:
         are in version conflict (a partial census could shrink a correct
         nlink).
         """
-        members = self.site.topology.partition_set if self.site.topology \
-            else set(self.site.net.site_ids)
-        inventories: Dict[int, dict] = {}
-        for s in self.site.fs.mount.pack_sites(gfs):
-            if s not in members:
-                continue
-            try:
-                inventories[s] = yield from self.site.rpc(
-                    s, "fs.pack_inventory", {"gfs": gfs},
-                    timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue
+        inventories = yield from self._inventories(gfs)
         if not inventories:
             return None
         all_inos = set()
@@ -437,18 +431,7 @@ class RecoveryManager:
 
     def _retry_ino(self, gfs: int, ino: int, attempt: int) -> Generator:
         """Re-inventory one file and reconcile it (deferred recovery)."""
-        members = self.site.topology.partition_set if self.site.topology \
-            else set(self.site.net.site_ids)
-        inventories: Dict[int, dict] = {}
-        for s in self.site.fs.mount.pack_sites(gfs):
-            if s not in members:
-                continue
-            try:
-                inventories[s] = yield from self.site.rpc(
-                    s, "fs.pack_inventory", {"gfs": gfs},
-                    timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue
+        inventories = yield from self._inventories(gfs)
         self.pending.get(gfs, set()).discard(ino)
         try:
             yield from self._reconcile_ino(gfs, ino, inventories,

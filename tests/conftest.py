@@ -18,26 +18,7 @@ from repro import LocusCluster
 from repro.config import CostModel
 
 
-def _env_cost_overrides():
-    defaults = CostModel()
-    out = {}
-    for part in os.environ.get("LOCUS_COST_FLAGS", "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, __, val = part.partition("=")
-        key, val = key.strip(), (val.strip() or "1")
-        current = getattr(defaults, key)     # unknown keys fail loudly
-        if isinstance(current, bool):
-            out[key] = val.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
-    return out
-
-
-_OVERRIDES = _env_cost_overrides()
+_OVERRIDES = CostModel.parse_flags(os.environ.get("LOCUS_COST_FLAGS", ""))
 if _OVERRIDES:
     _orig_init = LocusCluster.__init__
 

@@ -47,6 +47,35 @@ class TestShippedResolution:
                 reader.read_file("/d0/missing")
             with pytest.raises(ENOTDIR):
                 reader.read_file(leaf + "/below-a-file")
+        # Error inputs, resolved at a diskless site so that with shipping
+        # on every lookup error is raised at the serving site and travels
+        # back as the RPC's error.
+        outcomes = {}
+        for shipping in (False, True):
+            cluster = build_cluster(shipping, root_packs=[1])
+            admin = cluster.shell(1)
+            leaf = deep_tree(admin, cluster)
+            admin.mkdir("/cmd", hidden=True)
+            admin.set_hidden_visible(True)
+            admin.write_file("/cmd/pdp11", b"pdp module")
+            cluster.settle()
+            fs0 = cluster.site(0).fs
+            vax = cluster.shell(0).proc   # site 0 is a vax: no context match
+            got = []
+            for path in ("/d0/missing/d2/leaf",        # missing middle
+                         leaf + "/below-a-file",       # file as directory
+                         "/cmd/file",                  # hidden, no match
+                         "/d0/d1/new-name",            # missing leaf
+                         leaf):
+                try:
+                    got.append(cluster.call(0, fs0.walk(vax, path)))
+                except (ENOENT, ENOTDIR) as exc:
+                    got.append(type(exc))
+            outcomes[shipping] = got
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][:3] == [ENOENT, ENOTDIR, ENOENT]
+        parent, name, found = outcomes[False][3]
+        assert (name, found) == ("new-name", None) and parent is not None
 
     def test_shipping_sends_fewer_messages_on_deep_remote_paths(self):
         """The whole point: one shipped request replaces per-component

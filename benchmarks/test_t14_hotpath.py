@@ -21,15 +21,23 @@ every other benchmark still measures the paper's exact protocol):
 The ablation grid crosses them: off/off, cache only, batch only, both.
 Acceptance: "both" achieves >= 2x reduction in message count AND virtual
 time vs off/off, on both scenarios; identical seeds give identical traces.
+
+Scenario (d) is the host's side of (a) (ISSUE 19): what the same warm
+walks cost the *simulator* — directory entries decoded, profiled calls,
+wall time — next to the same scenario run on the parent commit.
 """
 
+import cProfile
 import json
+import statistics
 import sys
+import time
 
 import pytest
 
 from repro import LocusCluster
 from repro.config import CostModel
+from repro.fs.directory import DirEntry
 from repro.net.stats import StatsWindow
 from _harness import Measure, print_table, run_experiment
 
@@ -62,7 +70,8 @@ def _cost(flags):
 
 # -- scenario (a): repeated remote path resolution -------------------------
 
-def _walk_metrics(flags):
+def _walk_cluster(flags):
+    """The walk workload, warmed: returns (cluster, diskless shell, leaf)."""
     cluster = LocusCluster(n_sites=2, seed=23, root_pack_sites=[0],
                            cost=_cost(flags))
     sh0 = cluster.shell(0)
@@ -77,6 +86,11 @@ def _walk_metrics(flags):
     cluster.settle()
     sh1 = cluster.shell(1)
     sh1.stat(leaf)                     # cold walk: fills caches if enabled
+    return cluster, sh1, leaf
+
+
+def _walk_metrics(flags):
+    cluster, sh1, leaf = _walk_cluster(flags)
     m = Measure(cluster)
     for __ in range(REPEATS):
         sh1.stat(leaf)
@@ -135,6 +149,66 @@ def _scan_metrics(flags):
     m = Measure(cluster)
     assert cluster.shell(1).read_file("/seq") == data
     return m.done()
+
+
+# -- scenario (d): what the walks of (a) cost the host ----------------------
+
+HOST_WINDOWS = 15   # timed windows of REPEATS walks; the median is reported
+# This scenario run against the parent commit (PR 18, 737ed48: every read
+# re-parses the directory image; DirView copies the entry list and scans
+# it; the name cache copies every entry in and out).  The two counts
+# repeat exactly; the wall figure is the median of five runs alternated
+# with this commit's (1.952 / 0.458 ms there) on the machine that recorded
+# BENCH_hotpath.json.
+PARENT_HOST_COST = {
+    "off": {"decodes_per_walk": 192.0, "profiled_calls_per_walk": 6606.3,
+            "wall_ms_per_walk": 2.918},
+    "cache": {"decodes_per_walk": 0.0, "profiled_calls_per_walk": 1599.2,
+              "wall_ms_per_walk": 0.709},
+}
+
+
+def _walk_host_cost(flags):
+    """Per warm walk: ``DirEntry.from_record`` calls and profiled function
+    calls (both repeat exactly), and wall milliseconds (they do not)."""
+    cluster, sh1, leaf = _walk_cluster(flags)
+
+    def window():
+        for __ in range(REPEATS):
+            sh1.stat(leaf)
+
+    walls = []
+    for __ in range(HOST_WINDOWS):
+        t0 = time.perf_counter()
+        window()
+        walls.append(time.perf_counter() - t0)
+    decoded = []
+    real = DirEntry.from_record.__func__
+    DirEntry.from_record = classmethod(
+        lambda cls, rec: decoded.append(rec) or real(cls, rec))
+    try:
+        window()
+    finally:
+        DirEntry.from_record = classmethod(real)
+    profile = cProfile.Profile()
+    profile.enable()
+    window()
+    profile.disable()
+    return {
+        "decodes_per_walk": len(decoded) / REPEATS,
+        # One entry per code object: pstats would merge every
+        # dataclass-generated ``__init__`` under one ("<string>", 2) key
+        # and keep whichever it saw last.
+        "profiled_calls_per_walk":
+            sum(e.callcount for e in profile.getstats()) / REPEATS,
+        "wall_ms_per_walk":
+            round(1000.0 * statistics.median(walls) / REPEATS, 3),
+    }
+
+
+def _host_cost():
+    return {label: _walk_host_cost(flags)
+            for label, flags in COMBOS if label in PARENT_HOST_COST}
 
 
 def _experiment():
@@ -208,6 +282,26 @@ def test_t14_determinism(benchmark):
     assert out["equal"]
 
 
+@pytest.mark.benchmark(group="T14")
+def test_t14_host_cost(benchmark):
+    """The warm walks of scenario (a) decode nothing, and run in fewer
+    profiled calls than at the parent; wall time is printed, not gated."""
+    out = run_experiment(benchmark, _host_cost)
+    print_table(
+        f"T14: host cost per warm remote walk ({DEPTH} deep, "
+        f"{FANOUT}-entry dirs)",
+        ["config", "commit", "decodes", "profiled calls", "wall ms"],
+        [[label, name, d["decodes_per_walk"], d["profiled_calls_per_walk"],
+          d["wall_ms_per_walk"]]
+         for label in out
+         for name, d in (("parent", PARENT_HOST_COST[label]),
+                         ("this", out[label]))])
+    for label, cost in out.items():
+        assert cost["decodes_per_walk"] == 0.0, (label, cost)
+        assert cost["profiled_calls_per_walk"] \
+            < PARENT_HOST_COST[label]["profiled_calls_per_walk"], label
+
+
 if __name__ == "__main__":
     out = _experiment()
     baseline = {
@@ -216,6 +310,12 @@ if __name__ == "__main__":
         "ratios": {k: round(out[k], 3) for k in
                    ("walk_msg_ratio", "walk_vtime_ratio",
                     "pull_msg_ratio", "pull_vtime_ratio")},
+        "host_cost": {
+            "scenario": f"{REPEATS} warm remote walks, {DEPTH} deep, "
+                        f"{FANOUT}-entry directories; per walk",
+            "parent": PARENT_HOST_COST,
+            "change": _host_cost(),
+        },
     }
     json.dump(baseline, sys.stdout, indent=2, default=str)
     print()

@@ -7,7 +7,6 @@ handles each combination, optimizing some for performance" (section 2.3.1).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
@@ -66,6 +65,15 @@ class UsHandle:
         self.attrs["size"] = value
 
 
+def _drop_open(opens: Dict[int, int], us: int) -> None:
+    """One open of ``us`` fewer; a count never stays at zero."""
+    n = opens.get(us, 0)
+    if n > 1:
+        opens[us] = n - 1
+    elif n:
+        del opens[us]
+
+
 @dataclass
 class SsOpen:
     """Storage-site state for one open file.
@@ -77,8 +85,9 @@ class SsOpen:
 
     gfile: Gfile
     shadow: ShadowFile
-    users: Counter = field(default_factory=Counter)        # us_site -> opens
-    unsync_users: Counter = field(default_factory=Counter)
+    # us_site -> opens; a site with no open left has no key.
+    users: Dict[int, int] = field(default_factory=dict)
+    unsync_users: Dict[int, int] = field(default_factory=dict)
     writer: Optional[int] = None
     page_holders: Dict[int, Set[int]] = field(default_factory=dict)
     # Remote page writes applied since the last commit/abort; checked
@@ -94,19 +103,14 @@ class SsOpen:
         return sum(self.users.values()) + sum(self.unsync_users.values())
 
     def add_user(self, us: int, mode: Mode) -> None:
-        if mode.synchronized:
-            self.users[us] += 1
-        else:
-            self.unsync_users[us] += 1
+        opens = self.users if mode.synchronized else self.unsync_users
+        opens[us] = opens.get(us, 0) + 1
         if mode.writable:
             self.writer = us
 
     def drop_user(self, us: int, mode: Mode) -> None:
-        counter = self.users if mode.synchronized else self.unsync_users
-        if counter[us] > 0:
-            counter[us] -= 1
-            if counter[us] == 0:
-                del counter[us]
+        _drop_open(self.users if mode.synchronized else self.unsync_users,
+                   us)
         if mode.writable and self.writer == us:
             self.writer = None
         if us not in self.users and us not in self.unsync_users:
@@ -132,29 +136,27 @@ class CssEntry:
     gfile: Gfile
     storage_sites: list
     latest_vv: VersionVector
-    readers: Counter = field(default_factory=Counter)      # us_site -> opens
+    readers: Dict[int, int] = field(default_factory=dict)  # us_site -> opens
     writer: Optional[int] = None
     active_ss: Optional[int] = None
     lock_tx: Optional[int] = None   # owning transaction id, if any
 
     @property
     def in_use(self) -> bool:
-        return self.writer is not None or sum(self.readers.values()) > 0
+        return self.writer is not None or bool(self.readers)
 
     def note_open(self, us: int, mode: Mode, ss: int) -> None:
         if mode.writable:
             self.writer = us
         else:
-            self.readers[us] += 1
+            self.readers[us] = self.readers.get(us, 0) + 1
         self.active_ss = ss
 
     def note_close(self, us: int, mode: Mode) -> None:
         if mode.writable and self.writer == us:
             self.writer = None
-        elif self.readers[us] > 0:
-            self.readers[us] -= 1
-            if self.readers[us] == 0:
-                del self.readers[us]
+        else:
+            _drop_open(self.readers, us)
         if not self.in_use:
             self.active_ss = None
             self.lock_tx = None

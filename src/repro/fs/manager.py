@@ -53,6 +53,10 @@ class FsManager(PathMixin, NamespaceMixin):
 
     def __init__(self, site, mount: MountTable):
         self.site = site
+        # Neither is ever reassigned on a site, and both are read on
+        # every protocol step.
+        self.sid: int = site.site_id
+        self.cost = site.cost
         self.mount = mount
         self.us: Dict[int, UsHandle] = {}
         self.ss: Dict[Gfile, SsOpen] = {}
@@ -173,23 +177,15 @@ class FsManager(PathMixin, NamespaceMixin):
     # Small helpers
     # ------------------------------------------------------------------
 
-    @property
-    def sid(self) -> int:
-        return self.site.site_id
-
-    @property
-    def cost(self):
-        return self.site.cost
-
     def local_pack(self, gfs: int) -> Optional[Pack]:
         return self.site.packs.get(gfs)
 
     def local_inode(self, gfile: Gfile):
-        pack = self.local_pack(gfile[0])
+        pack = self.site.packs.get(gfile[0])
         return pack.get_inode(gfile[1]) if pack else None
 
     def stores_locally(self, gfile: Gfile) -> bool:
-        pack = self.local_pack(gfile[0])
+        pack = self.site.packs.get(gfile[0])
         return bool(pack and pack.stores(gfile[1]))
 
     def _page_key(self, gfile: Gfile, page: int) -> Tuple[int, int, int]:

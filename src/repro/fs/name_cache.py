@@ -4,9 +4,9 @@ Pathname searching is the dominant repeated cost of the system (paper
 section 2.3.4 extends it with pathname shipping for exactly that reason):
 every component of every ``walk()`` pays an unsynchronized open, a page read
 per directory page, a decode, and a close — network messages for every
-remote directory.  This cache remembers the *decoded* entry list of a
-directory keyed by the version vector of the committed content it was
-decoded from.
+remote directory.  This cache remembers the *decoded* form of a directory
+(its :class:`~repro.fs.directory.DirSnapshot`) keyed by the version vector
+of the committed content it was decoded from.
 
 Consistency model — stale entries are impossible, not just unlikely:
 
@@ -21,17 +21,17 @@ Consistency model — stale entries are impossible, not just unlikely:
   the name entry: :class:`~repro.storage.buffer_cache.BufferCache` cascades
   its ``invalidate*`` calls into its companion name cache.
 
-Entries are handed out as fresh copies so callers can never mutate the
-cached truth in place.
+A snapshot is immutable, so the cache stores and hands out the very object
+the decode produced: no caller can change the cached truth in place.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.fs.directory import DirEntry
+from repro.fs.directory import DirSnapshot
 from repro.fs.types import Gfile
 from repro.storage.version_vector import VersionVector
 
@@ -56,11 +56,11 @@ class NameCacheStats:
 @dataclass
 class _NameEntry:
     version: VersionVector
-    entries: Tuple[DirEntry, ...]
+    entries: DirSnapshot
 
 
 class NameCache:
-    """LRU map ``gfile -> (version_vector, decoded entries)``."""
+    """LRU map ``gfile -> (version_vector, decoded snapshot)``."""
 
     def __init__(self, capacity: int = 256):
         if capacity <= 0:
@@ -71,8 +71,11 @@ class NameCache:
         # name was proven absent from.  Validated exactly like positive
         # entries (vv equality against the same authority), so a cached
         # ENOENT can never survive the commit that created the name.
-        self._negative: "OrderedDict[Tuple[Gfile, str], VersionVector]" = \
-            OrderedDict()
+        # Indexed by directory so a file invalidation is one pop; LRU
+        # order and the capacity bound are over all (directory, name)
+        # pairs, kept in ``_negative_lru``.
+        self._negative: Dict[Gfile, Dict[str, VersionVector]] = {}
+        self._negative_lru: "OrderedDict[tuple, None]" = OrderedDict()
         self.stats = NameCacheStats()
 
     # -- lookup ----------------------------------------------------------
@@ -83,8 +86,8 @@ class NameCache:
         return self._entries.get(gfile)
 
     def get(self, gfile: Gfile,
-            version: VersionVector) -> Optional[List[DirEntry]]:
-        """Validated lookup: the cached entries, iff they were decoded from
+            version: VersionVector) -> Optional[DirSnapshot]:
+        """Validated lookup: the cached snapshot, iff it was decoded from
         exactly the committed content identified by ``version``."""
         cached = self._entries.get(gfile)
         if cached is None:
@@ -98,45 +101,44 @@ class NameCache:
             return None
         self._entries.move_to_end(gfile)
         self.stats.hits += 1
-        return self.copy_entries(cached.entries)
+        return cached.entries
 
     def peek_negative(self, gfile: Gfile, name: str) -> bool:
         """Membership check without validation or stats counting; a True
         answer still needs :meth:`get_negative` against the authority's
         current version before it may be believed."""
-        return (gfile, name) in self._negative
+        return name in self._negative.get(gfile, ())
 
     def get_negative(self, gfile: Gfile, name: str,
                      version: VersionVector) -> bool:
         """Validated known-absent lookup: True iff ``name`` was proven
         absent from exactly the committed directory content identified by
         ``version``."""
-        key = (gfile, name)
-        cached = self._negative.get(key)
+        names = self._negative.get(gfile)
+        cached = names.get(name) if names else None
         if cached is None:
             return False
         if cached != version:
             # The directory moved on; the proof of absence is dead weight.
-            self._negative.pop(key, None)
+            self._drop_negative(gfile, name)
             self.stats.neg_stale_drops += 1
             return False
-        self._negative.move_to_end(key)
+        self._negative_lru.move_to_end((gfile, name))
         self.stats.neg_hits += 1
         return True
 
-    @staticmethod
-    def copy_entries(entries) -> List[DirEntry]:
-        """Fresh ``DirEntry`` objects: callers may mutate their view."""
-        return [DirEntry(name=e.name, ino=e.ino, ftype=e.ftype,
-                         deleted=e.deleted, dvv=e.dvv)
-                for e in entries]
+    def _drop_negative(self, gfile: Gfile, name: str) -> None:
+        names = self._negative[gfile]
+        del names[name]
+        if not names:
+            del self._negative[gfile]
+        del self._negative_lru[(gfile, name)]
 
     # -- fill / invalidate ----------------------------------------------
 
-    def put(self, gfile: Gfile, version: VersionVector, entries) -> None:
-        self._entries[gfile] = _NameEntry(version=version,
-                                          entries=tuple(
-                                              self.copy_entries(entries)))
+    def put(self, gfile: Gfile, version: VersionVector,
+            entries: DirSnapshot) -> None:
+        self._entries[gfile] = _NameEntry(version=version, entries=entries)
         self._entries.move_to_end(gfile)
         self.stats.fills += 1
         while len(self._entries) > self.capacity:
@@ -144,17 +146,19 @@ class NameCache:
 
     def put_negative(self, gfile: Gfile, name: str,
                      version: VersionVector) -> None:
-        self._negative[(gfile, name)] = version
-        self._negative.move_to_end((gfile, name))
+        self._negative.setdefault(gfile, {})[name] = version
+        self._negative_lru[(gfile, name)] = None
+        self._negative_lru.move_to_end((gfile, name))
         self.stats.neg_fills += 1
-        while len(self._negative) > self.capacity:
-            self._negative.popitem(last=False)
+        while len(self._negative_lru) > self.capacity:
+            self._drop_negative(*next(iter(self._negative_lru)))
 
     def invalidate_file(self, gfs: int, ino: int) -> bool:
         dropped = self._entries.pop((gfs, ino), None) is not None
-        stale = [k for k in self._negative if k[0] == (gfs, ino)]
-        for k in stale:
-            del self._negative[k]
+        stale = self._negative.pop((gfs, ino), None)
+        if stale:
+            for name in stale:
+                del self._negative_lru[((gfs, ino), name)]
         if dropped or stale:
             self.stats.invalidations += 1
             return True
@@ -165,6 +169,7 @@ class NameCache:
             self.stats.invalidations += len(self._entries)
         self._entries.clear()
         self._negative.clear()
+        self._negative_lru.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -17,6 +17,7 @@ effect at one commit.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Generator, List, Optional
 
 from repro.errors import (EBUSY, EEXIST, EINVAL, EISDIR, ENOENT, ENOTDIR,
@@ -215,8 +216,8 @@ class NamespaceMixin:
             raise ENOTDIR(path)
         if leaf.gfile[1] == ROOT_INO:
             raise EINVAL("cannot remove a filegroup root")
-        entries = yield from self.read_dir_entries(leaf.gfile)
-        if not DirView(entries).is_empty():
+        snap = yield from self.read_dir_entries(leaf.gfile)
+        if not snap.is_empty():
             raise ENOTEMPTY(path)
         yield from self._remove_object(parent, name, leaf.gfile)
         return None
@@ -334,8 +335,8 @@ class NamespaceMixin:
                     return None
                 current = mount_point
                 continue
-            entries = yield from self.read_dir_entries(current)
-            parent_entry = DirView(entries).lookup("..")
+            snap = yield from self.read_dir_entries(current)
+            parent_entry = snap.lookup("..")
             if parent_entry is None or parent_entry.ino == current[1]:
                 return None
             current = (current[0], parent_entry.ino)
@@ -344,9 +345,9 @@ class NamespaceMixin:
     def _set_dotdot(self, child: Gfile, parent_ino: int) -> Generator:
         """Rewrite a moved directory's '..' entry."""
         def mutate(view: DirView):
-            for entry in view.entries:
+            for i, entry in enumerate(view.entries):
                 if entry.name == "..":
-                    entry.ino = parent_ino
+                    view.entries[i] = replace(entry, ino=parent_ino)
                     return None
             view.entries.append(
                 DirEntry("..", parent_ino, FileType.DIRECTORY))
@@ -363,8 +364,8 @@ class NamespaceMixin:
         gfile, ftype = yield from self.resolve_gfile(proc, path)
         if ftype not in _DIR_TYPES:
             raise ENOTDIR(path)
-        entries = yield from self.read_dir_entries(gfile)
-        return DirView(entries).names()
+        snap = yield from self.read_dir_entries(gfile)
+        return snap.names()
 
     def chmod(self, proc, path: str, perms: int) -> Generator:
         yield from self._attr_change(proc, path, perms=perms)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from repro.errors import EINVAL, ENOENT, ENOTDIR, NetworkError
-from repro.fs.directory import DirView, decode_entries
+from repro.fs.directory import decode_snapshot
 from repro.fs.types import Gfile, Mode, ROOT_GFS
 from repro.storage.inode import FileType
 from repro.storage.pack import ROOT_INO
@@ -121,7 +121,7 @@ class PathMixin:
             nc.put_negative(gfile, name, cached.version)
 
     def _name_cache_lookup(self, gfile: Gfile) -> Generator:
-        """Validated name-cache probe; returns the entries or None."""
+        """Validated name-cache probe; returns the snapshot or None."""
         nc = self.site.name_cache
         cached = nc.peek(gfile)
         if cached is None:
@@ -131,15 +131,15 @@ class PathMixin:
         if version is None:
             nc.stats.misses += 1
             return None
-        entries = nc.get(gfile, version)
-        if entries is None:
+        snap = nc.get(gfile, version)
+        if snap is None:
             return None
         yield from self.site.cpu(self.cost.buffer_hit)
-        return entries
+        return snap
 
-    def _name_cache_fill(self, gfile: Gfile, handle, entries) -> Generator:
-        """Install decoded entries, but only when the committed version
-        they correspond to can be verified.
+    def _name_cache_fill(self, gfile: Gfile, handle, snap) -> Generator:
+        """Install a decoded snapshot, but only when the committed version
+        it corresponds to can be verified.
 
         Version vectors are bumped by every commit, so 'version unchanged
         across the read' proves the pages all belong to that version.
@@ -152,7 +152,7 @@ class PathMixin:
             inode = self.local_inode(gfile)
             if (inode is not None and inode.has_data and not inode.deleted
                     and not inode.conflict and inode.version == version):
-                nc.put(gfile, version, entries)
+                nc.put(gfile, version, snap)
             return None
         try:
             attrs = yield from self.site.rpc(handle.ss_site,
@@ -162,16 +162,20 @@ class PathMixin:
             return None
         if (attrs["version"] == version and not attrs["deleted"]
                 and not attrs["conflict"]):
-            nc.put(gfile, version, entries)
+            nc.put(gfile, version, snap)
         return None
 
     def read_dir_entries(self, gfile: Gfile) -> Generator:
-        """Read and decode one directory via an unsynchronized open.
+        """Read one directory via an unsynchronized open; returns its
+        :class:`~repro.fs.directory.DirSnapshot`.
 
         A multi-page interrogation can race a commit and tear (half old
         pages, half new); the codec detects the tear and the read retries
         against the fresh committed state.  Each individual entry operation
         is atomic, so a clean decode is a consistent picture (§2.3.4).
+
+        The interrogation protocol and its charges run every time; only
+        the host-side parse of an image already seen is shared.
 
         With ``CostModel.name_cache`` on, a validated cache hit skips the
         whole open/read/decode/close cycle.
@@ -192,17 +196,17 @@ class PathMixin:
             finally:
                 yield from self.close(handle)
             try:
-                entries = decode_entries(data)
+                snap = decode_snapshot(data)
             except ValueError as exc:
                 last_error = exc
                 self.site.cache.invalidate_file(*gfile)
                 yield 1.0 + attempt
                 continue
             yield from self.site.cpu(self.cost.cpu_dir_entry * max(
-                1, len(entries)))
+                1, len(snap)))
             if use_cache:
-                yield from self._name_cache_fill(gfile, handle, entries)
-            return entries
+                yield from self._name_cache_fill(gfile, handle, snap)
+            return snap
         raise EINVAL(f"directory {gfile} unreadable after retries: "
                      f"{last_error}")
 
@@ -273,10 +277,10 @@ class PathMixin:
                 if up[1] == ROOT_INO:   # a filegroup root: its mount point
                     up = self.mount.parent_of_root(up[0])
                 if up is not None:      # else '/..' is '/'
-                    entries = yield from read(up)
-                    if entries is None:
+                    snap = yield from read(up)
+                    if snap is None:
                         return "stuck", current, i
-                    entry = DirView(entries).lookup("..")
+                    entry = snap.lookup("..")
                     current = (up[0], entry.ino) if entry else up
                 if last:
                     return "done", None, None, Leaf(current,
@@ -289,10 +293,10 @@ class PathMixin:
                     if last:
                         return "done", current, comp, None
                     raise ENOENT(f"{comp!r} in path {path!r}")
-            entries = yield from read(current)
-            if entries is None:
+            snap = yield from read(current)
+            if snap is None:
                 return "stuck", current, i
-            entry = DirView(entries).lookup(comp)
+            entry = snap.lookup(comp)
             if entry is None:
                 if negative:
                     self._negative_fill(current, comp)
@@ -304,13 +308,12 @@ class PathMixin:
             if ftype is FileType.HIDDEN_DIR and not hidden_visible and (
                     not last or follow_leaf_hidden):
                 # Substitute the per-process context match.
-                entries = yield from read(child)
-                if entries is None:
+                snap = yield from read(child)
+                if snap is None:
                     return "stuck", current, i
-                view = DirView(entries)
                 match = None
                 for ctx_name in context:
-                    match = view.lookup(ctx_name)
+                    match = snap.lookup(ctx_name)
                     if match is not None:
                         break
                 if match is None:
@@ -387,8 +390,8 @@ class PathMixin:
         return {"st": "continue", "current": step[1], "i": step[2]}
 
     def _local_dir_entries(self, gfile: Gfile) -> Generator:
-        """Committed entries of a directory stored cleanly at this site, or
-        None when expansion here cannot continue."""
+        """Snapshot of a directory stored cleanly at this site, or None
+        when expansion here cannot continue."""
         pack = self.site.packs.get(gfile[0])
         inode = pack.get_inode(gfile[1]) if pack else None
         if (inode is None or not inode.has_data or inode.deleted
@@ -415,20 +418,20 @@ class PathMixin:
                 data = yield from self._committed_block(gfile, page)
                 chunks.append(data.ljust(psz, b"\x00"))
             try:
-                entries = decode_entries(b"".join(chunks)[:size])
+                snap = decode_snapshot(b"".join(chunks)[:size])
             except ValueError:
-                entries = None
+                snap = None
             inode = self.site.packs[gfile[0]].get_inode(gfile[1])
             if inode is None or not inode.has_data or inode.deleted:
                 return None
-            if entries is not None and inode.version == version_before:
+            if snap is not None and inode.version == version_before:
                 yield from self.site.cpu(self.cost.cpu_dir_entry
-                                         * max(1, len(entries)))
+                                         * max(1, len(snap)))
                 if self.cost.name_cache:
                     # The stability check above proved every page belongs
                     # to version_before: safe to remember the decode.
-                    self.site.name_cache.put(gfile, version_before, entries)
-                return entries
+                    self.site.name_cache.put(gfile, version_before, snap)
+                return snap
             self.site.cache.invalidate_file(*gfile)
             yield 1.0 + attempt    # torn by a concurrent commit: retry
         return None   # persistently contended: let the caller fall back

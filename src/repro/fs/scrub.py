@@ -36,7 +36,7 @@ import hashlib
 from typing import Dict, Generator, List, Set, Tuple
 
 from repro.errors import FsError, NetworkError
-from repro.fs.directory import decode_entries
+from repro.fs.directory import decode_snapshot
 from repro.fs.types import Gfile
 from repro.storage.inode import FileType
 from repro.storage.version_vector import latest
@@ -342,7 +342,7 @@ class ScrubManager:
             try:
                 data = yield from recovery._read_copy(
                     holders[0][0], (gfs, ino), attrs0)
-                entries = decode_entries(data)
+                entries = decode_snapshot(data).entries
             except (NetworkError, FsError, ValueError):
                 continue
             for entry in entries:

@@ -24,10 +24,8 @@ class Mode(enum.Enum):
     WRITE = "write"          # read-write, open-for-modification
     UNSYNC = "unsync-read"   # internal, directory interrogation
 
-    @property
-    def writable(self) -> bool:
-        return self is Mode.WRITE
-
-    @property
-    def synchronized(self) -> bool:
-        return self is not Mode.UNSYNC
+    def __init__(self, value: str):
+        # Fixed per member, so plain attributes: every open, read and
+        # close tests them several times.
+        self.writable: bool = value == "write"
+        self.synchronized: bool = value != "unsync-read"

@@ -24,7 +24,7 @@ Rules implemented (quoting the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fs.directory import DirEntry
@@ -83,10 +83,10 @@ def merge_directories(
     def place(entry: DirEntry, orig_name: str) -> None:
         tomb = shadow_tombs.get(orig_name, {}).get(entry.ino)
         if tomb is not None and not entry.deleted:
-            entry = _resolve_pair(entry, _clone(tomb), file_version, report)
+            entry = _resolve_pair(entry, tomb, file_version, report)
         current = merged.get(entry.name)
         if current is None:
-            merged[entry.name] = _clone(entry)
+            merged[entry.name] = entry
             report.propagated_entries += 1
         else:
             merged[entry.name] = _resolve_pair(current, entry,
@@ -98,7 +98,7 @@ def merge_directories(
         if old is None or (tomb.dvv is not None
                            and (old.dvv is None
                                 or tomb.dvv.dominates(old.dvv))):
-            known[tomb.ino] = _clone(tomb)
+            known[tomb.ino] = tomb
 
     for entries in copies:
         for entry in entries:
@@ -109,9 +109,7 @@ def merge_directories(
                     amap[entry.ino] = _altered_name(name, entry.ino)
                     report.name_conflicts.append(
                         (name, entry.ino, next(iter(amap))))
-                aliased = _clone(entry)
-                aliased.name = amap[entry.ino]
-                place(aliased, name)
+                place(replace(entry, name=amap[entry.ino]), name)
                 continue
             # A live entry whose file was tombstoned under this name in
             # another copy (rename or remove, then the name re-used):
@@ -120,8 +118,7 @@ def merge_directories(
             # name-conflict aliasing below.
             tomb = shadow_tombs.get(name, {}).get(entry.ino)
             if tomb is not None and not entry.deleted:
-                entry = _resolve_pair(entry, _clone(tomb), file_version,
-                                      report)
+                entry = _resolve_pair(entry, tomb, file_version, report)
             current = merged.get(name)
             if current is not None and current.ino != entry.ino \
                     and name not in (".", ".."):
@@ -138,12 +135,8 @@ def merge_directories(
                     }
                     aliases[name] = amap
                     del merged[name]
-                    renamed_a = _clone(current)
-                    renamed_a.name = amap[current.ino]
-                    place(renamed_a, name)
-                    renamed_b = _clone(entry)
-                    renamed_b.name = amap[entry.ino]
-                    place(renamed_b, name)
+                    place(replace(current, name=amap[current.ino]), name)
+                    place(replace(entry, name=amap[entry.ino]), name)
                     continue
                 # A tombstone of a different file under the same name: the
                 # live entry wins the name, and the tombstone is remembered
@@ -157,7 +150,7 @@ def merge_directories(
                     keep, remember = (entry, current) \
                         if entry.ino < current.ino else (current, entry)
                     remember_tomb(name, remember)
-                    merged[name] = _clone(keep)
+                    merged[name] = keep
                 else:
                     remember_tomb(name, entry)
                 continue
@@ -176,20 +169,14 @@ def _resolve_pair(a: DirEntry, b: DirEntry,
             report.unchanged += 1
             if b.dvv is not None and (a.dvv is None
                                       or b.dvv.dominates(a.dvv)):
-                return _clone(b)
-            return _clone(a)
+                return b
+            return a
         report.unchanged += 1          # rule (c): both live, no action
-        return _clone(a)
+        return a
     dead, live = (a, b) if a.deleted else (b, a)
     current_vv = file_version(dead.ino)
     if _modified_since_delete(dead, current_vv):
         report.undone_deletes += 1     # rule (d): modified since: undo delete
-        return _clone(live)
+        return live
     report.propagated_deletes += 1     # rules (b)/(d): propagate the delete
-    return _clone(dead)
-
-
-def _clone(entry: DirEntry) -> DirEntry:
-    return DirEntry(name=entry.name, ino=entry.ino, ftype=entry.ftype,
-                    deleted=entry.deleted,
-                    dvv=entry.dvv)
+    return dead

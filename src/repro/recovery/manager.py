@@ -8,7 +8,8 @@ import itertools
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import EEXIST, FsError, NetworkError
-from repro.fs.directory import decode_entries, encode_entries
+from repro.fs.directory import (decode_entries, decode_snapshot,
+                                encode_entries)
 from repro.fs.types import Gfile, Mode
 from repro.recovery.dir_merge import merge_directories
 from repro.recovery.mailbox import (MailMessage, decode_mailbox,
@@ -256,7 +257,7 @@ class RecoveryManager:
                 continue
             try:
                 data = yield from self._read_copy(s, (gfs, ino), attrs)
-                entries = decode_entries(data)
+                entries = decode_snapshot(data).entries
             except (NetworkError, FsError):
                 return None
             for entry in entries:

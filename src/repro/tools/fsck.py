@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fs.directory import decode_entries
+from repro.fs.directory import decode_snapshot
 from repro.fs.scrub import committed_digest
 from repro.storage.inode import FileType
 from repro.storage.pack import ROOT_INO
@@ -200,7 +200,7 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
         if holder is None:
             continue
         try:
-            entries = decode_entries(_read_committed(holder, ino))
+            entries = decode_snapshot(_read_committed(holder, ino)).entries
         except Exception:  # noqa: BLE001 - corrupt directory content
             report.placement_errors.append(
                 ((gfs, ino), "directory content undecodable"))

@@ -8,6 +8,8 @@ cheap changed nothing anyone can observe (ISSUE 14).
   commit before the compact span log produced.
 * Span budget: bytes retained per recorded span, and no aliasing between
   spans that share a name and a peer.
+* Decode budget (ISSUE 19): repeated pathname walks parse each committed
+  directory image once, and the walk's virtual cost does not notice.
 """
 
 import enum
@@ -22,7 +24,10 @@ from repro import LocusCluster
 from repro.cli import main as cli_main
 from repro.config import CostModel
 from repro.errors import EBUSY
+from repro.fs import directory
 from repro.net.message import payload_size
+from repro.net.stats import StatsWindow
+from repro.obs import export_jsonl
 from repro.obs.span import Span
 from repro.obs.tracer import Tracer
 from repro.storage.inode import DiskInode, FileType
@@ -326,3 +331,58 @@ class TestSpanAliasing:
         assert isinstance(log[2], Span)
         assert [s.span_id for s in tracer.open_spans(kind="fs")] \
             == [1, 2, 3, 4, 5]
+
+
+# ----------------------------------------------------------------------
+# Decode budget: one parse per committed directory image
+# ----------------------------------------------------------------------
+
+WALK_PATH = "/a/b/c/leaf"
+WALK_DIRS = ("/", "/a", "/a/b", "/a/b/c")
+
+
+def _stat_walks(n, cold, tmp_path, monkeypatch):
+    """``n`` stats of a 4-component path from a site that stores nothing;
+    ``cold`` forgets every decoded image before each one.  Returns the
+    ``DirEntry.from_record`` calls of the walks, what the walks cost in
+    the model, and the entry count of each directory walked."""
+    cost = CostModel().with_overrides(trace_enabled=True)
+    cluster = LocusCluster(n_sites=3, seed=5, root_pack_sites=[0], cost=cost)
+    sh0, sh2 = cluster.shell(0), cluster.shell(2)
+    for path in WALK_DIRS[1:]:
+        sh0.mkdir(path)
+    sh0.write_file(WALK_PATH, b"x")
+    cluster.settle()
+
+    calls = []
+    real = directory.DirEntry.from_record.__func__
+    with monkeypatch.context() as patch:
+        patch.setattr(directory.DirEntry, "from_record", classmethod(
+            lambda cls, rec: calls.append(rec["n"]) or real(cls, rec)))
+        directory._decode_image.cache_clear()
+        win = StatsWindow(cluster.stats)
+        vt0 = cluster.sim.now
+        for __ in range(n):
+            if cold:
+                directory._decode_image.cache_clear()
+            assert sh2.stat(WALK_PATH)["size"] == 1
+        messages = win.close().total_messages
+        vtime = cluster.sim.now - vt0
+
+    out = tmp_path / f"walks-{n}-{cold}.jsonl"
+    export_jsonl(cluster.tracer, str(out))
+    return (len(calls), (vtime, messages, _sha1(out)),
+            [len(sh0.readdir(d)) + 2 for d in WALK_DIRS])   # + '.' and '..'
+
+
+def test_decode_budget(tmp_path, monkeypatch):
+    """N walks decode each directory image exactly once — whatever N —
+    and cost the model what N memo-cold walks cost it."""
+    few, cost_few, sizes = _stat_walks(3, False, tmp_path, monkeypatch)
+    many, cost_many, __ = _stat_walks(12, False, tmp_path, monkeypatch)
+    cold, cost_cold, __ = _stat_walks(12, True, tmp_path, monkeypatch)
+    assert sizes == [3, 3, 3, 3]
+    assert few == many == sum(sizes)
+    assert cold == 12 * sum(sizes)
+    assert cost_many == cost_cold
+    assert cost_few[1] * 4 == cost_many[1]     # messages: the protocol ran

@@ -41,13 +41,17 @@ class TestNameCacheUnit:
         assert nc.stats.stale_drops == 1
 
     def test_entries_are_copies_both_ways(self):
+        # No copies any more: the cache hands out what it was given, and
+        # the entries reject the assignments the copies used to absorb.
         nc = NameCache(4)
         original = _entries("a")
         nc.put((1, 2), _vv(0), original)
-        original[0].deleted = True          # caller mutates its own list
+        with pytest.raises(AttributeError):
+            original[0].deleted = True      # caller mutates what it gave
         got = nc.get((1, 2), _vv(0))
-        assert got[0].deleted is False      # cache kept its own copy
-        got[0].deleted = True               # caller mutates the result
+        assert got[0].deleted is False
+        with pytest.raises(AttributeError):
+            got[0].deleted = True           # caller mutates the result
         assert nc.get((1, 2), _vv(0))[0].deleted is False
 
     def test_lru_eviction(self):

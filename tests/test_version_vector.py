@@ -143,6 +143,9 @@ class TestProperties:
             Ordering.CONFLICT: Ordering.CONFLICT,
         }
         assert order_ba is expected[order_ab]
+        # dominates() answers without building the full comparison.
+        assert a.dominates(b) is (order_ab in (Ordering.EQUAL,
+                                               Ordering.DOMINATES))
 
     @given(vv_st, vv_st)
     def test_merge_is_upper_bound(self, a, b):

@@ -55,7 +55,6 @@ class CostModel:
     # vector so repeat pathname components skip the open/read/decode/close
     # cycle.
     name_cache: bool = False
-    name_cache_entries: int = 256   # per-site name cache capacity (dirs)
     # Batched page transfer: up to this many pages per fs.read_pages /
     # fs.pull_read_range message (1 = the paper's one-page-per-message
     # protocol).  Message size stays the sum of payload bytes, so the wire
@@ -162,6 +161,19 @@ class CostModel:
     merge_short_timeout: float = 40.0   # after all believed-up sites replied
     watchdog_interval: float = 100.0    # passive-site check on active site
 
+    @property
+    def patient_retries(self) -> int:
+        """Attempt budget where replay, re-home or a refusal that precedes
+        any state change makes a retry safe (conflict-window wait, writer
+        page operations, commit): enough to ride out a whole loss burst
+        or a post-heal merge sweep."""
+        return max(2 * self.rpc_retries, 8)
+
+    def patient_backoff(self, waited: int) -> float:
+        """Wait before patient retry ``waited`` (from 0): exponential,
+        capped so a long budget never becomes an unbounded sleep."""
+        return self.rpc_backoff * (2 ** min(waited, 4))
+
     def message_delay(self, nbytes: int) -> float:
         """Wire time for a message carrying ``nbytes`` of payload."""
         return self.net_latency + (nbytes + self.msg_header_bytes) * self.net_per_byte
@@ -209,7 +221,6 @@ class ClusterConfig:
     # ``None`` means every site stores a pack, the fully replicated default.
     root_pack_sites: "list[int] | None" = None
     blocks_per_pack: int = 1 << 16
-    max_open_files: int = 64
 
     def resolved_root_packs(self) -> "list[int]":
         if self.root_pack_sites is None:

@@ -76,7 +76,7 @@ class Site:
         self.cache = BufferCache(self.cost.buffer_pages)
         # Decoded-directory-entry cache; every buffer-cache invalidation
         # path cascades into it (see BufferCache.companion).
-        self.name_cache = NameCache(self.cost.name_cache_entries)
+        self.name_cache = NameCache()
         self.cache.companion = self.name_cache
         # Flight recorder: per-site metrics are always on (observational,
         # zero virtual-time cost); the shared tracer is attached by the
@@ -151,10 +151,57 @@ class Site:
     # Handler registry
     # ------------------------------------------------------------------
 
-    def register_handler(self, op: str, fn: Handler) -> None:
+    def register_handler(self, op: str, fn: Handler,
+                         ledger: Optional[Callable[[dict], Any]] = None
+                         ) -> None:
+        """Install the handler of one protocol operation.  ``ledger`` marks
+        a mutating operation for exactly-once execution: it maps a request
+        payload to the idempotency ledger that operation is recorded in
+        (or None where this site keeps none), and stamped requests are
+        deduplicated against it."""
         if op in self._handlers:
             raise ValueError(f"handler {op!r} already registered")
+        if ledger is not None:
+            fn = self._exactly_once(fn, ledger)
         self._handlers[op] = fn
+
+    def _exactly_once(self, fn: Handler, ledger_of) -> Handler:
+        """Wrap a mutating handler to run at most once per ``(client,
+        seq)`` stamp.
+
+        A duplicate of a completed execution replays the memoized reply; a
+        duplicate of an execution still in flight waits for it to settle
+        and re-checks (replays on success, re-executes after a failure —
+        the stamped operations either apply fully or not at all, so
+        re-running a failed one is safe).  Unstamped requests, and sites
+        without a ledger for the filegroup, run the handler directly.
+        """
+        def handler(src: int, p: dict) -> Generator:
+            ledger = ledger_of(p)
+            stamp = p.get("_stamp")
+            if stamp is None or ledger is None:
+                result = yield from fn(src, p)
+                return result
+            client, seq = stamp
+            ledger.ack(client, p.get("_ack", -1))
+            while True:
+                state, val = ledger.begin(client, seq)
+                if state == "done":
+                    self.metrics.count("fs.ledger_replays")
+                    return val
+                if state == "new":
+                    break
+                yield val           # in flight: wait, then re-check
+            fut = self.sim.create_future(f"ledger:{client}:{seq}")
+            ledger.set_running(client, seq, fut)
+            try:
+                result = yield from fn(src, p)
+            except BaseException:
+                ledger.abort(client, seq)
+                raise
+            ledger.commit(client, seq, result)
+            return result
+        return handler
 
     # ------------------------------------------------------------------
     # Exactly-once stamps
@@ -310,10 +357,10 @@ class Site:
                     # Conflict-window refusal: wait for the merge the
                     # CSS has scheduled, on its own (longer) budget so
                     # network retries stay bounded independently.
-                    if conflict_waits >= max(2 * retries, 8) or not self.up:
+                    if conflict_waits >= cost.patient_retries or not self.up:
                         raise
                     self.metrics.count("rpc.conflict_retries")
-                    yield backoff * (2 ** min(conflict_waits, 4))
+                    yield cost.patient_backoff(conflict_waits)
                     conflict_waits += 1
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__

@@ -64,6 +64,22 @@ class UsHandle:
     def size(self, value: int) -> None:
         self.attrs["size"] = value
 
+    def note_read(self, page: int) -> bool:
+        """Account one page read in the sequential run; True when it
+        directly follows the previous one."""
+        sequential = page == self.last_page + 1
+        self.run_len = self.run_len + 1 if sequential else 0
+        self.last_page = page
+        return sequential
+
+    def clear_staged(self) -> None:
+        """A commit or abort point: nothing shipped is unacknowledged and
+        no uncommitted operation is left to replay."""
+        self.pages_sent = 0
+        self.staged_pages.clear()
+        self.staged_truncate = False
+        self.staged_attrs.clear()
+
 
 def _drop_open(opens: Dict[int, int], us: int) -> None:
     """One open of ``us`` fewer; a count never stays at zero."""

@@ -93,8 +93,12 @@ class FsManager(PathMixin, NamespaceMixin):
     # ------------------------------------------------------------------
 
     def _register_handlers(self) -> None:
+        """The US / CSS / SS operations; ``Propagator``, ``ScrubManager``
+        and ``RecoveryManager`` register the servers of their own calls.
+        A stamped operation names its ledger (see ``op_ledger``)."""
         reg = self.site.register_handler
-        reg("fs.css_open", self.h_css_open)
+        volatile = lambda p: self.op_ledger  # noqa: E731
+        reg("fs.css_open", self.h_css_open, ledger=volatile)
         reg("fs.ss_open", self.h_ss_open)
         reg("fs.read_page", self.h_read_page)
         reg("fs.read_pages", self.h_read_pages)
@@ -102,29 +106,22 @@ class FsManager(PathMixin, NamespaceMixin):
         reg("fs.write_pages", self.h_write_pages)
         reg("fs.truncate", self.h_truncate)
         reg("fs.set_attrs", self.h_set_attrs)
-        reg("fs.commit", self.h_commit)
+        reg("fs.commit", self.h_commit,
+            ledger=lambda p: self._pack_ledger(p["gfile"][0]))
         reg("fs.abort", self.h_abort)
-        reg("fs.close", self.h_close)
+        reg("fs.close", self.h_close, ledger=volatile)
         reg("fs.close_unsync", self.h_close_unsync)
-        reg("fs.css_ss_close", self.h_css_ss_close)
+        reg("fs.css_ss_close", self.h_css_ss_close, ledger=volatile)
         reg("fs.validate_open", self.h_validate_open)
         reg("fs.notify", self.h_notify)
         reg("fs.invalidate", self.h_invalidate)
-        reg("fs.create_file", self.h_create_file)
+        reg("fs.create_file", self.h_create_file,
+            ledger=lambda p: self._pack_ledger(p["gfs"]))
         reg("fs.delete_seen", self.h_delete_seen)
         reg("fs.fetch_attrs", self.h_fetch_attrs)
-        reg("fs.pull_open", self.h_pull_open)
-        reg("fs.pull_manifest", self.h_pull_manifest)
-        reg("fs.pull_read", self.h_pull_read)
-        reg("fs.pull_read_range", self.h_pull_read_range)
         reg("fs.dir_version", self.h_dir_version)
-        reg("fs.pack_inventory", self.h_pack_inventory)
-        reg("fs.scrub_digest", self.h_scrub_digest)
         reg("fs.css_rebuild", self.h_css_rebuild)
         reg("fs.invalidate_file", self.h_invalidate_file)
-        reg("fs.install_merged", self.h_install_merged)
-        reg("fs.mark_conflict", self.h_mark_conflict)
-        reg("fs.patch_nlink", self.h_patch_nlink)
         reg("fs.reap", self.h_reap)
         reg("fs.walk_path", self.h_walk_path)
         reg("fs.scrub_orphan", self.h_scrub_orphan)
@@ -207,41 +204,6 @@ class FsManager(PathMixin, NamespaceMixin):
         if pack.ledger is None:
             pack.ledger = IdempotencyLedger()
         return pack.ledger
-
-    def _exactly_once(self, p: dict, ledger: Optional[IdempotencyLedger],
-                      run) -> Generator:
-        """Run a mutating handler body at most once per ``(client, seq)``.
-
-        A duplicate of a completed execution replays the memoized reply; a
-        duplicate of an execution still in flight waits for it to settle
-        and re-checks (replays on success, re-executes after a failure —
-        the stamped operations either apply fully or not at all, so
-        re-running a failed one is safe).  Unstamped requests, and sites
-        without a ledger for the filegroup, run the body directly.
-        """
-        stamp = p.get("_stamp")
-        if stamp is None or ledger is None:
-            result = yield from run()
-            return result
-        client, seq = stamp
-        ledger.ack(client, p.get("_ack", -1))
-        while True:
-            state, val = ledger.begin(client, seq)
-            if state == "done":
-                self.site.metrics.count("fs.ledger_replays")
-                return val
-            if state == "new":
-                break
-            yield val           # in flight: wait, then re-check
-        fut = self.site.sim.create_future(f"ledger:{client}:{seq}")
-        ledger.set_running(client, seq, fut)
-        try:
-            result = yield from run()
-        except BaseException:
-            ledger.abort(client, seq)
-            raise
-        ledger.commit(client, seq, result)
-        return result
 
     # ------------------------------------------------------------------
     # US: open
@@ -363,8 +325,7 @@ class FsManager(PathMixin, NamespaceMixin):
     def h_css_open(self, src: int, p: dict) -> Generator:
         start = self.site.sim.now
         try:
-            result = yield from self._exactly_once(
-                p, self.op_ledger, lambda: self._css_open_body(src, p))
+            result = yield from self._css_open_body(src, p)
             return result
         finally:
             # CSS-role utilization: virtual time this site spent serving
@@ -651,17 +612,21 @@ class FsManager(PathMixin, NamespaceMixin):
     # US: replica failover (sections 2.3.2, 5.2, 5.6)
     # ------------------------------------------------------------------
 
-    def failover_handle(self, handle: UsHandle) -> Generator:
+    def rehome(self, handle: UsHandle) -> Generator:
         """Internal close + reopen at another pack copy, adopting the
         replacement under the old handle id so the process never notices
         (section 5.2 principle 3: "the system substitutes a different copy
         of the same version if possible").
 
-        Shared by the mid-call read failover below and reconfiguration
-        cleanup (:mod:`repro.reconfig.cleanup`).  Raises :class:`ESTALE`
-        when the only reachable copies are older than what the handle was
-        reading (substituting one would run time backwards), or whatever
-        the reopen itself raises when no copy remains.
+        Shared by the mid-call retries below and reconfiguration cleanup
+        (:mod:`repro.reconfig.cleanup`).  A reader gets :class:`ESTALE`
+        when the only reachable copies are older than what it was reading
+        (substituting one would run time backwards).  A writer also
+        carries uncommitted state — shadow pages, a staged truncate,
+        staged attribute patches — that died with the old SS: it reopens
+        with the reopen flag (so its own write token is re-homed, not
+        refused as a second writer) and replays that state at the new SS.
+        Either raises whatever the reopen raises when no copy remains.
         """
         if handle.failover_busy is not None and not handle.failover_busy.done:
             # Another task (e.g. reconfiguration cleanup racing a mid-call
@@ -669,9 +634,11 @@ class FsManager(PathMixin, NamespaceMixin):
             # leak a CSS registration.  Wait for it and adopt its outcome.
             yield handle.failover_busy
             return None
-        busy = self.site.sim.create_future(f"failover:{handle.gfile}")
+        writer = handle.mode.writable
+        kind = "write_failover" if writer else "failover"
+        busy = self.site.sim.create_future(f"rehome:{handle.gfile}")
         handle.failover_busy = busy
-        self.site.metrics.count("fs.failovers")
+        self.site.metrics.count(f"fs.{kind}s")
         tracer = self.site.tracer
         failed_ss = handle.ss_site
         span = prev = None
@@ -679,101 +646,53 @@ class FsManager(PathMixin, NamespaceMixin):
         if tracer is not None and tracer.enabled:
             # Annotate the span whose work is being failed over (the
             # enclosing syscall/recovery span carried by the task)...
-            tracer.event(tracer.current_ctx(), "failover",
+            tracer.event(tracer.current_ctx(), kind,
                          {"gfile": list(handle.gfile),
                           "failed_ss": failed_ss})
             # ...and give the substitution itself a span, so storm traces
             # show the re-home instead of an anonymous rpc:fs.css_open.
-            span, prev = tracer.begin("fs.failover", "fs", self.sid,
+            span, prev = tracer.begin(f"fs.{kind}", "fs", self.sid,
                                       attrs={"gfile": list(handle.gfile),
                                              "failed_ss": failed_ss})
         try:
             old_version = handle.attrs["version"]
-            replacement = yield from self.open_gfile(handle.gfile,
-                                                     handle.mode)
-            if not replacement.attrs["version"].dominates(old_version):
-                yield from self.close(replacement)
-                raise ESTALE(f"remaining copies of {handle.gfile} are older "
-                             f"than the open version")
-            if replacement.attrs["version"] != old_version:
-                # A strictly newer version: locally cached pages of the old
-                # one must not serve alongside it.
-                self.site.cache.invalidate_file(*handle.gfile)
-            handle.ss_site = replacement.ss_site
-            handle.attrs = replacement.attrs
-            handle.last_page = -2
-            handle.run_len = 0
-            self.us.pop(replacement.hid, None)
-            if tracer is not None and tracer.enabled:
-                tracer.event(tracer.current_ctx(), "failover_complete",
-                             {"gfile": list(handle.gfile),
-                              "failed_ss": failed_ss,
-                              "new_ss": replacement.ss_site})
-                tracer.annotate(span, "new_ss", replacement.ss_site)
-        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-            status_label = type(exc).__name__
-            raise
-        finally:
-            handle.failover_busy = None
-            busy.resolve(None)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
-        return None
-
-    def _failover_write(self, handle: UsHandle) -> Generator:
-        """Re-home an open-for-modification handle to a surviving replica.
-
-        The read failover above substitutes a copy of the same committed
-        version; a *writer* additionally carries uncommitted state — the
-        shadow pages, a staged truncate, staged attribute patches — that
-        died with the old SS.  Reopen via the CSS with the reopen flag (so
-        our own write token is re-homed, not refused as a second writer),
-        then replay the open's uncommitted operations against the new SS
-        in protocol order: truncate first, then attribute patches, then
-        every retained page image.
-        """
-        if handle.failover_busy is not None and not handle.failover_busy.done:
-            yield handle.failover_busy
-            return None
-        busy = self.site.sim.create_future(f"failover-w:{handle.gfile}")
-        handle.failover_busy = busy
-        self.site.metrics.count("fs.write_failovers")
-        tracer = self.site.tracer
-        failed_ss = handle.ss_site
-        span = prev = None
-        status_label = "ok"
-        if tracer is not None and tracer.enabled:
-            tracer.event(tracer.current_ctx(), "write_failover",
-                         {"gfile": list(handle.gfile),
-                          "failed_ss": failed_ss})
-            span, prev = tracer.begin("fs.write_failover", "fs", self.sid,
-                                      attrs={"gfile": list(handle.gfile),
-                                             "failed_ss": failed_ss})
-        try:
-            replacement = yield from self.open_gfile(
-                handle.gfile, handle.mode, reopen=True,
-                known_vv=handle.attrs["version"])
+            if writer:
+                replacement = yield from self.open_gfile(
+                    handle.gfile, handle.mode, reopen=True,
+                    known_vv=old_version)
+                # Keep our staged view of the attributes (size, patches);
+                # only the committed base version comes from the
+                # replacement — it may already include the lost SS's
+                # commit if the replica pulled it before the failure.
+                handle.attrs["version"] = replacement.attrs["version"]
+                handle.attrs["storage_sites"] = \
+                    replacement.attrs["storage_sites"]
+            else:
+                replacement = yield from self.open_gfile(handle.gfile,
+                                                         handle.mode)
+                if not replacement.attrs["version"].dominates(old_version):
+                    yield from self.close(replacement)
+                    raise ESTALE(f"remaining copies of {handle.gfile} are "
+                                 f"older than the open version")
+                if replacement.attrs["version"] != old_version:
+                    # A strictly newer version: locally cached pages of
+                    # the old one must not serve alongside it.
+                    self.site.cache.invalidate_file(*handle.gfile)
+                handle.attrs = replacement.attrs
             self.us.pop(replacement.hid, None)
             handle.ss_site = replacement.ss_site
-            # Keep our staged view of the attributes (size, patches); only
-            # the committed base version comes from the replacement — it
-            # may already include the lost SS's commit if the replica
-            # pulled it before the failure.
-            handle.attrs["version"] = replacement.attrs["version"]
-            handle.attrs["storage_sites"] = \
-                replacement.attrs["storage_sites"]
             handle.last_page = -2
             handle.run_len = 0
-            staged = yield from self._replay_staged(handle)
+            outcome = {"gfile": list(handle.gfile), "failed_ss": failed_ss,
+                       "new_ss": handle.ss_site}
+            if writer:
+                outcome["restaged"] = yield from self._replay_staged(handle)
             if tracer is not None and tracer.enabled:
-                tracer.event(tracer.current_ctx(),
-                             "write_failover_complete",
-                             {"gfile": list(handle.gfile),
-                              "failed_ss": failed_ss,
-                              "new_ss": handle.ss_site,
-                              "restaged": staged})
+                tracer.event(tracer.current_ctx(), f"{kind}_complete",
+                             outcome)
                 tracer.annotate(span, "new_ss", handle.ss_site)
-                tracer.annotate(span, "restaged", staged)
+                if writer:
+                    tracer.annotate(span, "restaged", outcome["restaged"])
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
             raise
@@ -787,19 +706,16 @@ class FsManager(PathMixin, NamespaceMixin):
     def _replay_staged(self, handle: UsHandle) -> Generator:
         """Replay the open's uncommitted operations against its (possibly
         re-homed) SS in protocol order: truncate first, then attribute
-        patches, then every retained page image.  Used after a write
-        failover and after a commit refused for lost page writes — in both
+        patches, then every retained page image.  Used after a writer
+        re-home and after a commit refused for lost page writes — in both
         cases the SS holds none of the staged state any more.  Returns the
         replayed page count."""
         handle.pages_sent = 0
         handle.pending_writes = {}
         handle.pending_size = 0
         if handle.staged_truncate:
-            if handle.ss_site == self.sid:
-                yield from self._ss_truncate(self.ss[handle.gfile])
-            else:
-                yield from self.site.rpc(handle.ss_site, "fs.truncate",
-                                         {"gfile": handle.gfile})
+            yield from self.site.rpc(handle.ss_site, "fs.truncate",
+                                     {"gfile": handle.gfile})
         if handle.staged_attrs:
             if handle.ss_site == self.sid:
                 self.ss[handle.gfile].shadow.set_attrs(
@@ -824,7 +740,7 @@ class FsManager(PathMixin, NamespaceMixin):
         ``cost.rpc_retries`` with deterministic exponential backoff.  A
         reader substitutes another copy of the same version; a writer
         re-homes its write token and re-stages its shadow pages
-        (``_failover_write``), which is also what makes the idempotent
+        (``rehome``), which is also what makes the idempotent
         handle operations of the write path (truncate, attribute change)
         safe to send through here.  With supervision off this is a plain
         unsupervised call, the paper's behaviour.
@@ -841,7 +757,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 # A writer's budget mirrors the commit one: re-home and
                 # replay make its retries safe, so it should ride out a
                 # whole loss burst rather than fail the syscall.
-                budget = max(2 * cost.rpc_retries, 8) if writable \
+                budget = cost.patient_retries if writable \
                     else max(1, cost.rpc_retries)
                 if not cost.supervise_remote_ops or handle.closed \
                         or attempt >= budget:
@@ -858,7 +774,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 # Backoff first: gives the partition protocol time to agree
                 # on the new membership before the reopen picks a copy.
                 if writable:
-                    yield cost.rpc_backoff * (2 ** min(attempt - 1, 4))
+                    yield cost.patient_backoff(attempt - 1)
                 else:
                     yield cost.rpc_backoff * (2 ** (attempt - 1))
                 if handle.closed:
@@ -867,15 +783,13 @@ class FsManager(PathMixin, NamespaceMixin):
                     # Cleanup may have substituted a copy during the
                     # backoff; only reopen if the handle still points at
                     # the site that just failed.
-                    if writable:
-                        try:
-                            yield from self._failover_write(handle)
-                        except (NetworkError, ESTALE):
-                            # Nobody reachable right now; keep burning the
-                            # budget — the next lap retries the reopen.
-                            continue
-                    else:
-                        yield from self.failover_handle(handle)
+                    try:
+                        yield from self.rehome(handle)
+                    except (NetworkError, ESTALE):
+                        if not writable:
+                            raise
+                        # Nobody reachable right now; keep burning the
+                        # budget — the next lap retries the reopen.
 
     # ------------------------------------------------------------------
     # US: read
@@ -977,18 +891,13 @@ class FsManager(PathMixin, NamespaceMixin):
             # the newest content; it may already have been evicted from the
             # buffer cache, and the SS has not seen it yet.
             yield from self.site.cpu(self.cost.buffer_hit)
-            handle.run_len = handle.run_len + 1 \
-                if page == handle.last_page + 1 else 0
-            handle.last_page = page
+            handle.note_read(page)
             return staged
         key = self._page_key(gfile, page)
         cached = self.site.cache.get(key)
         if cached is not None:
             yield from self.site.cpu(self.cost.buffer_hit)
-            sequential = page == handle.last_page + 1
-            handle.run_len = handle.run_len + 1 if sequential else 0
-            handle.last_page = page
-            if self.cost.readahead and sequential:
+            if handle.note_read(page) and self.cost.readahead:
                 self._maybe_readahead(handle, page + 1)
             return cached
         inflight = self._inflight.get(key)
@@ -996,9 +905,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # A readahead already asked the SS for this page: sleep on the
             # same buffer instead of issuing a duplicate network read.
             data = yield inflight
-            handle.run_len = handle.run_len + 1 \
-                if page == handle.last_page + 1 else 0
-            handle.last_page = page
+            handle.note_read(page)
             return data
         fut = self.site.sim.create_future(f"fetch:{key}")
         self._inflight[key] = fut
@@ -1016,10 +923,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # our response was in flight; never overwrite newer content.
             self.site.cache.put(key, data)
         fut.resolve(data)
-        sequential = page == handle.last_page + 1
-        handle.run_len = handle.run_len + 1 if sequential else 0
-        handle.last_page = page
-        if self.cost.readahead and sequential:
+        if handle.note_read(page) and self.cost.readahead:
             self._maybe_readahead(handle, page + 1)
         return data
 
@@ -1139,17 +1043,30 @@ class FsManager(PathMixin, NamespaceMixin):
         yield from self.site.cpu(self.cost.disk_read)
         return data
 
-    def h_read_page(self, src: int, p: dict) -> Generator:
+    def _ss_view(self, p: dict) -> Optional[SsOpen]:
+        """The view a read request addresses: None for the last committed
+        state, else the incore (possibly staged) view of the open file."""
         if p.get("committed"):
-            data = yield from self._committed_block(p["gfile"], p["page"])
-            if src != self.sid:
-                self.site.net.stats.record_pages("fs.read_page", 1)
-            return data
+            return None
         so = self.ss.get(p["gfile"])
         if so is None:
             raise EBADF(f"{p['gfile']} not open at storage site {self.sid}")
-        data = yield from self._ss_read_block(so, p["page"])
-        so.page_holders.setdefault(p["page"], set()).add(src)
+        return so
+
+    def _ss_page(self, src: int, gfile: Gfile, page: int,
+                 so: Optional[SsOpen]) -> Generator:
+        """Serve one page to using site ``src`` from the view ``_ss_view``
+        chose; an incore read makes ``src`` a holder of the page."""
+        if so is None:
+            data = yield from self._committed_block(gfile, page)
+            return data
+        data = yield from self._ss_read_block(so, page)
+        so.page_holders.setdefault(page, set()).add(src)
+        return data
+
+    def h_read_page(self, src: int, p: dict) -> Generator:
+        data = yield from self._ss_page(src, p["gfile"], p["page"],
+                                        self._ss_view(p))
         if src != self.sid:
             self.site.net.stats.record_pages("fs.read_page", 1)
         return data
@@ -1160,18 +1077,10 @@ class FsManager(PathMixin, NamespaceMixin):
         match N ``fs.read_page`` calls exactly (same cache paths, same
         page-holder registration); only the message count changes — the
         response's wire size is still the sum of all payload bytes."""
-        gfile: Gfile = p["gfile"]
+        so = self._ss_view(p)
         out: Dict[int, bytes] = {}
-        if p.get("committed"):
-            for page in p["pages"]:
-                out[page] = yield from self._committed_block(gfile, page)
-        else:
-            so = self.ss.get(gfile)
-            if so is None:
-                raise EBADF(f"{gfile} not open at storage site {self.sid}")
-            for page in p["pages"]:
-                out[page] = yield from self._ss_read_block(so, page)
-                so.page_holders.setdefault(page, set()).add(src)
+        for page in p["pages"]:
+            out[page] = yield from self._ss_page(src, p["gfile"], page, so)
         if src != self.sid:
             self.site.net.stats.record_pages("fs.read_pages", len(out))
         return {"pages": out}
@@ -1222,8 +1131,8 @@ class FsManager(PathMixin, NamespaceMixin):
             so = self.ss.get(gfile)
             if so is None:
                 raise EBADF(f"no storage-site state for {gfile}")
-            yield from self._ss_apply_write(so, page, data, new_size,
-                                            writer=self.sid)
+            yield from self._ss_apply_writes(so, {page: data}, new_size,
+                                             writer=self.sid)
             return
         # Retain the image beyond the flush: write failover re-stages it
         # at the surviving replica.
@@ -1303,12 +1212,9 @@ class FsManager(PathMixin, NamespaceMixin):
         so = self.ss.get(p["gfile"])
         if so is None:
             return None  # stale write after close; drop (low-level ack only)
-        # Count before the cost yields inside _ss_apply_write so the
-        # counter and the shadow state move in the same atomic step; a
-        # commit handler task starting later (FIFO delivery) sees both.
-        so.pages_received += 1
-        yield from self._ss_apply_write(so, p["page"], p["data"], p["size"],
-                                        writer=src)
+        so.pages_received += 1      # see h_write_pages
+        yield from self._ss_apply_writes(so, {p["page"]: p["data"]},
+                                         p["size"], writer=src)
         return None
 
     def h_write_pages(self, src: int, p: dict) -> Generator:
@@ -1322,60 +1228,47 @@ class FsManager(PathMixin, NamespaceMixin):
         so = self.ss.get(p["gfile"])
         if so is None:
             return None  # stale write after close; drop (low-level ack only)
-        pages = sorted(p["pages"])
-        # Every state change for the whole batch lands in one atomic step
-        # (no yields), matching _ss_apply_write's contract per page: a
-        # commit or abort handler interleaving at the cost yields below
-        # sees the entire batch applied, never a prefix of it.
-        for page in pages:
+        # Count before the cost yields inside _ss_apply_writes so the
+        # counter and the shadow state move in the same atomic step; a
+        # commit handler task starting later (FIFO delivery) sees both.
+        so.pages_received += len(p["pages"])
+        yield from self._ss_apply_writes(so, p["pages"], p["size"],
+                                         writer=src)
+        return None
+
+    def _ss_apply_writes(self, so: SsOpen, pages: Dict[int, bytes],
+                         new_size: int, writer: int) -> Generator:
+        """Apply page writes at the SS: one page of the per-page protocol
+        or a whole ``fs.write_pages`` run.
+
+        Every state change — shadow pages, cache, size — lands in one
+        atomic step (no yields): a commit or abort handler interleaving at
+        the cost yields below sees the entire run applied, never a prefix
+        of it, and never the cache repopulated with a discarded page.
+        """
+        order = sorted(pages)
+        for page in order:
             try:
-                so.shadow.write_page(page, p["pages"][page])
+                so.shadow.write_page(page, pages[page])
             except FsError as exc:
-                # A one-way write has no reply to carry the error; poison
-                # the open so the commit refuses (never a silent zero page).
+                # The write protocol is one-way (no reply for the error to
+                # ride back on, section 2.3.5): poison the open so the
+                # commit fails instead of silently committing a hole.
                 so.io_error = str(exc)
                 raise
-            self.site.cache.put(self._page_key(so.gfile, page),
-                                p["pages"][page])
-        so.shadow.set_size(max(so.shadow.incore.size, p["size"]))
-        so.pages_received += len(pages)
-        for page in pages:
+            self.site.cache.put(self._page_key(so.gfile, page), pages[page])
+        so.shadow.set_size(max(so.shadow.incore.size, new_size))
+        for page in order:
             yield from self.site.cpu(self.cost.disk_write)
+            # Page-valid tokens: revoke every other using site's cached copy.
             holders = so.page_holders.setdefault(page, set())
             for us in list(holders):
-                if us not in (src, self.sid):
+                if us not in (writer, self.sid):
                     yield from self.site.oneway_quiet(us, "fs.invalidate", {
                         "gfile": so.gfile, "page": page,
                     })
             holders.clear()
-            holders.add(src)
-        return None
-
-    def _ss_apply_write(self, so: SsOpen, page: int, data: bytes,
-                        new_size: int, writer: int) -> Generator:
-        # State change and cache update are one atomic step: an abort
-        # interleaving at the cost-accounting yield below must not see the
-        # cache repopulated with the discarded page afterwards.
-        try:
-            so.shadow.write_page(page, data)
-        except FsError as exc:
-            # The write protocol is one-way (no reply for the error to ride
-            # back on, section 2.3.5): poison the open so the commit fails
-            # instead of silently committing a hole.
-            so.io_error = str(exc)
-            raise
-        so.shadow.set_size(max(so.shadow.incore.size, new_size))
-        self.site.cache.put(self._page_key(so.gfile, page), data)
-        yield from self.site.cpu(self.cost.disk_write)
-        # Page-valid tokens: revoke every other using site's cached copy.
-        holders = so.page_holders.setdefault(page, set())
-        for us in list(holders):
-            if us not in (writer, self.sid):
-                yield from self.site.oneway_quiet(us, "fs.invalidate", {
-                    "gfile": so.gfile, "page": page,
-                })
-        holders.clear()
-        holders.add(writer)
+            holders.add(writer)
 
     def h_invalidate(self, src: int, p: dict) -> Generator:
         self.site.cache.invalidate(self._page_key(p["gfile"], p["page"]))
@@ -1486,11 +1379,8 @@ class FsManager(PathMixin, NamespaceMixin):
                 vv = yield from self._ss_commit(handle.gfile)
             else:
                 vv = yield from self._commit_remote(handle)
-            handle.pages_sent = 0
+            handle.clear_staged()
             handle.dirty = False
-            handle.staged_pages.clear()
-            handle.staged_truncate = False
-            handle.staged_attrs.clear()
             handle.attrs["version"] = vv
             return vv
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
@@ -1509,7 +1399,7 @@ class FsManager(PathMixin, NamespaceMixin):
         timeout: a retry reaching the same SS replays the memoized result
         from its durable ledger (the first attempt's reply was lost, not
         its effect), and when the SS itself is gone the handle re-homes to
-        a surviving replica (``_failover_write``) and commits there.  A
+        a surviving replica (``rehome``) and commits there.  A
         timed-out attempt is *ambiguous* — it may have applied before the
         circuit closed — so the re-homed commit carries a version-vector
         floor bumped for every SS an ambiguous attempt reached: whichever
@@ -1518,19 +1408,7 @@ class FsManager(PathMixin, NamespaceMixin):
         """
         cost = self.cost
         payload = {"gfile": handle.gfile}
-        if cost.batch_writes:
-            # Flush the write-behind remainder, then tell the SS how many
-            # page writes it must have received: a batch lost to a closed
-            # circuit fails the commit instead of half-applying.
-            yield from self._flush_writes(handle)
-            payload["expected_pages"] = handle.pages_sent
-        else:
-            # The per-page protocol's writes are one-way with no delivery
-            # guarantee either; the same commit guard applies.  The count
-            # rides the header (underscore key, excluded from the wire-size
-            # model) so fault-free message timing matches the paper's
-            # protocol exactly.
-            payload["_expected"] = handle.pages_sent
+        yield from self._expect_pages(handle, payload)
         if not cost.supervise_remote_ops:
             vv = yield from self.site.rpc(handle.ss_site, "fs.commit",
                                           payload)
@@ -1548,32 +1426,12 @@ class FsManager(PathMixin, NamespaceMixin):
                         target, "fs.commit", payload,
                         timeout=self.site.backstop)
                     return vv
-                except EWRITELOST:
-                    # The SS received fewer page writes than we shipped
-                    # (lost one-ways) and dropped its staged state.  Not
-                    # ambiguous — the commit definitively did not apply.
-                    # Replay the retained staged operations and try again.
-                    if handle.closed or \
-                            attempt >= max(2 * cost.rpc_retries, 8):
-                        raise
-                    attempt += 1
-                    self.site.metrics.count("fs.commit_retries")
-                    yield cost.rpc_backoff * (2 ** min(attempt - 1, 4))
-                    if handle.closed:
-                        raise
-                    yield from self._replay_staged(handle)
-                    if cost.batch_writes:
-                        yield from self._flush_writes(handle)
-                        payload["expected_pages"] = handle.pages_sent
-                    else:
-                        payload["_expected"] = handle.pages_sent
-                except (NetworkError, EBADF) as exc:
-                    # Budget mirrors the conflict-wait one: with replay
-                    # and re-home making retries safe, the commit should
-                    # ride out a whole loss burst rather than surface a
-                    # transient as a failed write.
-                    if handle.closed or \
-                            attempt >= max(2 * cost.rpc_retries, 8):
+                except (EWRITELOST, NetworkError, EBADF) as exc:
+                    # The patient budget: with replay and re-home making
+                    # retries safe, the commit should ride out a whole
+                    # loss burst rather than surface a transient as a
+                    # failed write.
+                    if handle.closed or attempt >= cost.patient_retries:
                         raise
                     attempt += 1
                     if isinstance(exc, NetworkError):
@@ -1582,9 +1440,18 @@ class FsManager(PathMixin, NamespaceMixin):
                         # disambiguate.
                         ambiguous.add(target)
                     self.site.metrics.count("fs.commit_retries")
-                    yield cost.rpc_backoff * (2 ** min(attempt - 1, 4))
+                    yield cost.patient_backoff(attempt - 1)
                     if handle.closed:
                         raise
+                    if isinstance(exc, EWRITELOST):
+                        # The SS received fewer page writes than we
+                        # shipped (lost one-ways) and dropped its staged
+                        # state.  Not ambiguous — the commit definitively
+                        # did not apply.  Replay the retained staged
+                        # operations and try again.
+                        yield from self._replay_staged(handle)
+                        yield from self._expect_pages(handle, payload)
+                        continue
                     same_site = handle.ss_site == target
                     if same_site and isinstance(exc, NetworkError) \
                             and attempt < 2:
@@ -1592,12 +1459,8 @@ class FsManager(PathMixin, NamespaceMixin):
                         # reachable again its ledger replays the result.
                         continue
                     if same_site:
-                        yield from self._failover_write(handle)
-                    if cost.batch_writes:
-                        yield from self._flush_writes(handle)
-                        payload["expected_pages"] = handle.pages_sent
-                    else:
-                        payload["_expected"] = handle.pages_sent
+                        yield from self.rehome(handle)
+                    yield from self._expect_pages(handle, payload)
                     floor = handle.attrs["version"]
                     for s in sorted(ambiguous):
                         floor = floor.bump(s)
@@ -1605,21 +1468,31 @@ class FsManager(PathMixin, NamespaceMixin):
         finally:
             self.site.stamp_done(stamp[1])
 
+    def _expect_pages(self, handle: UsHandle, payload: dict) -> Generator:
+        """Put into a commit request the number of page writes the SS must
+        have received, so a write lost to a closed circuit fails the
+        commit instead of half-applying or silently committing a hole."""
+        if self.cost.batch_writes:
+            # Flush the write-behind remainder first: the count covers it.
+            yield from self._flush_writes(handle)
+            payload["expected_pages"] = handle.pages_sent
+        else:
+            # The per-page protocol's writes are one-way with no delivery
+            # guarantee either; the same commit guard applies.  The count
+            # rides the header (underscore key, excluded from the wire-size
+            # model) so fault-free message timing matches the paper's
+            # protocol exactly.
+            payload["_expected"] = handle.pages_sent
+
     def abort(self, handle: UsHandle) -> Generator:
         """Undo changes back to the previous commit point."""
         if handle.closed:
             raise EBADF("abort on closed handle")
         handle.pending_writes.clear()
         handle.pending_size = 0
-        handle.pages_sent = 0
-        handle.staged_pages.clear()
-        handle.staged_truncate = False
-        handle.staged_attrs.clear()
-        if handle.ss_site == self.sid:
-            yield from self._ss_abort(handle.gfile)
-        else:
-            yield from self.site.rpc(handle.ss_site, "fs.abort",
-                                     {"gfile": handle.gfile})
+        handle.clear_staged()
+        yield from self.site.rpc(handle.ss_site, "fs.abort",
+                                 {"gfile": handle.gfile})
         self.site.cache.invalidate_file(*handle.gfile)
         handle.dirty = False
         inode_attrs = yield from self._fetch_attrs_anywhere(handle.gfile)
@@ -1627,12 +1500,6 @@ class FsManager(PathMixin, NamespaceMixin):
         return None
 
     def h_commit(self, src: int, p: dict) -> Generator:
-        result = yield from self._exactly_once(
-            p, self._pack_ledger(p["gfile"][0]),
-            lambda: self._h_commit_body(src, p))
-        return result
-
-    def _h_commit_body(self, src: int, p: dict) -> Generator:
         expected = p.get("expected_pages")
         if expected is None:
             expected = p.get("_expected")
@@ -1724,15 +1591,12 @@ class FsManager(PathMixin, NamespaceMixin):
         self._note_version(gfile, attrs["version"])
         payload = {"gfile": gfile, "attrs": attrs, "pages": pages,
                    "origin": self.sid}
-        if css == self.sid:
-            yield from self.h_notify(self.sid, payload)
-        else:
-            # Synchronous to the CSS so its latest-version knowledge is
-            # current before the committing call returns.
-            try:
-                yield from self.site.rpc(css, "fs.notify", payload)
-            except NetworkError:
-                pass
+        # Synchronous to the CSS so its latest-version knowledge is
+        # current before the committing call returns.
+        try:
+            yield from self.site.rpc(css, "fs.notify", payload)
+        except NetworkError:
+            pass
         for target in self.mount.pack_sites(gfs):
             if target in (self.sid, css):
                 continue
@@ -1856,11 +1720,7 @@ class FsManager(PathMixin, NamespaceMixin):
             return None
         payload = {"gfile": gfile, "seen_at": self.sid,
                    "storage_sites": attrs["storage_sites"]}
-        if owner == self.sid:
-            yield from self.h_delete_seen(self.sid, payload)
-        else:
-            yield from self.site.oneway_quiet(owner, "fs.delete_seen",
-                                              payload)
+        yield from self.site.oneway_quiet(owner, "fs.delete_seen", payload)
         return None
 
     def _local_delete_seen(self, gfile: Gfile, attrs: dict) -> Generator:
@@ -2016,9 +1876,7 @@ class FsManager(PathMixin, NamespaceMixin):
         return None
 
     def h_close(self, src: int, p: dict) -> Generator:
-        yield from self._exactly_once(
-            p, self.op_ledger,
-            lambda: self._ss_close_local(p["gfile"], p["mode"], src))
+        yield from self._ss_close_local(p["gfile"], p["mode"], src)
         return None
 
     def h_close_unsync(self, src: int, p: dict) -> Generator:
@@ -2081,15 +1939,6 @@ class FsManager(PathMixin, NamespaceMixin):
         return None
 
     def h_css_ss_close(self, src: int, p: dict) -> Generator:
-        start = self.site.sim.now
-        yield from self._exactly_once(
-            p, self.op_ledger, lambda: self._css_ss_close_body(p))
-        if self.site.load.enabled:
-            self.site.load.note_css(p["gfile"][0],
-                                    self.site.sim.now - start)
-        return None
-
-    def _css_ss_close_body(self, p: dict) -> Generator:
         entry = self.css_entries.get(p["gfile"])
         if entry is not None:
             entry.note_close(p["us"], p["mode"])
@@ -2097,6 +1946,9 @@ class FsManager(PathMixin, NamespaceMixin):
                 # State data that "might affect its next synchronization
                 # policy decision" is updated; idle entries may be dropped.
                 self.css_entries.pop(p["gfile"], None)
+        if self.site.load.enabled:
+            # One CSS operation of no duration: nothing above yields.
+            self.site.load.note_css(p["gfile"][0], 0.0)
         return None
         yield  # pragma: no cover
 
@@ -2133,18 +1985,13 @@ class FsManager(PathMixin, NamespaceMixin):
         for us in sorted(set(list(so.users) + list(so.unsync_users))):
             if self.ss.get(gfile) is not so:
                 return None   # closed/reaped while we were validating
-            if us == self.sid:
-                alive = any(tuple(h.gfile) == tuple(gfile) and not h.closed
-                            for h in self.us.values())
-            else:
-                try:
-                    reply = yield from self.site.rpc(
-                        us, "fs.validate_open", {"gfile": gfile},
-                        timeout=self.site.backstop)
-                    alive = bool(reply["open"])
-                except (NetworkError, FsError):
-                    continue   # unreachable: membership cleanup owns that
-            if not alive:
+            try:
+                reply = yield from self.site.rpc(
+                    us, "fs.validate_open", {"gfile": gfile},
+                    timeout=self.site.backstop)
+            except (NetworkError, FsError):
+                continue   # unreachable: membership cleanup owns that
+            if not reply["open"]:
                 if so.writer == us and so.shadow.dirty:
                     so.shadow.abort()
                     self.site.cache.invalidate_file(*gfile)
@@ -2158,12 +2005,6 @@ class FsManager(PathMixin, NamespaceMixin):
     # ------------------------------------------------------------------
 
     def h_create_file(self, src: int, p: dict) -> Generator:
-        result = yield from self._exactly_once(
-            p, self._pack_ledger(p["gfs"]),
-            lambda: self._create_file_body(src, p))
-        return result
-
-    def _create_file_body(self, src: int, p: dict) -> Generator:
         """At the primary storage site: allocate an inode from the local
         pack's pool (the placeholder protocol) and commit version 1."""
         pack = self.local_pack(p["gfs"])
@@ -2190,189 +2031,13 @@ class FsManager(PathMixin, NamespaceMixin):
         return attrs
 
     # ------------------------------------------------------------------
-    # Propagation pull service (section 2.3.6: data is "pulled")
-    # ------------------------------------------------------------------
-
-    def h_pull_open(self, src: int, p: dict) -> Generator:
-        inode = self.local_inode(p["gfile"])
-        if inode is None or not inode.has_data or inode.deleted:
-            raise ENOENT(f"{p['gfile']} has no data at site {self.sid}")
-        yield from self.site.cpu(self.cost.buffer_hit)
-        return inode.attrs()
-
-    def h_pull_manifest(self, src: int, p: dict) -> Generator:
-        """One RPC replacing N ``fs.pull_open`` round trips after a heal:
-        the attributes (version vector included) of every requested file
-        this site can serve as a propagation source.  Files it cannot
-        vouch for (no data here, or deleted) are omitted from the reply —
-        the puller falls back to the paper's per-file ``fs.pull_open`` for
-        those, exactly as if this site had answered ENOENT."""
-        out: Dict[Gfile, dict] = {}
-        for gfile in p["gfiles"]:
-            inode = self.local_inode(gfile)
-            if inode is None or not inode.has_data or inode.deleted:
-                continue
-            yield from self.site.cpu(self.cost.buffer_hit)
-            out[gfile] = inode.attrs()
-        return {"files": out}
-
-    def h_pull_read(self, src: int, p: dict) -> Generator:
-        """Serve one *committed* page to a propagation pull.
-
-        Deliberately bypasses the buffer cache: the cache at a storage site
-        holds the incore (possibly staged, uncommitted) page content for
-        open-for-modification files, while propagation must only ever see
-        the last committed version.
-        """
-        data = yield from self._committed_block(p["gfile"], p["page"])
-        if src != self.sid:
-            self.site.net.stats.record_pages("fs.pull_read", 1)
-        return data
-
-    def h_pull_read_range(self, src: int, p: dict) -> Generator:
-        """Serve a contiguous run of *committed* pages to a propagation
-        pull in one message (the batched counterpart of fs.pull_read)."""
-        gfile: Gfile = p["gfile"]
-        out: Dict[int, bytes] = {}
-        for page in p["pages"]:
-            out[page] = yield from self._committed_block(gfile, page)
-        if src != self.sid:
-            self.site.net.stats.record_pages("fs.pull_read_range", len(out))
-        return {"pages": out}
-
-    # ------------------------------------------------------------------
-    # Recovery support
+    # Reconfiguration support
     # ------------------------------------------------------------------
 
     def h_invalidate_file(self, src: int, p: dict) -> Generator:
         self.site.cache.invalidate_file(*p["gfile"])
         return None
         yield  # pragma: no cover
-
-    def _check_merge_base(self, gfile: Gfile, inode, base_vv) -> None:
-        """Refuse a merged install whose base snapshot went stale.
-
-        Recovery computed ``base_vv`` from an inventory taken earlier; if
-        this copy has committed past (or diverged from) that snapshot in
-        the meantime, stamping the merge result with ``base_vv.bump()``
-        would reuse a version vector another content already carries —
-        equal vectors, different bytes, undetectable divergence.  The
-        caller retries against a fresh inventory.
-        """
-        if inode is not None and not base_vv.dominates(inode.version):
-            raise ESTALE(
-                f"merge base for {gfile} is stale: local copy at "
-                f"{inode.version}, merge snapshot covered {base_vv}")
-
-    def h_install_merged(self, src: int, p: dict) -> Generator:
-        """Install a reconciled file version (recovery's write path).
-
-        The content arrives whole; it is committed under the merged version
-        vector bumped at this site, so it dominates every divergent copy and
-        normal propagation distributes it.
-        """
-        gfile: Gfile = p["gfile"]
-        pack = self.local_pack(gfile[0])
-        if pack is None:
-            raise ESTALE(f"site {self.sid} holds no pack of fg {gfile[0]}")
-        if gfile in self.ss or self.propagator.is_pulling(gfile):
-            # A writer or a propagation pull is active right now; its
-            # commit would interleave with ours.  Recovery retries with a
-            # fresh inventory once the activity drains.
-            raise EBUSY(f"merge install of {gfile} raced local activity")
-        inode = pack.get_inode(gfile[1])
-        self._check_merge_base(gfile, inode, p["base_vv"])
-        if inode is None:
-            pack.install_inode({
-                "ino": gfile[1], "ftype": p["ftype"], "size": 0,
-                "owner": p["owner"], "perms": p["perms"],
-                "nlink": p["nlink"], "version": VersionVector(),
-                "deleted": False, "storage_sites": p["storage_sites"],
-                "conflict": False, "mtime": self.site.sim.now,
-            }, has_data=True)
-        shadow = ShadowFile(pack, gfile[1])
-        shadow.truncate()
-        data: bytes = p["data"]
-        psz = self.cost.page_size
-        for page in range((len(data) + psz - 1) // psz):
-            shadow.write_page(page, data[page * psz:(page + 1) * psz])
-            yield from self.site.cpu(self.cost.disk_write)
-        shadow.set_attrs(size=len(data), ftype=p["ftype"], owner=p["owner"],
-                         perms=p["perms"], nlink=p["nlink"],
-                         storage_sites=list(p["storage_sites"]),
-                         deleted=False, conflict=False, has_data=True)
-        # Page writes yielded above: re-check in the same atomic step as
-        # the commit that nothing moved the file while we staged.
-        try:
-            self._check_merge_base(gfile, pack.get_inode(gfile[1]),
-                                   p["base_vv"])
-        except FsError:
-            shadow.abort()
-            raise
-        merged_vv = p["base_vv"].bump(self.sid)
-        shadow.commit(new_version=merged_vv, mtime=self.site.sim.now)
-        yield from self.site.cpu(self.cost.disk_write)
-        self.site.cache.invalidate_file(*gfile)
-        attrs = pack.get_inode(gfile[1]).attrs()
-        # pages=None: receivers must full-pull (the whole content changed).
-        yield from self._after_commit(gfile, attrs, None)
-        return attrs
-
-    def h_patch_nlink(self, src: int, p: dict) -> Generator:
-        """Set a file's link count in place, version vector untouched.
-
-        The recovery census repairs conflicted files this way: their
-        divergent copies refuse the locked open/commit repair path, but
-        the live directory entries naming them are unambiguous, and a
-        plain metadata patch (like the conflict flag itself) cannot widen
-        the divergence.
-        """
-        inode = self.local_inode(p["gfile"])
-        if inode is not None and not inode.deleted:
-            inode.nlink = p["nlink"]
-            self.site.cache.invalidate_file(*p["gfile"])
-        return None
-        yield  # pragma: no cover
-
-    def h_mark_conflict(self, src: int, p: dict) -> Generator:
-        """Flag divergent copies so normal access attempts fail
-        (section 4.6); the flag clears when a reconciled version arrives."""
-        inode = self.local_inode(p["gfile"])
-        if inode is not None:
-            inode.conflict = True
-            self.site.cache.invalidate_file(*p["gfile"])
-        return None
-        yield  # pragma: no cover
-
-    def h_pack_inventory(self, src: int, p: dict) -> Generator:
-        pack = self.local_pack(p["gfs"])
-        if pack is None:
-            return {}
-        yield from self.site.cpu(self.cost.disk_read)
-        return pack.inventory()
-
-    def h_scrub_digest(self, src: int, p: dict) -> Generator:
-        """Anti-entropy summary: the pack inventory plus a digest of each
-        data-holding inode's committed content, so the scrub can detect
-        copies whose version vectors agree but whose bytes do not.  The
-        reply is a superset of ``fs.pack_inventory``'s shape — the scrub
-        reuses it wherever recovery expects an inventory."""
-        from repro.fs.scrub import committed_digest
-        pack = self.local_pack(p["gfs"])
-        if pack is None:
-            return {}
-        summary = {}
-        blocks_read = 0
-        for ino, inode in pack.inodes.items():
-            digest = None
-            if inode.has_data and not inode.deleted:
-                digest = committed_digest(pack, ino, self.cost.page_size)
-                blocks_read += max(1, len(inode.pages))
-            summary[ino] = {"attrs": inode.attrs(),
-                            "has_data": inode.has_data,
-                            "digest": digest}
-        yield from self.site.cpu(self.cost.disk_read * max(1, blocks_read))
-        return summary
 
     def h_css_rebuild(self, src: int, p: dict) -> Generator:
         """Report local open-file state so a new CSS can reconstruct its

@@ -36,6 +36,10 @@ from repro.fs.types import Gfile
 from repro.storage.version_vector import VersionVector
 
 
+# Per-site capacity in directories.  No experiment varies it.
+NAME_CACHE_ENTRIES = 256
+
+
 @dataclass
 class NameCacheStats:
     hits: int = 0
@@ -62,7 +66,7 @@ class _NameEntry:
 class NameCache:
     """LRU map ``gfile -> (version_vector, decoded snapshot)``."""
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = NAME_CACHE_ENTRIES):
         if capacity <= 0:
             raise ValueError("name cache capacity must be positive")
         self.capacity = capacity

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from repro.errors import EIO, FsError, NetworkError
+from repro.errors import EIO, ENOENT, FsError, NetworkError
 from repro.fs.types import Gfile
 from repro.sim.sync import SimQueue
 from repro.storage.shadow import ShadowFile
@@ -79,6 +79,11 @@ class Propagator:
         self._pulling: Set[Gfile] = set()
         self._task = None
         self.stats = PropStats()
+        reg = self.site.register_handler
+        reg("fs.pull_open", self.h_pull_open)
+        reg("fs.pull_manifest", self.h_pull_manifest)
+        reg("fs.pull_read", self.h_pull_read)
+        reg("fs.pull_read_range", self.h_pull_read_range)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -531,3 +536,53 @@ class Propagator:
             if attrs["version"].dominates(req.attrs["version"]):
                 return cand, attrs
         raise last_exc or NetworkError("no propagation source available")
+
+    # -- the pull service: the source side of the calls above ---------------
+
+    def h_pull_open(self, src: int, p: dict) -> Generator:
+        inode = self.fs.local_inode(p["gfile"])
+        if inode is None or not inode.has_data or inode.deleted:
+            raise ENOENT(f"{p['gfile']} has no data at site "
+                         f"{self.site.site_id}")
+        yield from self.site.cpu(self.fs.cost.buffer_hit)
+        return inode.attrs()
+
+    def h_pull_manifest(self, src: int, p: dict) -> Generator:
+        """One RPC replacing N ``fs.pull_open`` round trips after a heal:
+        the attributes (version vector included) of every requested file
+        this site can serve as a propagation source.  Files it cannot
+        vouch for (no data here, or deleted) are omitted from the reply —
+        the puller falls back to the paper's per-file ``fs.pull_open`` for
+        those, exactly as if this site had answered ENOENT."""
+        out: Dict[Gfile, dict] = {}
+        for gfile in p["gfiles"]:
+            inode = self.fs.local_inode(gfile)
+            if inode is None or not inode.has_data or inode.deleted:
+                continue
+            yield from self.site.cpu(self.fs.cost.buffer_hit)
+            out[gfile] = inode.attrs()
+        return {"files": out}
+
+    def h_pull_read(self, src: int, p: dict) -> Generator:
+        """Serve one *committed* page to a propagation pull.
+
+        Deliberately bypasses the incore view: the cache at a storage site
+        holds the incore (possibly staged, uncommitted) page content for
+        open-for-modification files, while propagation must only ever see
+        the last committed version.
+        """
+        data = yield from self.fs._committed_block(p["gfile"], p["page"])
+        if src != self.site.site_id:
+            self.site.net.stats.record_pages("fs.pull_read", 1)
+        return data
+
+    def h_pull_read_range(self, src: int, p: dict) -> Generator:
+        """Serve a contiguous run of *committed* pages to a propagation
+        pull in one message (the batched counterpart of fs.pull_read)."""
+        gfile: Gfile = p["gfile"]
+        out: Dict[int, bytes] = {}
+        for page in p["pages"]:
+            out[page] = yield from self.fs._committed_block(gfile, page)
+        if src != self.site.site_id:
+            self.site.net.stats.record_pages("fs.pull_read_range", len(out))
+        return {"pages": out}

@@ -90,6 +90,7 @@ class ScrubManager:
             "placement_repairs": self.stats.placement_repairs,
             "dangling_removed": self.stats.dangling_removed,
         })
+        site.register_handler("fs.scrub_digest", self.h_scrub_digest)
 
     @property
     def sid(self) -> int:
@@ -196,6 +197,29 @@ class ScrubManager:
         monitor = self.site.convergence
         if monitor is not None and monitor.enabled:
             monitor.note_detection(category, site=self.sid, gfile=gfile)
+
+    def h_scrub_digest(self, src: int, p: dict) -> Generator:
+        """Anti-entropy summary: the pack inventory plus a digest of each
+        data-holding inode's committed content, so the scrub can detect
+        copies whose version vectors agree but whose bytes do not.  The
+        reply is a superset of ``fs.pack_inventory``'s shape — the scrub
+        reuses it wherever recovery expects an inventory."""
+        cost = self.site.cost
+        pack = self.site.fs.local_pack(p["gfs"])
+        if pack is None:
+            return {}
+        summary = {}
+        blocks_read = 0
+        for ino, inode in pack.inodes.items():
+            digest = None
+            if inode.has_data and not inode.deleted:
+                digest = committed_digest(pack, ino, cost.page_size)
+                blocks_read += max(1, len(inode.pages))
+            summary[ino] = {"attrs": inode.attrs(),
+                            "has_data": inode.has_data,
+                            "digest": digest}
+        yield from self.site.cpu(cost.disk_read * max(1, blocks_read))
+        return summary
 
     def _summaries(self, gfs: int) -> Generator:
         """One fs.scrub_digest RPC per reachable pack holder.  Returns

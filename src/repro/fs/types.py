@@ -29,3 +29,10 @@ class Mode(enum.Enum):
         # close tests them several times.
         self.writable: bool = value == "write"
         self.synchronized: bool = value != "unsync-read"
+
+    def __wire_size__(self) -> int:
+        # One small fixed-size object (what the slow path of
+        # ``payload_size`` answers), stated here because probing an enum
+        # class for a missing dunder raises inside ``EnumType.__getattr__``
+        # — once per open, read and close message.
+        return 16

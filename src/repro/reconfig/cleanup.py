@@ -62,66 +62,52 @@ def _cleanup_fs(site, lost: Set[int], members: Set[int]) -> Generator:
         if handle.closed or handle.ss_site not in lost:
             continue
         site.cache.invalidate_file(*handle.gfile)
-        if handle.mode.writable:
-            if fs.cost.supervise_remote_ops:
-                # Write-path failover: the open's uncommitted operations
-                # are still staged on the handle, so instead of erroring
-                # the descriptor we re-home it to a surviving replica and
-                # replay them there.  Falls back to the paper's failure
-                # action when no copy survives.
-                site.spawn(_rehome_writer(site, handle),
-                           name=f"rehome:{handle.gfile}@{site.site_id}")
-            else:
-                # "Discard pages, set error in local file descriptor."
-                handle.attrs["error"] = f"storage site {handle.ss_site} lost"
-                handle.dirty = False
-                handle.closed = True
-                fs.us.pop(handle.hid, None)
-        else:
-            # "Internal close, attempt to reopen at other site" — the system
-            # substitutes a different copy of the same version if possible.
-            # Spawned as its own kernel task: reconfiguration re-elects the
-            # CSS only after this cleanup returns, and the reopen must be
-            # able to wait that re-election out (the handle stays open
-            # meanwhile; concurrent reads queue behind the failover).
-            site.spawn(_reopen_elsewhere(site, handle),
-                       name=f"reopen:{handle.gfile}@{site.site_id}")
+        if handle.mode.writable and not fs.cost.supervise_remote_ops:
+            # "Discard pages, set error in local file descriptor."
+            _fail_descriptor(fs, handle,
+                             f"storage site {handle.ss_site} lost")
+            continue
+        # A reader: "internal close, attempt to reopen at other site" — the
+        # system substitutes a different copy of the same version if
+        # possible.  A supervised writer: its uncommitted operations are
+        # still staged on the handle, so instead of erroring the descriptor
+        # it is re-homed to a surviving replica and they are replayed
+        # there; the paper's failure action is the fallback when no copy
+        # survives.  Spawned as its own kernel task: reconfiguration
+        # re-elects the CSS only after this cleanup returns, and the
+        # reopen must be able to wait that re-election out (the handle
+        # stays open meanwhile; concurrent operations queue behind the
+        # re-home).
+        kind = "rehome" if handle.mode.writable else "reopen"
+        site.spawn(_rehome(fs, handle),
+                   name=f"{kind}:{handle.gfile}@{site.site_id}")
     return None
     yield  # pragma: no cover -- keeps this a generator for run_cleanup
 
 
-def _rehome_writer(site, handle) -> Generator:
-    """Exactly-once write failover from reconfiguration cleanup: reopen
-    the file at a surviving pack copy and re-stage the handle's
-    uncommitted pages / truncate / attribute patches there.  If nothing
-    survives the descriptor gets the paper's error instead."""
-    fs = site.fs
+def _rehome(fs, handle) -> Generator:
+    """Substitute another copy under the old handle id
+    (``FsManager.rehome``), or mark the descriptor in error."""
     try:
-        yield from fs._failover_write(handle)
-    except (FsError, NetworkError):
+        yield from fs.rehome(handle)
+    except (FsError, NetworkError) as exc:
+        if handle.mode.writable:
+            reason = f"storage site {handle.ss_site} lost"
+        elif isinstance(exc, ESTALE):
+            # A copy exists but it is older than what the process was
+            # reading; substituting it silently would run time backwards.
+            reason = "remaining copies are stale"
+        else:
+            reason = "no surviving copy reachable"
         if not handle.closed:
-            handle.attrs["error"] = f"storage site {handle.ss_site} lost"
-            handle.dirty = False
-            handle.closed = True
-            fs.us.pop(handle.hid, None)
+            _fail_descriptor(fs, handle, reason)
     return None
 
 
-def _reopen_elsewhere(site, handle) -> Generator:
-    """Substitute another copy under the old handle id, or mark the
-    descriptor in error.  The adopt-a-replacement mechanics are shared with
-    the mid-call read failover (``FsManager.failover_handle``)."""
-    fs = site.fs
-    try:
-        yield from fs.failover_handle(handle)
-    except ESTALE:
-        # A copy exists but it is older than what the process was reading;
-        # substituting it silently would run time backwards.
-        handle.attrs["error"] = "remaining copies are stale"
-        handle.closed = True
-        fs.us.pop(handle.hid, None)
-    except (FsError, NetworkError):
-        handle.attrs["error"] = "no surviving copy reachable"
-        handle.closed = True
-        fs.us.pop(handle.hid, None)
-    return None
+def _fail_descriptor(fs, handle, reason: str) -> None:
+    """The failure action's last resort: "set error in local file
+    descriptor" — uncommitted changes are discarded with it."""
+    handle.attrs["error"] = reason
+    handle.dirty = False
+    handle.closed = True
+    fs.us.pop(handle.hid, None)

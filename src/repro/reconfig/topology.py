@@ -439,13 +439,9 @@ class TopologyService:
         fs = self.site.fs
         for s in sorted(members):
             try:
-                if s == self.sid:
-                    report = yield from fs.h_css_rebuild(
-                        self.sid, {"gfs": gfs})
-                else:
-                    report = yield from self.site.rpc(
-                        s, "fs.css_rebuild", {"gfs": gfs},
-                        timeout=self.site.cost.poll_timeout)
+                report = yield from self.site.rpc(
+                    s, "fs.css_rebuild", {"gfs": gfs},
+                    timeout=self.site.cost.poll_timeout)
             except NetworkError:
                 continue
             for item in report:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.errors import EEXIST, FsError, NetworkError
+from repro.errors import EBUSY, EEXIST, ESTALE, FsError, NetworkError
 from repro.fs.directory import (decode_entries, decode_snapshot,
                                 encode_entries)
 from repro.fs.types import Gfile, Mode
@@ -15,6 +15,7 @@ from repro.recovery.dir_merge import merge_directories
 from repro.recovery.mailbox import (MailMessage, decode_mailbox,
                                     encode_mailbox, merge_mailboxes)
 from repro.storage.inode import FileType
+from repro.storage.shadow import ShadowFile
 from repro.storage.version_vector import VersionVector, latest
 
 
@@ -62,6 +63,12 @@ class RecoveryManager:
         # (section 4.3): ftype -> callable(copies) -> merged bytes or None.
         self.merge_managers: Dict[FileType, Callable] = {}
         self._mail_seq = itertools.count(1)
+        # The pack-site half of the protocol (see "Pack-site service").
+        reg = site.register_handler
+        reg("fs.pack_inventory", self.h_pack_inventory)
+        reg("fs.install_merged", self.h_install_merged)
+        reg("fs.mark_conflict", self.h_mark_conflict)
+        reg("fs.patch_nlink", self.h_patch_nlink)
 
     @property
     def sid(self) -> int:
@@ -310,12 +317,8 @@ class RecoveryManager:
                 if attrs["nlink"] == n:
                     continue
                 self.stats.nlink_repairs += 1
-                payload = {"gfile": (gfs, ino), "nlink": n}
-                if s == self.sid:
-                    yield from self.site.fs.h_patch_nlink(self.sid, payload)
-                else:
-                    yield from self.site.oneway_quiet(
-                        s, "fs.patch_nlink", payload)
+                yield from self.site.oneway_quiet(
+                    s, "fs.patch_nlink", {"gfile": (gfs, ino), "nlink": n})
         return None
 
     def _repair_one_nlink(self, gfs: int, ino: int) -> Generator:
@@ -727,6 +730,113 @@ class RecoveryManager:
         # Remove the conflicted original.
         yield from fs.unlink(proc, path)
         return new_names
+
+    # ------------------------------------------------------------------
+    # Pack-site service: what each pack holder answers to the calls above
+    # ------------------------------------------------------------------
+
+    def h_pack_inventory(self, src: int, p: dict) -> Generator:
+        pack = self.site.fs.local_pack(p["gfs"])
+        if pack is None:
+            return {}
+        yield from self.site.cpu(self.site.cost.disk_read)
+        return pack.inventory()
+
+    def _check_merge_base(self, gfile: Gfile, inode, base_vv) -> None:
+        """Refuse a merged install whose base snapshot went stale.
+
+        Recovery computed ``base_vv`` from an inventory taken earlier; if
+        this copy has committed past (or diverged from) that snapshot in
+        the meantime, stamping the merge result with ``base_vv.bump()``
+        would reuse a version vector another content already carries —
+        equal vectors, different bytes, undetectable divergence.  The
+        caller retries against a fresh inventory.
+        """
+        if inode is not None and not base_vv.dominates(inode.version):
+            raise ESTALE(
+                f"merge base for {gfile} is stale: local copy at "
+                f"{inode.version}, merge snapshot covered {base_vv}")
+
+    def h_install_merged(self, src: int, p: dict) -> Generator:
+        """Install a reconciled file version (recovery's write path).
+
+        The content arrives whole; it is committed under the merged version
+        vector bumped at this site, so it dominates every divergent copy and
+        normal propagation distributes it.
+        """
+        fs = self.site.fs
+        gfile: Gfile = p["gfile"]
+        pack = fs.local_pack(gfile[0])
+        if pack is None:
+            raise ESTALE(f"site {self.sid} holds no pack of fg {gfile[0]}")
+        if gfile in fs.ss or fs.propagator.is_pulling(gfile):
+            # A writer or a propagation pull is active right now; its
+            # commit would interleave with ours.  Recovery retries with a
+            # fresh inventory once the activity drains.
+            raise EBUSY(f"merge install of {gfile} raced local activity")
+        inode = pack.get_inode(gfile[1])
+        self._check_merge_base(gfile, inode, p["base_vv"])
+        if inode is None:
+            pack.install_inode({
+                "ino": gfile[1], "ftype": p["ftype"], "size": 0,
+                "owner": p["owner"], "perms": p["perms"],
+                "nlink": p["nlink"], "version": VersionVector(),
+                "deleted": False, "storage_sites": p["storage_sites"],
+                "conflict": False, "mtime": self.site.sim.now,
+            }, has_data=True)
+        shadow = ShadowFile(pack, gfile[1])
+        shadow.truncate()
+        data: bytes = p["data"]
+        psz = self.site.cost.page_size
+        for page in range((len(data) + psz - 1) // psz):
+            shadow.write_page(page, data[page * psz:(page + 1) * psz])
+            yield from self.site.cpu(self.site.cost.disk_write)
+        shadow.set_attrs(size=len(data), ftype=p["ftype"], owner=p["owner"],
+                         perms=p["perms"], nlink=p["nlink"],
+                         storage_sites=list(p["storage_sites"]),
+                         deleted=False, conflict=False, has_data=True)
+        # Page writes yielded above: re-check in the same atomic step as
+        # the commit that nothing moved the file while we staged.
+        try:
+            self._check_merge_base(gfile, pack.get_inode(gfile[1]),
+                                   p["base_vv"])
+        except FsError:
+            shadow.abort()
+            raise
+        merged_vv = p["base_vv"].bump(self.sid)
+        shadow.commit(new_version=merged_vv, mtime=self.site.sim.now)
+        yield from self.site.cpu(self.site.cost.disk_write)
+        self.site.cache.invalidate_file(*gfile)
+        attrs = pack.get_inode(gfile[1]).attrs()
+        # pages=None: receivers must full-pull (the whole content changed).
+        yield from fs._after_commit(gfile, attrs, None)
+        return attrs
+
+    def h_patch_nlink(self, src: int, p: dict) -> Generator:
+        """Set a file's link count in place, version vector untouched.
+
+        The recovery census repairs conflicted files this way: their
+        divergent copies refuse the locked open/commit repair path, but
+        the live directory entries naming them are unambiguous, and a
+        plain metadata patch (like the conflict flag itself) cannot widen
+        the divergence.
+        """
+        inode = self.site.fs.local_inode(p["gfile"])
+        if inode is not None and not inode.deleted:
+            inode.nlink = p["nlink"]
+            self.site.cache.invalidate_file(*p["gfile"])
+        return None
+        yield  # pragma: no cover
+
+    def h_mark_conflict(self, src: int, p: dict) -> Generator:
+        """Flag divergent copies so normal access attempts fail
+        (section 4.6); the flag clears when a reconciled version arrives."""
+        inode = self.site.fs.local_inode(p["gfile"])
+        if inode is not None:
+            inode.conflict = True
+            self.site.cache.invalidate_file(*p["gfile"])
+        return None
+        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Electronic mail (the notification channel of sections 4.4-4.6)

@@ -26,6 +26,9 @@ class FileType(enum.Enum):
     PIPE = "pipe"                  # named pipe (section 2.4.2)
     DEVICE = "device"              # remote-transparent device node
 
+    def __wire_size__(self) -> int:
+        return 16   # one small fixed-size object, like ``Mode``
+
 
 class InodeAttrs(dict):
     """The wire representation of inode attributes: a plain dict to every

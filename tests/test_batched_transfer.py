@@ -3,6 +3,8 @@ readahead window, the pipelined propagation pull, and the two bookkeeping
 fixes that ride along (buffer-cache file index, FIFO-floor pruning).
 """
 
+import random
+
 import pytest
 
 from repro import LocusCluster
@@ -201,6 +203,195 @@ class TestWriteBatchCostModel:
         snap = win.close()
         assert "fs.write_pages" not in snap.sent
         assert snap.sent.get("fs.write_page", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# A run equals its singles at the storage site (seeded property tests).
+# ---------------------------------------------------------------------------
+
+PSZ = CostModel().page_size
+N_PAGES = 8
+
+
+def _ss_scene(seed):
+    """Site 0 stores ``/f`` (N_PAGES pages); site 1 holds it open for
+    modification, so site 0 has an ``SsOpen``.  Returns
+    ``(cluster, gfile, so, invalidated)`` where ``invalidated`` collects
+    the ``(site, page)`` of every page-token revocation sites 2 and 3
+    receive.  Two scenes built from one seed are identical."""
+    from repro.fs.types import Mode
+    cluster = LocusCluster(n_sites=4, seed=seed, root_pack_sites=[0],
+                           cost=CostModel())
+    content = b"".join(bytes([48 + p]) * PSZ for p in range(N_PAGES))
+    attrs = _make_remote_file(cluster, "/f", content)
+    gfile = (0, attrs["ino"])
+    cluster.call(1, cluster.site(1).fs.open_gfile(gfile, Mode.WRITE))
+    invalidated = []
+    for sid in (2, 3):
+        site = cluster.site(sid)
+        inner = site._handlers["fs.invalidate"]
+
+        def tapped(src, p, inner=inner, sid=sid):
+            invalidated.append((sid, p["page"]))
+            return inner(src, p)
+
+        site._handlers["fs.invalidate"] = tapped
+    return cluster, gfile, cluster.site(0).fs.ss[gfile], invalidated
+
+
+def _at_ss(cluster, op, src, payload):
+    """Deliver ``op`` from ``src`` to the storage site (site 0) the way a
+    message does — through its dispatcher — and let side effects land."""
+    try:
+        return cluster.call(0, cluster.site(0)._dispatch(op, src, payload))
+    finally:
+        cluster.settle()
+
+
+def _draw(rng):
+    """Random holders, page set, images and size for one write run."""
+    holders = [(rng.choice((2, 3)), rng.randrange(N_PAGES + 2))
+               for __ in range(rng.randrange(0, 12))]
+    pages = sorted(rng.sample(range(N_PAGES + 2),
+                              rng.randrange(1, N_PAGES + 1)))
+    images = {p: bytes([rng.randrange(256)]) * rng.choice((PSZ, PSZ // 2, 1))
+              for p in pages}
+    size = max(pages) * PSZ + rng.randrange(1, PSZ + 1)
+    return holders, pages, images, size
+
+
+def _ss_state(cluster, gfile, so):
+    cache = cluster.site(0).cache
+    keys = [(gfile[0], gfile[1], p) for p in range(N_PAGES + 2)]
+    keys += [k + ("c",) for k in keys]
+    return {
+        "shadowed": so.shadow.shadowed_pages,
+        "pages": [so.shadow.read_page(p) for p in range(N_PAGES + 2)],
+        "size": so.shadow.incore.size,
+        "pages_received": so.pages_received,
+        "io_error": so.io_error,
+        "holders": {p: set(h) for p, h in so.page_holders.items()},
+        "cache": {k: cache.peek(k) for k in keys},
+        "cache_len": len(cache),
+    }
+
+
+class TestRunEqualsItsSingles:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_write_pages_equals_write_page_series(self, seed):
+        states, revoked = [], []
+        for batched in (True, False):
+            holders, pages, images, size = _draw(random.Random(seed))
+            cluster, gfile, so, invalidated = _ss_scene(seed)
+            for reader, page in holders:
+                _at_ss(cluster, "fs.read_page", reader,
+                       {"gfile": gfile, "page": page})
+            if batched:
+                _at_ss(cluster, "fs.write_pages", 1,
+                       {"gfile": gfile, "pages": dict(images),
+                        "size": size})
+            else:
+                for page in pages:
+                    _at_ss(cluster, "fs.write_page", 1,
+                           {"gfile": gfile, "page": page,
+                            "data": images[page], "size": size})
+            states.append(_ss_state(cluster, gfile, so))
+            revoked.append(sorted(invalidated))
+        assert states[0] == states[1]
+        assert revoked[0] == revoked[1]
+        assert states[0]["pages_received"] == len(pages)
+        assert states[0]["size"] >= size
+        for page in pages:
+            assert states[0]["holders"][page] == {1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_disk_error_mid_run_poisons_the_open_either_way(self, seed):
+        """The write protocol is one-way, so the error can only surface at
+        the commit — as EIO, the root cause, never as the EWRITELOST count
+        mismatch it also produces."""
+        from repro.errors import EIO
+        for batched in (True, False):
+            rng = random.Random(seed)
+            __, pages, images, size = _draw(rng)
+            failing = rng.randrange(len(pages))
+            cluster, gfile, so, __ = _ss_scene(seed)
+            pack = cluster.site(0).packs[0]
+            real, writes = pack.write_block, []
+
+            def write_block(blockno, data):
+                writes.append(blockno)
+                if len(writes) == failing + 1:
+                    raise EIO("injected disk write failure")
+                real(blockno, data)
+
+            pack.write_block = write_block
+            if batched:
+                with pytest.raises(EIO):
+                    _at_ss(cluster, "fs.write_pages", 1,
+                           {"gfile": gfile, "pages": dict(images),
+                            "size": size})
+            else:
+                for i, page in enumerate(pages):
+                    payload = {"gfile": gfile, "page": page,
+                               "data": images[page], "size": size}
+                    if i == failing:
+                        with pytest.raises(EIO):
+                            _at_ss(cluster, "fs.write_page", 1, payload)
+                    else:
+                        _at_ss(cluster, "fs.write_page", 1, payload)
+            pack.write_block = real
+            assert so.io_error is not None
+            with pytest.raises(EIO):
+                _at_ss(cluster, "fs.commit", 1,
+                       {"gfile": gfile, "expected_pages": len(pages)})
+            # The refusal undid the staged state; the old content stands.
+            assert so.io_error is None and so.pages_received == 0
+            assert not so.shadow.dirty
+            assert cluster.shell(0).read_file("/f") == b"".join(
+                bytes([48 + p]) * PSZ for p in range(N_PAGES))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_read_runs_equal_their_singles(self, seed):
+        """fs.read_pages / fs.pull_read_range answer what the per-page
+        messages answer and register the same holders; the committed view
+        never shows a staged page."""
+        rng = random.Random(seed)
+        __, staged, images, size = _draw(rng)
+        wanted = sorted(rng.sample(range(N_PAGES), rng.randrange(1, 6)))
+        committed = {p: bytes([48 + p]) * PSZ for p in wanted}
+        answers, holders = [], []
+        for run in (True, False):
+            cluster, gfile, so, __ = _ss_scene(seed)
+            _at_ss(cluster, "fs.write_pages", 1,
+                   {"gfile": gfile, "pages": dict(images), "size": size})
+            got = {}
+            for view in ("incore", "committed", "pull"):
+                extra = {"committed": True} if view == "committed" else {}
+                one, many = (("fs.pull_read", "fs.pull_read_range")
+                             if view == "pull"
+                             else ("fs.read_page", "fs.read_pages"))
+                if run:
+                    got[view] = _at_ss(cluster, many, 2, dict(
+                        extra, gfile=gfile, pages=list(wanted)))["pages"]
+                else:
+                    got[view] = {
+                        p: _at_ss(cluster, one, 2,
+                                  dict(extra, gfile=gfile, page=p))
+                        for p in wanted}
+            answers.append(got)
+            holders.append({p: set(h) for p, h in so.page_holders.items()})
+        assert answers[0] == answers[1]
+        assert holders[0] == holders[1]
+        got = answers[0]
+        assert got["committed"] == committed and got["pull"] == committed
+        for p in wanted:
+            # The incore view serves the writer's staged image...
+            if p in images:
+                assert got["incore"][p] == images[p]
+            # ...and only incore reads make the reader a page holder.
+            assert 2 in holders[0][p]
+        assert all(2 not in h for p, h in holders[0].items()
+                   if p not in wanted)
 
 
 class TestBufferCacheIndex:

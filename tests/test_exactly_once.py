@@ -216,33 +216,34 @@ class TestCommitReplay:
 
         cluster.fail_site(1)
         cluster.restart_site(1)
-        fs1 = cluster.site(1).fs
+        # The exactly-once wrapper sits on the registered handler, so the
+        # duplicates arrive the way a message does: through the dispatcher.
+        site1 = cluster.site(1)
 
         # Same stamp after reboot: replay, no EBADF, no second apply —
         # even though every SsOpen died with the crash.
-        vv = cluster.call(1, fs1.h_commit(0, {"gfile": gfile,
-                                              "_stamp": list(stamp)}))
+        vv = cluster.call(1, site1._dispatch(
+            "fs.commit", 0, {"gfile": gfile, "_stamp": list(stamp)}))
         assert vv == recorded
         assert pack.applied_ops[stamp] == 1
         # A genuinely new op against the closed file still fails.
         with pytest.raises(EBADF):
-            cluster.call(1, fs1.h_commit(0, {"gfile": gfile,
-                                             "_stamp": [0, 9999]}))
+            cluster.call(1, site1._dispatch(
+                "fs.commit", 0, {"gfile": gfile, "_stamp": [0, 9999]}))
 
     def test_piggybacked_ack_evicts_retired_entries(self):
         """Every stamped request carries the client's completion floor;
         entries at or below it are garbage collected at the server."""
         cluster, gfile = _write_cluster(seed=33)
         fs0 = cluster.site(0).fs
-        fs1 = cluster.site(1).fs
+        site1 = cluster.site(1)
         handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
-        cluster.call(
-            1, fs1.h_commit(0, {"gfile": gfile, "_stamp": [9, 3]}))
+        cluster.call(1, site1._dispatch(
+            "fs.commit", 0, {"gfile": gfile, "_stamp": [9, 3]}))
         pack = cluster.site(1).packs[ROOT_GFS]
         assert (9, 3) in list(pack.ledger.entries())
-        cluster.call(
-            1, fs1.h_commit(0, {"gfile": gfile, "_stamp": [9, 5],
-                                "_ack": 3}))
+        cluster.call(1, site1._dispatch(
+            "fs.commit", 0, {"gfile": gfile, "_stamp": [9, 5], "_ack": 3}))
         entries = list(pack.ledger.entries())
         assert (9, 3) not in entries        # acked away
         assert (9, 5) in entries            # still awaiting its ack

@@ -198,3 +198,228 @@ class TestReopenElsewhere:
         cluster.settle()
         assert handle.closed
         assert handle.attrs["error"] == "remaining copies are stale"
+
+
+# ---------------------------------------------------------------------------
+# The re-home contract: one implementation (FsManager.rehome), both modes.
+# ---------------------------------------------------------------------------
+
+V1 = b"generation 1" * 100          # 2 pages
+V2 = b"generation 2, longer" * 100  # 2 pages
+
+
+def _tap(site, op, seen):
+    """Record every ``(src, payload)`` arriving for ``op`` at ``site``."""
+    inner = site._handlers[op]
+
+    def tapped(src, p):
+        seen.append((op, src, p))
+        return inner(src, p)
+
+    site._handlers[op] = tapped
+
+
+def _rehome_scene(mode, elsewhere, seed, supervised=True):
+    """A handle of ``mode`` on site 0 whose storage site (1) is about to be
+    lost, with ``elsewhere`` describing what the other pack site (2)
+    holds: the ``same`` version, a ``newer`` one, only an ``older`` one,
+    or ``nothing`` (no second pack).  Returns
+    ``(cluster, handle, lose)``; ``lose()`` takes the storage site away
+    and lets reconfiguration cleanup run."""
+    cost = None if supervised else \
+        CostModel().with_overrides(supervise_remote_ops=False)
+    packs = [1] if elsewhere == "nothing" else [1, 2]
+    cluster = LocusCluster(n_sites=3, seed=seed, root_pack_sites=packs,
+                           cost=cost)
+    sh0 = cluster.shell(0)
+    sh0.setcopies(len(packs))
+    sh0.write_file("/f", V1)
+    cluster.settle()
+    gfile = (ROOT_GFS, sh0.stat("/f")["ino"])
+    fs0 = cluster.site(0).fs
+    if elsewhere == "older":
+        # Site 2 misses the second generation and comes back stale just
+        # as site 1, the only current copy, goes away.
+        cluster.fail_site(2)
+        sh0.write_file("/f", V2)
+        cluster.settle()
+    handle = cluster.call(0, fs0.open_gfile(gfile, mode))
+    assert handle.ss_site == 1
+    if elsewhere == "newer":
+        if mode is Mode.READ:
+            # A writer whose US stores the file is served there (Figure 2,
+            # optimization 1): site 2 moves on while our reader keeps
+            # site 1's copy pinned open.
+            cluster.shell(2).write_file("/f", V2)
+            cluster.settle()
+        else:
+            # The commit applies and propagates, but its reply never
+            # reaches the handle: the replica is ahead of what the writer
+            # believes is the committed base.
+            base = handle.attrs["version"]
+            cluster.call(0, fs0.write(handle, 0, V2))
+            cluster.call(0, fs0.commit(handle))
+            cluster.settle()
+            handle.attrs["version"] = base
+
+    def lose():
+        if elsewhere == "older":
+            cluster.restart_site(2, settle=False, merge=False)
+        cluster.fail_site(1, settle=False)
+        cluster.settle()
+
+    return cluster, handle, lose
+
+
+def _rehome_spans(cluster, name):
+    return [s for s in cluster.tracer.spans if s.name == name]
+
+
+class TestRehomeContract:
+    """reader / writer x what survives elsewhere -> where the handle ends
+    up, which attributes it adopts, what is replayed, which counter and
+    span record it, and what the descriptor says when nothing serves."""
+
+    @pytest.mark.parametrize("elsewhere", ["same", "newer"])
+    def test_reader_adopts_the_substitute(self, elsewhere):
+        cluster, handle, lose = _rehome_scene(Mode.READ, elsewhere, seed=91)
+        opened = handle.attrs["version"]
+        lose()
+        assert not handle.closed and handle.ss_site == 2
+        # A reader takes the replacement's attributes whole.
+        current = cluster.site(2).packs[ROOT_GFS].get_inode(handle.gfile[1])
+        assert handle.attrs["version"] == current.version
+        assert handle.attrs["size"] == current.size
+        if elsewhere == "same":
+            assert handle.attrs["version"] == opened
+            want = V1
+        else:
+            assert handle.attrs["version"] != opened
+            assert handle.attrs["version"].dominates(opened)
+            want = V2
+        fs0 = cluster.site(0).fs
+        assert cluster.call(0, fs0.read(handle, 0, len(want))) == want
+        counters = cluster.site(0).metrics.counters
+        assert counters["fs.failovers"] == 1
+        assert "fs.write_failovers" not in counters
+        (span,) = _rehome_spans(cluster, "fs.failover")
+        assert span.status == "ok"
+        assert list(span.attrs) == ["gfile", "failed_ss", "new_ss"]
+        assert (span.attrs["failed_ss"], span.attrs["new_ss"]) == (1, 2)
+        assert not _rehome_spans(cluster, "fs.write_failover")
+        cluster.call(0, fs0.close(handle))
+
+    @pytest.mark.parametrize("elsewhere", ["same", "newer"])
+    def test_writer_keeps_its_view_and_replays_in_protocol_order(
+            self, elsewhere):
+        cluster, handle, lose = _rehome_scene(Mode.WRITE, elsewhere, seed=92)
+        fs0 = cluster.site(0).fs
+        psz = cluster.site(0).cost.page_size
+        image = b"".join(bytes([65 + i]) * psz for i in range(3))
+        cluster.call(0, fs0.truncate(handle))
+        cluster.call(0, fs0.write(handle, 0, image))
+        cluster.call(0, fs0.set_attrs(handle, perms=0o600))
+        attrs = handle.attrs
+        arrivals = []
+        for op in ("fs.truncate", "fs.set_attrs", "fs.write_page",
+                   "fs.write_pages", "fs.commit"):
+            _tap(cluster.site(2), op, arrivals)
+        lose()
+        assert not handle.closed and handle.ss_site == 2
+        # The writer keeps its own staged view (same dict: size, patch)
+        # and takes only the committed base from the replacement.
+        assert handle.attrs is attrs
+        assert handle.size == len(image) and attrs["perms"] == 0o600
+        base = cluster.site(2).packs[ROOT_GFS].get_inode(handle.gfile[1])
+        assert attrs["version"] == base.version
+        assert attrs["storage_sites"] == base.storage_sites
+        cluster.call(0, fs0.commit(handle))
+        cluster.call(0, fs0.close(handle))
+        # Truncate first, then attribute patches, then every page image
+        # (in page order), all before the commit — whether the pages
+        # travel one per message or as a batched run.
+        ops = [op for op, src, __ in arrivals if src == 0]
+        assert ops[:2] == ["fs.truncate", "fs.set_attrs"]
+        assert ops[-1] == "fs.commit"
+        assert set(ops[2:-1]) <= {"fs.write_page", "fs.write_pages"}
+        pages = []
+        for op, src, p in arrivals:
+            if src == 0 and op == "fs.write_page":
+                pages.append(p["page"])
+            elif src == 0 and op == "fs.write_pages":
+                pages.extend(sorted(p["pages"]))
+        assert pages == [0, 1, 2]
+        counters = cluster.site(0).metrics.counters
+        assert counters["fs.write_failovers"] == 1
+        assert "fs.failovers" not in counters
+        (span,) = _rehome_spans(cluster, "fs.write_failover")
+        assert span.status == "ok"
+        assert list(span.attrs) == ["gfile", "failed_ss", "new_ss",
+                                    "restaged"]
+        assert span.attrs["restaged"] == 3
+        assert not _rehome_spans(cluster, "fs.failover")
+        cluster.restart_site(1)
+        cluster.settle()
+        assert cluster.shell(0).read_file("/f") == image
+        assert cluster.shell(0).stat("/f")["perms"] == 0o600
+        assert fsck(cluster).clean
+
+    @pytest.mark.parametrize("mode, elsewhere, supervised, error, status", [
+        (Mode.READ, "older", True, "remaining copies are stale", "ESTALE"),
+        (Mode.READ, "nothing", True, "no surviving copy reachable", None),
+        (Mode.READ, "nothing", False, "no surviving copy reachable", None),
+        # A writer never rewinds either: the floor it vouches for rules
+        # the stale copy out, and the descriptor gets the paper's error.
+        (Mode.WRITE, "older", True, "storage site 1 lost", "ENOENT"),
+        (Mode.WRITE, "nothing", True, "storage site 1 lost", None),
+        (Mode.WRITE, "nothing", False, "storage site 1 lost", None),
+    ])
+    def test_descriptor_error_when_nothing_serves(
+            self, mode, elsewhere, supervised, error, status):
+        cluster, handle, lose = _rehome_scene(mode, elsewhere, seed=93,
+                                              supervised=supervised)
+        fs0 = cluster.site(0).fs
+        if mode is Mode.WRITE:
+            cluster.call(0, fs0.write(handle, 0, b"doomed" * 200))
+        lose()
+        assert handle.closed and not handle.dirty
+        assert handle.attrs["error"] == error
+        assert handle.hid not in fs0.us
+        with pytest.raises(LocusError):
+            cluster.call(0, fs0.read(handle, 0, 1))
+        name = "fs.write_failover" if mode is Mode.WRITE else "fs.failover"
+        spans = _rehome_spans(cluster, name)
+        if mode is Mode.WRITE and not supervised:
+            # The paper's failure action as written: no re-home attempted.
+            assert not spans
+        else:
+            assert len(spans) == 1 and spans[0].status != "ok"
+            assert "new_ss" not in spans[0].attrs
+            if status is not None:
+                assert spans[0].status == status
+
+    def test_concurrent_rehomes_share_one_reopen(self):
+        """A mid-call retry and reconfiguration cleanup re-homing one
+        handle at once: the second waits for the first and adopts its
+        outcome — one css_open, one CSS registration."""
+        cluster, handle, __ = _rehome_scene(Mode.READ, "same", seed=94)
+        fs0 = cluster.site(0).fs
+        opens = []
+        _tap(cluster.site(2), "fs.css_open", opens)
+        cluster.fail_site(1, settle=False)      # cleanup will re-home...
+        retries = [cluster.spawn(0, fs0.rehome(handle)) for __ in range(2)]
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        assert handle.failover_busy is not None  # ...a retry got there first
+        cluster.settle()
+        for task in retries:
+            assert task.finished and task.result() is None
+        assert handle.failover_busy is None
+        assert not handle.closed and handle.ss_site == 2
+        assert cluster.site(0).metrics.counters["fs.failovers"] == 1
+        stamps = {tuple(p["_stamp"]) for __, src, p in opens
+                  if src == 0 and p["gfile"] == handle.gfile}
+        assert len(stamps) == 1
+        entry = cluster.site(2).fs.css_entries[handle.gfile]
+        assert entry.readers == {0: 1} and entry.writer is None
+        cluster.call(0, fs0.close(handle))
+        assert handle.gfile not in cluster.site(2).fs.css_entries

@@ -23,7 +23,8 @@ Two claims behind the flight recorder (docs/OBSERVABILITY.md):
     minus off: repeats to a byte, and the CI gate) and wall seconds / spans
     per second with tracing on vs off (reported, never gated: shared
     runners are too noisy), beside the same numbers measured the same
-    way at the commit before the span log went columnar.
+    way at the commit before the span log went columnar and at the one
+    before its columns became one packed row.
 
 ``python benchmarks/test_t17_observe.py`` merges its sections into
 BENCH_observe.json (the T21 section is left as-is).
@@ -145,13 +146,19 @@ def _storm_metrics(seed):
 
 # -- scenario (c): host cost of recording on the T18 cluster storm ----------
 
-BYTES_PER_SPAN_BUDGET = 250.0
-# This scenario run against the parent commit (PR 11, f22e8e7: one
-# slot-less dataclass, an attrs dict and an events list per span).
+BYTES_PER_SPAN_BUDGET = 40.0
+# This scenario run against the two stores the packed log replaced: PR 11
+# (f22e8e7: one slot-less dataclass, an attrs dict and an events list per
+# span) and PR 22 (8379452: eight parallel columns, 56 B raw per span).
 PARENT_HOST_COST = {
     "bytes_per_span": 600.9, "spans": 72757,
     "wall_on_s": 2.93, "wall_off_s": 1.935, "on_over_off": 1.514,
     "spans_per_s": 24835,
+}
+PARENT_COLUMNAR_HOST_COST = {
+    "bytes_per_span": 57.5, "spans": 72757,
+    "wall_on_s": 2.836, "wall_off_s": 2.345, "on_over_off": 1.209,
+    "spans_per_s": 25658,
 }
 
 
@@ -288,7 +295,9 @@ def test_t17_host_cost(benchmark):
          "spans/s"],
         [[name, d["bytes_per_span"], d["wall_on_s"], d["wall_off_s"],
           d["on_over_off"], d["spans_per_s"]]
-         for name, d in (("parent", PARENT_HOST_COST), ("this", out))])
+         for name, d in (("parent", PARENT_HOST_COST),
+                         ("columnar", PARENT_COLUMNAR_HOST_COST),
+                         ("this", out))])
     # An rpc and a handler span per round trip, plus the set-up traffic.
     assert out["spans"] >= 2 * 12 * 250 * 12
     assert out["bytes_per_span"] <= BYTES_PER_SPAN_BUDGET
@@ -323,7 +332,9 @@ if __name__ == "__main__":
             }
             for seed, m in out["storms"].items()
         },
-        "host_cost": {"parent": PARENT_HOST_COST, **out["host_cost"]},
+        "host_cost": {"parent": PARENT_HOST_COST,
+                      "parent_columnar": PARENT_COLUMNAR_HOST_COST,
+                      **out["host_cost"]},
     })
     with open(target, "w") as fh:
         json.dump(baseline, fh, indent=2, default=str)

@@ -30,25 +30,12 @@ from repro.storage.pack import Pack
 Handler = Callable[[int, dict], Generator]
 
 class _OpLabels(NamedTuple):
-    """The strings one protocol operation is reported under."""
+    """What one protocol operation is reported under: its histogram key
+    and, in the cluster's span log, the label codes of its three spans."""
     metric: str         # "rpc.<op>"   latency histogram key
-    rpc: str            # "rpc:<op>"   span of one remote call
-    srpc: str           # "srpc:<op>"  span of a supervised call
-    serve: str          # "serve:<op>" span of the handler
-
-
-# The op vocabulary is small and static, so every call after the first
-# reuses the same strings instead of formatting — and, in the span log,
-# retaining — fresh ones.
-_op_labels: Dict[str, _OpLabels] = {}
-
-
-def _labels(op: str) -> _OpLabels:
-    labels = _op_labels.get(op)
-    if labels is None:
-        labels = _op_labels[op] = _OpLabels(
-            "rpc." + op, "rpc:" + op, "srpc:" + op, "serve:" + op)
-    return labels
+    rpc: int            # "rpc:<op>"   span of one remote call
+    srpc: int           # "srpc:<op>"  span of a supervised call
+    serve: int          # "serve:<op>" span of the handler
 
 
 class Site:
@@ -79,8 +66,9 @@ class Site:
         self.name_cache = NameCache()
         self.cache.companion = self.name_cache
         # Flight recorder: per-site metrics are always on (observational,
-        # zero virtual-time cost); the shared tracer is attached by the
-        # cluster builder when cost.trace_enabled.
+        # zero virtual-time cost); the cluster builder attaches the shared
+        # tracer (recording when cost.trace_enabled) before any RPC runs —
+        # _labels resolves span-label codes in its log.
         self.metrics = MetricsRegistry(f"site{site_id}")
         self.tracer = None
         self.metrics.register_source("cache", lambda: {
@@ -113,9 +101,10 @@ class Site:
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[Tuple[int, int], Any] = {}  # (peer, reqid) -> Future
         self._reqids = itertools.count(1)
-        # Hot-path label cache: mtype -> "serve:<mtype>@<id>" task name
-        # (the labels that do not name the site are shared, see _labels).
+        # Hot-path label caches: mtype -> "serve:<mtype>@<id>" task name,
+        # and op -> _OpLabels (see _labels).
         self._serve_names: Dict[str, str] = {}
+        self._op_labels: Dict[str, _OpLabels] = {}
         self._task_name = f"site{site_id}"
         self._tasks: Set[Task] = set()
         # Exactly-once stamping (ISSUE 8): a monotonically increasing
@@ -229,6 +218,19 @@ class Site:
     # RPC
     # ------------------------------------------------------------------
 
+    def _labels(self, op: str) -> _OpLabels:
+        """The op vocabulary is small and static, so every call after an
+        op's first on this site reuses one key and three label codes
+        instead of formatting, hashing and — in the span log — retaining
+        fresh strings.  The codes are the attached tracer's."""
+        labels = self._op_labels.get(op)
+        if labels is None:
+            code = self.tracer.spans.code
+            labels = self._op_labels[op] = _OpLabels(
+                "rpc." + op, code("rpc:" + op, "rpc"),
+                code("srpc:" + op, "rpc"), code("serve:" + op, "handler"))
+        return labels
+
     def rpc(self, dst: int, op: str, payload: Optional[dict] = None,
             timeout: Optional[float] = None) -> Generator:
         """Remote procedure call; a plain procedure call when ``dst`` is
@@ -242,11 +244,10 @@ class Site:
             return result
         tracer = self.tracer
         start = self.sim.now
-        labels = _labels(op)
+        labels = self._labels(op)
         span = prev = None
         if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin(labels.rpc, "rpc", self.site_id,
-                                      peer=dst)
+            span, prev = tracer.begin_coded(labels.rpc, self.site_id, dst)
         status_label = "ok"
         try:
             cpu_msg = self.cost.cpu_msg
@@ -327,7 +328,8 @@ class Site:
         tracer = self.tracer
         span = prev = None
         if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin(_labels(op).srpc, "rpc", self.site_id)
+            span, prev = tracer.begin_coded(self._labels(op).srpc,
+                                            self.site_id)
         status_label = "ok"
         try:
             attempt = 0
@@ -360,7 +362,12 @@ class Site:
                     if conflict_waits >= cost.patient_retries or not self.up:
                         raise
                     self.metrics.count("rpc.conflict_retries")
-                    yield cost.patient_backoff(conflict_waits)
+                    wait = cost.patient_backoff(conflict_waits)
+                    if span is not None:
+                        tracer.event(span, "conflict_wait",
+                                     {"attempt": conflict_waits,
+                                      "backoff": wait})
+                    yield wait
                     conflict_waits += 1
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
@@ -405,11 +412,12 @@ class Site:
     # ------------------------------------------------------------------
 
     def _dispatch(self, op: str, src: int, payload: dict) -> Generator:
+        """The handler's own generator, for the caller to ``yield from``:
+        no frame of ours between a served message and its handler."""
         handler = self._handlers.get(op)
         if handler is None:
             raise ValueError(f"site {self.site_id}: no handler for {op!r}")
-        result = yield from handler(src, payload)
-        return result
+        return handler(src, payload)
 
     def _on_message(self, msg: Message) -> None:
         if not self.up:
@@ -439,10 +447,9 @@ class Site:
         if tracer is not None and tracer.enabled:
             # The handler span parents under the caller's rpc span carried
             # in the message header — the cross-site causal link.
-            span, prev = tracer.begin(_labels(msg.mtype).serve, "handler",
-                                      self.site_id,
-                                      parent_ctx=msg.trace_ctx,
-                                      inherit=False, peer=msg.src)
+            span, prev = tracer.begin_coded(self._labels(msg.mtype).serve,
+                                            self.site_id, msg.src,
+                                            msg.trace_ctx, False)
         served_start = self.sim.now
         status_label = "ok"
         try:
@@ -500,8 +507,9 @@ class Site:
 
     def spawn(self, gen: Generator, name: str = "") -> Task:
         task = self.sim.spawn(gen, name=name or self._task_name)
+        task.owner = self._tasks
         self._tasks.add(task)
-        task.done.add_callback(lambda _f: self._tasks.discard(task))
+        task.done.add_callback(task.disown)
         return task
 
     # ------------------------------------------------------------------

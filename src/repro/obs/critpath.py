@@ -15,9 +15,12 @@ and deterministically, into per-hop segments:
   time once queueing is removed);
 * ``remote_service`` — handler execution at the serving site (the CSS
   running its open policy, the SS reading disk...);
-* ``retry_wait``     — supervision backoff: the deterministic
-  exponential sleeps a supervised call (``srpc:*``) spends between
-  attempts while a fault is in progress;
+* ``retry_wait``     — supervision backoff: the sleeps a supervised call
+  (``srpc:*``) records between attempts — ``retry`` events while a fault
+  is in progress, ``conflict_wait`` events while the CSS refuses a writer
+  during a merge.  The rest of an ``srpc`` span's self time is ``local``:
+  with no fault there is none, and when the destination is the calling
+  site the whole call is a procedure call with no rpc child;
 * ``repair``   — recovery/scrub work a span waited on;
 * ``other``    — anything not covered above (rare; kept explicit so the
   decomposition always sums to 100%).
@@ -53,12 +56,22 @@ def _category(span) -> str:
     if span.kind == "handler":
         return "remote_service"
     if span.kind == "rpc":
-        # srpc self time is the supervision wrapper: its rpc children
-        # cover the attempts, so what remains is backoff sleeps.
-        return "retry_wait" if span.name.startswith("srpc:") else "wire"
+        # What is left of an rpc span's self time once the waits its own
+        # events record are taken out (_attribute_self): a supervised call's
+        # wrapper runs on the calling site, a plain call is on the wire.
+        return "local" if span.name.startswith("srpc:") else "wire"
     if span.kind in _REPAIR_KINDS:
         return "repair"
     return "other"
+
+
+# The waits an rpc span's own events record inside its self time, as
+# (segment, event names, attrs key).  The network attaches a
+# ``queue_wait`` to a plain rpc span as each message (request and
+# response) is delivered — head-of-line blocking; ``supervised_rpc``
+# records on its srpc span the sleep it is about to take.
+_QUEUE_WAITS = ("queue", ("queue_wait",), "delay")
+_RETRY_WAITS = ("retry_wait", ("retry", "conflict_wait"), "backoff")
 
 
 class Blame:
@@ -176,20 +189,16 @@ class _Analyzer:
                         self_time: float, segs: Dict[str, float]) -> None:
         if self_time <= 0.0:
             return
-        cat = _category(span)
-        if span.kind == "rpc" and not span.name.startswith("srpc:"):
-            # The network attaches queue_wait events to the rpc span as
-            # each message (request and response) is delivered; what the
-            # events cover is head-of-line blocking, the rest of the
-            # self time is wire propagation + per-message CPU.
-            queued = sum(attrs.get("delay", 0.0)
-                         for ts, name, attrs in span.events
-                         if name == "queue_wait" and lo <= ts <= hi)
-            queued = min(queued, self_time)
-            segs["queue"] += queued
-            segs["wire"] += self_time - queued
-        else:
-            segs[cat] += self_time
+        waited = 0.0
+        if span.kind == "rpc":
+            segment, events, key = (_RETRY_WAITS
+                                    if span.name.startswith("srpc:")
+                                    else _QUEUE_WAITS)
+            waited = min(self_time, sum(
+                attrs.get(key, 0.0) for ts, name, attrs in span.events
+                if name in events and lo <= ts <= hi))
+            segs[segment] += waited
+        segs[_category(span)] += self_time - waited
 
 
 def analyze_spans(spans: Iterable, now: Optional[float] = None,

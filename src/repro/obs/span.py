@@ -18,6 +18,7 @@ context finds its span without a lookup table.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -67,60 +68,90 @@ class Span:
                 f"site={self.site} [{self.start}..{self.end}] {self.status}>")
 
 
+class SpanRangeError(ValueError):
+    """A span field outside what a :class:`SpanLog` row can hold."""
+
+
+# A row: trace id, parent id (0 at a root), label code, site (-1 for
+# cluster-level), peer (-1 for none), start.  Span id = row number + 1.
+ROW = struct.Struct("<IIHhhd")
+
+
 class SpanLog:
-    """The recorder's span store: one column per field, one row per span.
+    """The recorder's span store: one packed 22-byte :data:`ROW` per span.
 
     A storm records a span per RPC and per handler and keeps them all, so
-    what a row costs is what tracing costs: the numeric fields live in
-    typed arrays, names and kinds are references to shared strings, an
-    rpc or handler span's peer site is a column rather than a one-key
-    dict, and ``attrs`` / ``events`` / a status other than "ok" exist
-    only for the few spans that have one.  No row owns a
-    garbage-collected object, so recording never triggers a collection.
+    what a row costs is what tracing costs: the fixed fields share one
+    ``bytearray``, name and kind are one :meth:`code` into ``labels``, and
+    ``end`` — the one field written twice — is an array: 30 bytes a span,
+    none of them a garbage-collected object.  ``attrs`` / ``events`` / a
+    status other than "ok" exist only for the spans that have one; attrs
+    are a ``(keys, value, ...)`` tuple sharing ``keys`` with every span
+    annotated alike.
 
     The log is a read-only sequence of :class:`Span` records — ``len``,
     indexing, slicing and iteration build them on demand, as snapshots.
-    Only the tracer writes the columns.
+    Only the tracer writes it.
     """
 
-    __slots__ = ("trace_id", "parent_id", "name", "kind", "site", "peer",
-                 "start", "end", "status", "attrs", "events")
+    __slots__ = ("rows", "end", "labels", "codes", "status", "attrs", "keys",
+                 "events")
 
     def __init__(self):
-        self.trace_id = array("q")
-        self.parent_id = array("q")     # 0 at a root
-        self.name: List[str] = []
-        self.kind: List[str] = []
-        self.site = array("i")          # -1 for cluster-level
-        self.peer = array("i")          # -1 when the span has no peer
-        self.start = array("d")
+        self.rows = bytearray()
         self.end = array("d")           # OPEN (NaN) until finished
+        self.labels: List[Tuple[str, str]] = []     # code -> (name, kind)
+        self.codes: Dict[Tuple[str, str], int] = {}
         self.status: Dict[int, str] = {}      # row -> status, unless "ok"
-        self.attrs: Dict[int, Dict] = {}      # row -> annotated attrs
+        self.attrs: Dict[int, Tuple] = {}     # row -> (keys, value, ...)
+        self.keys: Dict[Tuple, Tuple] = {}    # attrs keys tuple -> itself
         self.events: Dict[int, List] = {}     # row -> timed annotations
 
     def __len__(self) -> int:
-        return len(self.start)
+        return len(self.end)
 
     def __iter__(self) -> Iterator[Span]:
-        return map(self._row, range(len(self.start)))
+        return map(self._row, range(len(self.end)))
 
     def __getitem__(self, index):
-        rows = range(len(self.start))[index]
+        rows = range(len(self.end))[index]
         if isinstance(rows, range):
             return list(map(self._row, rows))
         return self._row(rows)
 
+    def code(self, name: str, kind: str) -> int:
+        """The label code of ``(name, kind)`` in this log, assigned at first
+        use; records and exports carry the name and kind, never the code."""
+        code = self.codes.get((name, kind))
+        if code is None:
+            code = len(self.labels)
+            if code > 0xFFFF:
+                raise SpanRangeError(f"no label code left for span {name!r}")
+            self.codes[name, kind] = code
+            self.labels.append((name, kind))
+        return code
+
+    def _attrs(self, i: int) -> Dict:
+        packed = self.attrs.get(i, ((),))
+        return dict(zip(packed[0], packed[1:]))
+
+    def annotate(self, i: int, new: Dict) -> None:
+        attrs = self._attrs(i)
+        attrs.update(new)
+        keys = tuple(attrs)
+        self.attrs[i] = (self.keys.setdefault(keys, keys), *attrs.values())
+
     def _row(self, i: int) -> Span:
-        kind, parent, site, peer, end = (self.kind[i], self.parent_id[i],
-                                         self.site[i], self.peer[i],
-                                         self.end[i])
-        attrs = dict(self.attrs.get(i, ()))
+        trace_id, parent, code, site, peer, start = ROW.unpack_from(
+            self.rows, i * ROW.size)
+        name, kind = self.labels[code]
+        end = self.end[i]
+        attrs = self._attrs(i)
         if peer >= 0:
             attrs[_PEER_KEY[kind]] = peer
-        return Span(span_id=i + 1, trace_id=self.trace_id[i],
-                    parent_id=parent or None, name=self.name[i], kind=kind,
-                    site=site if site >= 0 else None, start=self.start[i],
+        return Span(span_id=i + 1, trace_id=trace_id,
+                    parent_id=parent or None, name=name, kind=kind,
+                    site=site if site >= 0 else None, start=start,
                     end=end if end == end else None,
                     status=self.status.get(i, "ok"), attrs=attrs,
                     events=list(self.events.get(i, ())))

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.span import OPEN, Span, SpanCtx, SpanLog
+from repro.obs.span import (OPEN, ROW, Span, SpanCtx, SpanLog,
+                            SpanRangeError)
 
 
 class Tracer:
@@ -62,13 +64,23 @@ class Tracer:
         Returns ``(ctx, previous_ctx)`` — the new span's own context is
         the handle :meth:`finish`, :meth:`annotate` and :meth:`event`
         take, and what a message header carries.  With ``parent_ctx``
-        unset the span parents under the current task context
-        (``inherit=False`` forces a fresh root trace instead).  ``peer``
-        is the other site of an rpc (its ``dst``) or handler (its
-        ``src``) span.
+        unset the span parents under the current task context, or with
+        ``inherit=False`` roots a fresh trace.  ``peer`` is the other
+        site of an rpc (its ``dst``) or handler (its ``src``) span.
         """
         if not self.enabled:
             return (None, None)
+        opened = self.begin_coded(self.spans.code(name, kind), site, peer,
+                                  parent_ctx, inherit)
+        if attrs:
+            self.spans.annotate(len(self.spans) - 1, attrs)
+        return opened
+
+    def begin_coded(self, code: int, site: Optional[int], peer: int = -1,
+                    parent_ctx: Optional[SpanCtx] = None, inherit=True):
+        """:meth:`begin` by position, for a caller that checked ``enabled``
+        and resolved its label's :meth:`~repro.obs.span.SpanLog.code` once:
+        every rpc and handler span."""
         task = self.sim.current_task
         prev = task.span_ctx if task is not None else None
         if parent_ctx is None and inherit:
@@ -78,18 +90,15 @@ class Tracer:
         else:
             trace_id, parent_id = next(self._trace_ids), 0
         log = self.spans
-        row = len(log.start)
-        log.trace_id.append(trace_id)
-        log.parent_id.append(parent_id)
-        log.name.append(name)
-        log.kind.append(kind)
-        log.site.append(-1 if site is None else site)
-        log.peer.append(peer)
-        log.start.append(self.sim.now)
+        try:
+            log.rows += ROW.pack(trace_id, parent_id, code,
+                                 -1 if site is None else site, peer,
+                                 self.sim.now)
+        except struct.error as exc:
+            raise SpanRangeError(f"span at site {site}, peer {peer}, under "
+                                 f"{parent_ctx} does not fit a row: {exc}")
         log.end.append(OPEN)
-        if attrs:
-            log.attrs[row] = dict(attrs)
-        ctx = (trace_id, row + 1)
+        ctx = (trace_id, len(log.end))
         if task is not None:
             task.span_ctx = ctx
         return (ctx, prev)
@@ -110,7 +119,7 @@ class Tracer:
 
     def annotate(self, span: Optional[SpanCtx], key: str, value) -> None:
         if span is not None:
-            self.spans.attrs.setdefault(span[1] - 1, {})[key] = value
+            self.spans.annotate(span[1] - 1, {key: value})
 
     def event(self, span: Optional[SpanCtx], name: str,
               attrs: Optional[Dict] = None) -> None:
@@ -150,9 +159,9 @@ class Tracer:
         site these are stuck work — the fuzz oracle's liveness signal
         (spans on a site that crashed die legitimately unfinished)."""
         log = self.spans
-        return [log[row] for row, end in enumerate(log.end) if end != end
-                and (site is None or log.site[row] == site)
-                and (kind is None or log.kind[row] == kind)]
+        spans = [log[row] for row, end in enumerate(log.end) if end != end]
+        return [s for s in spans if (site is None or s.site == site)
+                and (kind is None or s.kind == kind)]
 
 
 def traced_syscall(name: str, fn):

@@ -16,8 +16,8 @@ class Task:
     (``yield task.done``).
     """
 
-    __slots__ = ("sim", "gen", "name", "done", "span_ctx", "_cancelled",
-                 "_waiting_on")
+    __slots__ = ("sim", "gen", "name", "done", "span_ctx", "owner",
+                 "_cancelled", "_waiting_on")
 
     def __init__(self, sim, gen: Generator, name: str = ""):
         self.sim = sim
@@ -28,6 +28,9 @@ class Task:
         # background work parents under the syscall that caused it.
         parent = sim.current_task
         self.span_ctx = parent.span_ctx if parent is not None else None
+        # The set of live tasks that tracks this one (a site's, so a crash
+        # can cancel them), if any: see disown.
+        self.owner: Optional[set] = None
         self._cancelled = False
         self._waiting_on: Optional[Future] = None
 
@@ -47,6 +50,11 @@ class Task:
         self._cancelled = True
         # If blocked on a future, detach and resume with the cancellation now.
         self.sim.call_soon(self._step_throw, TaskCancelled(reason or self.name))
+
+    def disown(self, _done: Future) -> None:
+        """``done`` callback of an owned task: leave the owner's set.  A
+        bound method, so tracking a task allocates no closure."""
+        self.owner.discard(self)
 
     # -- stepping (driven by the simulator) -----------------------------
 

@@ -3,8 +3,9 @@ blame tables over live storm traces (ISSUE 10)."""
 
 import pytest
 
+from repro import LocusCluster
 from repro.cli import _run_traced_workload
-from repro.obs.critpath import (SEGMENTS, analyze, analyze_spans,
+from repro.obs.critpath import (SEGMENTS, _Analyzer, analyze, analyze_spans,
                                 format_blame)
 from repro.obs.span import Span
 
@@ -44,20 +45,52 @@ class TestHandBuiltDecomposition:
         assert blame.segments["retry_wait"] == 0.0
         assert report.coverage == pytest.approx(1.0)
 
-    def test_srpc_self_time_is_retry_wait(self):
+    def test_srpc_recorded_backoff_is_retry_wait(self):
         # srpc wrapper [0, 100] with two rpc attempts; the gap between
-        # the attempts (the backoff sleep) is retry_wait.
+        # the attempts is retry_wait as far as the wrapper's own retry
+        # event says it slept (30 of the 40), local beyond that.
         spans = [
             mkspan(1, "syscall.open", "syscall", 0.0, 100.0),
-            mkspan(2, "srpc:fs.css_open", "rpc", 0.0, 100.0, parent_id=1),
+            mkspan(2, "srpc:fs.css_open", "rpc", 0.0, 100.0, parent_id=1,
+                   events=[(20.0, "retry", {"attempt": 0, "backoff": 30.0,
+                                            "error": "SimTimeout"})]),
             mkspan(3, "rpc:fs.css_open", "rpc", 0.0, 20.0, parent_id=2),
             mkspan(4, "rpc:fs.css_open", "rpc", 60.0, 100.0, parent_id=2),
         ]
         report = analyze_spans(spans)
         blame = report.syscalls["syscall.open"]
-        assert blame.segments["retry_wait"] == pytest.approx(40.0)
+        assert blame.segments["retry_wait"] == pytest.approx(30.0)
+        assert blame.segments["local"] == pytest.approx(10.0)
         assert blame.segments["wire"] == pytest.approx(60.0)
         assert report.coverage == pytest.approx(1.0)
+
+    def test_conflict_wait_counts_and_backoff_is_clipped(self):
+        # A refused writer's patient sleep is retry_wait too, and recorded
+        # sleeps can never exceed the wrapper's self time.
+        spans = [
+            mkspan(1, "syscall.open", "syscall", 0.0, 50.0),
+            mkspan(2, "srpc:fs.css_open", "rpc", 0.0, 50.0, parent_id=1,
+                   events=[(10.0, "conflict_wait", {"attempt": 0,
+                                                    "backoff": 25.0}),
+                           (45.0, "retry", {"attempt": 0, "backoff": 80.0,
+                                            "error": "Unreachable"})]),
+            mkspan(3, "rpc:fs.css_open", "rpc", 0.0, 10.0, parent_id=2),
+            mkspan(4, "rpc:fs.css_open", "rpc", 35.0, 45.0, parent_id=2),
+        ]
+        blame = analyze_spans(spans).syscalls["syscall.open"]
+        assert blame.segments["retry_wait"] == pytest.approx(30.0)
+        assert blame.segments["local"] == 0.0
+        assert blame.segments["wire"] == pytest.approx(20.0)
+
+    def test_local_collapse_srpc_is_local_service(self):
+        # dst == self: no rpc child, the handler ran as a procedure call.
+        spans = [
+            mkspan(1, "syscall.open", "syscall", 0.0, 30.0),
+            mkspan(2, "srpc:fs.css_open", "rpc", 5.0, 25.0, parent_id=1),
+        ]
+        blame = analyze_spans(spans).syscalls["syscall.open"]
+        assert blame.segments["local"] == pytest.approx(30.0)
+        assert blame.segments["retry_wait"] == 0.0
 
     def test_overlapping_children_counted_once(self):
         # Two pipelined rpc pulls overlap [10,60] and [40,90]: the overlap
@@ -142,6 +175,49 @@ class TestHandBuiltDecomposition:
 
 def _storm_cluster(seed=11):
     return _run_traced_workload("storm", seed, 3)
+
+
+def _assert_segments_sum_per_root(tracer):
+    """Conservation: every syscall root's segments sum to its duration."""
+    spans = list(tracer.spans)
+    analyzer = _Analyzer(spans, tracer.sim.now)
+    roots = [s for s in spans
+             if s.parent_id is None and s.name.startswith("syscall.")]
+    assert roots
+    for root in roots:
+        segs = analyzer.decompose(root)
+        assert sum(segs.values()) == pytest.approx(
+            analyzer._end(root) - root.start, abs=1e-6), root
+        assert min(segs.values()) >= 0.0, root
+
+
+class TestConservation:
+    def test_fault_free_run_has_no_retry_and_no_repair(self):
+        # Replicated writes and reads from a site that stores nothing,
+        # plus CSS-local opens (srpc with no rpc child): no fault, so
+        # nothing waited on a retry or on repair work.
+        cluster = LocusCluster(n_sites=3, seed=7, root_pack_sites=[0, 1])
+        sh0, sh2 = cluster.shell(0), cluster.shell(2)
+        sh0.setcopies(2)
+        sh0.mkdir("/d")
+        for i in range(6):
+            sh0.write_file(f"/d/f{i}", bytes([i]) * 3000)
+            sh2.write_file(f"/d/g{i}", bytes([i]) * 700)
+        cluster.settle()
+        for i in range(6):
+            assert sh2.read_file(f"/d/f{i}") == bytes([i]) * 3000
+            assert sh0.read_file(f"/d/g{i}") == bytes([i]) * 700
+        report = analyze(cluster.tracer)
+        assert any(s.name.startswith("srpc:") for s in cluster.tracer.spans)
+        assert report.root_count > 30
+        assert report.segment_totals["retry_wait"] == 0.0
+        assert report.segment_totals["repair"] == 0.0
+        assert report.segment_totals["other"] == 0.0
+        _assert_segments_sum_per_root(cluster.tracer)
+
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_storm_segments_sum_per_root(self, seed):
+        _assert_segments_sum_per_root(_storm_cluster(seed).tracer)
 
 
 class TestStormTrace:

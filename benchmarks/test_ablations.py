@@ -13,11 +13,10 @@ from repro import CostModel, LocusCluster
 from _harness import Measure, print_table, run_experiment
 
 
-def _sequential_read_time(readahead: bool, think: float = 25.0):
+def _sequential_read_time(cost: CostModel, think: float = 25.0):
     """A scanning application: read a page, compute on it (think time),
     read the next — the pattern readahead exists for."""
-    cluster = LocusCluster(n_sites=2, seed=150,
-                           cost=CostModel(readahead=readahead))
+    cluster = LocusCluster(n_sites=2, seed=150, cost=cost)
     psz = cluster.config.cost.page_size
     sh1 = cluster.shell(1)
     sh1.write_file("/stream", b"s" * (16 * psz))
@@ -108,8 +107,8 @@ def _pathname_messages(shipping: bool, depth: int = 6):
 
 
 def _experiment():
-    ra_on = _sequential_read_time(True)
-    ra_off = _sequential_read_time(False)
+    ra_on = _sequential_read_time(CostModel())
+    ra_off = _sequential_read_time(CostModel(readahead_max=0))
     pulls_delta = _propagation_traffic(True)
     pulls_full = _propagation_traffic(False)
     merge_async = _merge_time(False)

@@ -28,10 +28,9 @@ import sys
 
 import pytest
 
-from repro import LocusCluster
 from repro.config import CostModel
-from repro.errors import LocusError
-from repro.faults import FaultPlan
+from repro.workloads.storm import (CONTENT, READ_INTERVAL, READS, drive,
+                                   storm_cluster, storm_plan)
 from _harness import print_table, run_experiment
 
 SEEDS = [11, 23, 47]
@@ -39,13 +38,6 @@ COMBOS = [
     ("supervised", {}),
     ("unsupervised", {"supervise_remote_ops": False}),
 ]
-
-PAGE = 1024
-CONTENT = bytes((i * 13) % 256 for i in range(4 * PAGE))    # 4 pages
-READS = 150
-READ_INTERVAL = 15.0
-WRITES = 30
-WRITE_INTERVAL = 150.0
 
 
 def _env_flags():
@@ -56,64 +48,20 @@ def _env_flags():
     return CostModel.parse_flags(os.environ.get("LOCUS_COST_FLAGS", ""))
 
 
-def _storm(seed, t0):
-    """Crash/restart both storage sites, one loss burst, one latency
-    spike, a message-count-triggered read drop, and two audited heals."""
-    return (FaultPlan(seed=seed, name="availability-storm")
-            .crash(t0 + 300.0, site=1)
-            .loss_burst(t0 + 1200.0, rate=0.08, duration=300.0)
-            .restart(t0 + 2000.0, site=1)
-            .heal(t0 + 2600.0)
-            .crash(t0 + 3200.0, site=2)
-            .latency_spike(t0 + 3600.0, delta=5.0, duration=400.0,
-                           src=0, dst=1)
-            .restart(t0 + 4800.0, site=2)
-            .heal(t0 + 5400.0)
-            .drop("fs.read_page", count=2, after_messages=600))
-
-
 def _run_storm(seed, flags):
     # Always explicit, so tests/conftest.py's default-cost shim never
     # applies twice and the two combos differ only in supervision.
     cost = CostModel().with_overrides(**{**_env_flags(), **flags})
-    cluster = LocusCluster(n_sites=3, seed=seed,
-                           root_pack_sites=[1, 2], cost=cost)
-    setup = cluster.shell(0)
-    setup.setcopies(2)
-    setup.write_file("/hot", CONTENT)
-    setup.write_file("/w", b"w" * 256)
-    cluster.settle()
-    t0 = cluster.sim.now
-    inj = cluster.inject(_storm(seed, t0))
-
+    cluster = storm_cluster(seed, cost=cost)
     sim = cluster.sim
-    r_api = cluster.shell(0).api
-    w_api = cluster.shell(0).api
+    t0 = sim.now
+    inj = cluster.inject(storm_plan(seed, t0))
     reads = []      # (start, end, ok)
     writes = []
-
-    def reader():
-        for __ in range(READS):
-            started = sim.now
-            try:
-                data = yield from r_api.read_file("/hot")
-                reads.append((started, sim.now, data == CONTENT))
-            except LocusError:
-                reads.append((started, sim.now, False))
-            yield READ_INTERVAL
-
-    def writer():
-        for i in range(WRITES):
-            try:
-                yield from w_api.write_file("/w", bytes([i % 251]) * 256)
-                writes.append(True)
-            except LocusError:
-                writes.append(False)
-            yield WRITE_INTERVAL
-
-    cluster.spawn(0, reader())
-    cluster.spawn(0, writer())
-    cluster.settle(max_time=40_000.0)
+    drive(cluster,
+          on_read=lambda started, data: reads.append(
+              (started, sim.now, data == CONTENT)),
+          on_write=writes.append)
 
     ok_ends = [end for __, end, ok in reads if ok]
     gaps = [b - a for a, b in zip([t0] + ok_ends, ok_ends)]

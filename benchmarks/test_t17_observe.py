@@ -41,8 +41,8 @@ import pytest
 
 from repro import LocusCluster
 from repro.config import CostModel
-from repro.errors import LocusError
-from repro.faults import FaultPlan
+from repro.workloads.storm import (CONTENT, READS, drive, storm_cluster,
+                                   storm_plan)
 from _harness import Measure, print_table, run_experiment
 from test_t18_simcore import build_cluster, run_cluster_storm
 
@@ -51,12 +51,6 @@ FANOUT = 60
 REPEATS = 20
 
 STORM_SEEDS = [11, 23, 47]
-PAGE = 1024
-CONTENT = bytes((i * 13) % 256 for i in range(4 * PAGE))
-READS = 150
-READ_INTERVAL = 15.0
-WRITES = 30
-WRITE_INTERVAL = 150.0
 
 
 # -- scenario (a): the T14 remote-walk hot path, trace on vs off -----------
@@ -87,56 +81,14 @@ def _walk_metrics(trace_enabled):
 
 # -- scenario (b): T16 storm percentiles through the registry --------------
 
-def _storm(seed, t0):
-    return (FaultPlan(seed=seed, name="observe-storm")
-            .crash(t0 + 300.0, site=1)
-            .loss_burst(t0 + 1200.0, rate=0.08, duration=300.0)
-            .restart(t0 + 2000.0, site=1)
-            .heal(t0 + 2600.0)
-            .crash(t0 + 3200.0, site=2)
-            .latency_spike(t0 + 3600.0, delta=5.0, duration=400.0,
-                           src=0, dst=1)
-            .restart(t0 + 4800.0, site=2)
-            .heal(t0 + 5400.0)
-            .drop("fs.read_page", count=2, after_messages=600))
-
-
 def _storm_metrics(seed):
     # Explicit default cost: tests/conftest.py's flag shim never applies.
-    cluster = LocusCluster(n_sites=3, seed=seed, root_pack_sites=[1, 2],
-                           cost=CostModel())
-    setup = cluster.shell(0)
-    setup.setcopies(2)
-    setup.write_file("/hot", CONTENT)
-    setup.write_file("/w", b"w" * 256)
-    cluster.settle()
-    t0 = cluster.sim.now
-    cluster.inject(_storm(seed, t0))
-
-    api = cluster.shell(0).api
+    cluster = storm_cluster(seed, cost=CostModel())
+    cluster.inject(storm_plan(seed, cluster.sim.now))
     completions = []
-
-    def reader():
-        for __ in range(READS):
-            try:
-                data = yield from api.read_file("/hot")
-                completions.append(data == CONTENT)
-            except LocusError:
-                completions.append(False)
-            yield READ_INTERVAL
-
-    def writer():
-        for i in range(WRITES):
-            try:
-                yield from api.write_file("/w", bytes([i % 251]) * 256)
-            except LocusError:
-                pass
-            yield WRITE_INTERVAL
-
     m = Measure(cluster)
-    cluster.spawn(0, reader())
-    cluster.spawn(0, writer())
-    cluster.settle(max_time=40_000.0)
+    drive(cluster,
+          on_read=lambda __, data: completions.append(data == CONTENT))
     out = m.done()
     out["completion_rate"] = round(sum(completions) / len(completions), 4)
     out["spans"] = len(cluster.tracer.spans)

@@ -34,10 +34,10 @@ import pytest
 
 from repro import LocusCluster
 from repro.config import CostModel
-from repro.errors import LocusError
 from repro.faults import FaultPlan
 from repro.obs.critpath import analyze
 from repro.obs.load import format_top, load_records
+from repro.workloads.storm import drive, storm_cluster, storm_plan
 from _harness import Measure, print_table, run_experiment
 
 DEPTH = 3
@@ -45,12 +45,6 @@ FANOUT = 60
 REPEATS = 20
 
 STORM_SEED = 11
-PAGE = 1024
-CONTENT = bytes((i * 13) % 256 for i in range(4 * PAGE))
-READS = 150
-READ_INTERVAL = 15.0
-WRITES = 30
-WRITE_INTERVAL = 150.0
 
 
 # -- scenario (a): T14 walk and T16 storm, accounting on vs off ------------
@@ -85,48 +79,10 @@ def _walk_metrics(load_accounting):
 
 def _storm_metrics(load_accounting, seed=STORM_SEED):
     cost = CostModel().with_overrides(load_accounting=load_accounting)
-    cluster = LocusCluster(n_sites=3, seed=seed, root_pack_sites=[1, 2],
-                           cost=cost)
-    setup = cluster.shell(0)
-    setup.setcopies(2)
-    setup.write_file("/hot", CONTENT)
-    setup.write_file("/w", b"w" * 256)
-    cluster.settle()
-    t0 = cluster.sim.now
-    cluster.inject(FaultPlan(seed=seed, name="t21-storm")
-                   .crash(t0 + 300.0, site=1)
-                   .loss_burst(t0 + 1200.0, rate=0.08, duration=300.0)
-                   .restart(t0 + 2000.0, site=1)
-                   .heal(t0 + 2600.0)
-                   .crash(t0 + 3200.0, site=2)
-                   .latency_spike(t0 + 3600.0, delta=5.0, duration=400.0,
-                                  src=0, dst=1)
-                   .restart(t0 + 4800.0, site=2)
-                   .heal(t0 + 5400.0)
-                   .drop("fs.read_page", count=2, after_messages=600))
-
-    api = cluster.shell(0).api
-
-    def reader():
-        for __ in range(READS):
-            try:
-                yield from api.read_file("/hot")
-            except LocusError:
-                pass
-            yield READ_INTERVAL
-
-    def writer():
-        for i in range(WRITES):
-            try:
-                yield from api.write_file("/w", bytes([i % 251]) * 256)
-            except LocusError:
-                pass
-            yield WRITE_INTERVAL
-
+    cluster = storm_cluster(seed, cost=cost)
+    cluster.inject(storm_plan(seed, cluster.sim.now))
     m = Measure(cluster)
-    cluster.spawn(0, reader())
-    cluster.spawn(0, writer())
-    cluster.settle(max_time=40_000.0)
+    drive(cluster)
     out = m.done()
     out["load_records"] = len(load_records(cluster))
     monitor = cluster.convergence

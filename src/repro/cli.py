@@ -202,72 +202,27 @@ class Console:
 # trace subcommand: run a workload or FaultPlan, dump the flight recording
 # ----------------------------------------------------------------------
 
-def _storm_plan(seed: int, t0: float):
-    """The T16 availability storm: crash/restart both storage sites, a
-    loss burst, a latency spike, a scripted read drop, audited heals."""
-    from repro.faults import FaultPlan
-    return (FaultPlan(seed=seed, name="trace-storm")
-            .crash(t0 + 300.0, site=1)
-            .loss_burst(t0 + 1200.0, rate=0.08, duration=300.0)
-            .restart(t0 + 2000.0, site=1)
-            .heal(t0 + 2600.0)
-            .crash(t0 + 3200.0, site=2)
-            .latency_spike(t0 + 3600.0, delta=5.0, duration=400.0,
-                           src=0, dst=1)
-            .restart(t0 + 4800.0, site=2)
-            .heal(t0 + 5400.0)
-            .drop("fs.read_page", count=2, after_messages=600))
-
-
 def _run_traced_workload(workload: str, seed: int, sites: int,
                          plan_file: Optional[str] = None):
     """Build a cluster with tracing on, drive the workload, return it."""
     from repro.faults import FaultPlan
+    from repro.workloads import storm
 
     if workload == "storm":
-        cluster = LocusCluster(n_sites=max(sites, 3), seed=seed,
-                               root_pack_sites=[1, 2])
+        cluster = storm.storm_cluster(seed, n_sites=max(sites, 3))
     else:
         cluster = LocusCluster(n_sites=sites, seed=seed,
                                root_pack_sites=[0] if sites > 1 else None)
-    setup = cluster.shell(0)
-    setup.setcopies(min(2, sites))
-    content = bytes((i * 13) % 256 for i in range(4 * 1024))
-    setup.write_file("/hot", content)
-    setup.write_file("/w", b"w" * 256)
-    cluster.settle()
-    t0 = cluster.sim.now
+        storm.populate(cluster, copies=min(2, sites))
 
     if plan_file is not None:
         with open(plan_file) as fh:
             cluster.inject(FaultPlan.from_json(fh.read()))
     elif workload == "storm":
-        cluster.inject(_storm_plan(seed, t0))
+        cluster.inject(storm.storm_plan(seed, cluster.sim.now))
 
-    sim = cluster.sim
-    api = cluster.shell(0).api
-    n_reads = 60 if (workload == "storm" or plan_file) else 8
-    n_writes = 12 if (workload == "storm" or plan_file) else 2
-
-    def reader():
-        for __ in range(n_reads):
-            try:
-                yield from api.read_file("/hot")
-            except LocusError:
-                pass
-            yield 15.0
-
-    def writer():
-        for i in range(n_writes):
-            try:
-                yield from api.write_file("/w", bytes([i % 251]) * 256)
-            except LocusError:
-                pass
-            yield 150.0
-
-    cluster.spawn(0, reader())
-    cluster.spawn(0, writer())
-    cluster.settle(max_time=40_000.0)
+    full = workload == "storm" or plan_file
+    storm.drive(cluster, reads=60 if full else 8, writes=12 if full else 2)
     return cluster
 
 

@@ -12,11 +12,39 @@ paper rather than absolute VAX-11/750 timings:
   cost is explicitly called out in section 6.
 * A remote open costs significantly more than a local one because it runs the
   four-message US/CSS/SS protocol of Figure 2.
+
+The rule for what is a field here: ``CostModel`` holds the calibration (what
+a unit of work costs — the paper's ratios are stated through it) and the
+protocol arms an experiment, benchmark or CI leg selects.  A timer or budget
+that nothing varies is a module constant beside the one protocol that reads
+it (``fs/scrub.py``, ``reconfig/topology.py``, ``fs/name_cache.py``,
+``fs/ledger.py``); the supervision policy below is shared by ``core`` and
+``fs``, so it lives here.  ``tests/test_workloads_config.py`` keeps the rule:
+a non-calibration field that no test, benchmark or CI leg sets fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+# -- Supervision policy ---------------------------------------------------
+# Timers and budgets of supervised remote calls (``Site.supervised_rpc``,
+# ``FsManager._read_rpc`` / ``_commit_remote``), in force when
+# ``CostModel.supervise_remote_ops`` is on.
+RPC_TIMEOUT = 400.0     # per-op backstop for supervised RPCs
+RPC_RETRIES = 3         # bounded retry / failover attempts
+RPC_BACKOFF = 8.0       # base of the exponential retry backoff
+# Attempt budget where replay, re-home or a refusal that precedes any state
+# change makes a retry safe (conflict-window wait, writer page operations,
+# commit): enough to ride out a whole loss burst or a post-heal merge sweep.
+PATIENT_RETRIES = 8
+
+
+def patient_backoff(waited: int) -> float:
+    """Wait before retry ``waited`` (from 0): exponential, capped so the
+    patient budget never becomes an unbounded sleep (the plain budget,
+    ``RPC_RETRIES``, ends below the cap)."""
+    return RPC_BACKOFF * (2 ** min(waited, 4))
 
 
 @dataclass
@@ -44,13 +72,13 @@ class CostModel:
     buffer_pages: int = 256         # per-site buffer cache capacity (pages)
 
     # Protocol behaviour
-    readahead: bool = True          # one-page readahead on sequential reads
     delta_propagation: bool = True  # pull only changed pages when sound
     # Hot-path optimizations, each one a measurable ablation.  All default
     # to the paper's exact per-message protocols (like pathname_shipping)
     # except adaptive readahead: readahead_max=8 pipelines a sequential
-    # remote scan, and readahead_max=1 restores the paper's one-page
-    # readahead (T3 and T4 select it to reproduce their recorded tables).
+    # remote scan, readahead_max=1 restores the paper's one-page readahead
+    # (T3 and T4 select it to reproduce their recorded tables) and
+    # readahead_max=0 turns readahead off (ablation A1).
     # name_cache: cache decoded directory entries keyed by committed version
     # vector so repeat pathname components skip the open/read/decode/close
     # cycle.
@@ -100,7 +128,7 @@ class CostModel:
     # bare remote calls (section 2.3.2), any mid-call failure surfaces to
     # the caller, and cleanup applies the section 5.6 failure-action table
     # as written (T16's unsupervised arm measures this).  On, the default,
-    # is supervised and exactly-once: remote calls get the rpc_timeout
+    # is supervised and exactly-once: remote calls get the RPC_TIMEOUT
     # backstop and bounded deterministic exponential backoff; the US read
     # path fails over to another pack copy when its SS dies mid-call ("the
     # system will substitute a different copy"); and every mutating RPC
@@ -116,9 +144,6 @@ class CostModel:
     # without advancing the clock, and stamps ride header slots excluded
     # from the wire-size model.
     supervise_remote_ops: bool = True
-    rpc_timeout: float = 400.0      # per-op backstop for supervised RPCs
-    rpc_retries: int = 3            # bounded retry / failover attempts
-    rpc_backoff: float = 8.0        # base of the exponential retry backoff
 
     # Flight recorder (ISSUE 5).  With the flag on, every syscall, RPC and
     # message handler records a causal span and a virtual-time latency
@@ -152,27 +177,6 @@ class CostModel:
     # merge, never in fault-free steady state, so flag-off runs are
     # byte-identical when no fault fires.
     scrub_enabled: bool = True
-    scrub_rounds: int = 4           # max sweep rounds before giving up
-    scrub_interval: float = 150.0   # virtual-time delay between rounds
-
-    # Reconfiguration timers
-    poll_timeout: float = 50.0      # RPC poll timeout used by reconfiguration
-    merge_long_timeout: float = 200.0   # while expected sites missing
-    merge_short_timeout: float = 40.0   # after all believed-up sites replied
-    watchdog_interval: float = 100.0    # passive-site check on active site
-
-    @property
-    def patient_retries(self) -> int:
-        """Attempt budget where replay, re-home or a refusal that precedes
-        any state change makes a retry safe (conflict-window wait, writer
-        page operations, commit): enough to ride out a whole loss burst
-        or a post-heal merge sweep."""
-        return max(2 * self.rpc_retries, 8)
-
-    def patient_backoff(self, waited: int) -> float:
-        """Wait before patient retry ``waited`` (from 0): exponential,
-        capped so a long budget never becomes an unbounded sleep."""
-        return self.rpc_backoff * (2 ** min(waited, 4))
 
     def message_delay(self, nbytes: int) -> float:
         """Wire time for a message carrying ``nbytes`` of payload."""
@@ -220,7 +224,6 @@ class ClusterConfig:
     # Sites holding a physical container (pack) of the root filegroup.
     # ``None`` means every site stores a pack, the fully replicated default.
     root_pack_sites: "list[int] | None" = None
-    blocks_per_pack: int = 1 << 16
 
     def resolved_root_packs(self) -> "list[int]":
         if self.root_pack_sites is None:

@@ -106,8 +106,7 @@ class LocusCluster:
             DirEntry("..", ROOT_INO, FileType.DIRECTORY),
         ])
         for index, site_id in enumerate(pack_sites):
-            pack = Pack(gfs=gfs, site_id=site_id, pack_index=index,
-                        n_blocks=self.config.blocks_per_pack)
+            pack = Pack(gfs=gfs, site_id=site_id, pack_index=index)
             if index == 0:
                 inode = pack.alloc_inode(ftype=FileType.DIRECTORY,
                                          perms=0o755,

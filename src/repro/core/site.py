@@ -14,7 +14,8 @@ import itertools
 from typing import (Any, Callable, Dict, Generator, NamedTuple, Optional, Set,
                     Tuple)
 
-from repro.config import ClusterConfig, CostModel
+from repro.config import (PATIENT_RETRIES, RPC_RETRIES, RPC_TIMEOUT,
+                          ClusterConfig, CostModel, patient_backoff)
 from repro.errors import (CircuitClosed, EWOULDCONFLICT, NetworkError,
                           SiteDown, SimTimeout, TaskCancelled, Unreachable)
 from repro.net.message import Message, MsgKind
@@ -53,8 +54,7 @@ class Site:
         # once a cluster is built, so this is computed once.  Timeouts are
         # NetworkErrors, so callers' retry/skip handling covers them.
         self.backstop: Optional[float] = (
-            (self.cost.rpc_timeout or None)
-            if self.cost.supervise_remote_ops else None)
+            RPC_TIMEOUT if self.cost.supervise_remote_ops else None)
         self.up = True
         self.cpu_used = 0.0
         self.cpu_type = "vax"          # machine type (section 2.4.1)
@@ -291,8 +291,8 @@ class Site:
     def supervised_rpc(self, dst, op: str, payload: Optional[dict] = None,
                        once: bool = False) -> Generator:
         """Supervised remote call: the ``backstop`` timeout plus bounded
-        deterministic exponential backoff (``cost.rpc_retries`` attempts on
-        a base of ``cost.rpc_backoff``).
+        deterministic exponential backoff (``RPC_RETRIES`` attempts, each
+        after ``patient_backoff``: the supervision policy of ``config.py``).
 
         ``dst`` may be a callable re-evaluated before every attempt so a
         retry chases responsibility that moved during the failure (e.g. a
@@ -315,16 +315,13 @@ class Site:
         unstamped — the paper's unsupervised behaviour.
         """
         resolve = dst if callable(dst) else (lambda: dst)
-        cost = self.cost
         payload = payload if payload is not None else {}
-        if not cost.supervise_remote_ops:
+        if not self.cost.supervise_remote_ops:
             result = yield from self.rpc(resolve(), op, payload)
             return result
         own_stamp = once and "_stamp" not in payload
         if own_stamp:
             payload["_stamp"] = self.next_stamp()
-        retries = cost.rpc_retries
-        backoff = cost.rpc_backoff
         tracer = self.tracer
         span = prev = None
         if tracer is not None and tracer.enabled:
@@ -342,27 +339,28 @@ class Site:
                                                  timeout=self.backstop)
                     return result
                 except NetworkError as exc:
-                    if attempt >= retries or not self.up:
+                    if attempt >= RPC_RETRIES or not self.up:
                         raise
                     self.metrics.count("rpc.retries")
+                    wait = patient_backoff(attempt)
                     if span is not None:
                         tracer.event(span, "retry",
                                      {"attempt": attempt,
                                       "error": type(exc).__name__,
-                                      "backoff": backoff * (2 ** attempt)})
+                                      "backoff": wait})
                     # Deterministic exponential backoff: gives the
                     # partition protocol time to converge before the
                     # retry resolves dst.
-                    yield backoff * (2 ** attempt)
+                    yield wait
                     attempt += 1
                 except EWOULDCONFLICT:
                     # Conflict-window refusal: wait for the merge the
                     # CSS has scheduled, on its own (longer) budget so
                     # network retries stay bounded independently.
-                    if conflict_waits >= cost.patient_retries or not self.up:
+                    if conflict_waits >= PATIENT_RETRIES or not self.up:
                         raise
                     self.metrics.count("rpc.conflict_retries")
-                    wait = cost.patient_backoff(conflict_waits)
+                    wait = patient_backoff(conflict_waits)
                     if span is not None:
                         tracer.event(span, "conflict_wait",
                                      {"attempt": conflict_waits,

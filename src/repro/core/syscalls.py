@@ -3,15 +3,21 @@
 A :class:`Shell` owns one process at one site and exposes the system-call
 set as ordinary blocking methods; each call drives the simulation until the
 kernel procedure completes (background kernel work — propagation,
-reconfiguration — advances alongside).
+reconfiguration — advances alongside).  The methods are derived from
+:class:`~repro.proc.api.ProcApi`, where each syscall is declared once:
+parameters and docstrings are ProcApi's, and a Shell method returns what
+the kernel procedure returns.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import functools
 
-from repro.proc.api import ProcApi
-from repro.proc.process import Signal
+from repro.proc.api import _TRACED_SYSCALLS, ProcApi
+
+# ProcApi methods that are plain functions (no kernel work to drive).
+_PASS_THROUGH = ("getpid", "errinfo", "setcopies", "set_advice",
+                 "set_hidden_context", "set_hidden_visible")
 
 
 class Shell:
@@ -23,162 +29,36 @@ class Shell:
         self.proc = site.proc.make_process(user=user, program="shell")
         self.api = ProcApi(site, self.proc)
 
-    def _call(self, gen, name: str):
-        return self.cluster.call(self.site, gen,
-                                 name=f"{name}@{self.site.site_id}")
-
-    # -- files ----------------------------------------------------------
-
-    def open(self, path: str, mode: str = "r", create: bool = False,
-             trunc: bool = False, excl: bool = False,
-             allow_conflict: bool = False) -> int:
-        return self._call(self.api.open(path, mode, create=create,
-                                        trunc=trunc, excl=excl,
-                                        allow_conflict=allow_conflict),
-                          "open")
-
-    def read(self, fd: int, nbytes: int) -> bytes:
-        return self._call(self.api.read(fd, nbytes), "read")
-
-    def write(self, fd: int, data) -> int:
-        return self._call(self.api.write(fd, data), "write")
-
-    def pread(self, fd: int, offset: int, nbytes: int) -> bytes:
-        return self._call(self.api.pread(fd, offset, nbytes), "pread")
-
-    def pwrite(self, fd: int, offset: int, data) -> int:
-        return self._call(self.api.pwrite(fd, offset, data), "pwrite")
-
-    def lseek(self, fd: int, offset: int, whence: str = "set") -> int:
-        return self._call(self.api.lseek(fd, offset, whence), "lseek")
-
-    def close(self, fd: int) -> None:
-        return self._call(self.api.close(fd), "close")
-
-    def dup(self, fd: int) -> int:
-        return self._call(self.api.dup(fd), "dup")
-
-    def commit(self, fd: int):
-        return self._call(self.api.commit(fd), "commit")
-
-    def abort(self, fd: int) -> None:
-        return self._call(self.api.abort(fd), "abort")
-
-    def fstat(self, fd: int) -> dict:
-        return self._call(self.api.fstat(fd), "fstat")
-
-    def write_file(self, path: str, data) -> None:
-        if isinstance(data, str):
-            data = data.encode()
-        return self._call(self.api.write_file(path, data), "write_file")
-
-    def read_file(self, path: str) -> bytes:
-        return self._call(self.api.read_file(path), "read_file")
-
-    # -- namespace ---------------------------------------------------------
-
-    def mkdir(self, path: str, perms: int = 0o755, hidden: bool = False):
-        return self._call(self.api.mkdir(path, perms=perms, hidden=hidden),
-                          "mkdir")
-
-    def rmdir(self, path: str) -> None:
-        return self._call(self.api.rmdir(path), "rmdir")
-
-    def unlink(self, path: str) -> None:
-        return self._call(self.api.unlink(path), "unlink")
-
-    def link(self, existing: str, new: str) -> None:
-        return self._call(self.api.link(existing, new), "link")
-
-    def rename(self, old: str, new: str) -> None:
-        return self._call(self.api.rename(old, new), "rename")
-
-    def readdir(self, path: str) -> List[str]:
-        return self._call(self.api.readdir(path), "readdir")
-
-    def stat(self, path: str) -> dict:
-        return self._call(self.api.stat(path), "stat")
-
-    def chmod(self, path: str, perms: int) -> None:
-        return self._call(self.api.chmod(path, perms), "chmod")
-
-    def chown(self, path: str, owner: str) -> None:
-        return self._call(self.api.chown(path, owner), "chown")
-
-    def chdir(self, path: str) -> None:
-        return self._call(self.api.chdir(path), "chdir")
-
-    def add_replica(self, path: str, site: int) -> None:
-        return self._call(self.api.add_replica(path, site), "add_replica")
-
-    def drop_replica(self, path: str, site: int) -> None:
-        return self._call(self.api.drop_replica(path, site), "drop_replica")
-
-    # -- pipes ----------------------------------------------------------
-
-    def pipe(self) -> Tuple[int, int]:
-        return self._call(self.api.pipe(), "pipe")
-
-    def mkfifo(self, path: str):
-        return self._call(self.api.mkfifo(path), "mkfifo")
-
-    def mknod_device(self, path: str, host: int, device: str,
-                     character: bool = True):
-        return self._call(
-            self.api.mknod_device(path, host, device, character=character),
-            "mknod_device")
-
-    # -- processes ---------------------------------------------------------
-
-    def fork(self, child_main=None, args: tuple = (),
-             dest: Optional[int] = None) -> int:
-        return self._call(self.api.fork(child_main, args=args, dest=dest),
-                          "fork")
-
-    def run(self, path: str, args: tuple = (),
-            dest: Optional[int] = None) -> int:
-        return self._call(self.api.run(path, args=args, dest=dest), "run")
-
-    def exec(self, path: str, args: tuple = (),
-             dest: Optional[int] = None) -> int:
-        return self._call(self.api.exec(path, args=args, dest=dest), "exec")
-
-    def wait(self):
-        return self._call(self.api.wait(), "wait")
-
-    def kill(self, pid: int, sig: Signal = Signal.SIGTERM) -> None:
-        return self._call(self.api.kill(pid, sig), "kill")
-
-    def getpid(self) -> int:
-        return self.api.getpid()
-
-    def errinfo(self) -> List[dict]:
-        return self.api.errinfo()
-
-    def install_program(self, path: str, program: str, cpu: str = "vax",
-                        code_pages: int = 16, data_pages: int = 8,
-                        reentrant: bool = True) -> None:
-        return self._call(
-            self.api.install_program(path, program, cpu=cpu,
-                                     code_pages=code_pages,
-                                     data_pages=data_pages,
-                                     reentrant=reentrant),
-            "install_program")
-
-    # -- environment knobs (no kernel work) ------------------------------
-
-    def setcopies(self, n: int) -> None:
-        self.api.setcopies(n)
-
-    def set_advice(self, sites: List[int]) -> None:
-        self.api.set_advice(sites)
-
-    def set_hidden_context(self, names: List[str]) -> None:
-        self.api.set_hidden_context(names)
-
-    def set_hidden_visible(self, flag: bool) -> None:
-        self.api.set_hidden_visible(flag)
-
     def __repr__(self) -> str:
         return (f"<Shell site={self.site.site_id} pid={self.proc.pid} "
                 f"user={self.proc.user}>")
+
+
+def _blocking(name: str):
+    """Shell method that runs kernel procedure ``ProcApi.<name>`` to
+    completion."""
+    @functools.wraps(getattr(ProcApi, name))
+    def method(self, *args, **kw):
+        gen = getattr(self.api, name)(*args, **kw)
+        return self.cluster.call(self.site, gen,
+                                 name=f"{name}@{self.site.site_id}")
+    return method
+
+
+def _pass_through(name: str):
+    """Shell method for a ProcApi call that needs no simulation time."""
+    @functools.wraps(getattr(ProcApi, name))
+    def method(self, *args, **kw):
+        return getattr(self.api, name)(*args, **kw)
+    return method
+
+
+# The conveniences compose traced syscalls (write_file takes str or bytes:
+# ProcApi.write encodes).
+_CONVENIENCES = ("write_file", "read_file", "install_program")
+
+for _name in _TRACED_SYSCALLS + _CONVENIENCES:
+    setattr(Shell, _name, _blocking(_name))
+for _name in _PASS_THROUGH:
+    setattr(Shell, _name, _pass_through(_name))
+del _name

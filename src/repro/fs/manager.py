@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from repro.config import PATIENT_RETRIES, RPC_RETRIES, patient_backoff
 from repro.errors import (EBADF, EBUSY, ECONFLICT, EINVAL, EIO, ENOENT,
                           ESTALE, EWOULDCONFLICT, EWRITELOST, FsError,
                           NetworkError, SiteDown)
@@ -737,7 +738,7 @@ class FsManager(PathMixin, NamespaceMixin):
         When the SS crashes or the circuit closes mid-call (also: the SS
         restarted and lost its open state, or refuses as stale), fail over
         to the next available pack copy and retry — bounded by
-        ``cost.rpc_retries`` with deterministic exponential backoff.  A
+        ``RPC_RETRIES`` with deterministic exponential backoff.  A
         reader substitutes another copy of the same version; a writer
         re-homes its write token and re-stages its shadow pages
         (``rehome``), which is also what makes the idempotent
@@ -745,7 +746,6 @@ class FsManager(PathMixin, NamespaceMixin):
         safe to send through here.  With supervision off this is a plain
         unsupervised call, the paper's behaviour.
         """
-        cost = self.cost
         attempt = 0
         while True:
             try:
@@ -757,9 +757,8 @@ class FsManager(PathMixin, NamespaceMixin):
                 # A writer's budget mirrors the commit one: re-home and
                 # replay make its retries safe, so it should ride out a
                 # whole loss burst rather than fail the syscall.
-                budget = cost.patient_retries if writable \
-                    else max(1, cost.rpc_retries)
-                if not cost.supervise_remote_ops or handle.closed \
+                budget = PATIENT_RETRIES if writable else RPC_RETRIES
+                if not self.cost.supervise_remote_ops or handle.closed \
                         or attempt >= budget:
                     raise
                 attempt += 1
@@ -773,10 +772,7 @@ class FsManager(PathMixin, NamespaceMixin):
                                   "error": type(exc).__name__})
                 # Backoff first: gives the partition protocol time to agree
                 # on the new membership before the reopen picks a copy.
-                if writable:
-                    yield cost.patient_backoff(attempt - 1)
-                else:
-                    yield cost.rpc_backoff * (2 ** (attempt - 1))
+                yield patient_backoff(attempt - 1)
                 if handle.closed:
                     raise   # reconfiguration cleanup closed it meanwhile
                 if handle.ss_site == failed_ss:
@@ -897,7 +893,7 @@ class FsManager(PathMixin, NamespaceMixin):
         cached = self.site.cache.get(key)
         if cached is not None:
             yield from self.site.cpu(self.cost.buffer_hit)
-            if handle.note_read(page) and self.cost.readahead:
+            if handle.note_read(page) and self.cost.readahead_max:
                 self._maybe_readahead(handle, page + 1)
             return cached
         inflight = self._inflight.get(key)
@@ -923,7 +919,7 @@ class FsManager(PathMixin, NamespaceMixin):
             # our response was in flight; never overwrite newer content.
             self.site.cache.put(key, data)
         fut.resolve(data)
-        if handle.note_read(page) and self.cost.readahead:
+        if handle.note_read(page) and self.cost.readahead_max:
             self._maybe_readahead(handle, page + 1)
         return data
 
@@ -1406,10 +1402,9 @@ class FsManager(PathMixin, NamespaceMixin):
         way the ambiguity resolves, the surviving replica's version
         strictly dominates the lost one instead of diverging from it.
         """
-        cost = self.cost
         payload = {"gfile": handle.gfile}
         yield from self._expect_pages(handle, payload)
-        if not cost.supervise_remote_ops:
+        if not self.cost.supervise_remote_ops:
             vv = yield from self.site.rpc(handle.ss_site, "fs.commit",
                                           payload)
             return vv
@@ -1431,7 +1426,7 @@ class FsManager(PathMixin, NamespaceMixin):
                     # retries safe, the commit should ride out a whole
                     # loss burst rather than surface a transient as a
                     # failed write.
-                    if handle.closed or attempt >= cost.patient_retries:
+                    if handle.closed or attempt >= PATIENT_RETRIES:
                         raise
                     attempt += 1
                     if isinstance(exc, NetworkError):
@@ -1440,7 +1435,7 @@ class FsManager(PathMixin, NamespaceMixin):
                         # disambiguate.
                         ambiguous.add(target)
                     self.site.metrics.count("fs.commit_retries")
-                    yield cost.patient_backoff(attempt - 1)
+                    yield patient_backoff(attempt - 1)
                     if handle.closed:
                         raise
                     if isinstance(exc, EWRITELOST):
@@ -1503,24 +1498,22 @@ class FsManager(PathMixin, NamespaceMixin):
         expected = p.get("expected_pages")
         if expected is None:
             expected = p.get("_expected")
-        if expected is not None:
-            so = self.ss.get(p["gfile"])
-            if so is not None and so.io_error is not None:
-                # A physical write failure mid-chunk also stops the staged
-                # count; report the root cause (EIO from _ss_commit), not
-                # the count mismatch it produced.
-                pass
-            elif so is not None and so.pages_received != expected:
-                # One-way page writes were partially delivered (a lost
-                # fs.write_page/fs.write_pages closed the circuit, and
-                # this commit reopened it).  Never half-commit: drop the
-                # staged state and fail the commit back to the US, which
-                # replays its retained page images and retries.
-                received = so.pages_received
-                yield from self._ss_abort(p["gfile"])
-                raise EWRITELOST(
-                    f"commit of {p['gfile']} expected {expected} staged "
-                    f"page writes, storage site received {received}")
+        so = self.ss.get(p["gfile"])
+        # A physical write failure mid-chunk also stops the staged count;
+        # that case is left to _ss_commit, which reports the root cause
+        # (EIO), not the count mismatch it produced.
+        if (expected is not None and so is not None and so.io_error is None
+                and so.pages_received != expected):
+            # One-way page writes were partially delivered (a lost
+            # fs.write_page/fs.write_pages closed the circuit, and this
+            # commit reopened it).  Never half-commit: drop the staged
+            # state and fail the commit back to the US, which replays its
+            # retained page images and retries.
+            received = so.pages_received
+            yield from self._ss_abort(p["gfile"])
+            raise EWRITELOST(
+                f"commit of {p['gfile']} expected {expected} staged "
+                f"page writes, storage site received {received}")
         vv = yield from self._ss_commit(p["gfile"], stamp=p.get("_stamp"),
                                         vv_floor=p.get("vv_floor"))
         return vv

@@ -24,7 +24,7 @@ a digest of its committed content — and classifies every mismatch:
 * a live directory entry naming an inode no reachable pack holds is
   scrubbed out (the classic fsck action), and link counts are recounted.
 
-A round that finds nothing ends the sweep early; ``scrub_rounds`` bounds
+A round that finds nothing ends the sweep early; ``SCRUB_ROUNDS`` bounds
 the worst case.  The scrub never runs in fault-free steady state — its
 only triggers fire from the merge procedure — so disabling it
 (``CostModel.scrub_enabled``) changes nothing on a clean run.
@@ -44,17 +44,31 @@ from repro.storage.version_vector import latest
 _DIR_TYPES = (FileType.DIRECTORY, FileType.HIDDEN_DIR)
 
 
-def committed_digest(pack, ino: int, page_size: int = 1024) -> str:
-    """Digest of an inode's committed content, straight from pack blocks
-    (the same committed view fsck audits)."""
+# A sweep's budget.  No experiment varies either value, so they are
+# constants beside the one loop that reads them.
+SCRUB_ROUNDS = 4            # max sweep rounds before giving up
+SCRUB_INTERVAL = 150.0      # virtual-time delay between rounds
+
+
+def committed_image(pack, ino: int, page_size: int) -> bytes:
+    """An inode's committed content, straight from pack blocks: what fsck
+    audits, the scrub digests and the fuzz oracle compares."""
     inode = pack.get_inode(ino)
     if inode is None:
-        return ""
+        return b""
     chunks = []
     for blockno in inode.pages:
         chunks.append((pack.read_block(blockno) if blockno is not None
                        else b"").ljust(page_size, b"\x00"))
-    return hashlib.sha1(b"".join(chunks)[:inode.size]).hexdigest()[:16]
+    return b"".join(chunks)[:inode.size]
+
+
+def committed_digest(pack, ino: int, page_size: int = 1024) -> str:
+    """Digest of an inode's committed image ("" for a missing inode)."""
+    if pack.get_inode(ino) is None:
+        return ""
+    image = committed_image(pack, ino, page_size)
+    return hashlib.sha1(image).hexdigest()[:16]
 
 
 class ScrubStats:
@@ -79,17 +93,7 @@ class ScrubManager:
         self.site = site
         self.stats = ScrubStats()
         self._active: Set[int] = set()   # filegroups with a sweep running
-        site.metrics.register_source("scrub", lambda: {
-            "sweeps": self.stats.sweeps,
-            "rounds": self.stats.rounds,
-            "converged": self.stats.converged,
-            "exhausted": self.stats.exhausted,
-            "partial_rounds": self.stats.partial_rounds,
-            "reconciles": self.stats.reconciles,
-            "digest_skews": self.stats.digest_skews,
-            "placement_repairs": self.stats.placement_repairs,
-            "dangling_removed": self.stats.dangling_removed,
-        })
+        site.metrics.register_source("scrub", lambda: dict(vars(self.stats)))
         site.register_handler("fs.scrub_digest", self.h_scrub_digest)
 
     @property
@@ -145,13 +149,12 @@ class ScrubManager:
     # ------------------------------------------------------------------
 
     def _sweep(self, gfs: int) -> Generator:
-        cost = self.site.cost
         recovery = self.site.recovery
         fs = self.site.fs
         self.stats.sweeps += 1
-        for __ in range(max(1, cost.scrub_rounds)):
-            yield cost.scrub_interval
-            if not cost.scrub_enabled:
+        for __ in range(SCRUB_ROUNDS):
+            yield SCRUB_INTERVAL
+            if not self.site.cost.scrub_enabled:
                 return None
             if fs.mount.css_for(gfs) != self.sid:
                 return None   # lost the CSS role: the new CSS scrubs
@@ -162,9 +165,8 @@ class ScrubManager:
                     recovery.pending.get(gfs) or recovery._demanding)
                 if not busy:
                     break
-                yield cost.scrub_interval / 2
+                yield SCRUB_INTERVAL / 2
             self.stats.rounds += 1
-            self.site.metrics.count("scrub.rounds")
             before = recovery.stats.nlink_repairs if recovery else 0
             mismatches = yield from self._round(gfs)
             # Recount link references even on an otherwise clean round: a
@@ -180,10 +182,8 @@ class ScrubManager:
             self.stats.nlink_repairs += repairs
             if mismatches == 0 and repairs == 0:
                 self.stats.converged += 1
-                self.site.metrics.count("scrub.converged")
                 return None
         self.stats.exhausted += 1
-        self.site.metrics.count("scrub.exhausted")
         return None
 
     def _flag(self, category: str, gfile: Gfile) -> None:
@@ -250,7 +250,6 @@ class ScrubManager:
         shortfall = len(expected) - len(summaries)
         if shortfall:
             self.stats.partial_rounds += 1
-            self.site.metrics.count("scrub.partial_rounds")
         if len(summaries) < 2:
             return shortfall if len(expected) >= 2 else 0
         all_inos: Set[int] = set()
@@ -275,7 +274,6 @@ class ScrubManager:
                 # Concurrent lineages: the merge machinery, not a pull.
                 mismatches += 1
                 self.stats.reconciles += 1
-                self.site.metrics.count("scrub.reconciles")
                 self._flag("reconcile", gfile)
                 if recovery is not None:
                     recovery._note_reconcile_needed(gfile)
@@ -290,7 +288,6 @@ class ScrubManager:
                 # reconcile propagates the best version to both.
                 mismatches += 1
                 self.stats.reconciles += 1
-                self.site.metrics.count("scrub.reconciles")
                 self._flag("reconcile", gfile)
                 if recovery is not None:
                     recovery._note_reconcile_needed(gfile)
@@ -303,7 +300,6 @@ class ScrubManager:
                 # copy can be trusted as "the" best.
                 mismatches += 1
                 self.stats.digest_skews += 1
-                self.site.metrics.count("scrub.digest_skews")
                 self._flag("digest_skew", gfile)
                 if recovery is None:
                     continue
@@ -326,7 +322,6 @@ class ScrubManager:
                     # requested explicitly.
                     mismatches += 1
                     self.stats.placement_repairs += 1
-                    self.site.metrics.count("scrub.placement_repairs")
                     self._flag("placement", gfile)
                     yield from self.site.oneway_quiet(s, "fs.notify", {
                         "gfile": gfile, "attrs": win_attrs, "pages": None,
@@ -384,6 +379,5 @@ class ScrubManager:
                     continue
                 removed += 1
                 self.stats.dangling_removed += 1
-                self.site.metrics.count("scrub.dangling_removed")
                 self._flag("dangling", (gfs, entry.ino))
         return removed

@@ -34,6 +34,7 @@ from typing import List, Optional
 
 from repro.errors import LocusError
 from repro.faults.invariants import InvariantChecker, Violation
+from repro.fs.scrub import committed_digest
 from repro.fuzz.runner import (AMBIGUOUS, FuzzRun, MISSING, NamespaceModel,
                                _digest)
 
@@ -121,6 +122,7 @@ class FuzzOracle:
         out: List[Violation] = []
         cluster = run.cluster
         mount = cluster.sites[0].fs.mount
+        page_size = cluster.config.cost.page_size
         for gfs in sorted(mount.groups):
             packs = {}
             for site_id in mount.pack_sites(gfs):
@@ -140,21 +142,14 @@ class FuzzOracle:
                 first = data[0][2].version
                 if any(i.version != first for __, __p, i in data[1:]):
                     continue    # vv divergence: InvariantChecker's case
-                images = {s: _digest(self._image(p, i))
-                          for s, p, i in data}
+                images = {s: committed_digest(p, ino, page_size)
+                          for s, p, __i in data}
                 if len(set(images.values())) > 1:
                     out.append(self._make(
                         run, "data_divergence",
                         f"gfile=({gfs},{ino}) equal versions, "
                         f"different bytes: {images}"))
         return out
-
-    @staticmethod
-    def _image(pack, inode) -> bytes:
-        parts = []
-        for block in inode.pages:
-            parts.append(b"" if block is None else pack.read_block(block))
-        return b"".join(parts)[:inode.size]
 
     # -- session guarantees ----------------------------------------------
 

@@ -299,7 +299,6 @@ class Network:
             return
         circuit.open = False
         self.stats.circuits_closed += 1
-        self.metrics.count("net.circuits_closed")
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant("net.circuit_closed",
                                 attrs={"pair": list(key),

@@ -27,6 +27,13 @@ from typing import Dict, Generator, Optional, Set
 from repro.errors import EBUSY, NetworkError, TaskCancelled
 from repro.reconfig.cleanup import run_cleanup
 
+# Reconfiguration timers (virtual time).  No experiment varies them, so
+# they sit beside the protocols that read them.
+POLL_TIMEOUT = 50.0         # RPC poll timeout of both protocols
+MERGE_LONG_TIMEOUT = 200.0  # merge: while expected sites are missing
+MERGE_SHORT_TIMEOUT = 40.0  # merge: after all believed-up sites replied
+WATCHDOG_INTERVAL = 100.0   # passive-site check on the active site
+
 
 class TopologyService:
     """Per-site membership state and reconfiguration protocols."""
@@ -140,7 +147,7 @@ class TopologyService:
                 return None
             if self.stage == self.STAGE_IDLE:
                 self.request_merge()
-            yield self.site.cost.poll_timeout * (attempt + 1)
+            yield POLL_TIMEOUT * (attempt + 1)
         return None
 
     def request_merge(self) -> None:
@@ -169,7 +176,7 @@ class TopologyService:
                     reply = yield from self.site.rpc(
                         target, "topo.part_poll",
                         {"active": self.sid},
-                        timeout=self.site.cost.poll_timeout)
+                        timeout=POLL_TIMEOUT)
                     p_target = set(reply["partition"])
                 except NetworkError:
                     p_a.discard(target)
@@ -192,7 +199,7 @@ class TopologyService:
         for s in sorted(members - {self.sid}):
             try:
                 yield from self.site.rpc(s, "topo.part_announce", payload,
-                                         timeout=self.site.cost.poll_timeout)
+                                         timeout=POLL_TIMEOUT)
             except NetworkError:
                 # It will re-run the protocol on its own; consensus converges.
                 pass
@@ -226,7 +233,7 @@ class TopologyService:
             if not self.site.net.reachable(self.sid, active):
                 self.on_circuit_closed(active, "active site died")
 
-        self.site.sim.schedule(self.site.cost.watchdog_interval, _check)
+        self.site.sim.schedule(WATCHDOG_INTERVAL, _check)
 
     # ------------------------------------------------------------------
     # The merge protocol (section 5.5)
@@ -256,7 +263,7 @@ class TopologyService:
                      for s in targets}
             # Two-level timeout: wait long while some site believed up by a
             # respondent has not answered, then only a short grace period.
-            deadline = self.site.sim.now + self.site.cost.merge_long_timeout
+            deadline = self.site.sim.now + MERGE_LONG_TIMEOUT
             while True:
                 pending = {s: t for s, t in tasks.items() if not t.finished}
                 for s, t in tasks.items():
@@ -271,8 +278,8 @@ class TopologyService:
                     expected |= set(r["partition"])
                 expected &= set(pending)
                 if not expected:
-                    deadline = min(deadline, self.site.sim.now
-                                   + self.site.cost.merge_short_timeout)
+                    deadline = min(deadline,
+                                   self.site.sim.now + MERGE_SHORT_TIMEOUT)
                 if self.site.sim.now >= deadline:
                     break
                 yield 5.0
@@ -306,9 +313,8 @@ class TopologyService:
                    "active": self.sid}
         for s in sorted(members - {self.sid}):
             try:
-                yield from self.site.rpc(
-                    s, "topo.merge_announce", payload,
-                    timeout=self.site.cost.poll_timeout)
+                yield from self.site.rpc(s, "topo.merge_announce", payload,
+                                         timeout=POLL_TIMEOUT)
             except NetworkError:
                 pass
         yield from self._apply_membership(members)
@@ -318,7 +324,7 @@ class TopologyService:
         try:
             reply = yield from self.site.rpc(
                 target, "topo.merge_poll", {"fsite": self.sid},
-                timeout=self.site.cost.poll_timeout)
+                timeout=POLL_TIMEOUT)
             return reply
         except (NetworkError, EBUSY):
             return None
@@ -440,8 +446,7 @@ class TopologyService:
         for s in sorted(members):
             try:
                 report = yield from self.site.rpc(
-                    s, "fs.css_rebuild", {"gfs": gfs},
-                    timeout=self.site.cost.poll_timeout)
+                    s, "fs.css_rebuild", {"gfs": gfs}, timeout=POLL_TIMEOUT)
             except NetworkError:
                 continue
             for item in report:

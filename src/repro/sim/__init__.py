@@ -17,7 +17,7 @@ from repro.sim.future import Future
 from repro.sim.task import Task
 from repro.sim.simulator import Simulator
 from repro.sim.legacy import LegacySimulator
-from repro.sim.sync import SimQueue, SimEvent, Semaphore
+from repro.sim.sync import SimQueue
 
 __all__ = [
     "Future",
@@ -25,6 +25,4 @@ __all__ = [
     "Simulator",
     "LegacySimulator",
     "SimQueue",
-    "SimEvent",
-    "Semaphore",
 ]

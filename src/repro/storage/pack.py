@@ -54,8 +54,8 @@ class Pack:
         # pack because packs model the disk: a commit's memoized reply must
         # survive an SS crash exactly as the committed blocks do, so a
         # retry arriving after restart replays instead of re-applying.
-        # Created lazily by the fs manager (the ledger window is a cost-
-        # model knob the pack does not see).
+        # Created lazily by the fs manager (IdempotencyLedger is an fs
+        # class; storage does not import fs).
         self.ledger = None
         # Audit shadow for the invariant checker: (client, seq) -> number
         # of times a stamped mutating op actually executed against this

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fs.directory import decode_snapshot
-from repro.fs.scrub import committed_digest
+from repro.fs.scrub import committed_digest, committed_image
 from repro.storage.inode import FileType
 from repro.storage.pack import ROOT_INO
 from repro.storage.version_vector import latest
@@ -70,18 +70,6 @@ class FsckReport:
             f"verdict:            {'CLEAN' if self.clean else 'DIRTY'}",
         ]
         return "\n".join(lines)
-
-
-def _read_committed(pack, ino: int) -> bytes:
-    inode = pack.get_inode(ino)
-    if inode is None:
-        return b""
-    psz = 1024
-    chunks = []
-    for blockno in inode.pages:
-        chunks.append((pack.read_block(blockno) if blockno is not None
-                       else b"").ljust(psz, b"\x00"))
-    return b"".join(chunks)[:inode.size]
 
 
 def fsck(cluster, gfs_list: Optional[List[int]] = None) -> FsckReport:
@@ -146,6 +134,7 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
             packs[site_id] = site.packs[gfs]
     if not packs:
         return
+    page_size = cluster.config.cost.page_size
 
     # Union inode table, plus the freshest copy for reading directories.
     inodes: Dict[int, Dict[int, object]] = {}
@@ -183,7 +172,7 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
         if not conflict and not any(i.conflict for __, i in datacopies):
             best = datacopies[0][1].version
             peers = [(s, i) for s, i in datacopies if i.version == best]
-            digests = {s: committed_digest(packs[s], ino)
+            digests = {s: committed_digest(packs[s], ino, page_size)
                        for s, __ in peers if s in packs}
             if len(set(digests.values())) > 1:
                 pairing = ", ".join(f"site {s}: {d}"
@@ -200,7 +189,8 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
         if holder is None:
             continue
         try:
-            entries = decode_snapshot(_read_committed(holder, ino)).entries
+            entries = decode_snapshot(
+                committed_image(holder, ino, page_size)).entries
         except Exception:  # noqa: BLE001 - corrupt directory content
             report.placement_errors.append(
                 ((gfs, ino), "directory content undecodable"))

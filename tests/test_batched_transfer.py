@@ -35,7 +35,7 @@ def _open_remote(cluster, attrs):
 class TestBatchedRead:
     def test_multi_page_read_uses_few_messages(self):
         data = bytes(range(256)) * 32            # 8 pages
-        cluster = _cluster(batch_pages=4, readahead=False)
+        cluster = _cluster(batch_pages=4, readahead_max=0)
         attrs = _make_remote_file(cluster, "/f", data)
         site1, handle = _open_remote(cluster, attrs)
         win = StatsWindow(cluster.stats)
@@ -53,7 +53,7 @@ class TestBatchedRead:
             assert cluster.shell(1).read_file("/f") == data
 
     def test_single_page_requests_keep_paper_protocol(self):
-        cluster = _cluster(batch_pages=4, readahead=False)
+        cluster = _cluster(batch_pages=4, readahead_max=0)
         attrs = _make_remote_file(cluster, "/f", b"q" * 100)   # one page
         site1, handle = _open_remote(cluster, attrs)
         win = StatsWindow(cluster.stats)

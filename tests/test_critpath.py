@@ -4,10 +4,10 @@ blame tables over live storm traces (ISSUE 10)."""
 import pytest
 
 from repro import LocusCluster
-from repro.cli import _run_traced_workload
 from repro.obs.critpath import (SEGMENTS, _Analyzer, analyze, analyze_spans,
                                 format_blame)
 from repro.obs.span import Span
+from repro.workloads.storm import drive, storm_cluster, storm_plan
 
 
 def mkspan(span_id, name, kind, start, end, parent_id=None, site=0,
@@ -174,7 +174,10 @@ class TestHandBuiltDecomposition:
 
 
 def _storm_cluster(seed=11):
-    return _run_traced_workload("storm", seed, 3)
+    cluster = storm_cluster(seed)
+    cluster.inject(storm_plan(seed, cluster.sim.now))
+    drive(cluster, reads=60, writes=12)
+    return cluster
 
 
 def _assert_segments_sum_per_root(tracer):

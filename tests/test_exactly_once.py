@@ -118,7 +118,7 @@ class TestLateReplyDiscard:
         def handler(src, payload):
             calls.append(src)
             if len(calls) == 1:
-                yield 1000.0        # beyond rpc_timeout; reply arrives late
+                yield 1000.0        # beyond RPC_TIMEOUT; reply arrives late
             return "pong"
             yield                   # pragma: no cover
 

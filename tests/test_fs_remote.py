@@ -205,7 +205,7 @@ class TestReadahead:
     def test_no_readahead_when_disabled(self):
         from repro import CostModel
         cluster = LocusCluster(n_sites=3, seed=3,
-                               cost=CostModel(readahead=False))
+                               cost=CostModel(readahead_max=0))
         psz = cluster.config.cost.page_size
         sh2 = cluster.shell(2)
         sh2.setcopies(1)

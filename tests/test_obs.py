@@ -24,6 +24,7 @@ from repro.obs import (BUCKET_EDGES, Histogram, HistSnapshot,
                        MetricsRegistry, causal_chains, export_chrome,
                        export_jsonl, merge_snapshots, merge_windows,
                        validate_trace_jsonl)
+from repro.workloads.storm import drive, storm_cluster, storm_plan
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +217,12 @@ class TestPropagatorPending:
 # ----------------------------------------------------------------------
 
 def _storm_cluster(seed=11):
-    """A small fault-storm run with tracing on (explicit default cost, so
-    the conftest flag shim never rewrites it)."""
-    from repro.cli import _run_traced_workload
-    return _run_traced_workload("storm", seed, 3)
+    """A small fault-storm run with tracing on (what ``cli trace
+    --workload storm`` runs)."""
+    cluster = storm_cluster(seed)
+    cluster.inject(storm_plan(seed, cluster.sim.now))
+    drive(cluster, reads=60, writes=12)
+    return cluster
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +297,7 @@ class TestTraceOnOffParity:
         sh.setcopies(2)
         sh.write_file("/hot", b"h" * 2048)
         cluster.settle()
-        from repro.cli import _storm_plan
-        cluster.inject(_storm_plan(23, cluster.sim.now))
+        cluster.inject(storm_plan(23, cluster.sim.now))
         api = cluster.shell(0).api
 
         def reader():
@@ -410,8 +412,8 @@ class TestTraceCli:
         assert validate_trace_jsonl(str(tmp_path / "trace.jsonl")) == []
 
     def test_plan_file_injection(self, tmp_path):
-        from repro.cli import _storm_plan, trace_main
-        plan = _storm_plan(9, 1000.0)
+        from repro.cli import trace_main
+        plan = storm_plan(9, 1000.0)
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(plan.to_json())
         rc = trace_main(["--workload", "smoke", "--seed", "9",

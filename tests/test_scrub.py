@@ -17,7 +17,7 @@ import pytest
 from repro import LocusCluster
 from repro.config import CostModel
 from repro.errors import EIO
-from repro.fs.scrub import committed_digest
+from repro.fs.scrub import SCRUB_ROUNDS, committed_digest
 from repro.tools import fsck
 
 
@@ -174,7 +174,7 @@ def test_round_budget_bounds_unrepairable_damage():
     never answers a summary request) must exhaust the round budget, not
     loop forever — and an unanswered holder counts as a shortfall, never
     as convergence."""
-    cluster = make_cluster(scrub_rounds=2)
+    cluster = make_cluster()
     seeded(cluster)
 
     def broken(src, payload):
@@ -186,4 +186,4 @@ def test_round_budget_bounds_unrepairable_damage():
     assert scrub.stats.exhausted == 1
     assert scrub.stats.converged == 0
     assert scrub.stats.partial_rounds >= 2
-    assert scrub.stats.rounds == 2
+    assert scrub.stats.rounds == SCRUB_ROUNDS

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimTimeout, TaskCancelled
-from repro.sim import Future, SimEvent, SimQueue, Semaphore, Simulator
+from repro.sim import Future, SimQueue, Simulator
 
 
 @pytest.fixture
@@ -278,48 +278,3 @@ class TestSyncPrimitives:
         sim.schedule(2.0, q.put, "y")
         sim.run()
         assert got == [("c1", "x"), ("c2", "y")]
-
-    def test_event_wait_and_set(self, sim):
-        ev = SimEvent(sim)
-        woke = []
-
-        def waiter():
-            yield from ev.wait()
-            woke.append(sim.now)
-
-        sim.spawn(waiter())
-        sim.spawn(waiter())
-        sim.schedule(4.0, ev.set)
-        sim.run()
-        assert woke == [4.0, 4.0]
-
-    def test_event_wait_after_set_is_instant(self, sim):
-        ev = SimEvent(sim)
-        ev.set()
-
-        def waiter():
-            yield from ev.wait()
-            return sim.now
-
-        assert sim.run_task(waiter()) == 0.0
-
-    def test_semaphore_mutual_exclusion(self, sim):
-        sem = Semaphore(sim, value=1)
-        trace = []
-
-        def worker(tag):
-            yield from sem.acquire()
-            trace.append(("in", tag, sim.now))
-            yield 5.0
-            trace.append(("out", tag, sim.now))
-            sem.release()
-
-        sim.spawn(worker("a"))
-        sim.spawn(worker("b"))
-        sim.run()
-        assert trace == [("in", "a", 0.0), ("out", "a", 5.0),
-                         ("in", "b", 5.0), ("out", "b", 10.0)]
-
-    def test_semaphore_negative_value_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, value=-1)

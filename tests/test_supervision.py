@@ -43,7 +43,7 @@ class TestSupervisedRpc:
     def test_timeout_is_retried_as_a_network_failure(self):
         cluster = LocusCluster(n_sites=2, seed=72)
         calls = []
-        # First call sleeps far beyond cost.rpc_timeout; the timeout
+        # First call sleeps far beyond RPC_TIMEOUT; the timeout
         # surfaces as a NetworkError and the retry completes fast.
         cluster.sites[1].register_handler(
             "t.slow", _handler(calls, slow_first=50_000.0))

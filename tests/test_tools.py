@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import LocusCluster
+from repro import CostModel, LocusCluster
 from repro.tools import cluster_report, fsck
 from repro.tools.inspect import format_report
 
@@ -105,6 +105,20 @@ class TestFsck:
         sh.write_file("/f", b"x")
         cluster.settle()
         cluster.fail_site(2)
+        report = fsck(cluster)
+        assert report.clean, report.summary()
+
+    def test_reads_directories_at_the_cluster_page_size(self):
+        """A multi-page directory on 512-byte pages: fsck must read the
+        committed image with the cluster's page size, not assume 1024."""
+        cluster = LocusCluster(n_sites=3, seed=88,
+                               cost=CostModel(page_size=512))
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.mkdir("/d")
+        for i in range(40):
+            sh.write_file(f"/d/entry-{i:02d}", b"x")
+        cluster.settle()
         report = fsck(cluster)
         assert report.clean, report.summary()
 

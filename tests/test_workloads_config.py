@@ -1,11 +1,15 @@
 """Workload generators and configuration objects."""
 
+import dataclasses
+import pathlib
 import random
+import re
 
 import pytest
 
-from repro import ClusterConfig, CostModel, LocusCluster
+from repro import ClusterConfig, CostModel, LocusCluster, Shell
 from repro.errors import EINVAL
+from repro.proc.api import _TRACED_SYSCALLS
 from repro.workloads.generators import (build_tree, deterministic_bytes,
                                         read_write_mix, sample_paths,
                                         zipf_weights)
@@ -20,10 +24,10 @@ class TestCostModel:
 
     def test_with_overrides_copies(self):
         base = CostModel()
-        tweaked = base.with_overrides(readahead=False, disk_read=99.0)
-        assert tweaked.readahead is False
+        tweaked = base.with_overrides(readahead_max=0, disk_read=99.0)
+        assert tweaked.readahead_max == 0
         assert tweaked.disk_read == 99.0
-        assert base.readahead is True          # original untouched
+        assert base.readahead_max == 8         # original untouched
         assert base.disk_read != 99.0
 
     def test_defaults_calibrated_for_t2(self):
@@ -32,6 +36,51 @@ class TestCostModel:
         local = cost.cpu_syscall + cost.disk_read
         remote = local + 4 * cost.cpu_msg
         assert remote / local == pytest.approx(2.0, abs=0.15)
+
+
+    def test_unknown_flag_fails_loudly(self):
+        """Timers and budgets that moved beside their protocol are not
+        flags any more; like any unknown name they must not parse."""
+        for spec in ("rpc_retries=5", "scrub_rounds=2", "no_such_knob"):
+            with pytest.raises(AttributeError):
+                CostModel.parse_flags(spec)
+
+
+# What a unit of work costs: the paper's ratios are stated through these
+# and bench/ reads them, so they are fields whether or not a test moves them.
+_CALIBRATION = re.compile(
+    r"cpu_|disk_|net_|(buffer_hit|page_size|buffer_pages|msg_header_bytes)$")
+
+
+def test_every_setting_is_set_by_something():
+    """The rule of ``config.py``: a non-calibration field exists only if a
+    test, a benchmark or a CI leg sets it.  One that nothing sets is a
+    constant beside the protocol that reads it, not a configuration axis
+    nobody covers."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    corpus = "\n".join(
+        path.read_text()
+        for top, pattern in (("tests", "*.py"), ("benchmarks", "*.py"),
+                             (".github", "*.yml"))
+        for path in sorted((root / top).rglob(pattern)))
+    names = [f.name for cls in (CostModel, ClusterConfig)
+             for f in dataclasses.fields(cls)
+             if not _CALIBRATION.match(f.name)]
+    unset = [name for name in names if not re.search(
+        rf"(?<![\w.]){name}\s*=(?!=)|[\"']{name}[\"']\s*:", corpus)]
+    assert unset == []
+
+
+def test_shell_is_derived_from_procapi():
+    """``Shell`` declares no syscall of its own: its public surface is the
+    traced syscall table, the three conveniences and the six plain
+    per-process calls."""
+    public = {name for name, attr in vars(Shell).items()
+              if callable(attr) and not name.startswith("_")}
+    assert public == set(_TRACED_SYSCALLS) | {
+        "write_file", "read_file", "install_program",
+        "getpid", "errinfo", "setcopies", "set_advice",
+        "set_hidden_context", "set_hidden_visible"}
 
 
 class TestClusterConfig:

@@ -1,14 +1,10 @@
-"""T21 — load accounting is free; blame tables and detection latency.
+"""T21 — blame tables, detection latency and the ``top`` report.
 
-Three claims behind the ISSUE-10 measurement layer (the prerequisite for
-handing the CSS role off on load — see docs/OBSERVABILITY.md):
-
-(a) **Accounting is free.**  Like tracing (T17), the load accountants,
-    hotness sketches and the convergence monitor are observational only:
-    the T14 remote-walk and the T16 fault storm must report *identical*
-    virtual time and per-type message counts with
-    ``CostModel.load_accounting`` on and off.  The acceptance bound is a
-    <5% virtual-time delta; the expected delta is exactly zero.
+Two claims behind the measurement layer for handing the CSS role off on
+load (see docs/OBSERVABILITY.md), plus the ``top`` report's determinism.
+Scenario (a), load accounting on vs off, is retired: the ``top`` report
+is derived from the span log after the run, so there is no accountant to
+switch off.
 
 (b) **The blame table accounts for (almost) everything.**  The
     critical-path analyzer must attribute >=95% of total syscall latency
@@ -36,23 +32,18 @@ from repro import LocusCluster
 from repro.config import CostModel
 from repro.faults import FaultPlan
 from repro.obs.critpath import analyze
-from repro.obs.load import format_top, load_records
-from repro.workloads.storm import drive, storm_cluster, storm_plan
+from repro.obs.load import format_top
 from _harness import Measure, print_table, run_experiment
 
 DEPTH = 3
 FANOUT = 60
 REPEATS = 20
 
-STORM_SEED = 11
 
+# -- scenario (b): blame coverage on the T14 walk --------------------------
 
-# -- scenario (a): T14 walk and T16 storm, accounting on vs off ------------
-
-def _walk_cluster(load_accounting):
-    cost = CostModel().with_overrides(load_accounting=load_accounting)
-    cluster = LocusCluster(n_sites=2, seed=23, root_pack_sites=[0],
-                           cost=cost)
+def _walk_cluster():
+    cluster = LocusCluster(n_sites=2, seed=23, root_pack_sites=[0])
     sh0 = cluster.shell(0)
     path = ""
     for d in range(DEPTH):
@@ -72,29 +63,8 @@ def _walk_cluster(load_accounting):
     return cluster, out
 
 
-def _walk_metrics(load_accounting):
-    __, out = _walk_cluster(load_accounting)
-    return out
-
-
-def _storm_metrics(load_accounting, seed=STORM_SEED):
-    cost = CostModel().with_overrides(load_accounting=load_accounting)
-    cluster = storm_cluster(seed, cost=cost)
-    cluster.inject(storm_plan(seed, cluster.sim.now))
-    m = Measure(cluster)
-    drive(cluster)
-    out = m.done()
-    out["load_records"] = len(load_records(cluster))
-    monitor = cluster.convergence
-    out["convergence_events"] = (len(monitor.events)
-                                 if monitor.enabled else 0)
-    return out
-
-
-# -- scenario (b): blame coverage on the walk ------------------------------
-
 def _blame_metrics():
-    cluster, walk = _walk_cluster(True)
+    cluster, walk = _walk_cluster()
     report = analyze(cluster.tracer)
     return {
         "vtime": walk["vtime"],
@@ -141,54 +111,6 @@ def _detection_metrics(seed=31):
 
 
 # -- pytest entry points ---------------------------------------------------
-
-@pytest.mark.benchmark(group="T21")
-def test_t21_accounting_parity_walk(benchmark):
-    """T14 walk: load accounting on/off changes nothing measurable."""
-    def _ab():
-        on = _walk_metrics(True)
-        off = _walk_metrics(False)
-        return {"on_vtime": on["vtime"], "off_vtime": off["vtime"],
-                "on_msgs": on["messages"], "off_msgs": off["messages"],
-                "on_by_type": on["by_type"], "off_by_type": off["by_type"]}
-    out = run_experiment(benchmark, _ab)
-    print_table(
-        f"T21: {REPEATS} remote walks, load accounting on vs off",
-        ["config", "vtime", "messages"],
-        [["accounting on", out["on_vtime"], out["on_msgs"]],
-         ["accounting off", out["off_vtime"], out["off_msgs"]]])
-    delta = abs(out["on_vtime"] - out["off_vtime"]) / out["off_vtime"]
-    assert delta < 0.05, delta
-    # Expected: exactly zero — accounting is purely observational.
-    assert out["on_vtime"] == out["off_vtime"]
-    assert out["on_by_type"] == out["off_by_type"]
-
-
-@pytest.mark.benchmark(group="T21")
-def test_t21_accounting_parity_storm(benchmark):
-    """T16 storm: zero vtime/message delta even under faults."""
-    def _ab():
-        on = _storm_metrics(True)
-        off = _storm_metrics(False)
-        return {"on_vtime": on["vtime"], "off_vtime": off["vtime"],
-                "on_by_type": on["by_type"], "off_by_type": off["by_type"],
-                "on_records": on["load_records"],
-                "off_records": off["load_records"],
-                "on_events": on["convergence_events"]}
-    out = run_experiment(benchmark, _ab)
-    print_table(
-        f"T21: storm seed {STORM_SEED}, load accounting on vs off",
-        ["config", "vtime", "load records"],
-        [["accounting on", out["on_vtime"], out["on_records"]],
-         ["accounting off", out["off_vtime"], out["off_records"]]])
-    assert out["on_vtime"] == out["off_vtime"]
-    assert out["on_by_type"] == out["off_by_type"]
-    # On: the export stream gains load/detection records; off: none.
-    assert out["on_records"] > 0
-    assert out["off_records"] == 0
-    # The storm's recovery repairs show up as convergence events.
-    assert out["on_events"] > 0
-
 
 @pytest.mark.benchmark(group="T21")
 def test_t21_blame_coverage(benchmark):
@@ -239,25 +161,7 @@ def test_t21_top_report_deterministic(benchmark):
 # -- baseline refresh ------------------------------------------------------
 
 def _experiment():
-    walk_on = _walk_metrics(True)
-    walk_off = _walk_metrics(False)
-    storm_on = _storm_metrics(True)
-    storm_off = _storm_metrics(False)
     return {
-        "t14_walk_parity": {
-            "on": {k: walk_on[k] for k in ("vtime", "messages")},
-            "off": {k: walk_off[k] for k in ("vtime", "messages")},
-            "vtime_delta": abs(walk_on["vtime"] - walk_off["vtime"]),
-            "message_delta": walk_on["messages"] - walk_off["messages"],
-        },
-        "t16_storm_parity": {
-            "on": {k: storm_on[k] for k in ("vtime", "messages")},
-            "off": {k: storm_off[k] for k in ("vtime", "messages")},
-            "vtime_delta": abs(storm_on["vtime"] - storm_off["vtime"]),
-            "message_delta": storm_on["messages"] - storm_off["messages"],
-            "load_records": storm_on["load_records"],
-            "convergence_events": storm_on["convergence_events"],
-        },
         "blame": _blame_metrics(),
         "detection": _detection_metrics(),
     }
@@ -271,8 +175,7 @@ if __name__ == "__main__":
         with open(target) as fh:
             baseline = json.load(fh)
     baseline["t21"] = {
-        "experiment": "T21 load accounting overhead, blame coverage, "
-                      "detection latency",
+        "experiment": "T21 blame coverage, detection latency",
         **_experiment(),
     }
     with open(target, "w") as fh:

@@ -151,20 +151,9 @@ class CostModel:
     # excluded from the wire-size model, recording charges no CPU and adds
     # no yield points, so virtual time and message counts are identical
     # with tracing on or off.  Off leaves only the always-on metrics
-    # registry (plain counter/histogram updates).
+    # registry (plain counter/histogram updates); ``cli top``, which is
+    # derived from the span log, then has no rates or opens to report.
     trace_enabled: bool = True
-
-    # Load / hotspot accounting (ISSUE 10).  With the flag on, each site
-    # keeps rolling-window syscall and RPC rates, per-RPC-op service
-    # demand, per-filegroup CSS-role utilization and a bounded top-K
-    # (space-saving) per-inode hotness sketch (repro.obs.load), the
-    # propagator records replication lag, and the cluster-wide
-    # ConvergenceMonitor measures divergence detection latency.  Like
-    # tracing, accounting is purely observational — it never charges CPU,
-    # sends messages, adds yield points or touches the simulator RNG —
-    # so virtual time and message counts are byte-identical with the flag
-    # on or off (held to zero delta by the T21 benchmark).
-    load_accounting: bool = True
 
     # Anti-entropy scrub (ISSUE 9).  After a partition merge or recovery
     # sweep, each CSS sweeps the filegroups it synchronizes: every pack

@@ -59,8 +59,7 @@ class LocusCluster:
         # the fault injector notes fault vtimes, scrub/recovery note the
         # detection and repair vtimes — the difference is the divergence
         # detection-latency metric (ISSUE 10).
-        self.convergence = ConvergenceMonitor(
-            self.sim, enabled=config.cost.load_accounting)
+        self.convergence = ConvergenceMonitor(self.sim)
         for site in self.sites:
             site.tracer = self.tracer
             site.convergence = self.convergence

@@ -20,7 +20,6 @@ from repro.errors import (CircuitClosed, EWOULDCONFLICT, NetworkError,
                           SiteDown, SimTimeout, TaskCancelled, Unreachable)
 from repro.net.message import Message, MsgKind
 from repro.net.network import Network
-from repro.obs.load import LoadAccountant
 from repro.obs.registry import MetricsRegistry
 from repro.fs.name_cache import NameCache
 from repro.sim.simulator import Simulator
@@ -91,13 +90,6 @@ class Site:
             "events_pending": self.sim.pending(),
             "events_processed": self.sim.events_processed,
         })
-        # Load / hotspot accounting (ISSUE 10): rolling syscall/RPC rates,
-        # per-inode hotness, CSS-role utilization.  Observational only —
-        # the gauge source is registered only when the flag is on so
-        # flag-off reports keep their original shape.
-        self.load = LoadAccountant(self)
-        if self.load.enabled:
-            self.metrics.register_source("load", self.load.gauges)
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[Tuple[int, int], Any] = {}  # (peer, reqid) -> Future
         self._reqids = itertools.count(1)
@@ -448,7 +440,6 @@ class Site:
             span, prev = tracer.begin_coded(self._labels(msg.mtype).serve,
                                             self.site_id, msg.src,
                                             msg.trace_ctx, False)
-        served_start = self.sim.now
         status_label = "ok"
         try:
             cpu_msg = self.cost.cpu_msg
@@ -482,9 +473,6 @@ class Site:
             status_label = type(exc).__name__
             raise
         finally:
-            if self.load.enabled:
-                self.load.note_rpc_served(msg.mtype,
-                                          self.sim.now - served_start)
             if span is not None:
                 tracer.finish(span, prev, status=status_label)
 

@@ -194,7 +194,7 @@ class FaultInjector:
         # vtime (audits and restores are excluded — they repair, not harm).
         if kind in self._DAMAGE_KINDS:
             monitor = getattr(self.cluster, "convergence", None)
-            if monitor is not None and monitor.enabled:
+            if monitor is not None:
                 monitor.note_fault(kind)
 
     def report(self) -> str:

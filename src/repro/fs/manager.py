@@ -242,10 +242,6 @@ class FsManager(PathMixin, NamespaceMixin):
             if mode.synchronized:
                 self.site.metrics.observe("fs.open",
                                           self.site.sim.now - start)
-                # Per-inode hotness: counted once per synchronized open at
-                # the using site, so cluster-wide merges sum open counts.
-                if self.site.load.enabled:
-                    self.site.load.note_inode(gfile)
             if span is not None:
                 tracer.finish(span, prev, status=status_label)
 
@@ -324,18 +320,6 @@ class FsManager(PathMixin, NamespaceMixin):
     # ------------------------------------------------------------------
 
     def h_css_open(self, src: int, p: dict) -> Generator:
-        start = self.site.sim.now
-        try:
-            result = yield from self._css_open_body(src, p)
-            return result
-        finally:
-            # CSS-role utilization: virtual time this site spent serving
-            # synchronization duties for the filegroup (ISSUE 10).
-            if self.site.load.enabled:
-                self.site.load.note_css(p["gfile"][0],
-                                        self.site.sim.now - start)
-
-    def _css_open_body(self, src: int, p: dict) -> Generator:
         gfile: Gfile = p["gfile"]
         mode: Mode = p["mode"]
         us_vv: Optional[VersionVector] = p.get("us_vv")
@@ -1939,9 +1923,6 @@ class FsManager(PathMixin, NamespaceMixin):
                 # State data that "might affect its next synchronization
                 # policy decision" is updated; idle entries may be dropped.
                 self.css_entries.pop(p["gfile"], None)
-        if self.site.load.enabled:
-            # One CSS operation of no duration: nothing above yields.
-            self.site.load.note_css(p["gfile"][0], 0.0)
         return None
         yield  # pragma: no cover
 

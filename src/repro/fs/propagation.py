@@ -140,8 +140,7 @@ class Propagator:
         if outcome == "requeued":
             return
         enqueued = self._enqueued.pop(gfile, None)
-        if outcome == "pulled" and enqueued is not None \
-                and self.site.cost.load_accounting:
+        if outcome == "pulled" and enqueued is not None:
             self.site.metrics.observe("prop.lag",
                                       self.site.sim.now - enqueued)
 

@@ -195,7 +195,7 @@ class ScrubManager:
             tracer.instant(f"scrub.{category}", site=self.sid,
                            attrs={"gfile": list(gfile)})
         monitor = self.site.convergence
-        if monitor is not None and monitor.enabled:
+        if monitor is not None:
             monitor.note_detection(category, site=self.sid, gfile=gfile)
 
     def h_scrub_digest(self, src: int, p: dict) -> Generator:

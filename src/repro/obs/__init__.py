@@ -1,8 +1,8 @@
 """Cluster-wide flight recorder: causal tracing, latency histograms,
-critical-path analysis, load/hotspot accounting, export.
+critical-path analysis, the load report derived from spans, export.
 
 See docs/OBSERVABILITY.md for the span model, the blame-table
-decomposition, the load gauges and the export formats.
+decomposition, the ``top`` report and the export formats.
 """
 
 from repro.obs.histogram import (BUCKET_EDGES, HistSnapshot, Histogram,
@@ -14,9 +14,8 @@ from repro.obs.export import (causal_chains, export_chrome, export_jsonl,
                               trace_records, validate_trace_jsonl)
 from repro.obs.critpath import (CritPathReport, analyze, analyze_spans,
                                 format_blame)
-from repro.obs.load import (ConvergenceMonitor, LoadAccountant, SpaceSaving,
-                            cluster_load_report, format_top, load_records,
-                            merge_sketches)
+from repro.obs.load import (ConvergenceMonitor, cluster_load_report,
+                            format_top, load_records)
 
 __all__ = [
     "BUCKET_EDGES", "Histogram", "HistSnapshot", "merge_snapshots",
@@ -24,6 +23,6 @@ __all__ = [
     "SpanCtx", "Tracer", "traced_syscall", "causal_chains", "export_chrome",
     "export_jsonl", "trace_records", "validate_trace_jsonl",
     "CritPathReport", "analyze", "analyze_spans", "format_blame",
-    "ConvergenceMonitor", "LoadAccountant", "SpaceSaving",
-    "cluster_load_report", "format_top", "load_records", "merge_sketches",
+    "ConvergenceMonitor", "cluster_load_report", "format_top",
+    "load_records",
 ]

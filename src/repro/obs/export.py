@@ -21,8 +21,8 @@ from typing import Dict, List, Optional
 _SPAN_KEYS = {"type", "span_id", "trace_id", "parent_id", "name", "kind",
               "site", "start", "end", "status", "attrs", "events"}
 _INSTANT_KEYS = {"type", "seq", "ts", "name", "site", "attrs"}
-# Load-accounting records (ISSUE 10): one per site, appended after the
-# instants, plus the convergence monitor's detection/repair records.
+# Load records: one per site, derived from the span log and appended after
+# the instants, plus the convergence monitor's detection/repair records.
 _LOAD_KEYS = {"type", "site", "ts", "window", "syscalls", "syscall_rate",
               "rpcs", "rpc_rate", "rpc_ops", "hot_inodes", "css",
               "queues", "replication"}

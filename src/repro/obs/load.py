@@ -1,245 +1,130 @@
-"""Cluster load and hotspot accounting: the measurement layer for CSS
-sharding.
+"""Cluster load and hotspot report, derived from the span log: the
+measurement layer for CSS sharding.
 
-The ROADMAP's headline item — shard the CSS and hand the
-synchronization-site role off on load — needs the system to *measure*
-load first: which filegroup is hot, which inodes draw the traffic,
-where each site's service demand goes, and how long divergence goes
-undetected.  This module provides exactly those gauges:
+The ROADMAP's sharded-CSS item needs the system to *measure* load before
+it can hand the synchronization-site role off on load: which filegroup
+is hot, which inodes draw the traffic, where each site's service demand
+goes, and how long divergence goes undetected.  Nothing here records
+anything while the cluster runs — every number is a pure function of
+the flight recorder's span log and the cluster's live state, read at
+report time:
 
-* :class:`LoadAccountant` — one per site, fed from the syscall wrapper,
-  the RPC serve path, and the CSS open/close handlers.  Keeps
-  rolling-window syscall/RPC rates, per-RPC-op service demand,
-  per-filegroup CSS-role utilization, and per-inode hotness through a
-  bounded top-K *space-saving* sketch (Metwally et al.) so memory stays
-  O(K) no matter how many files a workload touches.
-* :class:`ConvergenceMonitor` — one per cluster, fed by the fault
-  injector (fault vtimes) and the scrub/recovery managers (detection
-  and repair vtimes); the difference is the divergence
-  detection-latency metric that the steady-state scrub scheduling item
-  will optimize.
-* :func:`load_records` — deterministic ``load`` / ``detection`` records
-  appended to the JSONL export stream (validated by
-  ``cli trace --check``).
-* :func:`format_top` — the byte-deterministic cluster status report
-  behind ``python -m repro.cli top``.
+* per-site syscall counts and rates — ``syscall.*`` spans, bucketed by
+  end time into :data:`WINDOW`;
+* served-RPC counts, rates and per-op busy time — ``serve:*`` handler
+  spans;
+* hot inodes and the per-filegroup CSS table — synchronized ``fs.open``
+  spans (they carry ``gfile``), each filegroup under its current CSS;
+* queues and replication lag — the sites' live state.
 
-Like the rest of ``repro.obs``, accounting is observational only: it
-never charges CPU, sends messages, adds yield points, or touches the
-simulator RNG, so virtual time and message counts are byte-identical
-with ``CostModel.load_accounting`` on or off (held to exactly zero
-delta by the T21 benchmark).
+:class:`ConvergenceMonitor` is the one online recorder: fault, detection
+and repair vtimes are not spans.  :func:`load_records` turns the report
+into the ``load`` / ``detection`` records appended to the JSONL export,
+:func:`format_top` into ``python -m repro.cli top``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.histogram import Histogram
+from repro.obs.span import ROW
+
+# Rate window: (bucket width in vtime, bucket count).  A rate is the
+# events that ended in the last ``count`` buckets (the current one
+# included) over the window's span, clamped to one bucket early on.
+WINDOW = (2000.0, 8)
+HOT_K = 10
 
 
-class SpaceSaving:
-    """Bounded top-K heavy-hitter sketch (the *space-saving* algorithm).
-
-    Tracks at most ``capacity`` keys.  A new key beyond capacity evicts
-    the current minimum and inherits its count as the new entry's error
-    bound, so every reported count over-estimates by at most ``error``.
-    All tie-breaks are on the key itself, keeping the sketch — and the
-    ``cli top`` tables built from it — deterministic for a given
-    observation sequence.
-    """
-
-    __slots__ = ("capacity", "counts", "errors")
-
-    def __init__(self, capacity: int = 32):
-        self.capacity = max(1, capacity)
-        self.counts: Dict = {}
-        self.errors: Dict = {}
-
-    def observe(self, key, weight: int = 1) -> None:
-        counts = self.counts
-        if key in counts:
-            counts[key] += weight
-            return
-        if len(counts) < self.capacity:
-            counts[key] = weight
-            self.errors[key] = 0
-            return
-        victim = min(counts, key=lambda k: (counts[k], k))
-        floor = counts.pop(victim)
-        self.errors.pop(victim)
-        counts[key] = floor + weight
-        self.errors[key] = floor
-
-    def top(self, k: Optional[int] = None) -> List[Tuple]:
-        """``[(key, count, error), ...]`` sorted by count desc, key asc."""
-        ranked = sorted(self.counts,
-                        key=lambda key: (-self.counts[key], key))
-        if k is not None:
-            ranked = ranked[:k]
-        return [(key, self.counts[key], self.errors[key]) for key in ranked]
-
-    def __len__(self) -> int:
-        return len(self.counts)
+def _rate(ends: List[float], now: float) -> float:
+    width, buckets = WINDOW
+    floor = int(now // width) - buckets + 1
+    live = sum(1 for end in ends if int(end // width) >= floor)
+    return round(live / min(max(now, width), width * buckets), 6)
 
 
-def merge_sketches(sketches: Iterable["SpaceSaving"],
-                   capacity: int = 32) -> "SpaceSaving":
-    """Cluster-wide hotness: sum per-key counts across per-site sketches
-    (error bounds add, staying a valid over-estimate bound)."""
-    merged = SpaceSaving(capacity)
-    totals: Dict = {}
-    errors: Dict = {}
-    for sketch in sketches:
-        for key, count in sketch.counts.items():
-            totals[key] = totals.get(key, 0) + count
-            errors[key] = errors.get(key, 0) + sketch.errors[key]
-    for key in sorted(totals, key=lambda k: (-totals[k], k))[:capacity]:
-        merged.counts[key] = totals[key]
-        merged.errors[key] = errors[key]
-    return merged
+def _counts(load: "SiteLoad", now: float) -> Dict:
+    return {"syscalls": len(load.syscall_ends),
+            "syscall_rate": _rate(load.syscall_ends, now),
+            "rpcs": len(load.served_ends),
+            "rpc_rate": _rate(load.served_ends, now)}
 
 
-class RollingWindow:
-    """Virtual-time-bucketed event counter: a rate over the last
-    ``buckets * width`` vtime, computed purely from the deterministic
-    clock (no wall time, no decay constants)."""
+class SiteLoad:
+    """One site's share of the span log: its finished syscalls' and
+    served RPCs' end times, per-op served count and busy vtime, and its
+    synchronized opens per gfile (counted at the using site)."""
 
-    __slots__ = ("sim", "width", "buckets", "_counts", "total")
+    __slots__ = ("syscall_ends", "served_ends", "rpc_ops", "opens")
 
-    def __init__(self, sim, width: float = 2000.0, buckets: int = 8):
-        self.sim = sim
-        self.width = width
-        self.buckets = buckets
-        self._counts: Dict[int, float] = {}
-        self.total = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        idx = int(self.sim.now // self.width)
-        self._counts[idx] = self._counts.get(idx, 0.0) + amount
-        self.total += amount
-        if len(self._counts) > self.buckets:
-            floor = idx - self.buckets + 1
-            for stale in [i for i in self._counts if i < floor]:
-                del self._counts[stale]
-
-    def windowed(self) -> float:
-        """Total over the live window ending now."""
-        floor = int(self.sim.now // self.width) - self.buckets + 1
-        return sum(v for i, v in self._counts.items() if i >= floor)
-
-    def rate(self) -> float:
-        """Events per vtime unit over the live window."""
-        span = min(max(self.sim.now, self.width),
-                   self.width * self.buckets)
-        return self.windowed() / span
+    def __init__(self):
+        self.syscall_ends: List[float] = []
+        self.served_ends: List[float] = []
+        self.rpc_ops: Dict[str, List] = {}     # op -> [count, busy vtime]
+        self.opens: Dict[Tuple, int] = {}      # gfile -> synchronized opens
 
 
-class LoadAccountant:
-    """Per-site load accounting; attached as ``site.load`` and exposed
-    through the site registry's ``load`` gauge source."""
+def span_load(cluster) -> Dict[int, SiteLoad]:
+    """Site id -> :class:`SiteLoad`, in one pass over the finished spans.
+    A span still open is skipped, like its latency sample, which the
+    registry only takes when the span finishes."""
+    log = cluster.tracer.spans
+    loads = {site.site_id: SiteLoad() for site in cluster.sites}
+    for row, (__, ___, code, site, ____, start) in enumerate(
+            ROW.iter_unpack(log.rows)):
+        end = log.end[row]
+        if end != end or site not in loads:
+            continue
+        name, kind = log.labels[code]
+        load = loads[site]
+        if kind == "syscall":
+            load.syscall_ends.append(end)
+        elif kind == "handler":             # "serve:<op>"
+            load.served_ends.append(end)
+            cell = load.rpc_ops.setdefault(name[len("serve:"):], [0, 0.0])
+            cell[0] += 1
+            cell[1] += end - start
+        elif name == "fs.open":
+            gfile = tuple(log[row].attrs["gfile"])
+            load.opens[gfile] = load.opens.get(gfile, 0) + 1
+    return loads
 
-    def __init__(self, site, hot_capacity: int = 32):
-        self.site = site
-        self.enabled = site.cost.load_accounting
-        sim = site.sim
-        self.syscall_window = RollingWindow(sim)
-        self.rpc_window = RollingWindow(sim)
-        # op -> [served count, service vtime] (server-side demand).
-        self.rpc_demand: Dict[str, List[float]] = {}
-        self.hot_inodes = SpaceSaving(hot_capacity)
-        # gfs -> [css ops handled, busy vtime] while this site holds the
-        # CSS role for the filegroup.
-        self.css_demand: Dict[int, List[float]] = {}
 
-    # -- recording (call sites gate on ``enabled``) ----------------------
+def _hot(opens: Dict[Tuple, int]) -> List[List]:
+    ranked = sorted(opens, key=lambda g: (-opens[g], g))[:HOT_K]
+    return [[list(g), opens[g]] for g in ranked]
 
-    def note_syscall(self, name: str, duration: float) -> None:
-        self.syscall_window.add()
 
-    def note_rpc_served(self, op: str, service_time: float) -> None:
-        self.rpc_window.add()
-        cell = self.rpc_demand.get(op)
-        if cell is None:
-            cell = self.rpc_demand[op] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += service_time
+def _opens(loads: Dict[int, SiteLoad]) -> Tuple[Dict, Dict[int, int]]:
+    """Cluster-wide synchronized opens, per gfile and per filegroup."""
+    by_gfile: Dict[Tuple, int] = {}
+    by_gfs: Dict[int, int] = {}
+    for load in loads.values():
+        for gfile, n in load.opens.items():
+            by_gfile[gfile] = by_gfile.get(gfile, 0) + n
+            by_gfs[gfile[0]] = by_gfs.get(gfile[0], 0) + n
+    return by_gfile, by_gfs
 
-    def note_inode(self, gfile, weight: int = 1) -> None:
-        self.hot_inodes.observe(tuple(gfile), weight)
 
-    def note_css(self, gfs: int, service_time: float) -> None:
-        cell = self.css_demand.get(gfs)
-        if cell is None:
-            cell = self.css_demand[gfs] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += service_time
+def _queues(site) -> Dict[str, int]:
+    return {
+        "rpc_outstanding": len(site._pending),
+        "propagation": len(site.fs.propagator.pending()),
+        "staged_pages": sum(len(h.pending_writes)
+                            for h in site.fs.us.values()),
+    }
 
-    # -- reading ---------------------------------------------------------
 
-    def _queues(self) -> Dict[str, int]:
-        fs = getattr(self.site, "fs", None)
-        return {
-            "rpc_outstanding": len(self.site._pending),
-            "propagation": len(fs.propagator.pending())
-            if fs is not None else 0,
-            "staged_pages": sum(len(h.pending_writes)
-                                for h in fs.us.values())
-            if fs is not None else 0,
-        }
-
-    def _replication(self) -> Dict[str, float]:
-        fs = getattr(self.site, "fs", None)
-        if fs is None:
-            return {"pending": 0, "oldest_lag": 0.0, "pulled": 0}
-        prop = fs.propagator
-        ages = prop.lag_ages()
-        return {
-            "pending": len(ages),
-            "oldest_lag": round(max(ages), 6) if ages else 0.0,
-            "pulled": prop.stats.pulls,
-        }
-
-    def gauges(self) -> Dict:
-        """Flat scalars for the registry gauge source."""
-        queues = self._queues()
-        repl = self._replication()
-        return {
-            "syscalls": int(self.syscall_window.total),
-            "syscall_rate": round(self.syscall_window.rate(), 6),
-            "rpcs_served": int(self.rpc_window.total),
-            "rpc_rate": round(self.rpc_window.rate(), 6),
-            "css_busy": round(sum(c[1]
-                                  for c in self.css_demand.values()), 6),
-            "hot_tracked": len(self.hot_inodes),
-            "prop_backlog": queues["propagation"],
-            "replication_lag": repl["oldest_lag"],
-        }
-
-    def snapshot(self) -> Dict:
-        """The full per-site load record exported into the JSONL
-        stream.  Deterministic: every mapping is key-sorted."""
-        now = max(self.site.sim.now, 1.0)
-        return {
-            "window": [self.syscall_window.width,
-                       self.syscall_window.buckets],
-            "syscalls": int(self.syscall_window.total),
-            "syscall_rate": round(self.syscall_window.rate(), 6),
-            "rpcs": int(self.rpc_window.total),
-            "rpc_rate": round(self.rpc_window.rate(), 6),
-            "rpc_ops": {op: {"count": int(cell[0]),
-                             "busy": round(cell[1], 6)}
-                        for op, cell in sorted(self.rpc_demand.items())},
-            "hot_inodes": [[list(key), int(count), int(err)]
-                           for key, count, err in self.hot_inodes.top(10)],
-            "css": {str(gfs): {"opens": int(cell[0]),
-                               "busy": round(cell[1], 6),
-                               "util": round(cell[1] / now, 6)}
-                    for gfs, cell in sorted(self.css_demand.items())},
-            "queues": self._queues(),
-            "replication": self._replication(),
-        }
+def _replication(site) -> Dict:
+    prop = site.fs.propagator
+    ages = prop.lag_ages()
+    return {
+        "pending": len(ages),
+        "oldest_lag": round(max(ages), 6) if ages else 0.0,
+        "pulled": prop.stats.pulls,
+    }
 
 
 class ConvergenceMonitor:
@@ -253,22 +138,18 @@ class ConvergenceMonitor:
     analogue of "how long did the damage go unnoticed".
     """
 
-    def __init__(self, sim, enabled: bool = True):
+    def __init__(self, sim):
         self.sim = sim
-        self.enabled = enabled
         self.faults: List[Tuple[float, str]] = []
         self.events: List[Dict] = []
         self.detection_latency = Histogram()
         self._seq = itertools.count(1)
 
     def note_fault(self, kind: str) -> None:
-        if self.enabled:
-            self.faults.append((self.sim.now, kind))
+        self.faults.append((self.sim.now, kind))
 
     def _note(self, event: str, kind: str, site: Optional[int],
               gfile) -> None:
-        if not self.enabled:
-            return
         fault_ts = self.faults[-1][0] if self.faults else None
         latency = None
         if fault_ts is not None:
@@ -318,19 +199,29 @@ class ConvergenceMonitor:
 
 def load_records(cluster) -> List[Dict]:
     """Deterministic ``load`` + ``detection`` records for the JSONL
-    export stream (appended after the span/instant records)."""
+    export stream (appended after the span/instant records): one
+    ``load`` record per site, every mapping key-sorted."""
+    now = cluster.sim.now
+    loads = span_load(cluster)
+    __, by_gfs = _opens(loads)
     records: List[Dict] = []
     for site in cluster.sites:
-        acct = getattr(site, "load", None)
-        if acct is None or not acct.enabled:
-            continue
-        record = {"type": "load", "site": site.site_id,
-                  "ts": cluster.sim.now}
-        record.update(acct.snapshot())
-        records.append(record)
-    monitor = getattr(cluster, "convergence", None)
-    if monitor is not None and monitor.enabled:
-        records.extend(monitor.records())
+        load = loads[site.site_id]
+        mount = site.fs.mount
+        records.append({
+            "type": "load", "site": site.site_id, "ts": now,
+            "window": list(WINDOW),
+            **_counts(load, now),
+            "rpc_ops": {op: {"count": cell[0], "busy": round(cell[1], 6)}
+                        for op, cell in sorted(load.rpc_ops.items())},
+            "hot_inodes": _hot(load.opens),
+            "css": {str(gfs): {"opens": n}
+                    for gfs, n in sorted(by_gfs.items())
+                    if mount.css_for(gfs) == site.site_id},
+            "queues": _queues(site),
+            "replication": _replication(site),
+        })
+    records.extend(cluster.convergence.records())
     return records
 
 
@@ -339,25 +230,14 @@ def load_records(cluster) -> List[Dict]:
 # ----------------------------------------------------------------------
 
 def cluster_load_report(cluster) -> Dict:
-    """Aggregate the per-site accountants into one cluster view."""
-    accts = [getattr(s, "load", None) for s in cluster.sites]
-    accts = [a for a in accts if a is not None and a.enabled]
-    hot = merge_sketches([a.hot_inodes for a in accts])
-    css_rank: Dict[int, Dict] = {}
-    now = max(cluster.sim.now, 1.0)
-    for site in cluster.sites:
-        acct = getattr(site, "load", None)
-        if acct is None or not acct.enabled:
-            continue
-        for gfs, cell in acct.css_demand.items():
-            entry = css_rank.setdefault(
-                gfs, {"gfs": gfs, "site": site.site_id,
-                      "opens": 0, "busy": 0.0})
-            entry["opens"] += int(cell[0])
-            entry["busy"] += cell[1]
-    for entry in css_rank.values():
-        entry["busy"] = round(entry["busy"], 6)
-        entry["util"] = round(entry["busy"] / now, 6)
+    """The cluster view behind ``cli top``.  A filegroup's CSS is the one
+    the lowest-numbered up site's mount table names."""
+    now = cluster.sim.now
+    loads = span_load(cluster)
+    by_gfile, by_gfs = _opens(loads)
+    viewer = next((s for s in cluster.sites if s.up), cluster.sites[0])
+    css = [{"gfs": gfs, "site": viewer.fs.mount.css_for(gfs), "opens": n}
+           for gfs, n in by_gfs.items()]
     conflicts = sorted({
         (gfs, ino)
         for site in cluster.sites
@@ -369,29 +249,24 @@ def cluster_load_report(cluster) -> Dict:
     recovery_backlog = sum(
         len(inos) for s in cluster.sites if s.recovery is not None
         for inos in s.recovery.pending.values())
-    prop_backlog = sum(len(s.fs.propagator.pending())
-                       for s in cluster.sites if s.fs is not None)
-    monitor = getattr(cluster, "convergence", None)
+    sites = [{"site": s.site_id, "up": s.up,
+              "cpu_used": round(s.cpu_used, 2),
+              **_counts(loads[s.site_id], now),
+              "prop_backlog": len(s.fs.propagator.pending())}
+             for s in cluster.sites]
     return {
-        "vtime": round(cluster.sim.now, 2),
+        "vtime": round(now, 2),
         "messages": cluster.stats.total_messages,
-        "sites": [dict(site=s.site_id,
-                       up=s.up,
-                       cpu_used=round(s.cpu_used, 2),
-                       **(s.load.gauges() if getattr(s, "load", None)
-                          is not None and s.load.enabled else {}))
-                  for s in cluster.sites],
-        "hot_inodes": [[list(key), int(count), int(err)]
-                       for key, count, err in hot.top(10)],
-        "css": sorted(css_rank.values(),
-                      key=lambda e: (-e["opens"], e["gfs"])),
+        "sites": sites,
+        "hot_inodes": _hot(by_gfile),
+        "css": sorted(css, key=lambda e: (-e["opens"], e["gfs"])),
         "backlog": {
             "conflicts": len(conflicts),
             "scrub_active": scrub_backlog,
             "recovery_pending": recovery_backlog,
-            "propagation": prop_backlog,
+            "propagation": sum(s["prop_backlog"] for s in sites),
         },
-        "convergence": monitor.summary() if monitor is not None else {},
+        "convergence": cluster.convergence.summary(),
     }
 
 
@@ -409,22 +284,18 @@ def format_top(cluster) -> str:
     for s in report["sites"]:
         lines.append(
             f"  {s['site']:<5} {'up' if s['up'] else 'DOWN':<5} "
-            f"{s.get('syscalls', 0):>9} {s.get('syscall_rate', 0.0):>9.4f} "
-            f"{s.get('rpcs_served', 0):>9} {s.get('rpc_rate', 0.0):>9.4f} "
-            f"{s['cpu_used']:>10.1f} {s.get('prop_backlog', 0):>6}")
-    lines.append("-- hottest inodes (space-saving top-K) --")
-    lines.append(f"  {'rank':<5} {'gfile':<12} {'opens':>6} {'err':>4}")
-    for rank, (key, count, err) in enumerate(
-            ((tuple(k), c, e) for k, c, e in report["hot_inodes"]),
-            start=1):
-        lines.append(f"  {rank:<5} {str(key):<12} {count:>6} {err:>4}")
+            f"{s['syscalls']:>9} {s['syscall_rate']:>9.4f} "
+            f"{s['rpcs']:>9} {s['rpc_rate']:>9.4f} "
+            f"{s['cpu_used']:>10.1f} {s['prop_backlog']:>6}")
+    lines.append("-- hottest inodes (synchronized opens) --")
+    lines.append(f"  {'rank':<5} {'gfile':<12} {'opens':>6}")
+    for rank, (gfile, count) in enumerate(report["hot_inodes"], start=1):
+        lines.append(f"  {rank:<5} {str(tuple(gfile)):<12} {count:>6}")
     lines.append("-- CSS load by filegroup --")
-    lines.append(f"  {'gfs':<4} {'css':<4} {'opens':>6} {'busy':>10} "
-                 f"{'util':>8}")
+    lines.append(f"  {'gfs':<4} {'css':<4} {'opens':>6}")
     for entry in report["css"]:
         lines.append(f"  {entry['gfs']:<4} {entry['site']:<4} "
-                     f"{entry['opens']:>6} {entry['busy']:>10.1f} "
-                     f"{entry['util']:>8.4f}")
+                     f"{entry['opens']:>6}")
     backlog = report["backlog"]
     lines.append(
         f"backlog: conflicts={backlog['conflicts']} "
@@ -432,10 +303,9 @@ def format_top(cluster) -> str:
         f"recovery_pending={backlog['recovery_pending']} "
         f"propagation={backlog['propagation']}")
     conv = report["convergence"]
-    if conv:
-        lat = conv["detection_latency"]
-        lines.append(
-            f"convergence: faults={conv['faults']} "
-            f"detections={conv['detections']} repairs={conv['repairs']} "
-            f"detect_p50={lat['p50']} detect_p99={lat['p99']}")
+    lat = conv["detection_latency"]
+    lines.append(
+        f"convergence: faults={conv['faults']} "
+        f"detections={conv['detections']} repairs={conv['repairs']} "
+        f"detect_p50={lat['p50']} detect_p99={lat['p99']}")
     return "\n".join(lines)

@@ -190,9 +190,6 @@ def traced_syscall(name: str, fn):
         finally:
             if metrics is not None:
                 metrics.observe(label, site.sim.now - start)
-            load = getattr(site, "load", None)
-            if load is not None and load.enabled:
-                load.note_syscall(name, site.sim.now - start)
             if span is not None:
                 tracer.finish(span, prev, status=status)
         return result

@@ -471,7 +471,7 @@ class RecoveryManager:
             return None
         self.stats.propagations_scheduled += len(behind)
         monitor = self.site.convergence
-        if monitor is not None and monitor.enabled:
+        if monitor is not None:
             monitor.note_repair("propagate", site=self.site.site_id,
                                 gfile=gfile)
         # _recovery marks a sweep-driven notify (header-riding, zero wire
@@ -660,7 +660,7 @@ class RecoveryManager:
                        holders: List[Tuple[int, dict]]) -> Generator:
         self.stats.conflicts_marked += 1
         monitor = self.site.convergence
-        if monitor is not None and monitor.enabled:
+        if monitor is not None:
             monitor.note_repair("mark_conflict", site=self.site.site_id,
                                 gfile=gfile)
         for s, __ in holders:

@@ -4,8 +4,8 @@ A diskless using site (0) reads a two-copy file at a steady pace while both
 storage sites (1, 2) crash and restart in turn, a loss burst and a latency
 spike hit the wire, and a message-count trigger drops read traffic; a light
 writer rewrites a second file throughout.  T16 measures availability through
-it, T17 and T21 the recorder's and the load accountant's percentiles and
-parity, and ``repro.cli trace --workload storm`` dumps its flight recording.
+it, T17 the recorder's percentiles and parity, and ``repro.cli trace
+--workload storm`` dumps its flight recording.
 """
 
 from __future__ import annotations

@@ -207,9 +207,11 @@ class TestDifferentialSizing:
 # The canonical storm: every message sized both ways, exports pinned
 # ----------------------------------------------------------------------
 
-# sha1 of `cli trace --workload storm --seed 11` exports at the commit
-# before the span log went columnar (PR 11, f22e8e7).
-STORM_JSONL_SHA1 = "9d372f61f77d268d663f0cc36bb3e41b0676004c"
+# sha1 of `cli trace --workload storm --seed 11` exports.  The Chrome file
+# is pinned from the commit before the span log went columnar (f22e8e7);
+# the JSONL was re-pinned when the `load` records became derived from the
+# span log (every span, instant and detection line unchanged).
+STORM_JSONL_SHA1 = "429e93d09d8c827f6bcdd20e297067770e45db27"
 STORM_CHROME_SHA1 = "67146f4dde562efd4b1541a459ca0a126eb1bbab"
 
 

@@ -1,5 +1,5 @@
-"""Load/hotspot accounting, the convergence monitor, and the ``top``
-report (ISSUE 10)."""
+"""The ``top`` report derived from the span log, the convergence monitor,
+and the ``load`` / ``detection`` export records."""
 
 import json
 
@@ -9,9 +9,9 @@ from repro import LocusCluster
 from repro.cli import _top_workload
 from repro.config import CostModel
 from repro.obs.export import validate_trace_jsonl
-from repro.obs.load import (ConvergenceMonitor, RollingWindow, SpaceSaving,
-                            cluster_load_report, format_top, load_records,
-                            merge_sketches)
+from repro.obs.load import (ConvergenceMonitor, _rate, cluster_load_report,
+                            format_top, load_records, span_load)
+from repro.workloads.storm import drive, storm_cluster, storm_plan
 
 
 class FakeSim:
@@ -19,99 +19,31 @@ class FakeSim:
         self.now = now
 
 
-# ----------------------------------------------------------------------
-# Space-saving sketch
-# ----------------------------------------------------------------------
-
-class TestSpaceSaving:
-    def test_exact_below_capacity(self):
-        sk = SpaceSaving(capacity=4)
-        for key in "aabbbc":
-            sk.observe(key)
-        assert sk.top() == [("b", 3, 0), ("a", 2, 0), ("c", 1, 0)]
-
-    def test_eviction_inherits_floor_as_error(self):
-        sk = SpaceSaving(capacity=2)
-        sk.observe("a")
-        sk.observe("a")
-        sk.observe("b")
-        # "c" evicts the minimum ("b", count 1) and inherits its count.
-        sk.observe("c")
-        assert set(sk.counts) == {"a", "c"}
-        assert sk.counts["c"] == 2
-        assert sk.errors["c"] == 1
-        # Reported counts over-estimate by at most the error bound.
-        assert sk.counts["c"] - sk.errors["c"] == 1
-
-    def test_eviction_tie_breaks_on_key(self):
-        sk = SpaceSaving(capacity=2)
-        sk.observe("b")
-        sk.observe("a")          # both count 1 -> victim is "a" (min key)
-        sk.observe("z")
-        assert set(sk.counts) == {"b", "z"}
-
-    def test_heavy_hitter_survives_churn(self):
-        sk = SpaceSaving(capacity=8)
-        for i in range(200):
-            sk.observe("hot")
-            sk.observe(f"cold-{i}")
-        top_key, count, err = sk.top(1)[0]
-        assert top_key == "hot"
-        assert count >= 200
-        assert len(sk) == 8
-
-    def test_top_k_truncates(self):
-        sk = SpaceSaving(capacity=8)
-        for key in "aaabbc":
-            sk.observe(key)
-        assert [k for k, _, __ in sk.top(2)] == ["a", "b"]
-
-    def test_merge_sums_counts_and_errors(self):
-        a, b = SpaceSaving(4), SpaceSaving(4)
-        for __ in range(3):
-            a.observe("x")
-        b.observe("x")
-        b.observe("y")
-        merged = merge_sketches([a, b], capacity=4)
-        assert merged.counts["x"] == 4
-        assert merged.top(1)[0][0] == "x"
-
-    def test_merge_empty(self):
-        assert merge_sketches([]).top() == []
+def _storm(seed=11):
+    cluster = storm_cluster(seed)
+    cluster.inject(storm_plan(seed, cluster.sim.now))
+    drive(cluster)
+    return cluster
 
 
 # ----------------------------------------------------------------------
-# Rolling window
+# Rate window: 8 buckets of 2000 vtime, by span end time
 # ----------------------------------------------------------------------
 
-class TestRollingWindow:
+class TestRateWindow:
     def test_counts_within_window(self):
-        sim = FakeSim()
-        win = RollingWindow(sim, width=100.0, buckets=4)
-        win.add()
-        sim.now = 150.0
-        win.add()
-        win.add()
-        assert win.total == 3
-        assert win.windowed() == 3
+        assert _rate([0.0, 1500.0, 1600.0], now=1600.0) == 3 / 2000.0
 
     def test_old_buckets_age_out(self):
-        sim = FakeSim()
-        win = RollingWindow(sim, width=100.0, buckets=4)
-        win.add(5)
-        sim.now = 1000.0           # 10 buckets later, window is [7..10]
-        assert win.windowed() == 0
-        assert win.total == 5      # lifetime total keeps everything
+        # At 20000 the live buckets are 3..10: an event at 5999 is out.
+        assert _rate([0.0] * 5 + [5999.0], now=20000.0) == 0.0
+        assert _rate([6000.0], now=20000.0) == round(1 / 16000.0, 6)
 
     def test_rate_uses_elapsed_then_window_span(self):
-        sim = FakeSim(now=50.0)
-        win = RollingWindow(sim, width=100.0, buckets=4)
-        win.add(10)
         # Early in the run the denominator is clamped to one width.
-        assert win.rate() == pytest.approx(10 / 100.0)
-        sim.now = 10_000.0
-        win.add(4)
-        assert win.rate() == pytest.approx(4 / 400.0)
+        assert _rate([500.0] * 10, now=1000.0) == 10 / 2000.0
+        assert _rate([10.0] * 3 + [99000.0] * 4,
+                     now=100000.0) == 4 / 16000.0
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +53,7 @@ class TestRollingWindow:
 class TestConvergenceMonitor:
     def test_detection_latency_from_last_fault(self):
         sim = FakeSim(now=100.0)
-        mon = ConvergenceMonitor(sim, enabled=True)
+        mon = ConvergenceMonitor(sim)
         mon.note_fault("crash")
         sim.now = 160.0
         mon.note_detection("digest_skew", site=1, gfile=(0, 5))
@@ -140,7 +72,7 @@ class TestConvergenceMonitor:
 
     def test_latency_measured_from_most_recent_fault(self):
         sim = FakeSim(now=0.0)
-        mon = ConvergenceMonitor(sim, enabled=True)
+        mon = ConvergenceMonitor(sim)
         mon.note_fault("crash")
         sim.now = 500.0
         mon.note_fault("loss_burst")
@@ -149,66 +81,55 @@ class TestConvergenceMonitor:
         assert mon.detections()[0]["latency"] == pytest.approx(30.0)
 
     def test_detection_without_fault_has_no_latency(self):
-        mon = ConvergenceMonitor(FakeSim(), enabled=True)
+        mon = ConvergenceMonitor(FakeSim())
         mon.note_detection("placement", site=0, gfile=(0, 2))
         det = mon.detections()[0]
         assert det["fault_ts"] is None and det["latency"] is None
         assert mon.detection_latency.count == 0
 
-    def test_disabled_monitor_records_nothing(self):
-        mon = ConvergenceMonitor(FakeSim(), enabled=False)
-        mon.note_fault("crash")
-        mon.note_detection("digest_skew")
-        mon.note_repair("propagate")
-        assert mon.faults == [] and mon.events == []
-
 
 # ----------------------------------------------------------------------
-# Zero-cost property: vtime and messages identical with accounting off
+# Conservation: the span log and the registry count the same events
 # ----------------------------------------------------------------------
 
-def _drive(load_accounting: bool):
-    cluster = LocusCluster(
-        n_sites=3, seed=42,
-        cost=CostModel().with_overrides(load_accounting=load_accounting))
-    sh = cluster.shell(0)
-    sh.setcopies(2)
-    sh.write_file("/f", b"x" * 2048)
-    cluster.settle()
-    cluster.partition({0}, {1, 2})
-    sh.write_file("/f", b"y" * 2048)       # diverge behind the partition
-    cluster.heal()
-    cluster.settle()
-    for __ in range(5):
-        cluster.shell(1).read_file("/f")
-    cluster.settle()
-    return cluster
+@pytest.fixture(scope="module", params=["top", "storm"])
+def workload(request):
+    if request.param == "top":
+        return _top_workload(seed=5, sites=3, ops=60)[0]
+    return _storm()
 
 
-class TestZeroCost:
-    def test_on_off_parity(self):
-        on = _drive(True)
-        off = _drive(False)
-        assert on.sim.now == off.sim.now
-        assert on.stats.total_messages == off.stats.total_messages
+class TestConservation:
+    def test_syscalls_equal_syscall_histogram_counts(self, workload):
+        loads = span_load(workload)
+        for site in workload.sites:
+            hists = site.metrics.latency_summary("syscall.")
+            assert len(loads[site.site_id].syscall_ends) == sum(
+                h["count"] for h in hists.values()), site.site_id
+        assert any(load.syscall_ends for load in loads.values())
 
-    def test_off_disables_gauges_and_records(self):
-        off = _drive(False)
-        assert not off.site(0).load.enabled
-        assert not off.convergence.enabled
-        assert load_records(off) == []
+    def test_hot_inode_total_equals_open_histogram_count(self, workload):
+        loads = span_load(workload)
+        for site in workload.sites:
+            opens = site.metrics.percentiles("fs.open")
+            assert sum(loads[site.site_id].opens.values()) == (
+                opens["count"] if opens else 0), site.site_id
+        assert any(load.opens for load in loads.values())
 
-    def test_on_populates_accounting(self):
-        on = _drive(True)
-        acct = on.site(0).load
-        assert acct.syscall_window.total > 0
-        g = acct.gauges()
-        assert g["syscalls"] > 0
-        # Synchronized opens were noted: /f is hot somewhere.
-        merged = merge_sketches([s.load.hot_inodes for s in on.sites])
-        assert len(merged) > 0
-        records = load_records(on)
-        assert [r for r in records if r["type"] == "load"]
+
+def test_served_rpcs_equal_remote_calls_when_fault_free():
+    # Every remote call a client timed was served exactly once; one-way
+    # messages (notifies, write-behind) have no client-side histogram.
+    cluster, __ = _top_workload(seed=5, sites=3, ops=60)
+    served, called = {}, {}
+    for load in span_load(cluster).values():
+        for op, (count, __) in load.rpc_ops.items():
+            served[op] = served.get(op, 0) + count
+    for site in cluster.sites:
+        for name, hist in site.metrics.latency_summary("rpc.").items():
+            op = name[len("rpc."):]
+            called[op] = called.get(op, 0) + hist["count"]
+    assert called and called == {op: served[op] for op in called}
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +145,7 @@ class TestTopReport:
     def test_ranks_zipf_hot_inodes_and_filegroups(self):
         cluster, paths = _top_workload(seed=5, sites=3, ops=60)
         report = cluster_load_report(cluster)
-        counts = [count for __, count, ___ in report["hot_inodes"]]
+        counts = [count for __, count in report["hot_inodes"]]
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > 1                  # Zipf head is genuinely hot
         # The root filegroup carries the workload; /aux saw one read.
@@ -232,6 +153,48 @@ class TestTopReport:
         assert css[0]["gfs"] == 0
         assert css[0]["opens"] > css[-1]["opens"]
         assert len(css) >= 2
+
+    def test_css_opens_count_synchronized_opens(self):
+        # A CSS close notification is not an open: the table counts one
+        # per synchronized fs.open span of the filegroup.
+        cluster, __ = _top_workload(seed=5, sites=3, ops=60)
+        spans = {}
+        for span in cluster.tracer.spans:
+            if span.name == "fs.open":
+                gfs = span.attrs["gfile"][0]
+                spans[gfs] = spans.get(gfs, 0) + 1
+        css = {e["gfs"]: e["opens"]
+               for e in cluster_load_report(cluster)["css"]}
+        assert css == spans
+        assert css[0] == 94
+
+    def test_hot_inode_ties_rank_by_gfile(self):
+        cluster, __ = _top_workload(seed=5, sites=3, ops=60)
+        hot = [(-count, tuple(gfile))
+               for gfile, count in cluster_load_report(cluster)["hot_inodes"]]
+        assert hot == sorted(hot)
+        assert len({count for count, __ in hot}) < len(hot)   # ties exist
+
+    def test_css_row_names_the_current_css(self):
+        # Through the storm the CSS role moves; the row names where it
+        # sits now, and only that site's load record carries the filegroup.
+        cluster = _storm()
+        css = cluster.site(0).fs.mount.css_for(0)
+        row, = cluster_load_report(cluster)["css"]
+        assert (row["gfs"], row["site"]) == (0, css)
+        holders = [r["site"] for r in load_records(cluster)
+                   if r["type"] == "load" and r["css"]]
+        assert holders == [css]
+
+    def test_tracing_off_reports_no_span_derived_load(self):
+        cluster = LocusCluster(n_sites=2, seed=3,
+                               cost=CostModel(trace_enabled=False))
+        cluster.shell(1).write_file("/f", b"x" * 64)
+        cluster.settle()
+        report = cluster_load_report(cluster)
+        assert [s["syscalls"] for s in report["sites"]] == [0, 0]
+        assert report["hot_inodes"] == [] and report["css"] == []
+        assert "LOCUS top" in format_top(cluster)
 
     def test_report_sections_present(self):
         cluster, __ = _top_workload(seed=3, sites=2, ops=20)
@@ -243,9 +206,14 @@ class TestTopReport:
     def test_load_records_validate_in_export(self, tmp_path):
         from repro.obs.export import export_jsonl
         cluster, __ = _top_workload(seed=3, sites=2, ops=20)
+        records = load_records(cluster)
+        loads = [r for r in records if r["type"] == "load"]
+        assert [r["site"] for r in loads] == [0, 1]
+        for r in loads:
+            assert all(len(entry) == 2 for entry in r["hot_inodes"])
+            assert all(set(cell) == {"opens"} for cell in r["css"].values())
         path = tmp_path / "t.jsonl"
-        n = export_jsonl(cluster.tracer, str(path),
-                         extra=load_records(cluster))
+        n = export_jsonl(cluster.tracer, str(path), extra=records)
         assert n > 0
         assert validate_trace_jsonl(str(path)) == []
 
@@ -282,8 +250,8 @@ class TestForgedRecords:
         load = {"type": "load", "site": 0, "ts": 1.0,
                 "window": [2000.0, 8], "syscalls": 1, "syscall_rate": 0.0,
                 "rpcs": 0, "rpc_rate": 0.0, "rpc_ops": {},
-                "hot_inodes": [], "css": {}, "queues": {},
-                "replication": {}}
+                "hot_inodes": [[[0, 2], 1]], "css": {"0": {"opens": 1}},
+                "queues": {}, "replication": {}}
         det = {"type": "detection", "seq": 1, "ts": 2.0, "event": "detect",
                "kind": "digest_skew", "site": 0, "gfile": [0, 1],
                "fault_ts": 1.0, "latency": 1.0}

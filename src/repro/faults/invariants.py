@@ -1,13 +1,15 @@
 """Invariants audited at quiescence after every heal.
 
-Two layers:
+Two layers, both read off one :func:`repro.tools.fsck.fsck` walk:
 
-* the full read-only :func:`repro.tools.fsck.fsck` audit (reachability,
-  dangling entries, placement, unflagged version conflicts, link counts);
+* every audited fsck category (reachability, dangling entries, placement,
+  equal-version content, unflagged version conflicts, link counts);
 * replica divergence — stricter than fsck's conflict check: once a merge
-  has settled, every reachable data copy of a file must carry *equal*
-  version vectors.  A copy that is merely dominated (stale but not
-  conflicting) means propagation silently failed to converge.
+  has settled, every reachable unflagged data copy of a file must carry
+  *equal* version vectors.  A copy that is merely dominated (stale but
+  not conflicting) means propagation silently failed to converge.
+
+Plus an exactly-once audit of every pack's ledger.
 
 The checker is strictly read-only — it never repairs, settles, or
 schedules events, so it is safe to run from the simulator's idle hook.
@@ -46,21 +48,17 @@ class InvariantChecker:
                          plan_json=plan_json)
 
     def check(self) -> List[Violation]:
-        out: List[Violation] = []
-        out.extend(self._fsck_violations())
-        out.extend(self._replica_divergence())
-        out.extend(self._ledger_audit())
-        return out
+        return self._fsck_violations() + self._ledger_audit()
 
     def _fsck_violations(self) -> List[Violation]:
-        from repro.tools.fsck import fsck
+        from repro.tools.fsck import AUDITED, fsck
         report = fsck(self.cluster)
-        out: List[Violation] = []
-        for category in ("orphan_inodes", "dangling_entries",
-                         "placement_errors", "content_mismatch",
-                         "unflagged_conflicts", "nlink_errors"):
-            for item in getattr(report, category):
-                out.append(self._make(f"fsck:{category}", repr(item)))
+        out = [self._make(f"fsck:{category}", repr(item))
+               for category in AUDITED
+               for item in getattr(report, category)]
+        out += [self._make("replica_divergence",
+                           f"gfile=({gfs},{ino}) versions={versions}")
+                for (gfs, ino), versions in sorted(report.replica_divergence)]
         return out
 
     def _ledger_audit(self) -> List[Violation]:
@@ -92,31 +90,4 @@ class InvariantChecker:
                             f"site={site.site_id} gfs={gfs} "
                             f"stamp=({client}, {seq}) memoized but never "
                             f"applied"))
-        return out
-
-    def _replica_divergence(self) -> List[Violation]:
-        out: List[Violation] = []
-        cluster = self.cluster
-        mount = cluster.sites[0].fs.mount
-        for gfs in sorted(mount.groups):
-            packs = {}
-            for site_id in mount.pack_sites(gfs):
-                site = cluster.site(site_id)
-                if site.up and gfs in site.packs:
-                    packs[site_id] = site.packs[gfs]
-            inos = sorted({ino for pack in packs.values()
-                           for ino in pack.inodes})
-            for ino in inos:
-                copies = [(s, p.inodes[ino]) for s, p in sorted(packs.items())
-                          if ino in p.inodes]
-                data = [(s, i) for s, i in copies
-                        if i.has_data and not i.deleted and not i.conflict]
-                if len(data) < 2:
-                    continue
-                first = data[0][1].version
-                if any(i.version != first for __, i in data[1:]):
-                    versions = {s: i.version.to_dict() for s, i in data}
-                    out.append(self._make(
-                        "replica_divergence",
-                        f"gfile=({gfs},{ino}) versions={versions}"))
         return out

@@ -131,14 +131,12 @@ class Propagator:
                 for g in sorted(self._pending) if g in self._enqueued]
 
     def _retire(self, gfile: Gfile, outcome: str) -> None:
-        """A request left the pending set.  ``pulled`` / ``skipped`` /
-        ``failed`` are terminal: the enqueue timestamp is dropped, and a
-        completed pull records its replication lag (first-enqueue vtime →
-        committed vtime).  ``requeued`` keeps the timestamp so the
-        eventual pull measures the full lag."""
+        """A request left the pending set as ``pulled``, ``skipped`` or
+        ``failed``: the enqueue timestamp is dropped, and a completed pull
+        records its replication lag (first-enqueue vtime → committed
+        vtime).  A deferred request never retires here, so the pull that
+        eventually lands measures the full lag."""
         self._pending.discard(gfile)
-        if outcome == "requeued":
-            return
         enqueued = self._enqueued.pop(gfile, None)
         if outcome == "pulled" and enqueued is not None:
             self.site.metrics.observe("prop.lag",
@@ -178,25 +176,28 @@ class Propagator:
             # loss.
             self._retry_later(req)
         except FsError:
-            self.stats.failed += 1
-            self._pulling.discard(req.gfile)
-            self._retire(req.gfile, "failed")
-            self._retire_placeholder(req.gfile)
+            self._give_up(req)
+
+    def _give_up(self, req: _Request) -> None:
+        """The pull failed for good: retire the request as ``failed``."""
+        self.stats.failed += 1
+        self._pulling.discard(req.gfile)
+        self._retire(req.gfile, "failed")
+        self._retire_placeholder(req.gfile)
 
     def _retry_later(self, req: _Request) -> None:
         """Contact lost mid-pull: the shadow mechanism already left a
         coherent old copy.  Retry later — the source (or another holder)
         may come back; the recovery sweep also covers us at the next
         membership change."""
+        req.deferrals += 1
+        if req.deferrals > _MAX_DEFERRALS:
+            self._give_up(req)
+            return
         self.stats.failed += 1
         self._pulling.discard(req.gfile)
-        req.deferrals += 1
-        if req.deferrals <= _MAX_DEFERRALS:
-            self.site.sim.schedule(_DEFER_DELAY * req.deferrals,
-                                   self.queue.put, req)
-        else:
-            self._retire(req.gfile, "failed")
-            self._retire_placeholder(req.gfile)
+        self.site.sim.schedule(_DEFER_DELAY * req.deferrals,
+                               self.queue.put, req)
 
     def _retire_placeholder(self, gfile: Gfile) -> None:
         """A pull permanently given up must not strand an empty-vv
@@ -273,10 +274,10 @@ class Propagator:
             self._defer(req)
             return None
         pack = self.fs.local_pack(req.gfile[0])
-        before = self.stats.pulls
-        yield from self._pull(req, pack, pack.get_inode(req.gfile[1]).version)
-        self._retire(req.gfile,
-                     "pulled" if self.stats.pulls > before else "requeued")
+        outcome = yield from self._pull(req, pack,
+                                        pack.get_inode(req.gfile[1]).version)
+        if outcome != "deferred":
+            self._retire(req.gfile, outcome)
         return None
 
     # -- manifest batch service (CostModel.pull_manifest) ------------------
@@ -357,20 +358,17 @@ class Propagator:
                 self.stats.skipped += 1
                 self._retire(req.gfile, "skipped")
                 return waits[0]
-            before = self.stats.pulls
-            yield from self._pull(req, pack, inode.version,
-                                  manifest_source=source, waits=waits)
-            self._retire(req.gfile, "pulled" if self.stats.pulls > before
-                         else "requeued")
+            outcome = yield from self._pull(req, pack, inode.version,
+                                            manifest_source=source,
+                                            waits=waits)
+            if outcome != "deferred":
+                self._retire(req.gfile, outcome)
         except (NetworkError, EIO):
             # Same policy as _service_one: a transient disk-write fault
             # must not permanently abandon convergence.
             self._retry_later(req)
         except FsError:
-            self.stats.failed += 1
-            self._pulling.discard(req.gfile)
-            self._retire(req.gfile, "failed")
-            self._retire_placeholder(req.gfile)
+            self._give_up(req)
         return waits[0]
 
     # -- the pull itself ----------------------------------------------------
@@ -389,7 +387,9 @@ class Propagator:
               manifest_source: Optional[Tuple[int, dict]] = None,
               waits: Optional[List[int]] = None) -> Generator:
         """Internally open the file at a site with the latest version and
-        page the changes (or the whole file) across."""
+        page the changes (or the whole file) across.  Returns the outcome:
+        ``pulled``, ``skipped`` (the local copy is already as new) or
+        ``deferred`` (re-queued; the file stays pending)."""
         fs = self.fs
         gfile = req.gfile
         if manifest_source is not None:
@@ -401,7 +401,7 @@ class Propagator:
         target_vv = remote_attrs["version"]
         if local_vv.dominates(target_vv):
             self.stats.skipped += 1
-            return None
+            return "skipped"
 
         # Delta pull is only sound when the remote version is exactly one
         # commit (originated at the announcing site) ahead of our copy, and
@@ -436,12 +436,8 @@ class Propagator:
                 # via an unsynchronized path): committing now would be
                 # clobbered by that open's stale shadow.  Defer instead.
                 shadow.abort()
-                req.deferrals += 1
-                self.stats.deferred += 1
-                if req.deferrals <= _MAX_DEFERRALS:
-                    self._pending.add(gfile)
-                    self.site.sim.schedule(_DEFER_DELAY, self.queue.put, req)
-                return None
+                self._defer(req)
+                return "deferred"
             shadow.set_attrs(**{k: remote_attrs[k] for k in _ATTR_FIELDS})
             # Pulling a live version resurrects a locally-tombstoned copy
             # (the undo-delete of section 4.4 rule d).
@@ -455,7 +451,7 @@ class Propagator:
             self._pulling.discard(gfile)
         self.site.cache.invalidate_file(*gfile)
         self.stats.pulls += 1
-        return None
+        return "pulled"
 
     def _pull_pages(self, source: int, gfile: Gfile, pages: List[int],
                     shadow: ShadowFile,

@@ -8,8 +8,8 @@ The loop (``python -m repro.cli fuzz``):
    schedule;
 2. :func:`~repro.fuzz.runner.run_plan` executes it deterministically and
    the :class:`~repro.fuzz.oracle.FuzzOracle` judges the merged end
-   state (invariant audit, byte convergence, session guarantees, model
-   read-back, liveness);
+   state (invariant audit, session guarantees, model read-back,
+   liveness);
 3. on failure, :func:`~repro.fuzz.shrink.shrink_plan` minimizes the
    scenario splintercat-style and the survivor is committed under
    ``tests/regressions/`` as a permanent ratchet.

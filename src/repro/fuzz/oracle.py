@@ -1,16 +1,15 @@
 """Oracles: judge a finished :class:`~repro.fuzz.runner.FuzzRun`.
 
-The default :class:`FuzzOracle` layers four families of checks on top of
+The default :class:`FuzzOracle` layers three families of checks on top of
 whatever the mid-storm invariant audits already caught:
 
 * **invariant audit** — the full :class:`repro.faults.InvariantChecker`
-  sweep (fsck + version-vector replica divergence) on the merged store.
-  Orphan inodes are excluded by default: a crash between allocation and
-  the directory commit legitimately strands an inode for fsck to reap
-  (classic UNIX semantics the paper keeps); every other category is a
-  real violation.
-* **byte convergence** — stricter than version vectors: two copies that
-  *claim* the same version must carry identical page bytes.
+  sweep (fsck, including its "equal version vectors ⇒ equal committed
+  bytes" rule, plus version-vector replica divergence) on the merged
+  store.  Orphan inodes are excluded by default: a crash between
+  allocation and the directory commit legitimately strands an inode for
+  fsck to reap (classic UNIX semantics the paper keeps); every other
+  category is a real violation.
 * **session guarantees** — every read the runner marked ``clean`` (no
   fault disturbance, stable model expectation) must have returned the
   content of the last successful write; reads mid-storm are exempt, the
@@ -34,15 +33,14 @@ from typing import List, Optional
 
 from repro.errors import LocusError
 from repro.faults.invariants import InvariantChecker, Violation
-from repro.fs.scrub import committed_digest
 from repro.fuzz.runner import (AMBIGUOUS, FuzzRun, MISSING, NamespaceModel,
                                _digest)
+from repro.tools.fsck import AUDITED
 
 # fsck categories that are always violations.  "orphan_inodes" is off by
 # default (see module docstring); strict oracles can add it back.
-DEFAULT_AUDIT = ("fsck:dangling_entries", "fsck:placement_errors",
-                 "fsck:content_mismatch", "fsck:unflagged_conflicts",
-                 "fsck:nlink_errors", "replica_divergence")
+DEFAULT_AUDIT = tuple(f"fsck:{category}" for category in AUDITED
+                      if category != "orphan_inodes")
 
 
 @dataclass
@@ -95,7 +93,6 @@ class FuzzOracle:
         violations += self._filter(run.injector.violations)
         violations += self._filter(
             InvariantChecker(run.cluster, run.plan).check())
-        violations += self._byte_convergence(run)
         if self.check_sessions:
             violations += self._session_guarantees(run)
         violations += self._model_readback(run)
@@ -113,43 +110,6 @@ class FuzzOracle:
         return [v for v in violations
                 if not v.kind.startswith("fsck:")
                 or v.kind in self.audit]
-
-    # -- byte convergence ------------------------------------------------
-
-    def _byte_convergence(self, run: FuzzRun) -> List[Violation]:
-        """Copies with equal version vectors must be byte-identical —
-        silent data divergence that vv comparison cannot see."""
-        out: List[Violation] = []
-        cluster = run.cluster
-        mount = cluster.sites[0].fs.mount
-        page_size = cluster.config.cost.page_size
-        for gfs in sorted(mount.groups):
-            packs = {}
-            for site_id in mount.pack_sites(gfs):
-                site = cluster.site(site_id)
-                if site.up and gfs in site.packs:
-                    packs[site_id] = site.packs[gfs]
-            inos = sorted({ino for pack in packs.values()
-                           for ino in pack.inodes})
-            for ino in inos:
-                copies = [(s, p, p.inodes[ino])
-                          for s, p in sorted(packs.items())
-                          if ino in p.inodes]
-                data = [(s, p, i) for s, p, i in copies
-                        if i.has_data and not i.deleted and not i.conflict]
-                if len(data) < 2:
-                    continue
-                first = data[0][2].version
-                if any(i.version != first for __, __p, i in data[1:]):
-                    continue    # vv divergence: InvariantChecker's case
-                images = {s: committed_digest(p, ino, page_size)
-                          for s, p, __i in data}
-                if len(set(images.values())) > 1:
-                    out.append(self._make(
-                        run, "data_divergence",
-                        f"gfile=({gfs},{ino}) equal versions, "
-                        f"different bytes: {images}"))
-        return out
 
     # -- session guarantees ----------------------------------------------
 

@@ -10,8 +10,13 @@ Audits every pack of every filegroup, cross-site:
   inode advertises (among reachable packs);
 * version coherence — no two copies of a file are mutually inconsistent
   unless the file is conflict-marked;
+* content — copies with equal version vectors are one version, so they
+  hold identical committed bytes unless conflict-flagged;
 * link counts — a file's nlink matches the number of live entries that
   reference it (hard links).
+
+This is the one walk that classifies replica copies: the invariant checker
+and the fuzz oracle read its report rather than walking the packs again.
 
 The checker is read-only and runs over the *committed* state (it decodes
 directories straight from pack blocks), so it can run against a live
@@ -27,11 +32,16 @@ from repro.fs.directory import decode_snapshot
 from repro.fs.scrub import committed_digest, committed_image
 from repro.storage.inode import FileType
 from repro.storage.pack import ROOT_INO
-from repro.storage.version_vector import latest
+from repro.storage.version_vector import VersionVector, latest
 
 Gfile = Tuple[int, int]
 
 _DIR_TYPES = (FileType.DIRECTORY, FileType.HIDDEN_DIR)
+
+# The audited categories: a report is clean when every one is empty.  The
+# invariant checker reports each finding as ``fsck:<category>``.
+AUDITED = ("orphan_inodes", "dangling_entries", "placement_errors",
+           "content_mismatch", "unflagged_conflicts", "nlink_errors")
 
 
 @dataclass
@@ -46,30 +56,28 @@ class FsckReport:
     # conflict-flagged): silent divergence the vv comparison cannot see.
     # Each entry carries the per-site digest pairing for the report.
     content_mismatch: List[Tuple[Gfile, str]] = field(default_factory=list)
-    version_conflicts: List[Gfile] = field(default_factory=list)
     unflagged_conflicts: List[Gfile] = field(default_factory=list)
     nlink_errors: List[Tuple[Gfile, int, int]] = field(default_factory=list)
+    # Informational, outside ``clean``: replicas lag legitimately on a live
+    # cluster.  ``replica_divergence`` holds files whose unflagged copies
+    # sit at more than one version vector, with the per-site vectors.
+    version_conflicts: List[Gfile] = field(default_factory=list)
+    replica_divergence: List[Tuple[Gfile, Dict[int, Dict[int, int]]]] = \
+        field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not (self.orphan_inodes or self.dangling_entries
-                    or self.placement_errors or self.content_mismatch
-                    or self.unflagged_conflicts or self.nlink_errors)
+        return not any(getattr(self, category) for category in AUDITED)
 
     def summary(self) -> str:
-        lines = [
-            f"filegroups checked: {self.filegroups_checked}",
-            f"inodes checked:     {self.inodes_checked}",
-            f"orphan inodes:      {len(self.orphan_inodes)}",
-            f"dangling entries:   {len(self.dangling_entries)}",
-            f"placement errors:   {len(self.placement_errors)}",
-            f"content mismatches: {len(self.content_mismatch)}",
-            f"version conflicts:  {len(self.version_conflicts)} "
-            f"({len(self.unflagged_conflicts)} unflagged)",
-            f"nlink errors:       {len(self.nlink_errors)}",
-            f"verdict:            {'CLEAN' if self.clean else 'DIRTY'}",
-        ]
-        return "\n".join(lines)
+        rows = [("filegroups checked", self.filegroups_checked),
+                ("inodes checked", self.inodes_checked)]
+        rows += [(category.replace("_", " "), len(getattr(self, category)))
+                 for category in AUDITED]
+        rows += [("version conflicts", len(self.version_conflicts)),
+                 ("replica divergence", len(self.replica_divergence)),
+                 ("verdict", "CLEAN" if self.clean else "DIRTY")]
+        return "\n".join(f"{label + ':':21}{value}" for label, value in rows)
 
 
 def fsck(cluster, gfs_list: Optional[List[int]] = None) -> FsckReport:
@@ -166,17 +174,25 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
                     ((gfs, ino), f"site {s}: advertised "
                      f"{sorted(advertised)}, stores nothing "
                      f"(data actually at {sorted(actual)})"))
-        # Content audit: copies whose version vectors agree must hold
-        # identical committed bytes unless conflict-flagged (a flagged
-        # file legitimately parks divergent copies for the user).
-        if not conflict and not any(i.conflict for __, i in datacopies):
-            best = datacopies[0][1].version
-            peers = [(s, i) for s, i in datacopies if i.version == best]
+        # Group the unflagged copies by version vector (a flagged copy
+        # legitimately parks divergent bytes for the user).  More than one
+        # group is a replica still behind; within a group the copies are
+        # one version and must hold identical committed bytes.
+        unflagged = [(s, i) for s, i in sorted(datacopies) if not i.conflict]
+        groups: Dict[VersionVector, List[int]] = {}
+        for s, i in unflagged:
+            groups.setdefault(i.version, []).append(s)
+        if len(groups) > 1:
+            report.replica_divergence.append(((gfs, ino), {
+                s: i.version.to_dict() for s, i in unflagged}))
+        for peers in groups.values():
+            if len(peers) < 2:
+                continue
             digests = {s: committed_digest(packs[s], ino, page_size)
-                       for s, __ in peers if s in packs}
+                       for s in peers}
             if len(set(digests.values())) > 1:
                 pairing = ", ".join(f"site {s}: {d}"
-                                    for s, d in sorted(digests.items()))
+                                    for s, d in digests.items())
                 report.content_mismatch.append(((gfs, ino), pairing))
 
     # Walk directories for reachability and link counts.

@@ -171,7 +171,7 @@ class TestDeterminismAndInvariants:
 
 
 class TestInvariantChecker:
-    def test_detects_forged_replica_divergence(self):
+    def test_detects_forged_divergent_replica(self):
         cluster = LocusCluster(n_sites=2, seed=19)
         sh = cluster.shell(0)
         sh.setcopies(2)

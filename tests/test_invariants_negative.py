@@ -1,10 +1,11 @@
 """Negative-path coverage for the invariant audit (T19 satellite).
 
 The fuzz oracle is only as good as its checkers, so each checker is fed a
-*hand-forged* corrupt store — a healthy settled cluster whose packs are
-then mutilated directly — and must flag exactly the planted corruption.
-A green run on a corrupt store would mean the fuzzer's verdicts are
-vacuous.
+*hand-forged* corrupt record — a healthy settled cluster whose packs are
+then mutilated directly, or whose run record (op log, namespace model,
+driver list, flight recorder) is edited — and must flag exactly the
+planted corruption.  A green run on a corrupt record would mean the
+fuzzer's verdicts are vacuous.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import pytest
 
 from repro.faults.invariants import InvariantChecker
 from repro.fuzz.oracle import FuzzOracle, SyntheticOracle
-from repro.fuzz.plan import FuzzPlan
-from repro.fuzz.runner import PlanRunner
+from repro.fuzz.plan import FuzzPlan, WorkloadOp
+from repro.fuzz.runner import MISSING, OpRecord, PlanRunner
 from repro.storage.inode import DiskInode, FileType
 
 
@@ -34,6 +35,10 @@ def kinds(run):
                    InvariantChecker(run.cluster, run.plan).check()})
 
 
+def judged(run):
+    return {v.kind for v in FuzzOracle().judge(run).violations}
+
+
 def data_packs(cluster):
     """{site_id: pack} plus the (gfs, ino) of the one regular file."""
     mount = cluster.sites[0].fs.mount
@@ -49,7 +54,7 @@ def data_packs(cluster):
 
 # -- replica divergence ----------------------------------------------------
 
-def test_stale_copy_is_replica_divergence(run):
+def test_stale_copy_is_a_divergent_replica(run):
     """A dominated (stale, non-conflicting) copy after settle means
     propagation silently failed — stricter than fsck's conflict check."""
     packs, gfs, ino = data_packs(run.cluster)
@@ -99,18 +104,39 @@ def test_forged_dangling_entry(run):
     assert "fsck:dangling_entries" in kinds(run)
 
 
+def flip_page(pack, ino):
+    """Invert every byte of the file's first committed page on one pack."""
+    blockno = pack.inodes[ino].pages[0]
+    pack.blocks[blockno] = bytes(b ^ 0xFF for b in pack.blocks[blockno])
+
+
 def test_forged_content_skew_is_fsck_content_mismatch(run):
     """Equal version vectors, different committed bytes: fsck's content
-    audit (scrub subsystem satellite) must flag what vv comparison cannot
-    see."""
+    audit must flag what vv comparison cannot see, and the fuzz oracle
+    reports the one flipped page exactly once."""
     packs, gfs, ino = data_packs(run.cluster)
-    inode = packs[0].inodes[ino]
-    blockno = inode.pages[0]
-    packs[0].blocks[blockno] = bytes(
-        b ^ 0xFF for b in packs[0].blocks[blockno])
+    flip_page(packs[0], ino)
     found = kinds(run)
     assert "fsck:content_mismatch" in found
     assert "replica_divergence" not in found   # vvs still equal
+    verdict = [v.kind for v in FuzzOracle().judge(run).violations]
+    assert verdict == ["fsck:content_mismatch"]
+
+
+@pytest.mark.parametrize("newer", [0, 2])
+def test_content_mismatch_beside_a_newer_copy(run, newer):
+    """Two copies share a vector and differ in bytes while a third copy is
+    newer: the mismatch is found whichever site holds the newer copy, and
+    the lagging pair is also replica divergence.  ``[0]`` is the regression
+    case: a walk comparing only the copies that share the first copy's
+    vector misses it.  ``[2]`` pins that the verdict is order-independent."""
+    packs, gfs, ino = data_packs(run.cluster)
+    inode = packs[newer].inodes[ino]
+    inode.version = inode.version.bump(newer)
+    flip_page(packs[1], ino)
+    found = kinds(run)
+    assert "fsck:content_mismatch" in found
+    assert "replica_divergence" in found
 
 
 def test_forged_missing_advertised_copy_is_placement_error(run):
@@ -137,8 +163,7 @@ def test_forged_orphan_reported_but_not_audited_by_default(run):
             ino=orphan_ino, ftype=FileType.REGULAR, size=0,
             storage_sites=sorted(packs))
     assert "fsck:orphan_inodes" in kinds(run)
-    judged = {v.kind for v in FuzzOracle().judge(run).violations}
-    assert "fsck:orphan_inodes" not in judged
+    assert "fsck:orphan_inodes" not in judged(run)
 
 
 # -- exactly-once ledger audit ---------------------------------------------
@@ -166,19 +191,72 @@ def test_forged_double_apply(run):
     assert "ledger:double_apply" in kinds(run)
 
 
-# -- byte convergence (oracle-only check) ----------------------------------
+# -- the oracle's own checks: session, model read-back, liveness ------------
 
-def test_forged_data_divergence_behind_equal_versions(run):
-    """Equal version vectors but different bytes: invisible to vv
-    comparison, caught only by the oracle's byte-convergence check."""
+def forged_read(run, expected, result):
+    """Append a clean, successful read of the tree's file to the op log."""
+    op = WorkloadOp(at=0.0, site=0, op="read", path="/w/d0/f0")
+    run.oplog.append(OpRecord(idx=len(run.oplog), op=op, start=1.0, end=2.0,
+                              ok=True, result=result, expected=expected,
+                              clean=True))
+
+
+def test_quiet_run_judges_clean(run):
+    assert judged(run) == set()
+
+
+def test_forged_phantom_read(run):
+    """A clean read succeeded where the model says the path is absent."""
+    forged_read(run, MISSING, "0" * 16)
+    assert judged(run) == {"session:phantom_read"}
+
+
+def test_forged_stale_read(run):
+    """A clean read returned bytes other than the last committed write."""
+    forged_read(run, run.model.expectation("/w/d0/f0"), "0" * 16)
+    assert judged(run) == {"session:stale_read"}
+
+
+def test_forged_lost_path(run):
+    """The model holds a file that reconciliation never produced."""
+    run.model.bind("/w/d0/ghost", b"never written")
+    assert judged(run) == {"model:lost_path"}
+
+
+def test_forged_unreadable_path(run):
+    """Every copy gives up its data: stat still resolves the name, the read
+    does not (fsck also sees the name pointing at no live file)."""
     packs, gfs, ino = data_packs(run.cluster)
-    inode = packs[0].inodes[ino]
-    blockno = inode.pages[0]
-    original = packs[0].blocks[blockno]
-    packs[0].blocks[blockno] = bytes(b ^ 0xFF for b in original)
-    assert "replica_divergence" not in kinds(run)   # vvs still equal
-    judged = {v.kind for v in FuzzOracle().judge(run).violations}
-    assert "data_divergence" in judged
+    for pack in packs.values():
+        pack.inodes[ino].has_data = False
+    assert "model:unreadable_path" in judged(run)
+
+
+def test_forged_model_content_mismatch(run):
+    """The file reads back other bytes than the model's last write."""
+    run.model.bind("/w/d0/f0", b"a write the cluster never saw")
+    assert judged(run) == {"model:content_mismatch"}
+
+
+def test_forged_resurrected_path(run):
+    """The model unlinked a name that still resolves."""
+    del run.model.files["/w/d0/f0"]
+    run.model.removed.add("/w/d0/f0")
+    assert judged(run) == {"model:resurrected_path"}
+
+
+def test_forged_driver_stuck(run):
+    run.unfinished_drivers.append(0)
+    assert judged(run) == {"liveness:driver_stuck"}
+
+
+def test_forged_leaked_span(run):
+    """A syscall span left open on a site that never crashed is stuck
+    work; the same span on a crashed site died legitimately."""
+    run.cluster.tracer.begin("syscall.read", "syscall", 1)
+    assert judged(run) == {"liveness:leaked_span"}
+    run.injector.trace.append((0.0, "crash", '{"site": 1}'))
+    assert judged(run) == set()
 
 
 # -- synthetic oracle ------------------------------------------------------

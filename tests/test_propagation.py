@@ -3,7 +3,9 @@
 import pytest
 
 from repro import LocusCluster, Mode
+from repro.fs.handles import SsOpen
 from repro.net.stats import StatsWindow
+from repro.storage.shadow import ShadowFile
 
 
 @pytest.fixture
@@ -38,6 +40,60 @@ class TestPullMechanics:
         cluster.settle()
         inode = cluster.site(1).packs[0].get_inode(ino)
         assert inode.version == sh.stat("/busy")["version"]
+
+    def test_requeued_pull_stays_pending_until_it_lands(self, cluster):
+        """A local open that slips in mid-pull re-queues the pull.  Until
+        the re-queued pull lands the file stays pending, so local reads do
+        not trust the stale copy, and its lag counts from the first
+        enqueue."""
+        sh = make_replicated(cluster, "/race", b"v1")
+        gfile = (0, sh.stat("/race")["ino"])
+        sim, fs1 = cluster.sim, cluster.site(1).fs
+        prop = fs1.propagator
+        first_enqueue, retired, probes = [], [], []
+
+        def retire(g, outcome):
+            retired.append((sim.now, g, outcome))
+            original_retire(g, outcome)
+
+        def pull_pages(source, g, pages, shadow, waits=None):
+            first = prop.stats.deferred == 0
+            if first:
+                # Fires while the pages are in flight: the pull finds the
+                # open only after paging, just before it would commit.
+                sim.schedule(0.0, open_locally)
+            yield from original_pull_pages(source, g, pages, shadow, waits)
+            if first:
+                # The open closes before the re-queued pull runs.
+                sim.schedule(10.0, fs1.ss.pop, gfile)
+                for delay in (0.0, 5.0, 20.0):
+                    sim.schedule(delay, lambda: probes.append(
+                        prop.is_pending(gfile)))
+
+        def open_locally():
+            (age,) = prop.lag_ages()
+            first_enqueue.append(sim.now - age)
+            pack = cluster.site(1).packs[0]
+            fs1.ss[gfile] = SsOpen(gfile=gfile,
+                                   shadow=ShadowFile(pack, gfile[1]))
+
+        original_retire, prop._retire = prop._retire, retire
+        original_pull_pages, prop._pull_pages = prop._pull_pages, pull_pages
+        lag = cluster.site(1).metrics.hist("prop.lag")
+        lag_count, lag_total = lag.count, lag.total
+        sh.write_file("/race", b"v2 racing an open")
+        cluster.settle()
+
+        assert probes == [True, True, True]
+        assert prop.stats.deferred == 1
+        (landed, g, outcome), = retired
+        assert (g, outcome) == (gfile, "pulled")
+        assert not prop.is_pending(gfile)
+        assert lag.count == lag_count + 1
+        assert lag.total - lag_total == pytest.approx(
+            landed - first_enqueue[0])
+        assert cluster.site(1).packs[0].get_inode(gfile[1]).version == \
+            sh.stat("/race")["version"]
 
     def test_interrupted_pull_leaves_coherent_old_copy(self, cluster):
         """'If contact is lost with the site containing the newer version,

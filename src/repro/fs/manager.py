@@ -1598,11 +1598,14 @@ class FsManager(PathMixin, NamespaceMixin):
                 entry.storage_sites = list(attrs["storage_sites"])
         if p.get("_recovery_reply"):
             # A holder superseded what our recovery sweep pushed: the
-            # sweep's inventory snapshot went stale.  Re-reconcile from
-            # fresh state (and fall through — this site may be behind too).
+            # sweep's inventory snapshot went stale mid-run (a commit
+            # landed between the inventory and the propagation).
+            # Re-reconcile against fresh inventories so every behind copy
+            # learns the real best, not just the site the answer reached
+            # (and fall through — this site may be behind too).
             recovery = getattr(self.site, "recovery", None)
             if recovery is not None:
-                recovery.note_stale_sweep(gfile)
+                recovery.request(gfile)
         pack = self.local_pack(gfile[0])
         if pack is None or p["origin"] == self.sid:
             # No pack here, or the commit originated at this very site (the
@@ -1654,10 +1657,11 @@ class FsManager(PathMixin, NamespaceMixin):
             # above): normal commit traffic just revealed concurrent
             # lineages — e.g. a merge installed while a writer was still
             # in flight.  A pull could only lose one side; hand the file
-            # to recovery for a proper merge instead.
+            # to recovery, whose merge machinery folds both lineages into
+            # one dominating version or marks the file in conflict.
             recovery = getattr(self.site, "recovery", None)
             if recovery is not None:
-                recovery.note_divergent_notify(gfile)
+                recovery.request(gfile)
             return None
         if inode is not None and inode.has_data:
             # pages=None means "origin did not say what changed": full pull.

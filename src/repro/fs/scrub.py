@@ -33,11 +33,12 @@ only triggers fire from the merge procedure — so disabling it
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Generator, List, Set, Tuple
+from typing import Dict, Generator, Set
 
 from repro.errors import FsError, NetworkError
 from repro.fs.directory import decode_snapshot
 from repro.fs.types import Gfile
+from repro.obs.tracer import traced_pass
 from repro.storage.inode import FileType
 from repro.storage.version_vector import latest
 
@@ -118,31 +119,9 @@ class ScrubManager:
         if gfs in self._active:
             return
         self._active.add(gfs)
-        self.site.spawn(self._traced_sweep(gfs),
-                        name=f"scrub:fg{gfs}@{self.sid}")
-
-    def _traced_sweep(self, gfs: int) -> Generator:
-        tracer = getattr(self.site, "tracer", None)
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            tracer.instant("scrub.start", site=self.sid, attrs={"gfs": gfs})
-            span, prev = tracer.begin(f"scrub:fg{gfs}", "scrub", self.sid,
-                                      inherit=False, attrs={"gfs": gfs})
-        status_label = "ok"
-        try:
-            result = yield from self._sweep(gfs)
-            return result
-        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-            status_label = type(exc).__name__
-            raise
-        finally:
-            self._active.discard(gfs)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
-                tracer.instant("scrub.complete", site=self.sid,
-                               attrs={"gfs": gfs,
-                                      "rounds": self.stats.rounds,
-                                      "status": status_label})
+        sweep = traced_pass(self.site, "scrub", gfs, self._sweep(gfs),
+                            lambda: {"rounds": self.stats.rounds})
+        self.site.spawn(sweep, name=f"scrub:fg{gfs}@{self.sid}")
 
     # ------------------------------------------------------------------
     # The sweep
@@ -152,39 +131,39 @@ class ScrubManager:
         recovery = self.site.recovery
         fs = self.site.fs
         self.stats.sweeps += 1
-        for __ in range(SCRUB_ROUNDS):
-            yield SCRUB_INTERVAL
-            if not self.site.cost.scrub_enabled:
-                return None
-            if fs.mount.css_for(gfs) != self.sid:
-                return None   # lost the CSS role: the new CSS scrubs
-            # Let queued reconciles drain first; a scrub over a half-merged
-            # filegroup would re-report what recovery is already fixing.
-            for __wait in range(10):
-                busy = recovery is not None and (
-                    recovery.pending.get(gfs) or recovery._demanding)
-                if not busy:
-                    break
-                yield SCRUB_INTERVAL / 2
-            self.stats.rounds += 1
-            before = recovery.stats.nlink_repairs if recovery else 0
-            mismatches = yield from self._round(gfs)
-            # Recount link references even on an otherwise clean round: a
-            # deferred directory merge (rule-d resurrection) can land after
-            # the sweep's own repair pass already ran.
-            if recovery is not None:
+        try:
+            for __ in range(SCRUB_ROUNDS):
+                yield SCRUB_INTERVAL
+                if not self.site.cost.scrub_enabled:
+                    return None
+                if fs.mount.css_for(gfs) != self.sid:
+                    return None   # lost the CSS role: the new CSS scrubs
+                # Let queued reconciles drain first; a scrub over a
+                # half-merged filegroup would re-report what recovery is
+                # already fixing.
+                for __wait in range(10):
+                    if not recovery.busy(gfs):
+                        break
+                    yield SCRUB_INTERVAL / 2
+                self.stats.rounds += 1
+                before = recovery.stats.nlink_repairs
+                mismatches = yield from self._round(gfs)
+                # Recount link references even on an otherwise clean round:
+                # a deferred directory merge (rule-d resurrection) can land
+                # after the sweep's own repair pass already ran.
                 try:
-                    yield from recovery._repair_link_counts(gfs)
+                    yield from recovery.repair_link_counts(gfs)
                 except (NetworkError, FsError):
                     pass
-            repairs = (recovery.stats.nlink_repairs - before) \
-                if recovery else 0
-            self.stats.nlink_repairs += repairs
-            if mismatches == 0 and repairs == 0:
-                self.stats.converged += 1
-                return None
-        self.stats.exhausted += 1
-        return None
+                repairs = recovery.stats.nlink_repairs - before
+                self.stats.nlink_repairs += repairs
+                if mismatches == 0 and repairs == 0:
+                    self.stats.converged += 1
+                    return None
+            self.stats.exhausted += 1
+            return None
+        finally:
+            self._active.discard(gfs)
 
     def _flag(self, category: str, gfile: Gfile) -> None:
         """A divergence was classified: timestamp it on the shared
@@ -221,29 +200,12 @@ class ScrubManager:
         yield from self.site.cpu(cost.disk_read * max(1, blocks_read))
         return summary
 
-    def _summaries(self, gfs: int) -> Generator:
-        """One fs.scrub_digest RPC per reachable pack holder.  Returns
-        ``(summaries, expected)`` — the holders that answered and the set
-        the partition tables said should have."""
-        members = self.site.topology.partition_set if self.site.topology \
-            else set(self.site.net.site_ids)
-        expected = {s for s in self.site.fs.mount.pack_sites(gfs)
-                    if s in members}
-        summaries: Dict[int, Dict[int, dict]] = {}
-        for s in sorted(expected):
-            try:
-                summaries[s] = yield from self.site.rpc(
-                    s, "fs.scrub_digest", {"gfs": gfs},
-                    timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue
-        return summaries, expected
-
     def _round(self, gfs: int) -> Generator:
         """One classification pass; returns the number of mismatches found
         (each is also repaired or queued for repair)."""
         recovery = self.site.recovery
-        summaries, expected = yield from self._summaries(gfs)
+        expected = recovery.pack_sites_up(gfs)
+        summaries = yield from recovery.inventories(gfs, op="fs.scrub_digest")
         # A believed-up pack holder that did not answer may be hiding
         # exactly the divergence the scrub exists to find: the round is
         # incomplete, not converged, so keep the sweep alive.
@@ -258,10 +220,7 @@ class ScrubManager:
         mismatches = shortfall
         for ino in sorted(all_inos):
             gfile: Gfile = (gfs, ino)
-            copies = [(s, summ[ino]) for s, summ in summaries.items()
-                      if ino in summ]
-            live = [(s, e["attrs"]) for s, e in copies
-                    if e["has_data"] and not e["attrs"]["deleted"]]
+            live = recovery.copies_of(summaries, ino, live=True)
             if not live:
                 continue
             if all(a["conflict"] for __, a in live):
@@ -275,8 +234,7 @@ class ScrubManager:
                 mismatches += 1
                 self.stats.reconciles += 1
                 self._flag("reconcile", gfile)
-                if recovery is not None:
-                    recovery._note_reconcile_needed(gfile)
+                recovery.request(gfile)
                 continue
             win_attrs = next(a for __, a in live if a["version"] == best_vv)
             behind = {s for s, a in live if a["version"] != best_vv}
@@ -289,29 +247,24 @@ class ScrubManager:
                 mismatches += 1
                 self.stats.reconciles += 1
                 self._flag("reconcile", gfile)
-                if recovery is not None:
-                    recovery._note_reconcile_needed(gfile)
+                recovery.request(gfile)
                 continue
-            digests = {e["digest"] for __, e in copies
-                       if e["has_data"] and not e["attrs"]["deleted"]}
-            if len(digests) > 1:
+            if len({summaries[s][ino]["digest"] for s, __ in live}) > 1:
                 # Equal version vectors, different bytes: the version
                 # system itself was subverted (e.g. a torn install), so no
                 # copy can be trusted as "the" best.
                 mismatches += 1
                 self.stats.digest_skews += 1
                 self._flag("digest_skew", gfile)
-                if recovery is None:
-                    continue
                 if win_attrs["ftype"] in _DIR_TYPES:
                     self.stats.dir_remerges += 1
                     try:
-                        yield from recovery._merge_directory(
+                        yield from recovery.merge_directory(
                             gfile, live, summaries, force=True)
                     except (NetworkError, FsError):
                         pass
                 else:
-                    yield from recovery._mark_conflict(gfile, live)
+                    yield from recovery.mark_conflict(gfile, live)
                 continue
             for s, a in live:
                 if s not in win_attrs["storage_sites"]:
@@ -334,10 +287,7 @@ class ScrubManager:
         """Remove live directory entries naming an inode no pack holds live
         data for — the classic fsck scrub, run under the directory write
         lock so it serializes with any in-flight modification."""
-        fs = self.site.fs
-        recovery = self.site.recovery
-        if recovery is None:
-            return 0
+        fs, recovery = self.site.fs, self.site.recovery
         if not set(fs.mount.pack_sites(gfs)) <= set(summaries):
             # A pack is unreachable: its copies could be the referent.
             return 0
@@ -347,20 +297,16 @@ class ScrubManager:
                      if e["has_data"] and not e["attrs"]["deleted"]}
         removed = 0
         for ino in sorted(live):
-            holders: List[Tuple[int, dict]] = [
-                (s, summ[ino]) for s, summ in summaries.items()
-                if ino in summ and summ[ino]["has_data"]
-                and not summ[ino]["attrs"]["deleted"]]
-            attrs0 = holders[0][1]["attrs"]
+            copies = recovery.copies_of(summaries, ino, live=True)
+            attrs0 = copies[0][1]
             if attrs0["ftype"] not in _DIR_TYPES:
                 continue
-            if any(e["attrs"]["conflict"] for __, e in holders) or \
-                    any(e["attrs"]["version"] != attrs0["version"]
-                        for __, e in holders):
+            if any(a["conflict"] or a["version"] != attrs0["version"]
+                   for __, a in copies):
                 continue   # divergent copies go through reconcile first
             try:
-                data = yield from recovery._read_copy(
-                    holders[0][0], (gfs, ino), attrs0)
+                data = yield from recovery.read_copy(
+                    copies[0][0], (gfs, ino), attrs0)
                 entries = decode_snapshot(data).entries
             except (NetworkError, FsError, ValueError):
                 continue

@@ -19,7 +19,9 @@ whatever the mid-storm invariant audits already caught:
   (flagged conflicts are legitimate pending states and are skipped),
   every successfully unlinked path must stay gone, every workload driver
   must have finished its schedule, and no syscall span on a never-crashed
-  client site may be left open in the flight recorder.
+  client site may be left open in the flight recorder.  A plan the runner
+  stopped at its event cap is a ``liveness:runaway`` and gets no end-state
+  audit: its store was never quiescent.
 
 A failing run's :class:`FuzzResult` carries the violations and the plan;
 ``repro.fuzz.shrink`` turns it into a minimal reproduction.
@@ -91,6 +93,12 @@ class FuzzOracle:
     def judge(self, run: FuzzRun) -> FuzzResult:
         violations: List[Violation] = []
         violations += self._filter(run.injector.violations)
+        if run.runaway:
+            violations.append(self._make(
+                run, "liveness:runaway",
+                f"plan still busy after {run.events} events, at "
+                f"t={run.cluster.sim.now:.1f}"))
+            return FuzzResult(run=run, violations=violations)
         violations += self._filter(
             InvariantChecker(run.cluster, run.plan).check())
         if self.check_sessions:

@@ -50,6 +50,22 @@ _SPLITTING = {"partition"}
 # concurrent reader observe a truncating write's intermediate state.
 _MUTATING = {"write", "mkdir", "rename", "unlink", "link"}
 
+# A plan's event budget across its storm and reconciliation settles:
+# MAX_PLAN_EVENTS up to 40 ops on 3 sites, growing with ops x sites past
+# that.  The heaviest plans that still end by their time horizon (8
+# faults) run 293,710 events at 40 ops x 3 sites, 513,234 at 60 x 3,
+# 1,249,226 at 80 x 5 and 1,580,265 at 120 x 8; a livelocked plan stalls
+# its clock and passes any budget.  A plan that reaches its budget is
+# stopped there and judged a runaway (``liveness:runaway``).
+MAX_PLAN_EVENTS = 500_000
+_BUDGET_OP_SITES = 40 * 3
+
+
+def event_budget(plan: FuzzPlan) -> int:
+    """The events ``plan`` may process before it is judged a runaway."""
+    scale = max(_BUDGET_OP_SITES, len(plan.ops) * plan.n_sites)
+    return MAX_PLAN_EVENTS * scale // _BUDGET_OP_SITES
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()[:16]
@@ -163,6 +179,12 @@ class FuzzRun:
     oplog: List[OpRecord] = field(default_factory=list)
     unfinished_drivers: List[int] = field(default_factory=list)
     t0: float = 0.0
+    events: int = 0             # processed by the storm + reconcile phases
+
+    @property
+    def runaway(self) -> bool:
+        """The plan was stopped at its event budget, still busy."""
+        return self.events >= event_budget(self.plan)
 
     def digest(self) -> str:
         """Byte-determinism fingerprint: same plan ⇒ same digest."""
@@ -239,24 +261,29 @@ class PlanRunner:
 
         # Storm phase: drivers + faults; generous horizon so slow heals
         # and retry backoffs still finish inside it.
-        cluster.settle(max_time=plan.span() + 30_000.0)
+        sim = cluster.sim
+        first, budget = sim.events_processed, event_budget(plan)
+        cluster.settle(max_time=plan.span() + 30_000.0, max_events=budget)
 
         # Reconciliation phase: the paper's §4 promise is judged on a
         # merged network, so end every scenario whole.
-        for site in cluster.sites:
-            if not site.up:
-                site.restart()
-                site.topology.request_merge()
-        cluster.net.heal()
-        up = [s.site_id for s in cluster.sites if s.up]
-        cluster.site(min(up)).topology.request_merge()
-        cluster.settle(max_time=30_000.0)
+        left = budget - (sim.events_processed - first)
+        if left > 0:
+            for site in cluster.sites:
+                if not site.up:
+                    site.restart()
+                    site.topology.request_merge()
+            cluster.net.heal()
+            up = [s.site_id for s in cluster.sites if s.up]
+            cluster.site(min(up)).topology.request_merge()
+            cluster.settle(max_time=30_000.0, max_events=left)
 
         unfinished = [site_id for site_id, ops in sorted(by_site.items())
                       if self._done.get(site_id, 0) < len(ops)]
         return FuzzRun(plan=plan, cluster=cluster, injector=injector,
                        model=self.model, oplog=self.oplog,
-                       unfinished_drivers=unfinished, t0=t0)
+                       unfinished_drivers=unfinished, t0=t0,
+                       events=sim.events_processed - first)
 
     # -- the per-site client ---------------------------------------------
 

@@ -164,6 +164,33 @@ class Tracer:
                 and (kind is None or s.kind == kind)]
 
 
+def traced_pass(site, kind: str, gfs: int, body, summary):
+    """Run a background pass over filegroup ``gfs`` (a recovery or scrub
+    sweep) under its own root span ``<kind>:fg<gfs>``, bracketed by
+    ``<kind>.start`` / ``<kind>.complete`` instants so it shows up on the
+    exported timeline; ``summary()`` adds its attrs to the completion
+    instant.  Pure ``yield from`` delegation, like :func:`traced_syscall`.
+    """
+    tracer = getattr(site, "tracer", None)
+    span = prev = None
+    if tracer is not None and tracer.enabled:
+        tracer.instant(f"{kind}.start", site=site.site_id,
+                       attrs={"gfs": gfs})
+        span, prev = tracer.begin(f"{kind}:fg{gfs}", kind, site.site_id,
+                                  inherit=False, attrs={"gfs": gfs})
+    status = "ok"
+    try:
+        return (yield from body)
+    except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
+        status = type(exc).__name__
+        raise
+    finally:
+        if span is not None:
+            tracer.finish(span, prev, status=status)
+            tracer.instant(f"{kind}.complete", site=site.site_id,
+                           attrs={"gfs": gfs, **summary(), "status": status})
+
+
 def traced_syscall(name: str, fn):
     """Wrap a ProcApi generator method with a syscall span + latency sample.
 

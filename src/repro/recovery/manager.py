@@ -11,6 +11,7 @@ from repro.errors import EBUSY, EEXIST, ESTALE, FsError, NetworkError
 from repro.fs.directory import (decode_entries, decode_snapshot,
                                 encode_entries)
 from repro.fs.types import Gfile, Mode
+from repro.obs.tracer import traced_pass
 from repro.recovery.dir_merge import merge_directories
 from repro.recovery.mailbox import (MailMessage, decode_mailbox,
                                     encode_mailbox, merge_mailboxes)
@@ -33,13 +34,10 @@ class RecoveryStats:
         self.files_examined = 0
         self.propagations_scheduled = 0
         self.dir_merges = 0
-        self.mailbox_merges = 0
         self.type_manager_merges = 0
         self.conflicts_marked = 0
-        self.deletes_undone = 0
         self.name_conflicts = 0
         self.nlink_repairs = 0
-        self.mails_sent = 0
         self.retries_scheduled = 0
 
 
@@ -93,39 +91,19 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def schedule_filegroup(self, gfs: int) -> None:
-        self.site.spawn(self._traced_sweep(gfs),
-                        name=f"recovery:fg{gfs}@{self.sid}")
-
-    def _traced_sweep(self, gfs: int) -> Generator:
-        """Run one recovery sweep under its own root span, bracketed by
-        instant events so the pass shows up on the exported timeline."""
-        tracer = getattr(self.site, "tracer", None)
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            tracer.instant("recovery.start", site=self.sid,
-                           attrs={"gfs": gfs})
-            span, prev = tracer.begin(f"recovery:fg{gfs}", "recovery",
-                                      self.sid, inherit=False,
-                                      attrs={"gfs": gfs})
-        status_label = "ok"
-        try:
-            result = yield from self.reconcile_filegroup(gfs)
-            return result
-        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-            status_label = type(exc).__name__
-            raise
-        finally:
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
-                tracer.instant("recovery.complete", site=self.sid,
-                               attrs={"gfs": gfs,
-                                      "files_examined":
-                                          self.stats.files_examined,
-                                      "status": status_label})
+        sweep = traced_pass(
+            self.site, "recovery", gfs, self.reconcile_filegroup(gfs),
+            lambda: {"files_examined": self.stats.files_examined})
+        self.site.spawn(sweep, name=f"recovery:fg{gfs}@{self.sid}")
 
     def needs(self, gfile: Gfile) -> bool:
         return (gfile[1] in self.pending.get(gfile[0], ())
                 or gfile in self._demanding)
+
+    def busy(self, gfs: int) -> bool:
+        """Reconciles of ``gfs`` are still queued, or a demand
+        reconciliation (of any file) is running."""
+        return bool(self.pending.get(gfs) or self._demanding)
 
     def demand(self, gfile: Gfile) -> Generator:
         """Demand recovery: reconcile one file out of order so regular
@@ -171,25 +149,37 @@ class RecoveryManager:
     # The filegroup sweep
     # ------------------------------------------------------------------
 
-    def _inventories(self, gfs: int) -> Generator:
-        """The pack inventory of every pack site of the filegroup in this
-        partition, by site; sites that fail to answer are skipped."""
+    def pack_sites_up(self, gfs: int) -> List[int]:
+        """The filegroup's pack sites inside this site's partition."""
         members = self.site.topology.partition_set if self.site.topology \
             else set(self.site.net.site_ids)
+        return [s for s in self.site.fs.mount.pack_sites(gfs) if s in members]
+
+    def inventories(self, gfs: int, op: str = "fs.pack_inventory"
+                    ) -> Generator:
+        """Every in-partition pack site's per-inode state, by site: the
+        ``fs.pack_inventory`` answer, or the scrub's ``fs.scrub_digest``
+        superset of it.  Sites that fail to answer are skipped."""
         inventories: Dict[int, dict] = {}
-        for s in self.site.fs.mount.pack_sites(gfs):
-            if s not in members:
-                continue
+        for s in self.pack_sites_up(gfs):
             try:
                 inventories[s] = yield from self.site.rpc(
-                    s, "fs.pack_inventory", {"gfs": gfs},
-                    timeout=self.site.backstop)
+                    s, op, {"gfs": gfs}, timeout=self.site.backstop)
             except (NetworkError, FsError):
                 continue
         return inventories
 
+    @staticmethod
+    def copies_of(inventories: Dict[int, dict], ino: int,
+                  live: bool = False) -> List[Tuple[int, dict]]:
+        """The ``(site, attrs)`` copies of ``ino`` that hold data, in
+        inventory order; with ``live`` only the undeleted ones."""
+        return [(s, inv[ino]["attrs"]) for s, inv in inventories.items()
+                if ino in inv and inv[ino]["has_data"]
+                and not (live and inv[ino]["attrs"]["deleted"])]
+
     def reconcile_filegroup(self, gfs: int) -> Generator:
-        inventories = yield from self._inventories(gfs)
+        inventories = yield from self.inventories(gfs)
         if not inventories:
             return None
         all_inos = set()
@@ -210,11 +200,9 @@ class RecoveryManager:
                 # unrelated membership change re-sweeps; instead put it on
                 # the same bounded deferral schedule the writer-active
                 # path uses, with a fresh inventory per attempt.
-                self.stats.retries_scheduled += 1
-                self.pending.setdefault(gfs, set()).add(ino)
-                self._schedule_retry(gfs, ino, attempt=1)
+                self._defer(gfs, ino, attempt=1)
         try:
-            yield from self._repair_link_counts(gfs)
+            yield from self.repair_link_counts(gfs)
         except (NetworkError, FsError):
             pass
         self.pending.pop(gfs, None)
@@ -232,7 +220,7 @@ class RecoveryManager:
         are in version conflict (a partial census could shrink a correct
         nlink).
         """
-        inventories = yield from self._inventories(gfs)
+        inventories = yield from self.inventories(gfs)
         if not inventories:
             return None
         all_inos = set()
@@ -241,10 +229,7 @@ class RecoveryManager:
         best: Dict[int, Tuple[int, dict]] = {}
         conflicted: Dict[int, List[Tuple[int, dict]]] = {}
         for ino in all_inos:
-            holders = [(s, inv[ino]["attrs"])
-                       for s, inv in inventories.items()
-                       if ino in inv and inv[ino]["has_data"]]
-            live = [(s, a) for s, a in holders if not a["deleted"]]
+            live = self.copies_of(inventories, ino, live=True)
             if not live:
                 continue
             __, best_vv, conflict = latest(
@@ -263,7 +248,7 @@ class RecoveryManager:
                                       FileType.HIDDEN_DIR):
                 continue
             try:
-                data = yield from self._read_copy(s, (gfs, ino), attrs)
+                data = yield from self.read_copy(s, (gfs, ino), attrs)
                 entries = decode_snapshot(data).entries
             except (NetworkError, FsError):
                 return None
@@ -273,7 +258,7 @@ class RecoveryManager:
                 refs[entry.ino] = refs.get(entry.ino, 0) + 1
         return best, refs, conflicted
 
-    def _repair_link_counts(self, gfs: int) -> Generator:
+    def repair_link_counts(self, gfs: int) -> Generator:
         """Post-sweep nlink repair.
 
         Directory merges union inserts and undo deletes (section 4.4
@@ -358,14 +343,9 @@ class RecoveryManager:
             # An operation in progress: "the desired action is to permit
             # these operations to continue to completion, and only then
             # perform file system conflict analysis" (section 5.6).
-            self.pending.setdefault(gfs, set()).add(ino)
-            self._schedule_retry(gfs, ino, attempt + 1)
+            self._defer(gfs, ino, attempt + 1)
             return None
-        holders: List[Tuple[int, dict]] = []
-        for s, inv in inventories.items():
-            entry = inv.get(ino)
-            if entry is not None and entry["has_data"]:
-                holders.append((s, entry["attrs"]))
+        holders = self.copies_of(inventories, ino)
         if not holders:
             return None
         __, best_vv, conflict = latest(
@@ -377,7 +357,6 @@ class RecoveryManager:
         if conflict and dead and live:
             # "A file which was deleted in one partition while it was
             # modified in another, wants to be saved": undo the delete.
-            self.stats.deletes_undone += 1
             yield from self._install_winner(gfile, live, holders,
                                             content=None)
             return None
@@ -386,7 +365,7 @@ class RecoveryManager:
             # Directories always go through the merge rules: even a
             # strictly-newer copy's tombstones must be checked against
             # "modified since the delete" (section 4.4 rule b/d).
-            yield from self._merge_directory(gfile, live, inventories)
+            yield from self.merge_directory(gfile, live, inventories)
             return None
         if not conflict:
             yield from self._propagate_best(gfile, holders, best_vv)
@@ -397,36 +376,23 @@ class RecoveryManager:
         elif ftype in self.merge_managers:
             yield from self._merge_via_manager(gfile, live or holders, ftype)
         else:
-            yield from self._mark_conflict(gfile, holders)
+            yield from self.mark_conflict(gfile, holders)
         return None
 
-    def note_stale_sweep(self, gfile: Gfile) -> None:
-        """A holder answered a sweep notify with a strictly newer version:
-        the sweep's inventory snapshot went stale mid-run (a commit landed
-        between the inventory and the propagation).  Re-reconcile the file
-        against fresh inventories so every behind copy learns the real
-        best, not just the site the answer reached."""
-        self._note_reconcile_needed(gfile)
-
-    def note_divergent_notify(self, gfile: Gfile) -> None:
-        """A commit notify carried a version concurrent with the local
-        copy: two lineages exist (e.g. a merge result raced a writer that
-        was already in flight when the merge ran).  Neither side can be
-        pulled without losing the other, so re-run full reconciliation —
-        the merge machinery folds both lineages into one dominating
-        version, or marks the file in conflict."""
-        self._note_reconcile_needed(gfile)
-
-    def _note_reconcile_needed(self, gfile: Gfile) -> None:
+    def request(self, gfile: Gfile) -> None:
+        """Re-reconcile one file against fresh inventories, unless a
+        deferred reconcile of it is already queued."""
         gfs, ino = gfile
-        if ino in self.pending.get(gfs, set()):
-            return                       # a deferred reconcile is queued
+        if ino not in self.pending.get(gfs, ()):
+            self._defer(gfs, ino, attempt=1)
+
+    def _defer(self, gfs: int, ino: int, attempt: int) -> None:
+        """The one retry rule: count the retry, mark the file pending and
+        reconcile it alone, from fresh inventories, ``30 * attempt`` vt
+        from now."""
         self.stats.retries_scheduled += 1
         self.pending.setdefault(gfs, set()).add(ino)
-        self._schedule_retry(gfs, ino, attempt=1)
 
-    def _schedule_retry(self, gfs: int, ino: int, attempt: int) -> None:
-        """Queue a deferred single-file reconciliation attempt."""
         def _retry():
             self.site.spawn(self._retry_ino(gfs, ino, attempt),
                             name=f"recovery-retry:{gfs}:{ino}")
@@ -435,21 +401,19 @@ class RecoveryManager:
 
     def _retry_ino(self, gfs: int, ino: int, attempt: int) -> Generator:
         """Re-inventory one file and reconcile it (deferred recovery)."""
-        inventories = yield from self._inventories(gfs)
+        inventories = yield from self.inventories(gfs)
         self.pending.get(gfs, set()).discard(ino)
         try:
             yield from self._reconcile_ino(gfs, ino, inventories,
                                            attempt=attempt)
         except (NetworkError, FsError):
             if attempt < 10:
-                self.stats.retries_scheduled += 1
-                self.pending.setdefault(gfs, set()).add(ino)
-                self._schedule_retry(gfs, ino, attempt + 1)
+                self._defer(gfs, ino, attempt + 1)
             return None
         # A deferred directory merge can resurrect entries after the
         # sweep's link-count pass already ran; recount once more.
         try:
-            yield from self._repair_link_counts(gfs)
+            yield from self.repair_link_counts(gfs)
         except (NetworkError, FsError):
             pass
         return None
@@ -478,7 +442,7 @@ class RecoveryManager:
         # size): a receiver whose copy strictly supersedes win_attrs
         # answers with its own attributes instead of silently dropping the
         # stale push, so a commit that raced the inventory snapshot still
-        # converges (note_stale_sweep below).
+        # converges (FsManager.h_notify hands the answer to ``request``).
         payload = {"gfile": gfile, "attrs": win_attrs, "pages": None,
                    "origin": win_site, "_recovery": True}
         for s in sorted(behind):
@@ -489,8 +453,8 @@ class RecoveryManager:
     # Reading raw copies (bypassing CSS and conflict checks)
     # ------------------------------------------------------------------
 
-    def _read_copy(self, source: int, gfile: Gfile,
-                   attrs: dict) -> Generator:
+    def read_copy(self, source: int, gfile: Gfile,
+                  attrs: dict) -> Generator:
         psz = self.site.cost.page_size
         n_pages = (attrs["size"] + psz - 1) // psz
         chunks = []
@@ -505,15 +469,15 @@ class RecoveryManager:
     # Type-specific merges
     # ------------------------------------------------------------------
 
-    def _merge_directory(self, gfile: Gfile,
-                         holders: List[Tuple[int, dict]],
-                         inventories: Dict[int, dict],
-                         force: bool = False) -> Generator:
+    def merge_directory(self, gfile: Gfile,
+                        holders: List[Tuple[int, dict]],
+                        inventories: Dict[int, dict],
+                        force: bool = False) -> Generator:
         copies = []
         owners = {}
         for s, attrs in holders:
             for attempt in range(3):
-                data = yield from self._read_copy(s, gfile, attrs)
+                data = yield from self.read_copy(s, gfile, attrs)
                 try:
                     entries = decode_entries(data)
                     break
@@ -540,12 +504,8 @@ class RecoveryManager:
             owners[s] = attrs["owner"]
 
         def file_version(ino: int) -> Optional[VersionVector]:
-            vvs = []
-            for inv in inventories.values():
-                entry = inv.get(ino)
-                if entry is not None and entry["has_data"] \
-                        and not entry["attrs"]["deleted"]:
-                    vvs.append(entry["attrs"]["version"])
+            vvs = [a["version"]
+                   for __, a in self.copies_of(inventories, ino, live=True)]
             if not vvs:
                 return None
             out = vvs[0]
@@ -593,14 +553,19 @@ class RecoveryManager:
                 return entry["attrs"]["owner"]
         return "root"
 
+    def _read_copies(self, gfile: Gfile,
+                     holders: List[Tuple[int, dict]]) -> Generator:
+        """Every holder's raw copy, as ``[(site, attrs, bytes)]``."""
+        triples = []
+        for s, attrs in holders:
+            data = yield from self.read_copy(s, gfile, attrs)
+            triples.append((s, attrs, data))
+        return triples
+
     def _merge_mailbox(self, gfile: Gfile,
                        holders: List[Tuple[int, dict]]) -> Generator:
-        copies = []
-        for s, attrs in holders:
-            data = yield from self._read_copy(s, gfile, attrs)
-            copies.append(decode_mailbox(data))
-        merged = merge_mailboxes(copies)
-        self.stats.mailbox_merges += 1
+        triples = yield from self._read_copies(gfile, holders)
+        merged = merge_mailboxes([decode_mailbox(d) for __, __, d in triples])
         yield from self._install_winner(gfile, holders, holders,
                                         content=encode_mailbox(merged))
         return None
@@ -608,13 +573,10 @@ class RecoveryManager:
     def _merge_via_manager(self, gfile: Gfile,
                            holders: List[Tuple[int, dict]],
                            ftype: FileType) -> Generator:
-        triples = []
-        for s, attrs in holders:
-            data = yield from self._read_copy(s, gfile, attrs)
-            triples.append((s, attrs, data))
+        triples = yield from self._read_copies(gfile, holders)
         merged = self.merge_managers[ftype](triples)
         if merged is None:
-            yield from self._mark_conflict(gfile, holders)
+            yield from self.mark_conflict(gfile, holders)
             return None
         self.stats.type_manager_merges += 1
         yield from self._install_winner(gfile, holders, holders,
@@ -636,8 +598,8 @@ class RecoveryManager:
             merged_vv = merged_vv.merge(attrs["version"])
         target_site, target_attrs = winners[0]
         if content is None:
-            content = yield from self._read_copy(target_site, gfile,
-                                                 target_attrs)
+            content = yield from self.read_copy(target_site, gfile,
+                                                target_attrs)
         yield from self.site.rpc(target_site, "fs.install_merged", {
             "gfile": gfile,
             "data": content,
@@ -656,8 +618,8 @@ class RecoveryManager:
     # Untyped conflicts (section 4.6)
     # ------------------------------------------------------------------
 
-    def _mark_conflict(self, gfile: Gfile,
-                       holders: List[Tuple[int, dict]]) -> Generator:
+    def mark_conflict(self, gfile: Gfile,
+                      holders: List[Tuple[int, dict]]) -> Generator:
         self.stats.conflicts_marked += 1
         monitor = self.site.convergence
         if monitor is not None:
@@ -676,16 +638,8 @@ class RecoveryManager:
 
     def resolve_conflict(self, gfile: Gfile, keep_site: int) -> Generator:
         """User tool: declare one site's copy the winner."""
-        inv = {}
-        for s in self.site.fs.mount.pack_sites(gfile[0]):
-            try:
-                inv[s] = yield from self.site.rpc(s, "fs.pack_inventory",
-                                                  {"gfs": gfile[0]},
-                                                  timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue
-        holders = [(s, e[gfile[1]]["attrs"]) for s, e in inv.items()
-                   if gfile[1] in e and e[gfile[1]]["has_data"]]
+        inventories = yield from self.inventories(gfile[0])
+        holders = self.copies_of(inventories, gfile[1])
         winner = [(s, a) for s, a in holders if s == keep_site]
         if not winner:
             raise FsError(f"site {keep_site} stores no copy of {gfile}")
@@ -699,24 +653,13 @@ class RecoveryManager:
         gfile, __ = yield from fs.resolve_gfile(proc, path)
         parent, name, __ = yield from fs.walk(proc, path,
                                               follow_leaf_hidden=False)
-        inv = {}
-        for s in fs.mount.pack_sites(gfile[0]):
-            try:
-                inv[s] = yield from self.site.rpc(s, "fs.pack_inventory",
-                                                  {"gfs": gfile[0]},
-                                                  timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue
+        inventories = yield from self.inventories(gfile[0])
         seen_versions = {}
-        for s, entries in inv.items():
-            entry = entries.get(gfile[1])
-            if entry is None or not entry["has_data"]:
-                continue
-            seen_versions.setdefault(entry["attrs"]["version"],
-                                     (s, entry["attrs"]))
+        for s, attrs in self.copies_of(inventories, gfile[1]):
+            seen_versions.setdefault(attrs["version"], (s, attrs))
         new_names = []
         for vv, (s, attrs) in seen_versions.items():
-            data = yield from self._read_copy(s, gfile, attrs)
+            data = yield from self.read_copy(s, gfile, attrs)
             new_name = f"{path}@site{s}"
             fd_gfile, __ = yield from fs.create_file(proc, new_name,
                                                      exclusive=True)
@@ -844,7 +787,6 @@ class RecoveryManager:
 
     def send_mail(self, owner: str, subject: str, body: str) -> Generator:
         fs = self.site.fs
-        self.stats.mails_sent += 1
         try:
             yield from fs.mkdir(None, "/mail")
         except EEXIST:

@@ -125,8 +125,8 @@ class LegacySimulator(Simulator):
         if until is not None and until > self.now:
             self.now = until
 
-    def drain(self, horizon: float) -> None:
-        while self._peek_time() <= horizon:
+    def drain(self, horizon: float, stop: float = _INF) -> None:
+        while self._peek_time() <= horizon and self.events_processed < stop:
             self.step()
 
     def _peek_time(self) -> float:

@@ -364,12 +364,12 @@ class Simulator:
         if until is not None and until > self.now:
             self.now = until
 
-    def drain(self, horizon: float) -> None:
+    def drain(self, horizon: float, stop: float = _INF) -> None:
         """Process every entry with time ≤ ``horizon`` (the settle loop's
-        hot inner loop).  Returns with the clock unchanged past the last
-        fired entry; idle hooks are the caller's business
-        (:meth:`LocusCluster.settle`)."""
-        self._spin(horizon)
+        hot inner loop), or until ``events_processed`` reaches ``stop``.
+        Returns with the clock unchanged past the last fired entry; idle
+        hooks are the caller's business (:meth:`LocusCluster.settle`)."""
+        self._spin(horizon, stop)
 
     def run_task(self, gen: Generator, name: str = "") -> Any:
         """Spawn a task, drive the simulation until it completes, return its

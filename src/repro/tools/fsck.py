@@ -152,7 +152,8 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
 
     live: Set[int] = set()
     referenced: Dict[int, int] = {}     # ino -> live link count
-    for ino, copies in inodes.items():
+    for ino in sorted(inodes):
+        copies = inodes[ino]
         report.inodes_checked += 1
         datacopies = [(s, i) for s, i in copies.items()
                       if i.has_data and not i.deleted]

@@ -10,12 +10,15 @@ fuzzer's verdicts are vacuous.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.faults.invariants import InvariantChecker
+from repro.fuzz import runner
 from repro.fuzz.oracle import FuzzOracle, SyntheticOracle
 from repro.fuzz.plan import FuzzPlan, WorkloadOp
-from repro.fuzz.runner import MISSING, OpRecord, PlanRunner
+from repro.fuzz.runner import MISSING, OpRecord, PlanRunner, run_plan
 from repro.storage.inode import DiskInode, FileType
 
 
@@ -152,6 +155,29 @@ def test_forged_missing_advertised_copy_is_placement_error(run):
     assert "site 0" in detail and "advertised" in detail
 
 
+def test_fsck_reports_in_inode_order(run):
+    """fsck lists findings in inode order, not in the order a pack
+    installed its inodes: a higher inode installed before the file's, both
+    with concurrent vectors, still reports the file's first."""
+    from repro.tools.fsck import fsck
+    packs, gfs, ino = data_packs(run.cluster)
+    late = max(max(pack.inodes) for pack in packs.values()) + 1
+    for pack in packs.values():
+        installed = dict(pack.inodes)
+        pack.inodes.clear()
+        pack.inodes[late] = DiskInode(ino=late, ftype=FileType.REGULAR,
+                                      size=0, storage_sites=sorted(packs))
+        pack.inodes.update(installed)
+    for site_id in (0, 1):
+        for forged in (ino, late):
+            inode = packs[site_id].inodes[forged]
+            inode.version = inode.version.bump(site_id)
+    report = fsck(run.cluster)
+    assert report.version_conflicts == [(gfs, ino), (gfs, late)]
+    assert [gfile for gfile, __ in report.replica_divergence] == \
+        [(gfs, ino), (gfs, late)]
+
+
 def test_forged_orphan_reported_but_not_audited_by_default(run):
     """An inode no directory references: the checker reports it, but the
     default oracle audit excludes it (transient orphans are normal in
@@ -248,6 +274,33 @@ def test_forged_resurrected_path(run):
 def test_forged_driver_stuck(run):
     run.unfinished_drivers.append(0)
     assert judged(run) == {"liveness:driver_stuck"}
+
+
+def test_runaway_plan_is_a_finding(monkeypatch):
+    """A plan still busy at the event cap stops there and is judged a
+    ``liveness:runaway`` (a shrinkable finding, not a hang)."""
+    monkeypatch.setattr(runner, "MAX_PLAN_EVENTS", 300)
+    path = os.path.join(os.path.dirname(__file__), "regressions",
+                        "loss-burst-lost-notify.json")
+    with open(path) as fh:
+        plan = FuzzPlan.from_json(fh.read())
+    result = run_plan(plan)
+    assert result.run.runaway and result.run.events == 300
+    assert [v.kind for v in result.violations
+            if v.kind == "liveness:runaway"] == ["liveness:runaway"]
+
+
+def test_event_budget_grows_past_forty_ops_on_three_sites():
+    """Small and shrunk plans share the base budget; bigger plans get more
+    in proportion to ops x sites (a clean 60-op plan runs 513k events)."""
+    def budget(n_ops, n_sites):
+        ops = [WorkloadOp(at=0.0, site=0, op="stat", path="/w")] * n_ops
+        return runner.event_budget(FuzzPlan(seed=1, name="b",
+                                            n_sites=n_sites, ops=ops))
+    base = runner.MAX_PLAN_EVENTS
+    assert budget(0, 3) == budget(1, 3) == budget(40, 3) == base
+    assert budget(60, 3) == base * 3 // 2
+    assert budget(120, 8) == base * 8
 
 
 def test_forged_leaked_span(run):

@@ -106,3 +106,30 @@ class TestDemandRecovery:
         assert stats.files_examined >= 2
         assert stats.propagations_scheduled >= 2
         assert cluster.shell(2).read_file("/w") == b"round 1"
+
+
+class TestDeferral:
+    def test_every_deferral_is_counted(self, cluster):
+        """A sweep that meets an open writer defers the file (section 5.6)
+        on the same retry rule as every other deferral, so the counter
+        equals the deferred reconciles actually run."""
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.write_file("/f", b"v1")
+        cluster.settle()
+        rec = cluster.site(0).recovery
+        runs = []
+        retry_ino = rec._retry_ino
+
+        def counted(*args):
+            runs.append(args)
+            return retry_ino(*args)
+
+        rec._retry_ino = counted
+        fd = sh.open("/f", "w")
+        rec.schedule_filegroup(0)
+        cluster.settle()
+        sh.close(fd)
+        cluster.settle()
+        assert runs, "the open writer should have deferred /f"
+        assert rec.stats.retries_scheduled == len(runs)

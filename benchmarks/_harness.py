@@ -60,17 +60,23 @@ def _fmt(cell) -> str:
 
 
 class Measure:
-    """Capture virtual time, per-site cpu, and message traffic around a
-    block of cluster activity."""
+    """Capture virtual time, per-site cpu, message traffic, and every
+    counter store a BENCH entry reads, around a block of cluster activity.
+
+    Each store — the network stats, and each site's registry, name cache
+    and propagator — is windowed by ``repro.net.stats.StatsWindow``, so
+    every figure covers exactly the measured block."""
 
     def __init__(self, cluster: LocusCluster):
         self.cluster = cluster
         self.t0 = cluster.sim.now
         self.cpu0 = {s.site_id: s.cpu_used for s in cluster.sites}
         self.window = StatsWindow(cluster.stats)
-        # Windowed registry snapshots: BENCH entries report latency
-        # percentiles for exactly the measured activity (repro.obs).
-        self.reg0 = {s.site_id: s.metrics.snapshot() for s in cluster.sites}
+        self.registries = StatsWindow([s.metrics for s in cluster.sites])
+        self.name_caches = StatsWindow([s.name_cache.stats
+                                        for s in cluster.sites])
+        self.propagators = StatsWindow([s.fs.propagator.stats
+                                        for s in cluster.sites])
         # Simulator-kernel throughput over the window (wall-clock is the
         # one metric here that is NOT deterministic).
         self.events0 = cluster.sim.events_processed
@@ -79,18 +85,17 @@ class Measure:
     def latency(self, prefix: str = "") -> Dict[str, Dict]:
         """Cluster-wide p50/p95/p99 over the measurement window, merged
         across sites via the public ``repro.obs.histogram`` API."""
-        diffs = [self.reg0[s.site_id].diff(s.metrics.snapshot())
-                 for s in self.cluster.sites]
-        return merge_windows([d.hists for d in diffs], prefix)
+        return merge_windows([r.hists for r in self.registries.close()],
+                             prefix)
 
     def done(self) -> Dict:
         wall = time.perf_counter() - self.wall0
         events = self.cluster.sim.events_processed - self.events0
         snap = self.window.close()
         data_msgs = sum(snap.sent.get(k, 0) for k in snap.pages)
-        name_hits = sum(s.name_cache.stats.hits for s in self.cluster.sites)
-        name_misses = sum(s.name_cache.stats.misses
-                          for s in self.cluster.sites)
+        names = self.name_caches.close()
+        name_hits = sum(n.hits for n in names)
+        name_misses = sum(n.misses for n in names)
         return {
             "vtime": self.cluster.sim.now - self.t0,
             "events": events,
@@ -107,12 +112,10 @@ class Measure:
             # page-carrying message inside this window.
             "pages_per_message": (sum(snap.pages.values()) / data_msgs
                                   if data_msgs else 0.0),
-            # Name-cache effectiveness (cumulative per cluster, since the
-            # per-site stats are not windowed).
             "name_cache_hit_rate": (name_hits / (name_hits + name_misses)
                                     if name_hits + name_misses else 0.0),
-            "pipelined_rounds": sum(s.fs.propagator.stats.pipelined_rounds
-                                    for s in self.cluster.sites),
+            "pipelined_rounds": sum(p.pipelined_rounds
+                                    for p in self.propagators.close()),
             # Windowed syscall/RPC latency percentiles via the registry.
             "latency": self.latency(),
         }

@@ -114,8 +114,10 @@ def _pull_metrics(flags):
     # window see (almost) only site 1's pull of the new pages.
     t0 = cluster.sim.now
     win = StatsWindow(cluster.stats)
+    props = StatsWindow([s.fs.propagator.stats for s in cluster.sites])
     cluster.settle()
     snap = win.close()
+    pipelined = sum(p.pipelined_rounds for p in props.close())
     vtime = cluster.sim.now - t0
     assert cluster.shell(1).read_file("/big") == data
     data_msgs = sum(snap.sent.get(k, 0) for k in snap.pages)
@@ -125,8 +127,7 @@ def _pull_metrics(flags):
         "bytes": snap.total_bytes,
         "pages_per_message": (sum(snap.pages.values()) / data_msgs
                               if data_msgs else 0.0),
-        "pipelined_rounds": sum(s.fs.propagator.stats.pipelined_rounds
-                                for s in cluster.sites),
+        "pipelined_rounds": pipelined,
     }
 
 

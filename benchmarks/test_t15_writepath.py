@@ -30,7 +30,6 @@ import pytest
 
 from repro import LocusCluster, Mode
 from repro.config import CostModel
-from repro.fs.propagation import PropStats
 from repro.net.stats import StatsWindow
 from _harness import print_table, run_experiment
 
@@ -94,17 +93,17 @@ def _heal_metrics(flags):
     cluster.partition({0}, {1})
     for i in range(HEAL_FILES):
         sh0.write_file(f"/f{i}", bytes([i]) * 200)
-    # Measure the heal alone: zero the puller's stats first.
-    cluster.sites[1].fs.propagator.stats = PropStats()
+    # Measure the heal alone, and the puller's stats over it.
     t0 = cluster.sim.now
     win = StatsWindow(cluster.stats)
+    pulls = StatsWindow(cluster.sites[1].fs.propagator.stats)
     cluster.heal()
     cluster.settle()
     snap = win.close()
+    prop = pulls.close()
     vtime = cluster.sim.now - t0
     for i in range(HEAL_FILES):
         assert sh1.read_file(f"/f{i}") == bytes([i]) * 200
-    prop = cluster.sites[1].fs.propagator.stats
     return {
         "vtime": round(vtime, 2),
         "messages": snap.total_messages,

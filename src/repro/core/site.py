@@ -70,26 +70,6 @@ class Site:
         # _labels resolves span-label codes in its log.
         self.metrics = MetricsRegistry(f"site{site_id}")
         self.tracer = None
-        self.metrics.register_source("cache", lambda: {
-            "pages": len(self.cache),
-            "hit_rate": round(self.cache.stats.hit_rate, 3),
-            "invalidations": self.cache.stats.invalidations,
-        })
-        self.metrics.register_source("name_cache", lambda: {
-            "dirs": len(self.name_cache),
-            "hit_rate": round(self.name_cache.stats.hit_rate, 3),
-            "fills": self.name_cache.stats.fills,
-            "stale_drops": self.name_cache.stats.stale_drops,
-            "invalidations": self.name_cache.stats.invalidations,
-            "neg_hits": self.name_cache.stats.neg_hits,
-            "neg_fills": self.name_cache.stats.neg_fills,
-        })
-        # Shared event-queue depth (live entries only — cancelled events
-        # awaiting lazy discard are excluded by Simulator.pending()).
-        self.metrics.register_source("sim", lambda: {
-            "events_pending": self.sim.pending(),
-            "events_processed": self.sim.events_processed,
-        })
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[Tuple[int, int], Any] = {}  # (peer, reqid) -> Future
         self._reqids = itertools.count(1)

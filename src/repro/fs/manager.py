@@ -87,7 +87,6 @@ class FsManager(PathMixin, NamespaceMixin):
         self.op_ledger = IdempotencyLedger()
         self.propagator = Propagator(self)
         self._register_handlers()
-        self._register_metric_sources()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -126,28 +125,6 @@ class FsManager(PathMixin, NamespaceMixin):
         reg("fs.reap", self.h_reap)
         reg("fs.walk_path", self.h_walk_path)
         reg("fs.scrub_orphan", self.h_scrub_orphan)
-
-    def _register_metric_sources(self) -> None:
-        """Expose the fs-layer counters through the site registry so
-        inspection and benchmarks read one interface (repro.obs)."""
-        metrics = getattr(self.site, "metrics", None)
-        if metrics is None:
-            return
-        metrics.register_source("propagation", lambda: {
-            "pulls": self.propagator.stats.pulls,
-            "pages_pulled": self.propagator.stats.pages_pulled,
-            "range_requests": self.propagator.stats.range_requests,
-            "pipelined_rounds": self.propagator.stats.pipelined_rounds,
-            "manifest_requests": self.propagator.stats.manifest_requests,
-            "manifest_hits": self.propagator.stats.manifest_hits,
-            "sync_waits": self.propagator.stats.sync_waits,
-        })
-        metrics.register_source("write_behind", lambda: {
-            "staged_pages": sum(len(h.pending_writes)
-                                for h in self.us.values()),
-            "pages_sent_unacked": sum(h.pages_sent
-                                      for h in self.us.values()),
-        })
 
     def reset_volatile(self) -> None:
         """Crash: incore inodes and synchronization state vanish."""

@@ -94,7 +94,6 @@ class ScrubManager:
         self.site = site
         self.stats = ScrubStats()
         self._active: Set[int] = set()   # filegroups with a sweep running
-        site.metrics.register_source("scrub", lambda: dict(vars(self.stats)))
         site.register_handler("fs.scrub_digest", self.h_scrub_digest)
 
     @property

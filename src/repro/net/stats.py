@@ -1,15 +1,21 @@
-"""Network statistics: message counts and bytes, aggregated by message type.
+"""Network statistics, and the one window rule every counter store shares.
 
 The reproduction benchmarks assert on these counters: Figure 2's open
 protocol, the two-message network read, the one-message write, and the
 four-message close are all verified by counting.
+
+A *counter store* is any object whose numbers only grow: :class:`NetStats`,
+a :class:`~repro.obs.registry.MetricsRegistry` with its counters and
+histograms, or a subsystem's ``stats`` (buffer cache, name cache,
+propagation, scrub, recovery, topology).  :func:`delta` is the one
+snapshot-and-diff rule for all of them, and :class:`StatsWindow` applies it
+around a block of activity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass
@@ -44,69 +50,62 @@ class NetStats:
         msgs = self.sent.get(stat_key, 0)
         return self.pages.get(stat_key, 0) / msgs if msgs else 0.0
 
-    def snapshot(self) -> "StatsSnapshot":
-        return StatsSnapshot(
-            sent=Counter(self.sent),
-            bytes_sent=Counter(self.bytes_sent),
-            pages=Counter(self.pages),
-            delivered=self.delivered,
-            dropped=self.dropped,
-            circuits_opened=self.circuits_opened,
-            circuits_closed=self.circuits_closed,
-        )
+
+def delta(before, after):
+    """What a counter store accumulated from ``before`` to ``after``: a
+    detached store of ``after``'s kind, so a window over a ``NetStats`` is a
+    ``NetStats`` and a window over a histogram still has percentiles.
+    ``before=None`` is the empty store, which makes the result a snapshot.
+
+    Numbers subtract.  Mappings subtract key by key, a key first seen in
+    ``after`` counting from zero; a ``Counter`` drops the keys that did not
+    move.  Lists subtract element by element.  Any other object subtracts
+    field by field, except the fields it names in ``not_counts`` (extrema
+    a window cannot know), which are ``None``.  Strings and ``None`` are
+    labels, not counts, and are taken from ``after``.
+    """
+    if after is None or isinstance(after, str):
+        return after
+    if isinstance(after, (int, float)):
+        return after - (before or 0)
+    if isinstance(after, dict):
+        out = type(after)()
+        for key, value in after.items():
+            moved = delta((before or {}).get(key), value)
+            if moved or not isinstance(after, Counter):
+                out[key] = moved
+        return out
+    if isinstance(after, list):
+        return [delta(b, a) for b, a in
+                zip(before or [None] * len(after), after, strict=True)]
+    out = object.__new__(type(after))
+    skip = getattr(after, "not_counts", ())
+    names = vars(after) if hasattr(after, "__dict__") else after.__slots__
+    for name in names:
+        setattr(out, name, None if name in skip else
+                delta(getattr(before, name, None), getattr(after, name)))
+    return out
 
 
-@dataclass
-class StatsSnapshot:
-    sent: Counter
-    bytes_sent: Counter
-    delivered: int
-    dropped: int
-    pages: Counter = field(default_factory=Counter)
-    circuits_opened: int = 0
-    circuits_closed: int = 0
-
-    def diff(self, later: "StatsSnapshot") -> "StatsSnapshot":
-        """Counters accumulated between ``self`` (earlier) and ``later``."""
-        return StatsSnapshot(
-            sent=Counter({k: v - self.sent.get(k, 0)
-                          for k, v in later.sent.items()
-                          if v - self.sent.get(k, 0)}),
-            bytes_sent=Counter({k: v - self.bytes_sent.get(k, 0)
-                                for k, v in later.bytes_sent.items()
-                                if v - self.bytes_sent.get(k, 0)}),
-            pages=Counter({k: v - self.pages.get(k, 0)
-                           for k, v in later.pages.items()
-                           if v - self.pages.get(k, 0)}),
-            delivered=later.delivered - self.delivered,
-            dropped=later.dropped - self.dropped,
-            circuits_opened=later.circuits_opened - self.circuits_opened,
-            circuits_closed=later.circuits_closed - self.circuits_closed,
-        )
-
-    @property
-    def total_messages(self) -> int:
-        return sum(self.sent.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_sent.values())
+def snapshot(store):
+    """A detached copy of a counter store: its window since it was empty."""
+    return delta(None, store)
 
 
 class StatsWindow:
-    """Context-manager style window over a :class:`NetStats`.
+    """A window over any counter store.
 
-    >>> win = StatsWindow(net.stats)
+    >>> win = StatsWindow(cluster.stats)
     >>> ... run protocol ...
     >>> win.close().total_messages
     """
 
-    def __init__(self, stats: NetStats):
-        self.stats = stats
-        self.start = stats.snapshot()
-        self._result: Optional[StatsSnapshot] = None
+    def __init__(self, store):
+        self.store = store
+        self.start = snapshot(store)
+        self._result = None
 
-    def close(self) -> StatsSnapshot:
+    def close(self):
         if self._result is None:
-            self._result = self.start.diff(self.stats.snapshot())
+            self._result = delta(self.start, self.store)
         return self._result

@@ -5,9 +5,8 @@ See docs/OBSERVABILITY.md for the span model, the blame-table
 decomposition, the ``top`` report and the export formats.
 """
 
-from repro.obs.histogram import (BUCKET_EDGES, HistSnapshot, Histogram,
-                                 merge_snapshots, merge_windows)
-from repro.obs.registry import MetricsRegistry, RegistrySnapshot
+from repro.obs.histogram import BUCKET_EDGES, Histogram, merge_windows
+from repro.obs.registry import MetricsRegistry
 from repro.obs.span import Span, SpanCtx
 from repro.obs.tracer import Tracer, traced_syscall
 from repro.obs.export import (causal_chains, export_chrome, export_jsonl,
@@ -18,8 +17,7 @@ from repro.obs.load import (ConvergenceMonitor, cluster_load_report,
                             format_top, load_records)
 
 __all__ = [
-    "BUCKET_EDGES", "Histogram", "HistSnapshot", "merge_snapshots",
-    "merge_windows", "MetricsRegistry", "RegistrySnapshot", "Span",
+    "BUCKET_EDGES", "Histogram", "merge_windows", "MetricsRegistry", "Span",
     "SpanCtx", "Tracer", "traced_syscall", "causal_chains", "export_chrome",
     "export_jsonl", "trace_records", "validate_trace_jsonl",
     "CritPathReport", "analyze", "analyze_spans", "format_blame",

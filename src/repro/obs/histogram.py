@@ -11,7 +11,6 @@ point: replaying a seed must produce byte-identical exports.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -34,6 +33,9 @@ class Histogram:
     """Counts of observations per fixed bucket, plus running aggregates."""
 
     __slots__ = ("counts", "count", "total", "min", "max")
+    # Extrema are not counts: a window (repro.net.stats.delta) leaves them
+    # None.
+    not_counts = ("min", "max")
 
     def __init__(self):
         self.counts: List[int] = [0] * (len(BUCKET_EDGES) + 1)
@@ -64,10 +66,6 @@ class Histogram:
         """
         return percentile_of(self.counts, self.count, p)
 
-    def snapshot(self) -> "HistSnapshot":
-        return HistSnapshot(counts=tuple(self.counts), count=self.count,
-                            total=self.total)
-
     def to_dict(self) -> Dict:
         return {
             "count": self.count,
@@ -93,74 +91,41 @@ def percentile_of(counts: Sequence[int], count: int, p: float) -> float:
     return BUCKET_EDGES[-1]
 
 
-@dataclass(frozen=True)
-class HistSnapshot:
-    """Immutable point-in-time copy; ``diff`` gives the window between two."""
-
-    counts: Tuple[int, ...]
-    count: int
-    total: float
-
-    def diff(self, later: "HistSnapshot") -> "HistSnapshot":
-        return HistSnapshot(
-            counts=tuple(b - a for a, b in zip(self.counts, later.counts)),
-            count=later.count - self.count,
-            total=later.total - self.total,
-        )
-
-    def percentile(self, p: float) -> float:
-        return percentile_of(self.counts, self.count, p)
-
-    def to_dict(self) -> Dict:
-        return {
-            "count": self.count,
-            "mean": round(self.total / self.count, 6) if self.count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
-
-
-def merge_snapshots(snaps: Sequence[HistSnapshot]) -> HistSnapshot:
-    """Sum bucket counts across sites (cluster-wide percentile view).
-
-    An empty sequence merges to an empty snapshot; snapshots whose bucket
-    ladders disagree (counts tuples of different length — e.g. mixing
-    exports from different builds) are rejected rather than silently
-    zipped short.
-    """
-    counts = [0] * (len(BUCKET_EDGES) + 1)
-    count = 0
-    total = 0.0
-    for s in snaps:
-        if len(s.counts) != len(counts):
-            raise ValueError(
-                f"mismatched bucket ladder: snapshot has {len(s.counts)} "
-                f"buckets, expected {len(counts)}")
-        for i, n in enumerate(s.counts):
-            counts[i] += n
-        count += s.count
-        total += s.total
-    return HistSnapshot(counts=tuple(counts), count=count, total=total)
-
-
-def merge_windows(windows: Sequence[Mapping[str, HistSnapshot]],
+def merge_windows(windows: Sequence[Mapping[str, Histogram]],
                   prefix: str = "") -> Dict[str, Dict]:
     """Cluster-wide windowed percentile merge: the public form of what the
     benchmark harness does around every measured block.
 
     ``windows`` is one mapping per site of metric name → windowed
-    :class:`HistSnapshot` (typically ``RegistrySnapshot.diff(...).hists``);
-    the result maps each name matching ``prefix`` to the merged
-    ``to_dict()`` summary.  Sites missing a metric contribute nothing for
-    it (an empty site list or all-empty windows merge to ``{}``);
-    mismatched bucket ladders raise like :func:`merge_snapshots`.
+    :class:`Histogram` (typically ``StatsWindow(site.metrics).close().hists``);
+    the result maps each name matching ``prefix`` to the summed buckets'
+    count, mean and p50/p95/p99.  Sites missing a metric contribute nothing
+    for it (an empty site list or all-empty windows merge to ``{}``);
+    histograms whose bucket ladders disagree (e.g. built against another
+    ladder) are rejected rather than silently zipped short.
     """
     names = sorted({name for w in windows for name in w
                     if name.startswith(prefix)})
     out: Dict[str, Dict] = {}
     for name in names:
-        merged = merge_snapshots([w[name] for w in windows if name in w])
-        if merged.count:
-            out[name] = merged.to_dict()
+        counts = [0] * (len(BUCKET_EDGES) + 1)
+        count = 0
+        total = 0.0
+        for hist in (w[name] for w in windows if name in w):
+            if len(hist.counts) != len(counts):
+                raise ValueError(
+                    f"mismatched bucket ladder: histogram has "
+                    f"{len(hist.counts)} buckets, expected {len(counts)}")
+            for i, n in enumerate(hist.counts):
+                counts[i] += n
+            count += hist.count
+            total += hist.total
+        if count:
+            out[name] = {
+                "count": count,
+                "mean": round(total / count, 6),
+                "p50": percentile_of(counts, count, 50),
+                "p95": percentile_of(counts, count, 95),
+                "p99": percentile_of(counts, count, 99),
+            }
     return out

@@ -1,12 +1,10 @@
-"""Per-site metrics registry: latency histograms, counters, gauge sources.
+"""Per-site metrics registry: latency histograms and event counters.
 
 One registry hangs off every :class:`~repro.core.site.Site` (and one off the
 network).  Instrumented code reports durations with :meth:`observe` and event
-counts with :meth:`count`; subsystems that already keep their own counters
-(buffer cache, name cache, propagation) register a *gauge source* — a
-zero-argument callable returning a flat dict — so ``tools/inspect`` and the
-benchmark harness read everything through one interface instead of reaching
-into private attributes.
+counts with :meth:`count`.  A registry is a counter store like any other:
+``repro.net.stats.StatsWindow(registry)`` windows its counters and
+histograms together.
 
 All methods are cheap and side-effect-free with respect to the simulation:
 recording never charges virtual time, sends messages, or consumes simulator
@@ -17,11 +15,9 @@ run.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Optional
+from typing import Dict
 
-from repro.obs.histogram import HistSnapshot, Histogram
-
-GaugeSource = Callable[[], Dict]
+from repro.obs.histogram import Histogram
 
 
 class MetricsRegistry:
@@ -30,7 +26,6 @@ class MetricsRegistry:
         self.owner = owner
         self.hists: Dict[str, Histogram] = {}
         self.counters: Counter = Counter()
-        self._sources: Dict[str, GaugeSource] = {}
 
     # -- recording -------------------------------------------------------
 
@@ -49,61 +44,11 @@ class MetricsRegistry:
             hist = self.hists[name] = Histogram()
         return hist
 
-    # -- gauge sources ---------------------------------------------------
-
-    def register_source(self, name: str, fn: GaugeSource) -> None:
-        self._sources[name] = fn
-
-    def gauges(self) -> Dict[str, Dict]:
-        """Evaluate every registered source (live subsystem counters)."""
-        return {name: fn() for name, fn in sorted(self._sources.items())}
-
     # -- reading ---------------------------------------------------------
 
-    def percentiles(self, name: str) -> Optional[Dict]:
-        hist = self.hists.get(name)
-        return hist.to_dict() if hist is not None else None
-
     def latency_summary(self, prefix: str = "") -> Dict[str, Dict]:
+        """The percentile summary of every non-empty histogram whose name
+        starts with ``prefix``, in name order."""
         return {name: hist.to_dict()
                 for name, hist in sorted(self.hists.items())
-                if name.startswith(prefix)}
-
-    def summary(self) -> Dict:
-        return {
-            "owner": self.owner,
-            "counters": dict(sorted(self.counters.items())),
-            "latency": self.latency_summary(),
-            "gauges": self.gauges(),
-        }
-
-    def snapshot(self) -> "RegistrySnapshot":
-        return RegistrySnapshot(
-            hists={name: h.snapshot() for name, h in self.hists.items()},
-            counters=Counter(self.counters),
-        )
-
-
-class RegistrySnapshot:
-    """Point-in-time copy of a registry's histograms and counters."""
-
-    def __init__(self, hists: Dict[str, HistSnapshot], counters: Counter):
-        self.hists = hists
-        self.counters = counters
-
-    def diff(self, later: "RegistrySnapshot") -> "RegistrySnapshot":
-        empty = None
-        hists = {}
-        for name, snap in later.hists.items():
-            before = self.hists.get(name)
-            if before is None:
-                if empty is None:
-                    empty = Histogram().snapshot()
-                before = empty
-            hists[name] = before.diff(snap)
-        return RegistrySnapshot(
-            hists=hists,
-            counters=Counter({k: v - self.counters.get(k, 0)
-                              for k, v in later.counters.items()
-                              if v - self.counters.get(k, 0)}),
-        )
+                if hist.count and name.startswith(prefix)}

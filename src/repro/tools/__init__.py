@@ -7,7 +7,7 @@ these modules are the equivalent operational surface for the reproduction:
 live kernel state (partitions, CSS assignments, open files, caches).
 """
 
-from repro.tools.fsck import FsckReport, fsck, fsck_repair
+from repro.tools.fsck import FsckReport, fsck
 from repro.tools.inspect import cluster_report
 
-__all__ = ["FsckReport", "fsck", "fsck_repair", "cluster_report"]
+__all__ = ["FsckReport", "fsck", "cluster_report"]

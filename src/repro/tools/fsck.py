@@ -90,48 +90,6 @@ def fsck(cluster, gfs_list: Optional[List[int]] = None) -> FsckReport:
     return report
 
 
-def fsck_repair(cluster, report: Optional[FsckReport] = None) -> FsckReport:
-    """Repair what is mechanically repairable: retire orphan inodes (files
-    no directory references — e.g. a create whose name insert was lost to a
-    network failure) and run the recovery reconciliation over filegroups
-    holding unflagged version conflicts (divergence that arose after the
-    last merge sweep).  Returns a fresh post-repair report."""
-    if report is None:
-        report = fsck(cluster)
-    mount = cluster.sites[0].fs.mount
-    for gfs, ino in report.orphan_inodes:
-        for site_id in mount.pack_sites(gfs):
-            site = cluster.site(site_id)
-            if site.up and site.packs.get(gfs) is not None \
-                    and site.packs[gfs].get_inode(ino) is not None:
-                cluster.call(site_id, site.fs.h_scrub_orphan(
-                    site_id, {"gfile": (gfs, ino)}))
-                break
-    for gfs in sorted({gfs for gfs, __ in report.unflagged_conflicts}):
-        css = mount.css.get(gfs)
-        if css is not None and cluster.site(css).up:
-            cluster.site(css).recovery.schedule_filegroup(gfs)
-    cluster.settle()
-    # Dangling entries (a name whose inode is gone — e.g. created during a
-    # partition whose delete raced the merge) are scrubbed from their
-    # directories, the classic fsck action.
-    report = fsck(cluster)
-    for (gfs, dir_ino), name, __ in report.dangling_entries:
-        css = mount.css.get(gfs)
-        if css is None or not cluster.site(css).up:
-            continue
-        fs = cluster.site(css).fs
-        try:
-            cluster.call(css, fs._dir_modify(
-                (gfs, dir_ino),
-                lambda view, n=name: view.entries.remove(
-                    next(e for e in view.entries if e.name == n))))
-        except Exception:  # noqa: BLE001 - repair is best-effort
-            pass
-    cluster.settle()
-    return fsck(cluster)
-
-
 def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
     report.filegroups_checked += 1
     mount = cluster.sites[0].fs.mount

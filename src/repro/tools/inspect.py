@@ -1,10 +1,9 @@
 """Live cluster introspection: the operator's view of kernel state.
 
-Subsystem counters are read through each site's
-:class:`~repro.obs.registry.MetricsRegistry` (the buffer cache, name cache,
-propagation, and write-behind counters register themselves as gauge
-sources), so this module never reaches into private attributes; syscall and
-RPC latency percentiles come from the same registry's histograms.
+Subsystem counters are the public ``stats`` objects ``bench/counters.py``
+reads too (buffer cache, name cache, propagation, scrub, recovery,
+topology), so this module never reaches into private attributes; syscall and
+RPC latency percentiles are each registry's one percentile summary.
 """
 
 from __future__ import annotations
@@ -12,11 +11,16 @@ from __future__ import annotations
 from typing import Dict, List
 
 
+def _counters(stats) -> Dict:
+    """A subsystem's stats object (or stats dict) as a plain dict."""
+    return dict(stats if isinstance(stats, dict) else vars(stats))
+
+
 def site_report(site) -> Dict:
     """One site's kernel state snapshot."""
     fs = site.fs
-    gauges = site.metrics.gauges()
-    report = {
+    cache, names = site.cache, site.name_cache
+    return {
         "site": site.site_id,
         "up": site.up,
         "cpu_type": site.cpu_type,
@@ -35,33 +39,24 @@ def site_report(site) -> Dict:
         "propagation_pending": fs.propagator.pending(),
         "processes": sorted(site.proc.procs) if site.proc else [],
         "active_transactions": sorted(site.tx.txs) if site.tx else [],
-        "latency": _latency_block(site.metrics),
+        "latency": site.metrics.latency_summary(),
+        "counters": dict(sorted(site.metrics.counters.items())),
+        "cache": {"pages": len(cache),
+                  "hit_rate": round(cache.stats.hit_rate, 3),
+                  **_counters(cache.stats)},
+        "name_cache": {"dirs": len(names),
+                       "hit_rate": round(names.stats.hit_rate, 3),
+                       **_counters(names.stats)},
+        "propagation": _counters(fs.propagator.stats),
+        "scrub": _counters(getattr(site.scrub, "stats", {})),
+        "recovery": _counters(getattr(site.recovery, "stats", {})),
+        "topology": _counters(getattr(site.topology, "stats", {})),
     }
-    # Gauge sources: cache, name_cache, propagation, write_behind (and
-    # whatever future subsystems register).
-    report.update(gauges)
-    return report
-
-
-def _latency_block(metrics) -> Dict[str, Dict]:
-    """p50/p95/p99 per syscall and RPC op, from the registry histograms."""
-    out: Dict[str, Dict] = {}
-    for name, hist in sorted(metrics.hists.items()):
-        if not hist.count:
-            continue
-        out[name] = {
-            "count": hist.count,
-            "p50": hist.percentile(50),
-            "p95": hist.percentile(95),
-            "p99": hist.percentile(99),
-        }
-    return out
 
 
 def cluster_report(cluster) -> Dict:
     """Whole-cluster snapshot plus global traffic statistics."""
     tracer = getattr(cluster, "tracer", None)
-    net_metrics = cluster.net.metrics
     return {
         "vtime": round(cluster.sim.now, 2),
         "events_processed": cluster.sim.events_processed,
@@ -80,7 +75,7 @@ def cluster_report(cluster) -> Dict:
             "pages_per_message": {
                 k: round(cluster.stats.pages_per_message(k), 2)
                 for k in sorted(cluster.stats.pages)},
-            "latency": _latency_block(net_metrics),
+            "latency": cluster.net.metrics.latency_summary(),
         },
         "trace": {
             "enabled": tracer is not None and tracer.enabled,

@@ -54,8 +54,7 @@ class TestMessageLoss:
         assert cluster.net.loss_rate == 0.0
         cluster.heal()
         cluster.settle()
-        from repro.tools import fsck_repair
-        report = fsck_repair(cluster)   # retire any loss-orphaned inodes
+        report = fsck(cluster)
         # Conflicts cannot arise from loss alone (no partitioned writes
         # succeeded on both sides of a real split), and structures must
         # be intact.
@@ -191,8 +190,7 @@ class TestBatchedWriteFaults:
         assert _fired(inj, "loss_restore"), "burst never expired"
         cluster.heal()
         cluster.settle()
-        from repro.tools import fsck_repair
-        report = fsck_repair(cluster)
+        report = fsck(cluster)
         assert report.clean, report.summary()
         assert sh.read_file("/survivor") == b"gen 0"
 

@@ -4,7 +4,7 @@ no per-op quiesce — then global invariants once the dust settles.
 Unlike the sequential model suite (exact output matching), this harness
 lets operations overlap, so individual outcomes are timing-dependent; the
 assertions are the system invariants: nothing wedges, nothing corrupts,
-every copy converges, and fsck(+repair) comes back clean.
+every copy converges, and fsck comes back clean.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from repro import LocusCluster, Mode
 from repro.errors import LocusError
 from repro.storage.version_vector import latest
-from repro.tools import fsck, fsck_repair
+from repro.tools import fsck
 
 
 def _op_stream(cluster, rng, site_id, n_ops, log):
@@ -86,7 +86,7 @@ def test_concurrent_fuzz_invariants(seed):
     cluster.settle()
     assert len(log) == 75                       # nothing wedged
     assert log.count("error") < len(log)        # and work actually happened
-    report = fsck_repair(cluster)
+    report = fsck(cluster)
     assert report.clean, report.summary()
     _converged(cluster)
 
@@ -107,10 +107,9 @@ def test_concurrent_fuzz_with_partition_mid_stream():
     cluster.heal()
     cluster.settle()
     assert len(log) == 60
-    # Under create/unlink churn spanning the merge, residue is possible
-    # (inode reuse racing the reconciliation); everything must be
-    # *detected* and mechanically repairable, never silent corruption.
-    report = fsck_repair(cluster)
+    # Create/unlink churn spanning the merge: recovery and the scrub must
+    # leave no dangling entry, link-count skew, conflict or orphan.
+    report = fsck(cluster)
     assert not report.dangling_entries, report.summary()
     assert not report.nlink_errors
     assert not report.unflagged_conflicts

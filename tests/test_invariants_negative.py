@@ -181,7 +181,7 @@ def test_fsck_reports_in_inode_order(run):
 def test_forged_orphan_reported_but_not_audited_by_default(run):
     """An inode no directory references: the checker reports it, but the
     default oracle audit excludes it (transient orphans are normal in
-    crash windows; fsck_repair scrubs them)."""
+    crash windows; create compensation retires them)."""
     packs, gfs, ino = data_packs(run.cluster)
     orphan_ino = max(max(p.inodes) for p in packs.values()) + 1
     for pack in packs.values():

@@ -111,9 +111,9 @@ class TestConservation:
     def test_hot_inode_total_equals_open_histogram_count(self, workload):
         loads = span_load(workload)
         for site in workload.sites:
-            opens = site.metrics.percentiles("fs.open")
+            opens = site.metrics.hists.get("fs.open")
             assert sum(loads[site.site_id].opens.values()) == (
-                opens["count"] if opens else 0), site.site_id
+                opens.count if opens else 0), site.site_id
         assert any(load.opens for load in loads.values())
 
 

@@ -20,11 +20,11 @@ import pytest
 from repro import LocusCluster
 from repro.config import CostModel
 from repro.errors import LocusError
-from repro.obs import (BUCKET_EDGES, Histogram, HistSnapshot,
-                       MetricsRegistry, causal_chains, export_chrome,
-                       export_jsonl, merge_snapshots, merge_windows,
-                       validate_trace_jsonl)
-from repro.workloads.storm import drive, storm_cluster, storm_plan
+from repro.net.stats import StatsWindow, snapshot
+from repro.obs import (BUCKET_EDGES, Histogram, MetricsRegistry,
+                       causal_chains, export_chrome, export_jsonl,
+                       merge_windows, validate_trace_jsonl)
+from repro.workloads.storm import drive, populate, storm_cluster, storm_plan
 
 
 # ----------------------------------------------------------------------
@@ -77,23 +77,25 @@ class TestHistogram:
     def test_snapshot_diff_windows(self):
         h = Histogram()
         h.observe(1.0)
-        before = h.snapshot()
+        win = StatsWindow(h)
         h.observe(500.0)
         h.observe(600.0)
-        window = before.diff(h.snapshot())
+        window = win.close()
         assert window.count == 2
         assert window.total == pytest.approx(1100.0)
         assert window.percentile(50) == 500.0     # the 1.0 is outside
+        assert window.min is None and window.max is None   # not counts
+        assert h.min == 1.0 and h.max == 600.0
 
-    def test_merge_snapshots_sums_buckets(self):
+    def test_merge_windows_sums_buckets(self):
         a, b = Histogram(), Histogram()
         a.observe(1.0)
         a.observe(1.0)
         b.observe(800.0)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged.count == 3
-        assert merged.percentile(50) == 1.0
-        assert merged.percentile(99) == 1000.0
+        merged = merge_windows([{"m": a}, {"m": b}])["m"]
+        assert merged["count"] == 3
+        assert merged["p50"] == 1.0
+        assert merged["p99"] == 1000.0
 
     def test_to_dict_round_numbers(self):
         h = Histogram()
@@ -106,15 +108,14 @@ class TestClusterMerge:
     """The public percentile-merge API the benchmark harness runs on."""
 
     def test_merge_snapshots_empty_site_list(self):
-        merged = merge_snapshots([])
-        assert merged.count == 0
-        assert merged.percentile(99) == 0.0
+        assert merge_windows([{"m": Histogram()}]) == {}
+        assert Histogram().percentile(99) == 0.0
 
     def test_merge_snapshots_mismatched_ladder_raises(self):
-        good = Histogram().snapshot()
-        foreign = HistSnapshot(counts=(1, 2, 3), count=6, total=9.0)
+        foreign = Histogram()
+        foreign.counts, foreign.count = [1, 2, 3], 6
         with pytest.raises(ValueError, match="mismatched bucket ladder"):
-            merge_snapshots([good, foreign])
+            merge_windows([{"m": Histogram()}, {"m": foreign}])
 
     def test_merge_windows_empty_sites(self):
         assert merge_windows([]) == {}
@@ -123,8 +124,8 @@ class TestClusterMerge:
         a, b = Histogram(), Histogram()
         a.observe(1.0)
         windows = [
-            {"syscall.read": a.snapshot(), "syscall.write": b.snapshot()},
-            {"syscall.read": Histogram().snapshot()},  # site 1 lacks write
+            {"syscall.read": a, "syscall.write": b},
+            {"syscall.read": Histogram()},  # site 1 lacks write
         ]
         out = merge_windows(windows)
         assert list(out) == ["syscall.read"]      # empty write dropped
@@ -133,12 +134,13 @@ class TestClusterMerge:
     def test_merge_windows_prefix_filter(self):
         h = Histogram()
         h.observe(5.0)
-        windows = [{"syscall.read": h.snapshot(), "prop.lag": h.snapshot()}]
+        windows = [{"syscall.read": h, "prop.lag": h}]
         out = merge_windows(windows, prefix="syscall.")
         assert list(out) == ["syscall.read"]
 
     def test_merge_windows_mismatched_ladder_raises(self):
-        foreign = HistSnapshot(counts=(1,), count=1, total=1.0)
+        foreign = Histogram()
+        foreign.counts, foreign.count = [1], 1
         with pytest.raises(ValueError, match="mismatched bucket ladder"):
             merge_windows([{"m": foreign}])
 
@@ -150,26 +152,120 @@ class TestMetricsRegistry:
         reg.observe("syscall.read", 2.5)
         reg.count("retries")
         reg.count("retries", 2)
+        reg.hist("empty")
         assert reg.hist("syscall.read").count == 2
         assert reg.counters["retries"] == 3
-        assert reg.percentiles("syscall.read")["count"] == 2
-        assert reg.percentiles("nope") is None
-        assert "syscall.read" in reg.latency_summary("syscall.")
-        assert reg.summary()["owner"] == "t"
-
-    def test_gauge_sources(self):
-        reg = MetricsRegistry()
-        reg.register_source("cache", lambda: {"pages": 7})
-        assert reg.gauges() == {"cache": {"pages": 7}}
+        summary = reg.latency_summary()
+        assert list(summary) == ["syscall.read"]      # empty ones skipped
+        assert summary["syscall.read"]["count"] == 2
+        assert reg.latency_summary("nope") == {}
 
     def test_snapshot_diff_handles_new_hists(self):
-        reg = MetricsRegistry()
-        before = reg.snapshot()
+        """A histogram or counter first seen mid-window counts from zero,
+        and the windows on either side of its arrival still add up."""
+        reg = MetricsRegistry("t")
+        reg.observe("early", 1.0)
+        ab, ac = StatsWindow(reg), StatsWindow(reg)
+        reg.count("c", 2)
+        ab = ab.close()
+        bc = StatsWindow(reg)
         reg.observe("late.arrival", 3.0)
+        reg.observe("early", 900.0)
         reg.count("c", 5)
-        window = before.diff(reg.snapshot())
-        assert window.hists["late.arrival"].count == 1
-        assert window.counters["c"] == 5
+        reg.count("late.counter")
+        bc, ac = bc.close(), ac.close()
+        assert "late.arrival" not in ab.hists
+        assert bc.hists["late.arrival"].count == 1
+        assert bc.counters["c"] == 5
+        assert bc.owner == "t"
+        _assert_additive(ab, bc, ac)
+
+
+# ----------------------------------------------------------------------
+# One window rule for every counter store
+# ----------------------------------------------------------------------
+
+STORE_KINDS = ("net", "registry", "cache", "name_cache", "propagation",
+               "scrub", "recovery", "topology")
+
+
+def _stores(cluster, kind):
+    """Every store of one kind: the network's, or one per site."""
+    if kind == "net":
+        return [cluster.stats]
+    if kind == "registry":
+        return [cluster.net.metrics] + [s.metrics for s in cluster.sites]
+    return [{"cache": s.cache.stats, "name_cache": s.name_cache.stats,
+             "propagation": s.fs.propagator.stats, "scrub": s.scrub.stats,
+             "recovery": s.recovery.stats,
+             "topology": s.topology.stats}[kind] for s in cluster.sites]
+
+
+def _flat(store, path=""):
+    """A store's numbers by path: every count, bucket and total."""
+    if isinstance(store, (int, float)):
+        return {path: store}
+    if isinstance(store, dict):
+        items = store.items()
+    elif isinstance(store, list):
+        items = enumerate(store)
+    else:
+        names = vars(store) if hasattr(store, "__dict__") else store.__slots__
+        items = ((name, getattr(store, name)) for name in names)
+    out = {}
+    for key, value in items:
+        if value is not None and not isinstance(value, str):
+            out.update(_flat(value, f"{path}/{key}"))
+    return out
+
+
+def _assert_additive(ab, bc, ac):
+    """window [a, b] + window [b, c] == window [a, c]; a key missing from
+    a window did not move in it."""
+    ab, bc, ac = _flat(ab), _flat(bc), _flat(ac)
+    for key in set(ab) | set(bc) | set(ac):
+        assert ab.get(key, 0) + bc.get(key, 0) == \
+            pytest.approx(ac.get(key, 0)), key
+
+
+@pytest.fixture(scope="module")
+def storm_windows():
+    """Windows over every store kind across the T16 storm, with a = the
+    cluster just built, b = mid-storm (between site 1's restart and site
+    2's crash) and c = storm over: per kind, the snapshot at a, the
+    windows [a, b], [b, c] and [a, c], and the snapshot at c."""
+    cluster = LocusCluster(n_sites=3, seed=11, root_pack_sites=[1, 2])
+    stores = {kind: _stores(cluster, kind) for kind in STORE_KINDS}
+    built = {kind: snapshot(s) for kind, s in stores.items()}
+    first = {kind: StatsWindow(s) for kind, s in stores.items()}
+    whole = {kind: StatsWindow(s) for kind, s in stores.items()}
+    second = {}
+
+    def mid_storm():
+        for kind, s in stores.items():
+            first[kind].close()
+            second[kind] = StatsWindow(s)
+
+    populate(cluster)
+    cluster.inject(storm_plan(11, cluster.sim.now))
+    cluster.sim.schedule(2500.0, mid_storm)
+    drive(cluster, reads=60, writes=12)
+    return {kind: (built[kind], first[kind].close(), second[kind].close(),
+                   whole[kind].close(), snapshot(stores[kind]))
+            for kind in STORE_KINDS}
+
+
+class TestWindows:
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_windows_add_up_on_the_storm(self, storm_windows, kind):
+        built, ab, bc, ac, end = storm_windows[kind]
+        _assert_additive(ab, bc, ac)
+        # Nothing is counted before a cluster runs, so the whole-run
+        # window is the cumulative count.
+        assert not any(_flat(built).values())
+        assert _flat(ac) == pytest.approx(_flat(end))
+        # The name cache is off by default, so its window stays all zero.
+        assert any(_flat(ac).values()) or kind == "name_cache"
 
 
 # ----------------------------------------------------------------------
@@ -183,17 +279,18 @@ class TestStatsCircuits:
         sh.setcopies(3)
         sh.write_file("/f", b"x")
         cluster.settle()
-        before = cluster.stats.snapshot()
+        before = snapshot(cluster.stats)
+        win = StatsWindow(cluster.stats)
         cluster.fail_site(2)
         sh.write_file("/f", b"y")
         cluster.settle()
-        after = cluster.stats.snapshot()
+        after = snapshot(cluster.stats)
         assert after.circuits_closed >= 1
-        delta = before.diff(after)
-        assert delta.circuits_closed == (after.circuits_closed
-                                         - before.circuits_closed)
-        assert delta.circuits_opened == (after.circuits_opened
-                                         - before.circuits_opened)
+        window = win.close()
+        assert window.circuits_closed == (after.circuits_closed
+                                          - before.circuits_closed)
+        assert window.circuits_opened == (after.circuits_opened
+                                          - before.circuits_opened)
 
 
 class TestPropagatorPending:
@@ -274,11 +371,10 @@ class TestCausalTracing:
         assert any(s.trace_id in roots for s in annotated)
 
     def test_latency_histograms_populated(self, storm):
-        merged = merge_snapshots(
-            [s.metrics.hist("syscall.pread").snapshot()
-             for s in storm.sites])
-        assert merged.count > 0
-        assert merged.percentile(99) >= merged.percentile(50) > 0
+        merged = merge_windows([s.metrics.hists for s in storm.sites],
+                               "syscall.pread")["syscall.pread"]
+        assert merged["count"] > 0
+        assert merged["p99"] >= merged["p50"] > 0
 
     def test_instants_are_sequenced(self, storm):
         seqs = [i["seq"] for i in storm.tracer.instants]

@@ -182,19 +182,39 @@ class TestInspect:
         assert "DOWN" in format_report(report)
 
     def test_report_reads_through_registry(self, cluster):
+        """Inspect reports the very stores ``bench/counters.py`` reads: the
+        network stats, each registry, and each subsystem's ``stats``."""
         sh = cluster.shell(0)
         sh.write_file("/f", b"payload")
         sh.read_file("/f")
+        cluster.settle()
         report = cluster_report(cluster)
+        stats = cluster.stats
+        net = report["network"]
+        assert (net["messages"], net["bytes"], net["dropped"],
+                net["circuits_closed"]) == (
+            stats.total_messages, stats.total_bytes, stats.dropped,
+            stats.circuits_closed)
+        assert net["latency"]["net.wire"]["count"] == \
+            cluster.net.metrics.hist("net.wire").count
+        for site, row in zip(cluster.sites, report["sites"]):
+            reg = site.metrics
+            assert row["counters"] == dict(reg.counters)
+            assert {name: h["count"] for name, h in row["latency"].items()} \
+                == {name: h.count for name, h in reg.hists.items()}
+            assert row["cache"]["hits"] == site.cache.stats.hits
+            assert row["cache"]["misses"] == site.cache.stats.misses
+            assert row["cache"]["invalidations"] == \
+                site.cache.stats.invalidations
+            assert row["name_cache"]["hits"] == site.name_cache.stats.hits
+            assert row["name_cache"]["misses"] == \
+                site.name_cache.stats.misses
+            assert row["propagation"] == vars(site.fs.propagator.stats)
+            assert row["scrub"] == vars(site.scrub.stats)
+            assert row["recovery"] == vars(site.recovery.stats)
+            assert row["topology"] == site.topology.stats
         site0 = report["sites"][0]
-        # Gauge sources merged in: cache, name cache, propagation,
-        # write-behind — the counters inspect used to reach in for.
-        assert {"cache", "name_cache", "propagation",
-                "write_behind"} <= set(site0)
-        assert site0["cache"]["pages"] >= 0
-        # Latency percentiles from the same registry.
-        assert "syscall.open" in site0["latency"]
         assert site0["latency"]["syscall.open"]["count"] >= 1
+        assert any(row["propagation"]["pulls"] for row in report["sites"])
         assert report["trace"]["enabled"] is True
         assert report["trace"]["spans"] > 0
-        assert "circuits_opened" in report["network"]

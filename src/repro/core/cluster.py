@@ -196,21 +196,16 @@ class LocusCluster:
     def spawn(self, ref: SiteRef, gen: Generator, name: str = ""):
         return self.site(ref).spawn(gen, name=name)
 
-    def settle(self, max_time: float = 100000.0,
-               max_events: Optional[int] = None) -> None:
+    def settle(self, max_time: float = 100000.0) -> None:
         """Run until the event queue drains (propagation, reconfiguration
-        chatter...) or the time budget passes, or after ``max_events``
-        processed events.  The clock advances only as far as actual
-        events, never to the horizon.  Quiescence fires the simulator's
-        idle hooks (post-heal invariant checks live there); the loop
-        continues if a hook scheduled new work."""
+        chatter...) or the time budget passes.  The clock advances only
+        as far as actual events, never to the horizon.  Quiescence fires
+        the simulator's idle hooks (post-heal invariant checks live
+        there); the loop continues if a hook scheduled new work."""
         horizon = self.sim.now + max_time
-        stop = float("inf") if max_events is None \
-            else self.sim.events_processed + max_events
         while True:
-            self.sim.drain(horizon, stop)
-            if self.sim.events_processed >= stop \
-                    or not self.sim.fire_idle_hooks():
+            self.sim.drain(horizon)
+            if not self.sim.fire_idle_hooks():
                 break
 
     def inject(self, plan):

@@ -62,7 +62,7 @@ class IdempotencyLedger:
     def __init__(self, window: int = 16):
         self.window = max(1, int(window))
         # client -> OrderedDict[seq -> LedgerEntry], oldest first
-        self._done: Dict[int, "OrderedDict[int, LedgerEntry]"] = {}
+        self._replies: Dict[int, "OrderedDict[int, LedgerEntry]"] = {}
         # client -> {seq -> Future}; volatile even in the durable flavour
         self._running: Dict[int, Dict[int, Any]] = {}
         # client -> highest contiguously-acked seq (entries <= this are gone)
@@ -82,7 +82,7 @@ class IdempotencyLedger:
         The future is created lazily by the caller via
         :meth:`set_running` because the ledger itself is sim-agnostic.
         """
-        entry = self._done.get(client, {}).get(seq)
+        entry = self._replies.get(client, {}).get(seq)
         if entry is not None:
             self.replays += 1
             return ("done", entry.value)
@@ -97,7 +97,7 @@ class IdempotencyLedger:
     def commit(self, client: int, seq: int, value: Any) -> None:
         """Record a successful reply and wake any waiting duplicates."""
         fut = self._running.get(client, {}).pop(seq, None)
-        done = self._done.setdefault(client, OrderedDict())
+        done = self._replies.setdefault(client, OrderedDict())
         done[seq] = LedgerEntry(value)
         while len(done) > self.window:
             done.popitem(last=False)
@@ -126,7 +126,7 @@ class IdempotencyLedger:
         if upto <= prev:
             return
         self._acked[client] = upto
-        done = self._done.get(client)
+        done = self._replies.get(client)
         if not done:
             return
         for seq in [s for s in done if s <= upto]:
@@ -141,6 +141,6 @@ class IdempotencyLedger:
 
     def entries(self):
         """Iterate ``(client, seq)`` of all memoized replies (for audits)."""
-        for client, done in self._done.items():
+        for client, done in self._replies.items():
             for seq in done:
                 yield (client, seq)

@@ -18,10 +18,10 @@ whatever the mid-storm invariant audits already caught:
   unambiguous path the model tracks must resolve to the expected bytes
   (flagged conflicts are legitimate pending states and are skipped),
   every successfully unlinked path must stay gone, every workload driver
-  must have finished its schedule, and no syscall span on a never-crashed
-  client site may be left open in the flight recorder.  A plan the runner
-  stopped at its event cap is a ``liveness:runaway`` and gets no end-state
-  audit: its store was never quiescent.
+  task must have finished its schedule (not be stuck, nor crashed), and no
+  syscall span on a never-crashed client site may be left open in the
+  flight recorder.  A plan the runner stopped at a stalled clock is
+  ``liveness:stalled`` and gets no end-state audit: it never went quiet.
 
 A failing run's :class:`FuzzResult` carries the violations and the plan;
 ``repro.fuzz.shrink`` turns it into a minimal reproduction.
@@ -37,6 +37,7 @@ from repro.errors import LocusError
 from repro.faults.invariants import InvariantChecker, Violation
 from repro.fuzz.runner import (AMBIGUOUS, FuzzRun, MISSING, NamespaceModel,
                                _digest)
+from repro.sim.task import origin
 from repro.tools.fsck import AUDITED
 
 # fsck categories that are always violations.  "orphan_inodes" is off by
@@ -61,6 +62,11 @@ class FuzzResult:
         return not self.violations
 
     @property
+    def deaths(self) -> List[str]:
+        """Tasks that died of a bug: reported, not judged."""
+        return self.run.cluster.sim.task_deaths
+
+    @property
     def failures(self) -> List[str]:
         return [f"[{v.kind}] {v.detail}" for v in self.violations]
 
@@ -76,6 +82,7 @@ class FuzzResult:
                  f"{len(self.violations)} violations"]
         lines += [f"  VIOLATION [{v.kind}] {v.detail}"
                   for v in self.violations]
+        lines += [f"  DIED {death}" for death in self.deaths]
         return "\n".join(lines)
 
 
@@ -93,11 +100,11 @@ class FuzzOracle:
     def judge(self, run: FuzzRun) -> FuzzResult:
         violations: List[Violation] = []
         violations += self._filter(run.injector.violations)
-        if run.runaway:
+        if run.stall_vt is not None:
             violations.append(self._make(
-                run, "liveness:runaway",
-                f"plan still busy after {run.events} events, at "
-                f"t={run.cluster.sim.now:.1f}"))
+                run, "liveness:stalled",
+                f"the clock moved {run.stall_vt:.2f} vt in the last window"
+                f", at t={run.cluster.sim.now:.1f}, {run.events} events"))
             return FuzzResult(run=run, violations=violations)
         violations += self._filter(
             InvariantChecker(run.cluster, run.plan).check())
@@ -196,11 +203,15 @@ class FuzzOracle:
 
     def _liveness(self, run: FuzzRun) -> List[Violation]:
         out: List[Violation] = []
-        for site_id in run.unfinished_drivers:
-            out.append(self._make(
-                run, "liveness:driver_stuck",
-                f"workload driver at site {site_id} never finished its "
-                f"schedule"))
+        for site_id, task in sorted(run.drivers.items()):
+            exc = task.done.exception()
+            if task.finished and exc is None:
+                continue
+            kind, why = "stuck", "never finished its schedule"
+            if exc is not None and not isinstance(exc, LocusError):
+                kind, why = "crashed", f"died of {exc!r} at {origin(exc)}"
+            out.append(self._make(run, f"liveness:driver_{kind}",
+                                  f"workload driver at site {site_id} {why}"))
         tracer = getattr(run.cluster, "tracer", None)
         if tracer is not None and tracer.enabled:
             crashed = set()

@@ -27,6 +27,7 @@ from repro import LocusCluster
 from repro.errors import LocusError, NetworkError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fuzz.plan import FuzzPlan, WorkloadOp, payload
+from repro.sim.task import Task
 
 MISSING = "missing"
 AMBIGUOUS = "ambiguous"
@@ -50,21 +51,12 @@ _SPLITTING = {"partition"}
 # concurrent reader observe a truncating write's intermediate state.
 _MUTATING = {"write", "mkdir", "rename", "unlink", "link"}
 
-# A plan's event budget across its storm and reconciliation settles:
-# MAX_PLAN_EVENTS up to 40 ops on 3 sites, growing with ops x sites past
-# that.  The heaviest plans that still end by their time horizon (8
-# faults) run 293,710 events at 40 ops x 3 sites, 513,234 at 60 x 3,
-# 1,249,226 at 80 x 5 and 1,580,265 at 120 x 8; a livelocked plan stalls
-# its clock and passes any budget.  A plan that reaches its budget is
-# stopped there and judged a runaway (``liveness:runaway``).
-MAX_PLAN_EVENTS = 500_000
-_BUDGET_OP_SITES = 40 * 3
-
-
-def event_budget(plan: FuzzPlan) -> int:
-    """The events ``plan`` may process before it is judged a runaway."""
-    scale = max(_BUDGET_OP_SITES, len(plan.ops) * plan.n_sites)
-    return MAX_PLAN_EVENTS * scale // _BUDGET_OP_SITES
+# A livelock keeps the event queue busy while the clock stands nearly
+# still, so each phase drains in windows of STALL_EVENTS events and a
+# window that moves the clock less than STALL_VT ends the plan as
+# ``liveness:stalled``.  Clean plans run ~18 events per vt (docs/FAULTS.md).
+STALL_EVENTS = 50_000
+STALL_VT = 100.0
 
 
 def _digest(data: bytes) -> str:
@@ -177,14 +169,10 @@ class FuzzRun:
     injector: object
     model: NamespaceModel
     oplog: List[OpRecord] = field(default_factory=list)
-    unfinished_drivers: List[int] = field(default_factory=list)
+    drivers: Dict[int, Task] = field(default_factory=dict)  # site -> task
     t0: float = 0.0
     events: int = 0             # processed by the storm + reconcile phases
-
-    @property
-    def runaway(self) -> bool:
-        """The plan was stopped at its event budget, still busy."""
-        return self.events >= event_budget(self.plan)
+    stall_vt: Optional[float] = None    # clock moved by the stalled window
 
     def digest(self) -> str:
         """Byte-determinism fingerprint: same plan ⇒ same digest."""
@@ -207,7 +195,6 @@ class PlanRunner:
         self._trace_cursor = 0
         self._disturbed = False
         self._split = False
-        self._done: Dict[int, int] = {}     # site -> ops completed
         self._inflight: Dict[object, int] = {}   # path/fid -> open muts
         self._mut_epoch: Dict[object, int] = {}  # path/fid -> changes
 
@@ -254,43 +241,50 @@ class PlanRunner:
         for op in plan.ops:
             by_site.setdefault(op.site, []).append(op)
         idx_of = {id(op): i for i, op in enumerate(plan.ops)}
+        drivers: Dict[int, Task] = {}
         for site_id, ops in sorted(by_site.items()):
             api = cluster.shell(site_id).api
-            cluster.spawn(site_id, self._driver(api, ops, t0, idx_of),
-                          name=f"fuzz-driver@{site_id}")
+            drivers[site_id] = cluster.spawn(
+                site_id, self._driver(api, ops, t0, idx_of),
+                name=f"fuzz-driver@{site_id}")
 
         # Storm phase: drivers + faults; generous horizon so slow heals
         # and retry backoffs still finish inside it.
-        sim = cluster.sim
-        first, budget = sim.events_processed, event_budget(plan)
-        cluster.settle(max_time=plan.span() + 30_000.0, max_events=budget)
+        first = cluster.sim.events_processed
+        stall_vt = self._settle(plan.span() + 30_000.0)
 
         # Reconciliation phase: the paper's §4 promise is judged on a
         # merged network, so end every scenario whole.
-        left = budget - (sim.events_processed - first)
-        if left > 0:
+        if stall_vt is None:
             for site in cluster.sites:
                 if not site.up:
-                    site.restart()
-                    site.topology.request_merge()
-            cluster.net.heal()
-            up = [s.site_id for s in cluster.sites if s.up]
-            cluster.site(min(up)).topology.request_merge()
-            cluster.settle(max_time=30_000.0, max_events=left)
+                    cluster.restart_site(site, settle=False)
+            cluster.heal(settle=False)
+            stall_vt = self._settle(30_000.0)
 
-        unfinished = [site_id for site_id, ops in sorted(by_site.items())
-                      if self._done.get(site_id, 0) < len(ops)]
         return FuzzRun(plan=plan, cluster=cluster, injector=injector,
-                       model=self.model, oplog=self.oplog,
-                       unfinished_drivers=unfinished, t0=t0,
-                       events=sim.events_processed - first)
+                       model=self.model, oplog=self.oplog, drivers=drivers,
+                       t0=t0, events=cluster.sim.events_processed - first,
+                       stall_vt=stall_vt)
+
+    def _settle(self, max_time: float) -> Optional[float]:
+        """:meth:`LocusCluster.settle` in windows of ``STALL_EVENTS``
+        events: the vt a stalled window moved, or None once settled."""
+        sim = self.cluster.sim
+        horizon = sim.now + max_time
+        while True:
+            start, stop = sim.now, sim.events_processed + STALL_EVENTS
+            sim.drain(horizon, stop)
+            if sim.events_processed >= stop:
+                if sim.now - start < STALL_VT:
+                    return sim.now - start
+            elif not sim.fire_idle_hooks():
+                return None
 
     # -- the per-site client ---------------------------------------------
 
     def _driver(self, api, ops: List[WorkloadOp], t0: float, idx_of):
         sim = self.cluster.sim
-        site_id = api.site.site_id
-        self._done[site_id] = 0
         for op in ops:
             delay = t0 + op.at - sim.now
             if delay > 0:
@@ -341,7 +335,6 @@ class PlanRunner:
                                 and self.model.expectation(op.path)
                                 == expected)
             self.oplog.append(record)
-            self._done[site_id] += 1
 
     def _touch_keys(self, op: WorkloadOp) -> tuple:
         """Conflict-detection keys for ``op``: the named paths plus the

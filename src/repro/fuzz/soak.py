@@ -67,6 +67,8 @@ def soak(base_seed: int, runs: Optional[int] = None,
         stats.fault_events += len(result.run.injector.trace)
         if result.ok:
             log(f"seed {seed}: ok ({len(result.run.oplog)} ops)")
+            for death in result.deaths:
+                log(f"  DIED {death}")
         else:
             stats.failed_seeds.append(seed)
             log(f"seed {seed}: {len(result.violations)} violations")

@@ -89,6 +89,8 @@ class Simulator:
         # hangs its post-heal fsck here so checks never race in-flight
         # protocols.  Hooks run synchronously and may schedule new events.
         self.idle_hooks: List[Callable[[], None]] = []
+        # Tasks that died of a bug rather than a LocusError (Task.die).
+        self.task_deaths: List[str] = []
         # Ready entries: _Event (call_soon) or (seq, task, future|None).
         self._ready: deque = deque()
         # Heap entries: (time, seq, _Event) from schedule(), (time, seq,
@@ -238,7 +240,7 @@ class Simulator:
             self.current_task = None
             return
         except BaseException as e:  # noqa: BLE001 - failure is data
-            done.fail(e)
+            task.die(e)
             self.current_task = None
             return
         self.current_task = None

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any, Generator, Optional
 
-from repro.errors import TaskCancelled
+from repro.errors import LocusError, TaskCancelled
 from repro.sim.future import Future, _PENDING
+
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def origin(exc: BaseException) -> str:
+    """``file:line in function`` of the innermost frame of this package
+    that ``exc`` unwound through (paths relative to the package)."""
+    where = "?"
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if code.co_filename.startswith(_PACKAGE):
+            where = (f"{os.path.relpath(code.co_filename, _PACKAGE)}:"
+                     f"{tb.tb_lineno} in {code.co_name}")
+        tb = tb.tb_next
+    return where
 
 
 class Task:
@@ -51,6 +68,16 @@ class Task:
         # If blocked on a future, detach and resume with the cancellation now.
         self.sim.call_soon(self._step_throw, TaskCancelled(reason or self.name))
 
+    def die(self, exc: BaseException) -> None:
+        """Failure path: fail ``done`` with ``exc``.  A background task
+        may have nobody joining it, so a death that is a bug (not a
+        :class:`LocusError`, every protocol failure is one) is also
+        logged in ``sim.task_deaths`` as ``name: exception at origin``."""
+        if not isinstance(exc, LocusError):
+            self.sim.task_deaths.append(
+                f"{self.name}: {exc!r} at {origin(exc)}")
+        self.done.fail(exc)
+
     def disown(self, _done: Future) -> None:
         """``done`` callback of an owned task: leave the owner's set.  A
         bound method, so tracking a task allocates no closure."""
@@ -74,7 +101,7 @@ class Task:
                 self.done.resolve(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - failure is data
-                self.done.fail(exc)
+                self.die(exc)
                 return
         finally:
             sim.current_task = prev_task
@@ -93,7 +120,7 @@ class Task:
                 self.done.resolve(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001
-                self.done.fail(err)
+                self.die(err)
                 return
         finally:
             sim.current_task = prev_task

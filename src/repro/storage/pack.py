@@ -9,7 +9,7 @@ Pack ``k`` owns the half-open range ``[k << INO_SHIFT, (k+1) << INO_SHIFT)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.errors import EIO, ENOSPC
 from repro.storage.inode import DiskInode, FileType
@@ -43,10 +43,6 @@ class Pack:
         self._next_ino = (pack_index << INO_SHIFT)
         if pack_index == 0:
             self._next_ino = ROOT_INO  # reserve 0, start pool at the root ino
-        # Deleted inodes awaiting reallocation: the originating pack may only
-        # reuse a number once every storage site has seen the delete
-        # (section 2.3.7).
-        self.pending_reuse: Set[int] = set()
         # Injected disk faults (repro.faults): the next N block writes fail
         # with EIO instead of taking effect.
         self.write_faults = 0
@@ -143,7 +139,6 @@ class Pack:
         if inode is not None:
             for blockno in inode.pages:
                 self.free_block(blockno)
-        self.pending_reuse.discard(ino)
         if self.owns_ino(ino):
             self._free_inos.append(ino)
 

@@ -8,6 +8,10 @@ re-fails the exact minimal scenario that found the bug.
 Each plan is also checked for byte-stable serialization (the committed
 file must equal its own decode→encode round trip) and deterministic
 execution (same plan ⇒ identical run digest).
+
+``tests/findings/*.json`` holds the opposite: shrunk plans of bugs that
+are still open.  Each must still fail, on its pinned interleaving; once
+its bug is fixed the plan moves to ``tests/regressions/``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from repro.fuzz.runner import PlanRunner
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "regressions")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+FINDINGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                         "findings", "*.json")))
 
 
 def _load(path: str) -> FuzzPlan:
@@ -69,3 +75,16 @@ def test_regression_replay_is_deterministic():
     digests = {PlanRunner(_load(plan_path)).run().digest()
                for __ in range(2)}
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("path", FINDINGS,
+                         ids=[os.path.basename(p) for p in FINDINGS])
+def test_open_finding_still_fails(path):
+    with open(path) as fh:
+        text = fh.read()
+    plan = FuzzPlan.from_json(text)
+    assert plan.to_json() == text and plan.expect_digest is not None
+    result = run_plan(plan)
+    assert not result.ok, f"{os.path.basename(path)} is fixed: move it " \
+        f"to tests/regressions/"
+    assert result.digest() == plan.expect_digest

@@ -19,6 +19,7 @@ from repro.fuzz import runner
 from repro.fuzz.oracle import FuzzOracle, SyntheticOracle
 from repro.fuzz.plan import FuzzPlan, WorkloadOp
 from repro.fuzz.runner import MISSING, OpRecord, PlanRunner, run_plan
+from repro.sim.task import Task
 from repro.storage.inode import DiskInode, FileType
 
 
@@ -272,35 +273,75 @@ def test_forged_resurrected_path(run):
 
 
 def test_forged_driver_stuck(run):
-    run.unfinished_drivers.append(0)
+    """A driver task that never finished (here: never even started)."""
+    run.drivers[0] = Task(run.cluster.sim, iter(()), name="fuzz-driver@0")
     assert judged(run) == {"liveness:driver_stuck"}
 
 
-def test_runaway_plan_is_a_finding(monkeypatch):
-    """A plan still busy at the event cap stops there and is judged a
-    ``liveness:runaway`` (a shrinkable finding, not a hang)."""
-    monkeypatch.setattr(runner, "MAX_PLAN_EVENTS", 300)
+def _forge_run(extra):
+    """Judge a small plan run with the task ``extra()`` beside it."""
+    class Forging(PlanRunner):
+        def arm_faults(self, t0):
+            self.cluster.spawn(0, extra(), name="forged")
+            return super().arm_faults(t0)
+    plan = FuzzPlan(seed=5, name="forge", n_sites=3)
+    return FuzzOracle().judge(Forging(plan).run())
+
+
+def test_stalled_plan_is_a_finding(monkeypatch):
+    """A window of events that barely moves the clock stops the plan
+    there: ``liveness:stalled``, a shrinkable finding, not a hang."""
+    monkeypatch.setattr(runner, "STALL_EVENTS", 300)
+    monkeypatch.setattr(runner, "STALL_VT", 50.0)
     path = os.path.join(os.path.dirname(__file__), "regressions",
                         "loss-burst-lost-notify.json")
     with open(path) as fh:
         plan = FuzzPlan.from_json(fh.read())
     result = run_plan(plan)
-    assert result.run.runaway and result.run.events == 300
+    assert result.run.events == 900 and result.run.stall_vt < 50.0
     assert [v.kind for v in result.violations
-            if v.kind == "liveness:runaway"] == ["liveness:runaway"]
+            if v.kind.startswith("liveness:")] == ["liveness:stalled"]
 
 
-def test_event_budget_grows_past_forty_ops_on_three_sites():
-    """Small and shrunk plans share the base budget; bigger plans get more
-    in proportion to ops x sites (a clean 60-op plan runs 513k events)."""
-    def budget(n_ops, n_sites):
-        ops = [WorkloadOp(at=0.0, site=0, op="stat", path="/w")] * n_ops
-        return runner.event_budget(FuzzPlan(seed=1, name="b",
-                                            n_sites=n_sites, ops=ops))
-    base = runner.MAX_PLAN_EVENTS
-    assert budget(0, 3) == budget(1, 3) == budget(40, 3) == base
-    assert budget(60, 3) == base * 3 // 2
-    assert budget(120, 8) == base * 8
+def test_spinning_task_stalls_within_one_window():
+    """A task spinning on ``yield 0.0`` freezes the clock: the real
+    constants stop the plan at its first window."""
+    def spin():
+        while True:
+            yield 0.0
+    result = _forge_run(spin)
+    assert result.run.events == runner.STALL_EVENTS
+    assert result.run.stall_vt == 0.0
+    assert [v.kind for v in result.violations] == ["liveness:stalled"]
+
+
+def test_forged_driver_crash_is_not_stuck():
+    """A driver that dies of a non-protocol exception is crashed, and the
+    verdict names the exception and the innermost package frame."""
+    class Crashing(PlanRunner):
+        def _execute(self, api, op):
+            raise KeyError(op.path)
+            yield
+    plan = FuzzPlan(seed=5, name="forge", n_sites=3, ops=[
+        WorkloadOp(at=0.0, site=0, op="stat", path="/w/d0/f0")])
+    result = FuzzOracle().judge(Crashing(plan).run())
+    [v] = result.violations
+    assert v.kind == "liveness:driver_crashed"
+    assert "KeyError('/w/d0/f0')" in v.detail
+    assert "fuzz/runner.py:" in v.detail and "in _driver" in v.detail
+
+
+def test_background_task_death_is_listed_not_judged():
+    """A background task dying of a bug is listed with its origin; the
+    verdict is unchanged (nothing joins it, so nothing else would say)."""
+    def crash():
+        yield 1.0
+        raise ValueError("torn image")
+    result = _forge_run(crash)
+    assert result.ok
+    [death] = result.deaths
+    assert death.startswith("forged: ValueError('torn image') at sim/")
+    assert f"DIED {death}" in result.report()
 
 
 def test_forged_leaked_span(run):

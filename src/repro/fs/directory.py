@@ -134,8 +134,8 @@ def decode_snapshot(data: bytes) -> DirSnapshot:
 
     The memo is keyed on the image bytes themselves, not on ``(gfile,
     version vector)``: equal bytes decode equally whoever committed them,
-    so it needs no invalidation and cannot be stale, whereas a reaped and
-    reused inode number restarts at an equal vector over different bytes.
+    so it needs no invalidation and cannot be stale, whereas two clusters
+    in one process commit different images under one name and vector.
     A torn image raises ``ValueError`` and is not remembered.
     """
     return _decode_image(data.rstrip(b"\x00"))

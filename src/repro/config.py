@@ -21,6 +21,8 @@ it (``fs/scrub.py``, ``reconfig/topology.py``, ``fs/name_cache.py``,
 ``fs/ledger.py``); the supervision policy below is shared by ``core`` and
 ``fs``, so it lives here.  ``tests/test_workloads_config.py`` keeps the rule:
 a non-calibration field that no test, benchmark or CI leg sets fails it.
+Observation is not a field either: the flight recorder always records
+(:mod:`repro.obs.tracer`).
 """
 
 from __future__ import annotations
@@ -144,16 +146,6 @@ class CostModel:
     # without advancing the clock, and stamps ride header slots excluded
     # from the wire-size model.
     supervise_remote_ops: bool = True
-
-    # Flight recorder (ISSUE 5).  With the flag on, every syscall, RPC and
-    # message handler records a causal span and a virtual-time latency
-    # sample (repro.obs); trace context rides message headers in a field
-    # excluded from the wire-size model, recording charges no CPU and adds
-    # no yield points, so virtual time and message counts are identical
-    # with tracing on or off.  Off leaves only the always-on metrics
-    # registry (plain counter/histogram updates); ``cli top``, which is
-    # derived from the span log, then has no rates or opens to report.
-    trace_enabled: bool = True
 
     # Anti-entropy scrub (ISSUE 9).  After a partition merge or recovery
     # sweep, each CSS sweeps the filegroups it synchronizes: every pack

@@ -12,7 +12,6 @@ from repro.fs.manager import FsManager
 from repro.fs.mount import FilegroupInfo, MountTable
 from repro.fs.types import Gfile, Mode, ROOT_GFS
 from repro.net.network import Network
-from repro.obs.load import ConvergenceMonitor
 from repro.obs.tracer import Tracer
 from repro.sim.simulator import Simulator
 from repro.storage.inode import DiskInode, FileType
@@ -48,21 +47,13 @@ class LocusCluster:
             self.sim = Simulator(seed=config.seed)
         else:
             raise ValueError(f"unknown sim_kernel {config.sim_kernel!r}")
-        self.net = Network(self.sim, config.cost)
-        self.sites: List[Site] = [Site(i, self.sim, self.net, config)
-                                  for i in range(config.n_sites)]
         # One flight recorder for the whole cluster: spans from every site
         # land in one tree, ids flow from one counter (deterministic).
-        self.tracer = Tracer(self.sim, enabled=config.cost.trace_enabled)
-        self.net.tracer = self.tracer
-        # One convergence monitor for the whole cluster (same pattern):
-        # the fault injector notes fault vtimes, scrub/recovery note the
-        # detection and repair vtimes — the difference is the divergence
-        # detection-latency metric (ISSUE 10).
-        self.convergence = ConvergenceMonitor(self.sim)
-        for site in self.sites:
-            site.tracer = self.tracer
-            site.convergence = self.convergence
+        self.tracer = Tracer(self.sim)
+        self.net = Network(self.sim, self.tracer, config.cost)
+        self.sites: List[Site] = [
+            Site(i, self.sim, self.net, config, self.tracer)
+            for i in range(config.n_sites)]
         # The program table stands in for compiled load-module bodies; the
         # load modules themselves are real files in the filesystem.
         self.programs: Dict[str, object] = {}

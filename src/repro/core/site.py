@@ -21,6 +21,7 @@ from repro.errors import (CircuitClosed, EWOULDCONFLICT, NetworkError,
 from repro.net.message import Message, MsgKind
 from repro.net.network import Network
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.fs.name_cache import NameCache
 from repro.sim.simulator import Simulator
 from repro.sim.task import Task
@@ -42,7 +43,7 @@ class Site:
     """One full-function LOCUS node (every site can be US, SS and CSS)."""
 
     def __init__(self, site_id: int, sim: Simulator, net: Network,
-                 config: ClusterConfig):
+                 config: ClusterConfig, tracer: Tracer):
         self.site_id = site_id
         self.sim = sim
         self.net = net
@@ -64,12 +65,11 @@ class Site:
         # path cascades into it (see BufferCache.companion).
         self.name_cache = NameCache()
         self.cache.companion = self.name_cache
-        # Flight recorder: per-site metrics are always on (observational,
-        # zero virtual-time cost); the cluster builder attaches the shared
-        # tracer (recording when cost.trace_enabled) before any RPC runs —
-        # _labels resolves span-label codes in its log.
+        # Flight recorder: per-site metrics and the cluster's shared tracer
+        # are always on (observational, zero virtual-time cost); _labels
+        # resolves span-label codes in the tracer's log.
         self.metrics = MetricsRegistry(f"site{site_id}")
-        self.tracer = None
+        self.tracer = tracer
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[Tuple[int, int], Any] = {}  # (peer, reqid) -> Future
         self._reqids = itertools.count(1)
@@ -94,7 +94,6 @@ class Site:
         self.topology = None    # repro.reconfig.topology.TopologyService
         self.recovery = None    # repro.recovery.manager.RecoveryManager
         self.scrub = None       # repro.fs.scrub.ScrubManager
-        self.convergence = None  # repro.obs.load.ConvergenceMonitor (shared)
         self.tx = None          # repro.tx.manager.TxManager
         net.register_site(site_id, self._on_message, self._on_circuit_closed)
 
@@ -194,7 +193,7 @@ class Site:
         """The op vocabulary is small and static, so every call after an
         op's first on this site reuses one key and three label codes
         instead of formatting, hashing and — in the span log — retaining
-        fresh strings.  The codes are the attached tracer's."""
+        fresh strings.  The codes are the site's tracer's."""
         labels = self._op_labels.get(op)
         if labels is None:
             code = self.tracer.spans.code
@@ -217,9 +216,7 @@ class Site:
         tracer = self.tracer
         start = self.sim.now
         labels = self._labels(op)
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin_coded(labels.rpc, self.site_id, dst)
+        span, prev = tracer.begin_coded(labels.rpc, self.site_id, dst)
         status_label = "ok"
         try:
             cpu_msg = self.cost.cpu_msg
@@ -257,8 +254,7 @@ class Site:
             raise
         finally:
             self.metrics.observe(labels.metric, self.sim.now - start)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            tracer.finish(span, prev, status=status_label)
 
     def supervised_rpc(self, dst, op: str, payload: Optional[dict] = None,
                        once: bool = False) -> Generator:
@@ -295,10 +291,7 @@ class Site:
         if own_stamp:
             payload["_stamp"] = self.next_stamp()
         tracer = self.tracer
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin_coded(self._labels(op).srpc,
-                                            self.site_id)
+        span, prev = tracer.begin_coded(self._labels(op).srpc, self.site_id)
         status_label = "ok"
         try:
             attempt = 0
@@ -315,11 +308,10 @@ class Site:
                         raise
                     self.metrics.count("rpc.retries")
                     wait = patient_backoff(attempt)
-                    if span is not None:
-                        tracer.event(span, "retry",
-                                     {"attempt": attempt,
-                                      "error": type(exc).__name__,
-                                      "backoff": wait})
+                    tracer.event(span, "retry",
+                                 {"attempt": attempt,
+                                  "error": type(exc).__name__,
+                                  "backoff": wait})
                     # Deterministic exponential backoff: gives the
                     # partition protocol time to converge before the
                     # retry resolves dst.
@@ -333,18 +325,16 @@ class Site:
                         raise
                     self.metrics.count("rpc.conflict_retries")
                     wait = patient_backoff(conflict_waits)
-                    if span is not None:
-                        tracer.event(span, "conflict_wait",
-                                     {"attempt": conflict_waits,
-                                      "backoff": wait})
+                    tracer.event(span, "conflict_wait",
+                                 {"attempt": conflict_waits,
+                                  "backoff": wait})
                     yield wait
                     conflict_waits += 1
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
             raise
         finally:
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            tracer.finish(span, prev, status=status_label)
             if own_stamp:
                 # Success or final failure, this client will never re-send
                 # this seq: let the servers' ledgers retire it.
@@ -360,11 +350,9 @@ class Site:
             yield from self._dispatch(op, self.site_id, payload)
             return None
         yield from self.cpu(self.cost.cpu_msg)
-        ctx = None
-        if self.tracer is not None and self.tracer.enabled:
-            ctx = self.tracer.current_ctx()
-        msg = self.net.make_message(self.site_id, dst, op,
-                                    MsgKind.ONEWAY, payload, trace_ctx=ctx)
+        msg = self.net.make_message(self.site_id, dst, op, MsgKind.ONEWAY,
+                                    payload,
+                                    trace_ctx=self.tracer.current_ctx())
         self.net.send(self.site_id, dst, msg)
         return None
 
@@ -413,13 +401,11 @@ class Site:
     def _serve(self, msg: Message) -> Generator:
         """Message analysis, system-call continuation, send return message."""
         tracer = self.tracer
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            # The handler span parents under the caller's rpc span carried
-            # in the message header — the cross-site causal link.
-            span, prev = tracer.begin_coded(self._labels(msg.mtype).serve,
-                                            self.site_id, msg.src,
-                                            msg.trace_ctx, False)
+        # The handler span parents under the caller's rpc span carried in
+        # the message header — the cross-site causal link.
+        span, prev = tracer.begin_coded(self._labels(msg.mtype).serve,
+                                        self.site_id, msg.src,
+                                        msg.trace_ctx, False)
         status_label = "ok"
         try:
             cpu_msg = self.cost.cpu_msg
@@ -453,8 +439,7 @@ class Site:
             status_label = type(exc).__name__
             raise
         finally:
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            tracer.finish(span, prev, status=status_label)
 
     def _on_circuit_closed(self, peer: int, reason: str) -> None:
         if not self.up:

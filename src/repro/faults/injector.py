@@ -178,24 +178,13 @@ class FaultInjector:
 
     # -- reporting -------------------------------------------------------
 
-    _DAMAGE_KINDS = frozenset({
-        "crash", "restart", "partition", "heal", "loss_burst",
-        "latency_spike", "disk_errors", "drop", "dropped"})
-
     def _note(self, kind: str, detail: str) -> None:
         self.trace.append((self.cluster.sim.now, kind, detail))
         # Mirror every injector action onto the flight-recorder timeline so
-        # an exported trace shows faults alongside the spans they perturb.
-        tracer = getattr(self.cluster, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            tracer.instant(f"fault.{kind}", attrs={"detail": detail})
-        # Damage-capable actions also stamp the convergence monitor: the
-        # divergence detection-latency metric measures from the last such
-        # vtime (audits and restores are excluded — they repair, not harm).
-        if kind in self._DAMAGE_KINDS:
-            monitor = getattr(self.cluster, "convergence", None)
-            if monitor is not None:
-                monitor.note_fault(kind)
+        # an exported trace shows faults alongside the spans they perturb;
+        # detection latency is measured from the damaging ones
+        # (``convergence`` in repro.obs.load).
+        self.cluster.tracer.instant(f"fault.{kind}", attrs={"detail": detail})
 
     def report(self) -> str:
         lines = [f"plan {self.plan.name!r} seed={self.plan.seed}: "

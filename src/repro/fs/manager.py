@@ -196,31 +196,28 @@ class FsManager(PathMixin, NamespaceMixin):
         Unsynchronized reads of locally stored, propagation-clean files are
         served without informing the CSS (section 2.3.4).
         """
-        tracer = self.site.tracer
-        span = prev = None
-        if tracer is not None and tracer.enabled and mode.synchronized:
+        if not mode.synchronized:
             # Internal unsynchronized opens (pathname searching) stay
             # inside the enclosing syscall span; real opens get their own.
-            span, prev = tracer.begin("fs.open", "fs", self.sid,
-                                      attrs={"gfile": list(gfile),
-                                             "mode": mode.name})
+            return (yield from self._open_gfile(gfile, mode, allow_conflict,
+                                                reopen, known_vv))
+        tracer = self.site.tracer
+        span, prev = tracer.begin("fs.open", "fs", self.sid,
+                                  attrs={"gfile": list(gfile),
+                                         "mode": mode.name})
         status_label = "ok"
         start = self.site.sim.now
         try:
             handle = yield from self._open_gfile(gfile, mode, allow_conflict,
                                                  reopen, known_vv)
-            if span is not None:
-                tracer.annotate(span, "ss", handle.ss_site)
+            tracer.annotate(span, "ss", handle.ss_site)
             return handle
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
             raise
         finally:
-            if mode.synchronized:
-                self.site.metrics.observe("fs.open",
-                                          self.site.sim.now - start)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            self.site.metrics.observe("fs.open", self.site.sim.now - start)
+            tracer.finish(span, prev, status=status_label)
 
     def _open_gfile(self, gfile: Gfile, mode: Mode,
                     allow_conflict: bool = False,
@@ -603,19 +600,16 @@ class FsManager(PathMixin, NamespaceMixin):
         self.site.metrics.count(f"fs.{kind}s")
         tracer = self.site.tracer
         failed_ss = handle.ss_site
-        span = prev = None
         status_label = "ok"
-        if tracer is not None and tracer.enabled:
-            # Annotate the span whose work is being failed over (the
-            # enclosing syscall/recovery span carried by the task)...
-            tracer.event(tracer.current_ctx(), kind,
-                         {"gfile": list(handle.gfile),
-                          "failed_ss": failed_ss})
-            # ...and give the substitution itself a span, so storm traces
-            # show the re-home instead of an anonymous rpc:fs.css_open.
-            span, prev = tracer.begin(f"fs.{kind}", "fs", self.sid,
-                                      attrs={"gfile": list(handle.gfile),
-                                             "failed_ss": failed_ss})
+        # Annotate the span whose work is being failed over (the enclosing
+        # syscall/recovery span carried by the task)...
+        tracer.event(tracer.current_ctx(), kind,
+                     {"gfile": list(handle.gfile), "failed_ss": failed_ss})
+        # ...and give the substitution itself a span, so storm traces show
+        # the re-home instead of an anonymous rpc:fs.css_open.
+        span, prev = tracer.begin(f"fs.{kind}", "fs", self.sid,
+                                  attrs={"gfile": list(handle.gfile),
+                                         "failed_ss": failed_ss})
         try:
             old_version = handle.attrs["version"]
             if writer:
@@ -649,20 +643,17 @@ class FsManager(PathMixin, NamespaceMixin):
                        "new_ss": handle.ss_site}
             if writer:
                 outcome["restaged"] = yield from self._replay_staged(handle)
-            if tracer is not None and tracer.enabled:
-                tracer.event(tracer.current_ctx(), f"{kind}_complete",
-                             outcome)
-                tracer.annotate(span, "new_ss", handle.ss_site)
-                if writer:
-                    tracer.annotate(span, "restaged", outcome["restaged"])
+            tracer.event(tracer.current_ctx(), f"{kind}_complete", outcome)
+            tracer.annotate(span, "new_ss", handle.ss_site)
+            if writer:
+                tracer.annotate(span, "restaged", outcome["restaged"])
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
             status_label = type(exc).__name__
             raise
         finally:
             handle.failover_busy = None
             busy.resolve(None)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            tracer.finish(span, prev, status=status_label)
         return None
 
     def _replay_staged(self, handle: UsHandle) -> Generator:
@@ -726,11 +717,10 @@ class FsManager(PathMixin, NamespaceMixin):
                 failed_ss = handle.ss_site
                 self.site.metrics.count("fs.read_retries")
                 tracer = self.site.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.event(tracer.current_ctx(), "read_retry",
-                                 {"attempt": attempt, "op": op,
-                                  "failed_ss": failed_ss,
-                                  "error": type(exc).__name__})
+                tracer.event(tracer.current_ctx(), "read_retry",
+                             {"attempt": attempt, "op": op,
+                              "failed_ss": failed_ss,
+                              "error": type(exc).__name__})
                 # Backoff first: gives the partition protocol time to agree
                 # on the new membership before the reopen picks a copy.
                 yield patient_backoff(attempt - 1)
@@ -1324,11 +1314,9 @@ class FsManager(PathMixin, NamespaceMixin):
         if not handle.mode.writable:
             raise EBADF("commit needs a write open")
         tracer = self.site.tracer
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin("fs.commit", "fs", self.sid,
-                                      attrs={"gfile": list(handle.gfile),
-                                             "ss": handle.ss_site})
+        span, prev = tracer.begin("fs.commit", "fs", self.sid,
+                                  attrs={"gfile": list(handle.gfile),
+                                         "ss": handle.ss_site})
         status_label = "ok"
         start = self.site.sim.now
         try:
@@ -1345,8 +1333,7 @@ class FsManager(PathMixin, NamespaceMixin):
             raise
         finally:
             self.site.metrics.observe("fs.commit", self.site.sim.now - start)
-            if span is not None:
-                tracer.finish(span, prev, status=status_label)
+            tracer.finish(span, prev, status=status_label)
 
     def _commit_remote(self, handle: UsHandle) -> Generator:
         """Commit at a remote SS, exactly once.

@@ -166,15 +166,10 @@ class ScrubManager:
 
     def _flag(self, category: str, gfile: Gfile) -> None:
         """A divergence was classified: timestamp it on the shared
-        timeline (``scrub.<category>`` instant) and feed the cluster's
-        detection-latency metric (ISSUE 10).  Observational only."""
-        tracer = getattr(self.site, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            tracer.instant(f"scrub.{category}", site=self.sid,
-                           attrs={"gfile": list(gfile)})
-        monitor = self.site.convergence
-        if monitor is not None:
-            monitor.note_detection(category, site=self.sid, gfile=gfile)
+        timeline (``scrub.<category>`` instant), where the cluster's
+        detection-latency metric finds it.  Observational only."""
+        self.site.tracer.instant(f"scrub.{category}", site=self.sid,
+                                 attrs={"gfile": list(gfile)})
 
     def h_scrub_digest(self, src: int, p: dict) -> Generator:
         """Anti-entropy summary: the pack inventory plus a digest of each

@@ -212,19 +212,17 @@ class FuzzOracle:
                 kind, why = "crashed", f"died of {exc!r} at {origin(exc)}"
             out.append(self._make(run, f"liveness:driver_{kind}",
                                   f"workload driver at site {site_id} {why}"))
-        tracer = getattr(run.cluster, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            crashed = set()
-            for __, kind, detail in run.injector.trace:
-                if kind == "crash":
-                    crashed.add(json.loads(detail).get("site"))
-            for span in tracer.open_spans(kind="syscall"):
-                if span.site in crashed:
-                    continue
-                out.append(self._make(
-                    run, "liveness:leaked_span",
-                    f"syscall span {span.name!r} on site {span.site} "
-                    f"opened t={span.start:.1f} never finished"))
+        crashed = set()
+        for __, kind, detail in run.injector.trace:
+            if kind == "crash":
+                crashed.add(json.loads(detail).get("site"))
+        for span in run.cluster.tracer.open_spans(kind="syscall"):
+            if span.site in crashed:
+                continue
+            out.append(self._make(
+                run, "liveness:leaked_span",
+                f"syscall span {span.name!r} on site {span.site} "
+                f"opened t={span.start:.1f} never finished"))
         return out
 
 

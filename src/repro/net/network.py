@@ -8,7 +8,7 @@ once the physical fault heals.
 
 The send path is built for throughput: when no fault hook, loss rate or
 per-pair extra latency is armed — the overwhelmingly common case in large
-storms, tracing on or off — a message goes from ``send`` to a scheduled
+storms — a message goes from ``send`` to a scheduled
 delivery with a handful of dict operations on tuple keys and no
 intermediate allocations beyond the delivery event.  Arming a hook adds
 one call that runs the taps and loss draws before the same tail, so both
@@ -24,6 +24,7 @@ from repro.errors import SiteDown, Unreachable
 from repro.net.message import Message, MsgKind, payload_size
 from repro.net.stats import NetStats
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.sim.simulator import Simulator
 
 DeliverFn = Callable[[Message], None]
@@ -55,7 +56,8 @@ class _Circuit:
 class Network:
     """All sites, their physical connectivity, and in-flight messages."""
 
-    def __init__(self, sim: Simulator, cost: Optional[CostModel] = None):
+    def __init__(self, sim: Simulator, tracer: Tracer,
+                 cost: Optional[CostModel] = None):
         self.sim = sim
         self.cost = cost or CostModel()
         self.stats = NetStats()
@@ -79,10 +81,10 @@ class Network:
         # as scripted loss — the circuit closes exactly as for random loss.
         self.taps: List[Callable[[Message], None]] = []
         self.drop_filters: List[Callable[[Message], bool]] = []
-        # Flight recorder (repro.obs): the cluster builder attaches the
-        # shared tracer; the registry records the wire-time vs queue-wait
-        # split per message.  Both are observational only.
-        self.tracer = None
+        # Flight recorder (repro.obs): the cluster's shared tracer, and a
+        # registry of the wire-time vs queue-wait split per message.  Both
+        # are observational only.
+        self.tracer = tracer
         self.metrics = MetricsRegistry("net")
         # Hot-path handles: the wire-time histogram is resolved once, and
         # deliveries go through the slab-recycled scheduling path.
@@ -127,10 +129,9 @@ class Network:
                 if site not in self._deliver_fns:
                     raise ValueError(f"unknown site {site}")
                 self._group[site] = gid
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("net.partition", attrs={
-                "groups": sorted(sorted(g) for g in
-                                 self._segment_members().values())})
+        self.tracer.instant("net.partition", attrs={
+            "groups": sorted(sorted(g) for g in
+                             self._segment_members().values())})
         self._notify_broken(old_pairs, "network partitioned")
 
     def heal(self) -> None:
@@ -141,8 +142,7 @@ class Network:
         """
         for site in self._group:
             self._group[site] = 0
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("net.heal")
+        self.tracer.instant("net.heal")
 
     def _segment_members(self) -> Dict[int, list]:
         members: Dict[int, list] = {}
@@ -213,9 +213,8 @@ class Network:
             queue_wait = arrival - now - wire
             if queue_wait > 0.0:
                 self.metrics.observe("net.queue_wait", queue_wait)
-                if self.tracer is not None:
-                    self.tracer.event(msg.trace_ctx, "queue_wait",
-                                      {"delay": queue_wait, "mtype": key})
+                self.tracer.event(msg.trace_ctx, "queue_wait",
+                                  {"delay": queue_wait, "mtype": key})
         last[dkey] = arrival
         self._wire_hist.observe(wire)
         self.sim._schedule_recycled(arrival - now, self._deliver, (msg,))
@@ -299,10 +298,8 @@ class Network:
             return
         circuit.open = False
         self.stats.circuits_closed += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.instant("net.circuit_closed",
-                                attrs={"pair": list(key),
-                                       "reason": reason})
+        self.tracer.instant("net.circuit_closed",
+                            attrs={"pair": list(key), "reason": reason})
         # The FIFO floor only orders messages within one circuit incarnation;
         # dropping it here keeps _last_delivery from growing without bound
         # across partitions and crashes (a fresh circuit starts fresh).

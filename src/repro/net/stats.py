@@ -38,10 +38,6 @@ class NetStats:
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())
 
-    def record_send(self, stat_key: str, size: int) -> None:
-        self.sent[stat_key] += 1
-        self.bytes_sent[stat_key] += size
-
     def record_pages(self, stat_key: str, n: int) -> None:
         """Count ``n`` data pages served over the wire for ``stat_key``."""
         self.pages[stat_key] += n

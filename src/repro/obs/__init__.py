@@ -13,14 +13,13 @@ from repro.obs.export import (causal_chains, export_chrome, export_jsonl,
                               trace_records, validate_trace_jsonl)
 from repro.obs.critpath import (CritPathReport, analyze, analyze_spans,
                                 format_blame)
-from repro.obs.load import (ConvergenceMonitor, cluster_load_report,
-                            format_top, load_records)
+from repro.obs.load import (cluster_load_report, convergence, format_top,
+                            load_records)
 
 __all__ = [
     "BUCKET_EDGES", "Histogram", "merge_windows", "MetricsRegistry", "Span",
     "SpanCtx", "Tracer", "traced_syscall", "causal_chains", "export_chrome",
     "export_jsonl", "trace_records", "validate_trace_jsonl",
     "CritPathReport", "analyze", "analyze_spans", "format_blame",
-    "ConvergenceMonitor", "cluster_load_report", "format_top",
-    "load_records",
+    "cluster_load_report", "convergence", "format_top", "load_records",
 ]

@@ -9,8 +9,9 @@ property the determinism tests assert with plain file equality.
 
 The Chrome file loads directly in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``: spans become complete ("X") slices grouped by site
-(pid) and trace (tid); fault, partition, and recovery instants become
-global instant ("i") events.
+(pid) and trace (tid); fault, partition, scrub, recovery and repair
+instants become global instant ("i") events.  The tracer always records,
+so every run can be exported.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ _SPAN_KEYS = {"type", "span_id", "trace_id", "parent_id", "name", "kind",
               "site", "start", "end", "status", "attrs", "events"}
 _INSTANT_KEYS = {"type", "seq", "ts", "name", "site", "attrs"}
 # Load records: one per site, derived from the span log and appended after
-# the instants, plus the convergence monitor's detection/repair records.
+# the instants, plus the detection/repair records derived from the fault,
+# scrub and repair instants (``convergence`` in repro.obs.load).
 _LOAD_KEYS = {"type", "site", "ts", "window", "syscalls", "syscall_rate",
               "rpcs", "rpc_rate", "rpc_ops", "hot_inodes", "css",
               "queues", "replication"}

@@ -15,18 +15,18 @@ report time:
   spans;
 * hot inodes and the per-filegroup CSS table — synchronized ``fs.open``
   spans (they carry ``gfile``), each filegroup under its current CSS;
-* queues and replication lag — the sites' live state.
+* queues and replication lag — the sites' live state;
+* divergence detection latency — :func:`convergence`, from the fault,
+  scrub and repair instants.
 
-:class:`ConvergenceMonitor` is the one online recorder: fault, detection
-and repair vtimes are not spans.  :func:`load_records` turns the report
-into the ``load`` / ``detection`` records appended to the JSONL export,
-:func:`format_top` into ``python -m repro.cli top``.
+:func:`load_records` turns the report into the ``load`` / ``detection``
+records appended to the JSONL export, :func:`format_top` into
+``python -m repro.cli top``.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.histogram import Histogram
 from repro.obs.span import ROW
@@ -127,74 +127,67 @@ def _replication(site) -> Dict:
     }
 
 
-class ConvergenceMonitor:
-    """Divergence detection latency: fault-injection vtime to the vtime
-    the scrub or recovery machinery detected / repaired the divergence.
+# Injector actions that can damage a copy (``fault.<kind>`` instants); an
+# audit or a restore repairs, so it never restarts the latency clock.
+_DAMAGE_KINDS = frozenset({
+    "crash", "restart", "partition", "heal", "loss_burst",
+    "latency_spike", "disk_errors", "drop", "dropped"})
+# The scrub's divergence classifications (``scrub.<kind>`` instants); its
+# ``scrub.start`` / ``scrub.complete`` pass markers are not detections.
+_SCRUB_FINDINGS = frozenset({"reconcile", "digest_skew", "placement",
+                             "dangling"})
 
-    One monitor per cluster (like the tracer): the injector notes every
-    fault action, the scrub notes each classified mismatch, and recovery
-    notes each repair it performs.  The latency of an event is measured
-    from the most recent fault at or before it — the deterministic
-    analogue of "how long did the damage go unnoticed".
-    """
 
-    def __init__(self, sim):
-        self.sim = sim
-        self.faults: List[Tuple[float, str]] = []
-        self.events: List[Dict] = []
-        self.detection_latency = Histogram()
-        self._seq = itertools.count(1)
+def convergence(tracer) -> Tuple[List[Dict], Dict]:
+    """Divergence detection latency, derived from the span log: the
+    ``detection`` records and their summary.
 
-    def note_fault(self, kind: str) -> None:
-        self.faults.append((self.sim.now, kind))
-
-    def _note(self, event: str, kind: str, site: Optional[int],
-              gfile) -> None:
-        fault_ts = self.faults[-1][0] if self.faults else None
-        latency = None
+    A ``scrub.<kind>`` classification is a *detect* and a
+    ``repair.<kind>`` instant (recovery propagating or flagging a
+    conflict) a *repair*; each is timed from the most recent damaging
+    ``fault.<kind>`` instant — the deterministic analogue of "how long
+    did the damage go unnoticed".  Only detections feed the latency
+    histogram."""
+    records: List[Dict] = []
+    faults = repairs = 0
+    fault_ts = None
+    latency = Histogram()
+    for inst in tracer.instants:
+        family, __, kind = inst["name"].partition(".")
+        if family == "fault":
+            if kind in _DAMAGE_KINDS:
+                faults += 1
+                fault_ts = inst["ts"]
+            continue
+        if family == "scrub" and kind in _SCRUB_FINDINGS:
+            event = "detect"
+        elif family == "repair":
+            event = "repair"
+            repairs += 1
+        else:
+            continue
+        lag = None
         if fault_ts is not None:
-            latency = round(self.sim.now - fault_ts, 6)
+            lag = round(inst["ts"] - fault_ts, 6)
             if event == "detect":
-                self.detection_latency.observe(latency)
-        self.events.append({
+                latency.observe(lag)
+        records.append({
             "type": "detection",
-            "seq": next(self._seq),
-            "ts": self.sim.now,
+            "seq": len(records) + 1,
+            "ts": inst["ts"],
             "event": event,
             "kind": kind,
-            "site": site,
-            "gfile": list(gfile) if gfile is not None else None,
+            "site": inst["site"],
+            "gfile": inst["attrs"].get("gfile"),
             "fault_ts": fault_ts,
-            "latency": latency,
+            "latency": lag,
         })
-
-    def note_detection(self, kind: str, site: Optional[int] = None,
-                       gfile=None) -> None:
-        """Scrub/recovery classified a divergence."""
-        self._note("detect", kind, site, gfile)
-
-    def note_repair(self, kind: str, site: Optional[int] = None,
-                    gfile=None) -> None:
-        """A divergence was actually repaired (pull installed, conflict
-        flagged, copy retired...)."""
-        self._note("repair", kind, site, gfile)
-
-    def detections(self) -> List[Dict]:
-        return [e for e in self.events if e["event"] == "detect"]
-
-    def repairs(self) -> List[Dict]:
-        return [e for e in self.events if e["event"] == "repair"]
-
-    def records(self) -> List[Dict]:
-        return [dict(e) for e in self.events]
-
-    def summary(self) -> Dict:
-        return {
-            "faults": len(self.faults),
-            "detections": len(self.detections()),
-            "repairs": len(self.repairs()),
-            "detection_latency": self.detection_latency.to_dict(),
-        }
+    return records, {
+        "faults": faults,
+        "detections": len(records) - repairs,
+        "repairs": repairs,
+        "detection_latency": latency.to_dict(),
+    }
 
 
 def load_records(cluster) -> List[Dict]:
@@ -221,7 +214,7 @@ def load_records(cluster) -> List[Dict]:
             "queues": _queues(site),
             "replication": _replication(site),
         })
-    records.extend(cluster.convergence.records())
+    records.extend(convergence(cluster.tracer)[0])
     return records
 
 
@@ -266,7 +259,7 @@ def cluster_load_report(cluster) -> Dict:
             "recovery_pending": recovery_backlog,
             "propagation": sum(s["prop_backlog"] for s in sites),
         },
-        "convergence": cluster.convergence.summary(),
+        "convergence": convergence(cluster.tracer)[1],
     }
 
 

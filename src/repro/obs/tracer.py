@@ -1,23 +1,20 @@
 """The flight recorder: builds the causal span tree for a whole cluster.
 
 One tracer is shared by every site of a cluster (spans from all sites land
-in one ordered log, a span's id is its position in it).  Recording is observational
-only — it never charges CPU, sends messages, adds yield points, or touches
-the simulator RNG — so a run's virtual-time behaviour and message counts
-are identical with tracing on or off, and identical seeds yield identical
-span trees.
+in one ordered log, a span's id is its position in it).  Recording is
+always on and observational only — it never charges CPU, sends messages,
+adds yield points, or touches the simulator RNG — so it cannot move a
+run's virtual time or message counts, and identical seeds yield identical
+span trees.  The span log is the run's one event log: convergence
+(``convergence`` in :mod:`repro.obs.load`) is derived from its instants.
 
 Instrumented code uses the begin/finish pair around a timed region::
 
-    span = prev = None
-    if tracer is not None and tracer.enabled:
-        span, prev = tracer.begin("rpc:fs.open", "rpc", self.site_id,
-                                  peer=dst)
+    span, prev = tracer.begin("rpc:fs.open", "rpc", self.site_id, peer=dst)
     try:
         ...
     finally:
-        if span is not None:
-            tracer.finish(span, prev, status=status)
+        tracer.finish(span, prev, status=status)
 
 ``begin`` parents the new span under the running task's context (or an
 explicit ``parent_ctx``, e.g. a message header) and re-points the task at
@@ -37,9 +34,8 @@ from repro.obs.span import (OPEN, ROW, Span, SpanCtx, SpanLog,
 
 class Tracer:
 
-    def __init__(self, sim, enabled: bool = True):
+    def __init__(self, sim):
         self.sim = sim
-        self.enabled = enabled
         self.spans = SpanLog()
         self.instants: List[Dict] = []
         self._trace_ids = itertools.count(1)
@@ -57,8 +53,7 @@ class Tracer:
               parent_ctx: Optional[SpanCtx] = None,
               attrs: Optional[Dict] = None,
               inherit: bool = True,
-              peer: int = -1) -> Tuple[Optional[SpanCtx],
-                                       Optional[SpanCtx]]:
+              peer: int = -1) -> Tuple[SpanCtx, Optional[SpanCtx]]:
         """Open a span and make it the running task's context.
 
         Returns ``(ctx, previous_ctx)`` — the new span's own context is
@@ -68,8 +63,6 @@ class Tracer:
         ``inherit=False`` roots a fresh trace.  ``peer`` is the other
         site of an rpc (its ``dst``) or handler (its ``src``) span.
         """
-        if not self.enabled:
-            return (None, None)
         opened = self.begin_coded(self.spans.code(name, kind), site, peer,
                                   parent_ctx, inherit)
         if attrs:
@@ -78,9 +71,9 @@ class Tracer:
 
     def begin_coded(self, code: int, site: Optional[int], peer: int = -1,
                     parent_ctx: Optional[SpanCtx] = None, inherit=True):
-        """:meth:`begin` by position, for a caller that checked ``enabled``
-        and resolved its label's :meth:`~repro.obs.span.SpanLog.code` once:
-        every rpc and handler span."""
+        """:meth:`begin` by position, for a caller that resolved its
+        label's :meth:`~repro.obs.span.SpanLog.code` once: every rpc and
+        handler span."""
         task = self.sim.current_task
         prev = task.span_ctx if task is not None else None
         if parent_ctx is None and inherit:
@@ -103,10 +96,8 @@ class Tracer:
             task.span_ctx = ctx
         return (ctx, prev)
 
-    def finish(self, span: Optional[SpanCtx], prev: Optional[SpanCtx],
+    def finish(self, span: SpanCtx, prev: Optional[SpanCtx],
                status: str = "ok") -> None:
-        if span is None:
-            return
         log = self.spans
         row = span[1] - 1
         if log.end[row] != log.end[row]:        # still open
@@ -117,9 +108,8 @@ class Tracer:
         if task is not None:
             task.span_ctx = prev
 
-    def annotate(self, span: Optional[SpanCtx], key: str, value) -> None:
-        if span is not None:
-            self.spans.annotate(span[1] - 1, {key: value})
+    def annotate(self, span: SpanCtx, key: str, value) -> None:
+        self.spans.annotate(span[1] - 1, {key: value})
 
     def event(self, span: Optional[SpanCtx], name: str,
               attrs: Optional[Dict] = None) -> None:
@@ -135,8 +125,6 @@ class Tracer:
     def instant(self, name: str, site: Optional[int] = None,
                 attrs: Optional[Dict] = None) -> None:
         """A zero-duration timeline event (fault fired, epoch changed...)."""
-        if not self.enabled:
-            return
         self.instants.append({
             "type": "instant",
             "seq": next(self._instant_seq),
@@ -171,13 +159,10 @@ def traced_pass(site, kind: str, gfs: int, body, summary):
     exported timeline; ``summary()`` adds its attrs to the completion
     instant.  Pure ``yield from`` delegation, like :func:`traced_syscall`.
     """
-    tracer = getattr(site, "tracer", None)
-    span = prev = None
-    if tracer is not None and tracer.enabled:
-        tracer.instant(f"{kind}.start", site=site.site_id,
-                       attrs={"gfs": gfs})
-        span, prev = tracer.begin(f"{kind}:fg{gfs}", kind, site.site_id,
-                                  inherit=False, attrs={"gfs": gfs})
+    tracer = site.tracer
+    tracer.instant(f"{kind}.start", site=site.site_id, attrs={"gfs": gfs})
+    span, prev = tracer.begin(f"{kind}:fg{gfs}", kind, site.site_id,
+                              inherit=False, attrs={"gfs": gfs})
     status = "ok"
     try:
         return (yield from body)
@@ -185,10 +170,9 @@ def traced_pass(site, kind: str, gfs: int, body, summary):
         status = type(exc).__name__
         raise
     finally:
-        if span is not None:
-            tracer.finish(span, prev, status=status)
-            tracer.instant(f"{kind}.complete", site=site.site_id,
-                           attrs={"gfs": gfs, **summary(), "status": status})
+        tracer.finish(span, prev, status=status)
+        tracer.instant(f"{kind}.complete", site=site.site_id,
+                       attrs={"gfs": gfs, **summary(), "status": status})
 
 
 def traced_syscall(name: str, fn):
@@ -203,11 +187,9 @@ def traced_syscall(name: str, fn):
     def wrapper(self, *args, **kwargs):
         site = self.site
         metrics = getattr(site, "metrics", None)
-        tracer = getattr(site, "tracer", None)
+        tracer = site.tracer
         start = site.sim.now
-        span = prev = None
-        if tracer is not None and tracer.enabled:
-            span, prev = tracer.begin(label, "syscall", site.site_id)
+        span, prev = tracer.begin(label, "syscall", site.site_id)
         status = "ok"
         try:
             result = yield from fn(self, *args, **kwargs)
@@ -217,8 +199,7 @@ def traced_syscall(name: str, fn):
         finally:
             if metrics is not None:
                 metrics.observe(label, site.sim.now - start)
-            if span is not None:
-                tracer.finish(span, prev, status=status)
+            tracer.finish(span, prev, status=status)
         return result
 
     return wrapper

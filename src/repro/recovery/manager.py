@@ -117,11 +117,10 @@ class RecoveryManager:
             return None
         if not self.needs(gfile):
             return None
-        tracer = getattr(self.site, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            # The delayed access's span shows why it waited.
-            tracer.event(tracer.current_ctx(), "demand_recovery",
-                         {"gfile": list(gfile)})
+        # The delayed access's span shows why it waited.
+        tracer = self.site.tracer
+        tracer.event(tracer.current_ctx(), "demand_recovery",
+                     {"gfile": list(gfile)})
         inventories = self._sweep_inventories.get(gfs, {})
         self.pending.get(gfs, set()).discard(ino)
         done = self.site.sim.create_future(f"demand:{gfile}")
@@ -434,10 +433,8 @@ class RecoveryManager:
         if not behind:
             return None
         self.stats.propagations_scheduled += len(behind)
-        monitor = self.site.convergence
-        if monitor is not None:
-            monitor.note_repair("propagate", site=self.site.site_id,
-                                gfile=gfile)
+        self.site.tracer.instant("repair.propagate", site=self.site.site_id,
+                                 attrs={"gfile": list(gfile)})
         # _recovery marks a sweep-driven notify (header-riding, zero wire
         # size): a receiver whose copy strictly supersedes win_attrs
         # answers with its own attributes instead of silently dropping the
@@ -621,10 +618,9 @@ class RecoveryManager:
     def mark_conflict(self, gfile: Gfile,
                       holders: List[Tuple[int, dict]]) -> Generator:
         self.stats.conflicts_marked += 1
-        monitor = self.site.convergence
-        if monitor is not None:
-            monitor.note_repair("mark_conflict", site=self.site.site_id,
-                                gfile=gfile)
+        self.site.tracer.instant("repair.mark_conflict",
+                                 site=self.site.site_id,
+                                 attrs={"gfile": list(gfile)})
         for s, __ in holders:
             yield from self.site.oneway_quiet(s, "fs.mark_conflict",
                                               {"gfile": gfile})

@@ -56,7 +56,7 @@ def site_report(site) -> Dict:
 
 def cluster_report(cluster) -> Dict:
     """Whole-cluster snapshot plus global traffic statistics."""
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     return {
         "vtime": round(cluster.sim.now, 2),
         "events_processed": cluster.sim.events_processed,
@@ -78,9 +78,8 @@ def cluster_report(cluster) -> Dict:
             "latency": cluster.net.metrics.latency_summary(),
         },
         "trace": {
-            "enabled": tracer is not None and tracer.enabled,
-            "spans": len(tracer.spans) if tracer is not None else 0,
-            "instants": len(tracer.instants) if tracer is not None else 0,
+            "spans": len(tracer.spans),
+            "instants": len(tracer.instants),
         },
     }
 
@@ -112,8 +111,7 @@ def format_report(report: Dict) -> str:
     if ppm:
         lines.append("  pages/msg: " + "  ".join(
             f"{k}={v}" for k, v in ppm.items()))
-    trace = report.get("trace") or {}
-    if trace.get("enabled"):
-        lines.append(f"  trace: {trace['spans']} spans, "
-                     f"{trace['instants']} instants")
+    trace = report["trace"]
+    lines.append(f"  trace: {trace['spans']} spans, "
+                 f"{trace['instants']} instants")
     return "\n".join(lines)

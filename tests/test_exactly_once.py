@@ -150,7 +150,8 @@ def _drop_next_response(net, mtype):
         if (msg.mtype == mtype and msg.kind is MsgKind.RESPONSE
                 and not state["dropped"]):
             state["dropped"] += 1
-            net.stats.record_send(msg.stat_key(), msg.size)
+            net.stats.sent[msg.stat_key()] += 1
+            net.stats.bytes_sent[msg.stat_key()] += msg.size
             net.stats.dropped += 1
             net._close_circuit(frozenset((src, dst)), "message lost")
             return

@@ -1,5 +1,5 @@
-"""The ``top`` report derived from the span log, the convergence monitor,
-and the ``load`` / ``detection`` export records."""
+"""The ``top`` report derived from the span log, convergence derived from
+its instants, and the ``load`` / ``detection`` export records."""
 
 import json
 
@@ -7,9 +7,10 @@ import pytest
 
 from repro import LocusCluster
 from repro.cli import _top_workload
-from repro.config import CostModel
+from repro.faults import FaultPlan
+from repro.obs import Tracer
 from repro.obs.export import validate_trace_jsonl
-from repro.obs.load import (ConvergenceMonitor, _rate, cluster_load_report,
+from repro.obs.load import (_rate, cluster_load_report, convergence,
                             format_top, load_records, span_load)
 from repro.workloads.storm import drive, storm_cluster, storm_plan
 
@@ -47,45 +48,107 @@ class TestRateWindow:
 
 
 # ----------------------------------------------------------------------
-# Convergence monitor
+# Convergence, derived from the instants
 # ----------------------------------------------------------------------
 
-class TestConvergenceMonitor:
+def _instants(*stamped):
+    """A tracer holding ``(ts, name, site, gfile)`` instants in order."""
+    sim = FakeSim()
+    tracer = Tracer(sim)
+    for ts, name, site, gfile in stamped:
+        sim.now = ts
+        tracer.instant(name, site=site,
+                       attrs={"gfile": gfile} if gfile else {})
+    return tracer
+
+
+class TestConvergence:
     def test_detection_latency_from_last_fault(self):
-        sim = FakeSim(now=100.0)
-        mon = ConvergenceMonitor(sim)
-        mon.note_fault("crash")
-        sim.now = 160.0
-        mon.note_detection("digest_skew", site=1, gfile=(0, 5))
-        sim.now = 200.0
-        mon.note_repair("propagate", site=1, gfile=(0, 5))
-        assert len(mon.detections()) == 1
-        assert len(mon.repairs()) == 1
-        det = mon.detections()[0]
-        assert det["fault_ts"] == 100.0
-        assert det["latency"] == pytest.approx(60.0)
+        records, summary = convergence(_instants(
+            (100.0, "fault.crash", None, None),
+            (160.0, "scrub.digest_skew", 1, [0, 5]),
+            (200.0, "repair.propagate", 1, [0, 5])))
+        det, rep = records
+        assert det == {"type": "detection", "seq": 1, "ts": 160.0,
+                       "event": "detect", "kind": "digest_skew", "site": 1,
+                       "gfile": [0, 5], "fault_ts": 100.0, "latency": 60.0}
+        assert (rep["seq"], rep["event"], rep["kind"]) \
+            == (2, "repair", "propagate")
+        assert rep["latency"] == pytest.approx(100.0)
         # Only detections feed the latency histogram.
-        assert mon.detection_latency.count == 1
-        summary = mon.summary()
-        assert summary["faults"] == 1
+        assert (summary["faults"], summary["detections"],
+                summary["repairs"]) == (1, 1, 1)
         assert summary["detection_latency"]["count"] == 1
 
     def test_latency_measured_from_most_recent_fault(self):
-        sim = FakeSim(now=0.0)
-        mon = ConvergenceMonitor(sim)
-        mon.note_fault("crash")
-        sim.now = 500.0
-        mon.note_fault("loss_burst")
-        sim.now = 530.0
-        mon.note_detection("reconcile")
-        assert mon.detections()[0]["latency"] == pytest.approx(30.0)
+        records, __ = convergence(_instants(
+            (0.0, "fault.crash", None, None),
+            (500.0, "fault.loss_burst", None, None),
+            (530.0, "scrub.reconcile", 0, None)))
+        assert records[0]["latency"] == pytest.approx(30.0)
+        assert records[0]["gfile"] is None
 
     def test_detection_without_fault_has_no_latency(self):
-        mon = ConvergenceMonitor(FakeSim())
-        mon.note_detection("placement", site=0, gfile=(0, 2))
-        det = mon.detections()[0]
-        assert det["fault_ts"] is None and det["latency"] is None
-        assert mon.detection_latency.count == 0
+        records, summary = convergence(_instants(
+            (0.0, "scrub.placement", 0, [0, 2])))
+        assert records[0]["fault_ts"] is None
+        assert records[0]["latency"] is None
+        assert summary["detection_latency"]["count"] == 0
+
+    def test_pass_markers_are_not_detections(self):
+        records, summary = convergence(_instants(
+            (10.0, "fault.partition", None, None),
+            (20.0, "scrub.start", 0, None),
+            (30.0, "recovery.start", 0, None),
+            (40.0, "recovery.complete", 0, None),
+            (50.0, "scrub.complete", 0, None),
+            (60.0, "net.heal", None, None)))
+        assert records == []
+        assert (summary["faults"], summary["detections"],
+                summary["repairs"]) == (1, 0, 0)
+
+    def test_restores_and_audits_never_reset_fault_ts(self):
+        records, summary = convergence(_instants(
+            (100.0, "fault.latency_spike", None, None),
+            (150.0, "fault.latency_restore", None, None),
+            (160.0, "fault.loss_restore", None, None),
+            (170.0, "fault.invariant_check", None, None),
+            (200.0, "scrub.dangling", 2, [0, 9])))
+        assert records[0]["fault_ts"] == 100.0
+        assert records[0]["latency"] == pytest.approx(100.0)
+        assert summary["faults"] == 1
+
+    def test_divergence_scenario_matches_the_online_monitor(self):
+        # T21 (c): dropped commit notifies leave stale replicas for the
+        # scrub to find.  The records are the ones the online recorder this
+        # derivation replaced wrote for the same run.
+        seed = 31
+        cluster = LocusCluster(n_sites=3, seed=seed)
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.write_file("/f", b"base content " * 40)
+        cluster.settle()
+        cluster.inject(FaultPlan(seed=seed, name="t21-divergence").drop(
+            "fs.notify", count=2, at=cluster.sim.now + 10.0))
+        sh.write_file("/f", b"newer content " * 40)
+        cluster.settle()
+        cluster.site(cluster.site(0).fs.mount.css_for(0)).scrub.schedule(0)
+        cluster.settle()
+        records, summary = convergence(cluster.tracer)
+        fault_ts = 203.57599999999994
+        assert records == [
+            {"type": "detection", "seq": 1, "ts": 563.8539999999999,
+             "event": "detect", "kind": "reconcile", "site": 0,
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 360.278},
+            {"type": "detection", "seq": 2, "ts": 653.9459999999998,
+             "event": "repair", "kind": "propagate", "site": 0,
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 450.37}]
+        assert summary == {
+            "faults": 3, "detections": 1, "repairs": 1,
+            "detection_latency": {
+                "count": 1, "total": 360.278, "mean": 360.278,
+                "min": 360.278, "max": 360.278,
+                "p50": 500.0, "p95": 500.0, "p99": 500.0}}
 
 
 # ----------------------------------------------------------------------
@@ -185,16 +248,6 @@ class TestTopReport:
         holders = [r["site"] for r in load_records(cluster)
                    if r["type"] == "load" and r["css"]]
         assert holders == [css]
-
-    def test_tracing_off_reports_no_span_derived_load(self):
-        cluster = LocusCluster(n_sites=2, seed=3,
-                               cost=CostModel(trace_enabled=False))
-        cluster.shell(1).write_file("/f", b"x" * 64)
-        cluster.settle()
-        report = cluster_load_report(cluster)
-        assert [s["syscalls"] for s in report["sites"]] == [0, 0]
-        assert report["hot_inodes"] == [] and report["css"] == []
-        assert "LOCUS top" in format_top(cluster)
 
     def test_report_sections_present(self):
         cluster, __ = _top_workload(seed=3, sites=2, ops=20)

@@ -7,6 +7,7 @@ from repro.errors import SiteDown, Unreachable
 from repro.net import Message, MsgKind, Network
 from repro.net.message import payload_size
 from repro.net.stats import StatsWindow
+from repro.obs import Tracer
 from repro.sim import Simulator
 
 
@@ -15,7 +16,7 @@ class Harness:
 
     def __init__(self, n=3, cost=None):
         self.sim = Simulator(seed=1)
-        self.net = Network(self.sim, cost or CostModel())
+        self.net = Network(self.sim, Tracer(self.sim), cost or CostModel())
         self.delivered = {i: [] for i in range(n)}
         self.closed = {i: [] for i in range(n)}
         for i in range(n):

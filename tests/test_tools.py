@@ -216,5 +216,4 @@ class TestInspect:
         site0 = report["sites"][0]
         assert site0["latency"]["syscall.open"]["count"] >= 1
         assert any(row["propagation"]["pulls"] for row in report["sites"])
-        assert report["trace"]["enabled"] is True
         assert report["trace"]["spans"] > 0

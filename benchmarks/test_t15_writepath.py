@@ -11,9 +11,11 @@ The write-side mirror of T14.  Two hot paths:
 The two optimisations under test (both default-off, so every other
 benchmark still measures the paper's exact protocol):
 
-* ``batch_writes`` — stage dirty pages at the US and ship them in
-  ``fs.write_pages`` chunks of up to ``batch_pages``; the commit carries
-  the staged-page count so a lost chunk can never half-commit.
+* ``batch_pages`` — the one batching rule: a remote write stages its page
+  at the US and ships the staged pages in ``fs.write_pages`` chunks of up
+  to ``batch_pages`` (a one-page chunk is the paper's ``fs.write_page``);
+  the commit carries the staged-page count so a lost chunk can never
+  half-commit.
 * ``pull_manifest`` — service a heal backlog with one ``fs.pull_manifest``
   RPC per source plus ``pull_pipeline`` concurrent pulls, instead of a
   per-file open round trip.
@@ -38,11 +40,11 @@ HEAL_FILES = 20       # small files healed after the partition
 
 COMBOS = [
     ("off", {}),
-    ("batch", {"batch_writes": True, "batch_pages": 8}),
-    ("manifest", {"pull_manifest": True, "pull_pipeline": 4,
-                  "batch_pages": 8}),
-    ("both", {"batch_writes": True, "pull_manifest": True,
-              "batch_pages": 8, "pull_pipeline": 4}),
+    ("batch", {"batch_pages": 8}),
+    # The manifest alone: with batch_pages it would batch the writes too.
+    ("manifest", {"pull_manifest": True, "pull_pipeline": 4}),
+    ("both", {"pull_manifest": True, "batch_pages": 8,
+              "pull_pipeline": 4}),
 ]
 
 

@@ -89,7 +89,7 @@ class Console:
             return handler(args)
         except LocusError as exc:
             return f"error: {exc}"
-        except (TypeError, IndexError):
+        except (TypeError, IndexError, ValueError):
             return f"usage error for {cmd!r} (try: help)"
 
     # -- filesystem commands -------------------------------------------------

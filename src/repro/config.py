@@ -85,27 +85,22 @@ class CostModel:
     # vector so repeat pathname components skip the open/read/decode/close
     # cycle.
     name_cache: bool = False
-    # Batched page transfer: up to this many pages per fs.read_pages /
-    # fs.pull_read_range message (1 = the paper's one-page-per-message
-    # protocol).  Message size stays the sum of payload bytes, so the wire
-    # model keeps charging honestly for the data moved.
+    # Batched page transfer, the one rule for every page on the wire:
+    # reads, readahead, write-behind flushes and propagation pulls move up
+    # to this many pages per message, and a one-page chunk travels in the
+    # paper's per-page message (1 = the paper's protocol).  A remote write
+    # stages its page and flushes once this many are staged or at an
+    # ordering point (commit, truncate, attribute change, close).  Message
+    # size stays the sum of payload bytes, so the wire model keeps charging
+    # honestly for the data moved.
     batch_pages: int = 1
-    readahead_window: int = 1       # minimum pages fetched ahead (floor)
-    # Adaptive readahead cap: the window grows with the observed sequential
-    # run length of each open file (1, 2, 3, ... pages ahead) up to this
-    # many pages, and collapses back to the floor on any non-sequential
-    # access.  Random workloads therefore never over-fetch while long scans
+    # Adaptive readahead cap: the window is the observed sequential run
+    # length of each open file (1, 2, 3, ... pages ahead) up to this many
+    # pages, and collapses back to one page on any non-sequential access.
+    # Random workloads therefore never over-fetch while long scans
     # converge to full-window prefetch.
     readahead_max: int = 8
     pull_pipeline: int = 1          # concurrent propagation-pull requests
-    # Batched write/commit flush: stage dirty pages at the US and ship them
-    # to a remote SS in fs.write_pages messages of up to batch_pages pages
-    # (one-way, like fs.write_page), flushing before every ordering point
-    # (commit, truncate, attribute change, close).  The commit request then
-    # carries the number of page writes shipped so a partially delivered
-    # batch can never half-commit.  Single-page flushes keep the paper's
-    # exact fs.write_page message.
-    batch_writes: bool = False
     # Manifest-based heal pull: when the propagation queue holds several
     # requests (a recovery sweep notifies once per behind file), ask each
     # source for all of its files' attributes in one fs.pull_manifest RPC

@@ -32,10 +32,10 @@ class UsHandle:
     # Length of the current sequential run (consecutive page reads); drives
     # the adaptive readahead window and resets on any non-sequential access.
     run_len: int = 0
-    # Write-behind state for the batched commit path (batch_writes): page
-    # images staged locally but not yet shipped to a remote SS, the size the
-    # next flush must carry, and a count of page writes shipped since the
-    # last commit/abort.  The commit request carries ``pages_sent`` so the
+    # Write-behind state of a remote write (flushed in chunks of
+    # ``batch_pages``): page images staged locally but not yet shipped to
+    # the SS, the size the next flush must carry, and a count of page
+    # writes shipped since the last commit/abort.  The commit request carries ``pages_sent`` so the
     # SS can refuse to commit a partially delivered batch.
     pending_writes: Dict[int, bytes] = field(default_factory=dict)
     pending_size: int = 0
@@ -107,7 +107,7 @@ class SsOpen:
     writer: Optional[int] = None
     page_holders: Dict[int, Set[int]] = field(default_factory=dict)
     # Remote page writes applied since the last commit/abort; checked
-    # against the batched commit's expected count (lost one-way messages
+    # against the commit's expected count (lost one-way messages
     # must fail the commit, never half-apply it).
     pages_received: int = 0
     # A staged page write failed at the physical disk (the one-way write

@@ -30,6 +30,7 @@ Implements the message sequences of paper section 2.3 exactly:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
@@ -768,11 +769,28 @@ class FsManager(PathMixin, NamespaceMixin):
             yield from self.site.cpu(self.cost.cpu_page_copy)
         return b"".join(chunks)
 
+    def _read_chunk(self, rpc, gfile: Gfile, chunk: List[int],
+                    committed: bool) -> Generator:
+        """Fetch one chunk of pages from the SS in one message and return
+        ``{page: data}``.  The chunk length alone picks the message: one
+        page travels in the paper's ``fs.read_page``, more in
+        ``fs.read_pages``.  ``rpc(op, payload)`` is the call that carries
+        it — supervised for a demand read, bare for readahead."""
+        payload = {"gfile": gfile}
+        if committed:
+            payload["committed"] = True
+        if len(chunk) == 1:
+            payload["page"] = chunk[0]
+            return {chunk[0]: (yield from rpc("fs.read_page", payload))}
+        payload["pages"] = list(chunk)
+        reply = yield from rpc("fs.read_pages", payload)
+        return reply["pages"]
+
     def _prefetch_pages(self, handle: UsHandle, pages) -> Generator:
-        """Fetch the missing pages of a multi-page read from a remote SS
-        with batched ``fs.read_pages`` requests (up to ``batch_pages`` pages
-        per message).  Fills the same cache keyspace the per-page path uses,
-        so ``_get_page`` then serves every page as a buffer hit."""
+        """Fetch the missing pages of a multi-page read from a remote SS in
+        chunks of up to ``batch_pages`` pages (``_read_chunk``).  Fills the
+        same cache keyspace the per-page path uses, so ``_get_page`` then
+        serves every page as a buffer hit."""
         gfile = handle.gfile
         committed = not handle.sync
 
@@ -795,18 +813,16 @@ class FsManager(PathMixin, NamespaceMixin):
                     self._inflight[key_of(p)] = fut
                     futs[p] = fut
             try:
-                resp = yield from self._read_rpc(
-                    handle, "fs.read_pages", {
-                        "gfile": gfile, "pages": list(chunk),
-                        "committed": committed,
-                    })
+                fetched = yield from self._read_chunk(
+                    functools.partial(self._read_rpc, handle), gfile,
+                    chunk, committed)
             except BaseException as exc:
                 for p, fut in futs.items():
                     self._inflight.pop(key_of(p), None)
                     fut.fail(exc)
                 raise
             for p in chunk:
-                data = resp["pages"][p]
+                data = fetched[p]
                 if not committed:
                     self._inflight.pop(key_of(p), None)
                 if key_of(p) not in self.site.cache:
@@ -834,9 +850,9 @@ class FsManager(PathMixin, NamespaceMixin):
             return data
         staged = handle.pending_writes.get(page)
         if staged is not None:
-            # Write-behind (batch_writes): the handle's own staged page is
-            # the newest content; it may already have been evicted from the
-            # buffer cache, and the SS has not seen it yet.
+            # Write-behind: the handle's own staged page is the newest
+            # content; it may already have been evicted from the buffer
+            # cache, and the SS has not seen it yet.
             yield from self.site.cpu(self.cost.buffer_hit)
             handle.note_read(page)
             return staged
@@ -881,12 +897,9 @@ class FsManager(PathMixin, NamespaceMixin):
         the observed sequential run length of this handle (1, 2, 3, ...)
         up to ``cost.readahead_max``, so long remote scans stream instead
         of stalling every page while random access never over-fetches.
-        ``cost.readahead_window`` remains the floor: configuring it to the
-        cap reproduces the old fixed-window behaviour exactly."""
+        One task fetches each chunk of ``batch_pages`` pages."""
         limit = self._n_pages(handle.size)
-        cost = self.cost
-        window = max(max(1, cost.readahead_window),
-                     min(handle.run_len, cost.readahead_max))
+        window = max(1, min(handle.run_len, self.cost.readahead_max))
         targets = []
         for p in range(page, min(page + window, limit)):
             key = self._page_key(handle.gfile, p)
@@ -895,52 +908,29 @@ class FsManager(PathMixin, NamespaceMixin):
             fut = self.site.sim.create_future(f"readahead:{key}")
             self._inflight[key] = fut
             targets.append((p, key, fut))
-        if not targets:
-            return
-        if self.cost.batch_pages > 1 and len(targets) > 1:
-            self.site.spawn(self._readahead_batch(handle, targets),
-                            name=f"readahead:{handle.gfile}:{page}+")
-        else:
-            for p, key, fut in targets:
-                self.site.spawn(self._readahead(handle, p, key, fut),
-                                name=f"readahead:{handle.gfile}:{p}")
-
-    def _readahead(self, handle: UsHandle, page: int, key, fut) -> Generator:
-        try:
-            data = yield from self.site.rpc(handle.ss_site, "fs.read_page", {
-                "gfile": handle.gfile, "page": page,
-            })
-        except (NetworkError, EBADF, ESTALE, ENOENT) as exc:
-            self._inflight.pop(key, None)
-            fut.fail(exc)
-            return
-        self._inflight.pop(key, None)
-        if key not in self.site.cache:   # never clobber a newer write
-            self.site.cache.put(key, data)
-        fut.resolve(data)
-
-    def _readahead_batch(self, handle: UsHandle, targets) -> Generator:
-        """Readahead for several pages with fs.read_pages messages."""
         batch = self.cost.batch_pages
         for i in range(0, len(targets), batch):
             chunk = targets[i:i + batch]
-            try:
-                resp = yield from self.site.rpc(
-                    handle.ss_site, "fs.read_pages", {
-                        "gfile": handle.gfile,
-                        "pages": [p for p, __, __ in chunk],
-                    })
-            except (NetworkError, EBADF, ESTALE, ENOENT) as exc:
-                for __, key, fut in chunk:
-                    self._inflight.pop(key, None)
-                    fut.fail(exc)
-                continue
-            for p, key, fut in chunk:
-                data = resp["pages"][p]
+            self.site.spawn(self._readahead(handle, chunk),
+                            name=f"readahead:{handle.gfile}:{chunk[0][0]}")
+
+    def _readahead(self, handle: UsHandle, targets) -> Generator:
+        """Fetch one chunk of ``(page, key, future)`` readahead targets."""
+        try:
+            fetched = yield from self._read_chunk(
+                functools.partial(self.site.rpc, handle.ss_site),
+                handle.gfile, [p for p, __, __ in targets], False)
+        except (NetworkError, EBADF, ESTALE, ENOENT) as exc:
+            for __, key, fut in targets:
                 self._inflight.pop(key, None)
-                if key not in self.site.cache:   # never clobber a newer write
-                    self.site.cache.put(key, data)
-                fut.resolve(data)
+                fut.fail(exc)
+            return
+        for p, key, fut in targets:
+            data = fetched[p]
+            self._inflight.pop(key, None)
+            if key not in self.site.cache:   # never clobber a newer write
+                self.site.cache.put(key, data)
+            fut.resolve(data)
 
     def _get_page_committed(self, handle: UsHandle, page: int) -> Generator:
         gfile = handle.gfile
@@ -1085,32 +1075,23 @@ class FsManager(PathMixin, NamespaceMixin):
         # at the surviving replica.
         handle.staged_pages[page] = data
         self.site.cache.put(self._page_key(gfile, page), data)
-        if self.cost.batch_writes:
-            # Write-behind: stage the page and ship a full batch at once.
-            # FIFO circuits keep delivery order, and every ordering point
-            # (commit, truncate, attribute change, close) flushes first, so
-            # the SS sees the same operation sequence as the per-page
-            # protocol — just in fewer messages.
-            handle.pending_writes[page] = data
-            handle.pending_size = max(handle.pending_size, new_size)
-            if len(handle.pending_writes) >= max(1, self.cost.batch_pages):
-                yield from self._flush_writes(handle)
-            return
-        # The write protocol is a single one-way message (section 2.3.5).
-        yield from self.site.oneway(handle.ss_site, "fs.write_page", {
-            "gfile": gfile, "page": page, "data": data, "size": new_size,
-        })
-        # Sender-side delivery accounting, mirroring the batched path: the
-        # commit carries this count so a page lost to a closed circuit
-        # fails the commit instead of silently committing a hole.
-        handle.pages_sent += 1
+        # Write-behind: stage the page and ship a full chunk at once.  FIFO
+        # circuits keep delivery order, and every ordering point (commit,
+        # truncate, attribute change, close) flushes first, so the SS sees
+        # the same operation sequence as the per-page protocol — just in
+        # fewer messages.  With batch_pages=1 every page flushes at once.
+        handle.pending_writes[page] = data
+        handle.pending_size = max(handle.pending_size, new_size)
+        if len(handle.pending_writes) >= self.cost.batch_pages:
+            yield from self._flush_writes(handle)
 
     def _flush_writes(self, handle: UsHandle) -> Generator:
         """Ship the handle's staged pages to its remote SS in one-way
-        ``fs.write_pages`` chunks of up to ``batch_pages`` pages.  A chunk
-        of one page keeps the paper-exact ``fs.write_page`` message.  The
-        shipped count accumulates in ``handle.pages_sent``; the batched
-        commit carries it so a lost chunk can never half-commit."""
+        chunks of up to ``batch_pages`` pages: a one-page chunk in the
+        paper's ``fs.write_page`` (section 2.3.5), more in
+        ``fs.write_pages``.  The shipped count accumulates in
+        ``handle.pages_sent``; the commit carries it so a lost chunk can
+        never half-commit."""
         while handle.flush_done is not None and not handle.flush_done.done:
             # Another task sharing the handle has a flush still on the
             # wire: ordering points must queue behind it so a commit never
@@ -1125,7 +1106,7 @@ class FsManager(PathMixin, NamespaceMixin):
         size = handle.pending_size
         handle.pending_writes = {}
         handle.pending_size = 0
-        batch = max(1, self.cost.batch_pages)
+        batch = self.cost.batch_pages
         try:
             for i in range(0, len(pages), batch):
                 chunk = pages[i:i + batch]
@@ -1412,20 +1393,14 @@ class FsManager(PathMixin, NamespaceMixin):
             self.site.stamp_done(stamp[1])
 
     def _expect_pages(self, handle: UsHandle, payload: dict) -> Generator:
-        """Put into a commit request the number of page writes the SS must
-        have received, so a write lost to a closed circuit fails the
-        commit instead of half-applying or silently committing a hole."""
-        if self.cost.batch_writes:
-            # Flush the write-behind remainder first: the count covers it.
-            yield from self._flush_writes(handle)
-            payload["expected_pages"] = handle.pages_sent
-        else:
-            # The per-page protocol's writes are one-way with no delivery
-            # guarantee either; the same commit guard applies.  The count
-            # rides the header (underscore key, excluded from the wire-size
-            # model) so fault-free message timing matches the paper's
-            # protocol exactly.
-            payload["_expected"] = handle.pages_sent
+        """Flush the write-behind remainder, then put into a commit request
+        the number of page writes the SS must have received, so a write
+        lost to a closed circuit fails the commit instead of half-applying
+        or silently committing a hole.  The count rides the header
+        (underscore key, excluded from the wire-size model) so fault-free
+        message timing matches the paper's protocol exactly."""
+        yield from self._flush_writes(handle)
+        payload["_expected"] = handle.pages_sent
 
     def abort(self, handle: UsHandle) -> Generator:
         """Undo changes back to the previous commit point."""
@@ -1443,9 +1418,7 @@ class FsManager(PathMixin, NamespaceMixin):
         return None
 
     def h_commit(self, src: int, p: dict) -> Generator:
-        expected = p.get("expected_pages")
-        if expected is None:
-            expected = p.get("_expected")
+        expected = p.get("_expected")
         so = self.ss.get(p["gfile"])
         # A physical write failure mid-chunk also stops the staged count;
         # that case is left to _ss_commit, which reports the root cause

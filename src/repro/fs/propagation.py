@@ -8,6 +8,10 @@ procedure uses the standard commit mechanism, so if contact is lost with the
 site containing the newer version, the local site is still left with a
 coherent, complete copy of the file, albeit still out of date."
 
+The pages travel in chunks of up to ``CostModel.batch_pages`` pages, the
+same rule as every other page transfer: a one-page chunk is the paper's
+``fs.pull_read`` round trip, a longer one one ``fs.pull_read_range``.
+
 With ``CostModel.pull_manifest`` on, a backlog of queued requests (a
 recovery sweep after a partition heal sends one ``fs.notify`` per behind
 file) is serviced as a batch: one ``fs.pull_manifest`` RPC per source
@@ -458,38 +462,32 @@ class Propagator:
                     waits: Optional[List[int]] = None) -> Generator:
         """Page the data across from ``source`` into ``shadow``.
 
-        The paper's protocol is one ``fs.pull_read`` round trip per page.
-        With ``batch_pages`` > 1 the pages travel in ``fs.pull_read_range``
-        chunks, and with ``pull_pipeline`` > 1 several chunk requests are
-        kept in flight at once — the source reads the next chunk off its
-        disk while earlier ones are on the wire.  Pages are still written
+        The pages travel in chunks of up to ``batch_pages`` pages
+        (``_fetch_chunk``); ``batch_pages=1`` is the paper's protocol, one
+        ``fs.pull_read`` round trip per page.  With ``pull_pipeline`` > 1
+        several chunk requests are kept in flight at once — the source
+        reads the next chunk off its disk while earlier ones are on the
+        wire.  A round of one chunk runs inline.  Pages are still written
         to secondary storage here in file order, so the shadow-commit
         invariant (a coherent copy survives any failure) is untouched.
         """
         fs = self.fs
-        batch = max(1, fs.cost.batch_pages)
+        batch = fs.cost.batch_pages
         depth = max(1, fs.cost.pull_pipeline)
-        if batch == 1 and depth == 1:
-            for page in pages:
-                self._count_wait(waits)
-                data = yield from self.site.rpc(source, "fs.pull_read", {
-                    "gfile": gfile, "page": page,
-                }, timeout=self.site.backstop)
-                shadow.write_page(page, data)
-                yield from self.site.cpu(fs.cost.disk_write)
-                self.stats.pages_pulled += 1
-            return None
         chunks = [pages[i:i + batch] for i in range(0, len(pages), batch)]
         for r in range(0, len(chunks), depth):
             in_flight = chunks[r:r + depth]
-            tasks = [self.site.spawn(self._fetch_chunk(source, gfile, chunk),
-                                     name=f"pullrange:{gfile}")
-                     for chunk in in_flight]
-            if len(tasks) > 1:
-                self.stats.pipelined_rounds += 1
             self._count_wait(waits)
-            results = yield self.site.sim.gather(
-                [t.done for t in tasks], label=f"pullround:{gfile}")
+            if len(in_flight) == 1:
+                results = [(yield from self._fetch_chunk(source, gfile,
+                                                         in_flight[0]))]
+            else:
+                self.stats.pipelined_rounds += 1
+                tasks = [self.site.spawn(
+                    self._fetch_chunk(source, gfile, chunk),
+                    name=f"pullrange:{gfile}") for chunk in in_flight]
+                results = yield self.site.sim.gather(
+                    [t.done for t in tasks], label=f"pullround:{gfile}")
             for fetched in results:
                 for page in sorted(fetched):
                     shadow.write_page(page, fetched[page])
@@ -499,8 +497,10 @@ class Propagator:
 
     def _fetch_chunk(self, source: int, gfile: Gfile,
                      chunk: List[int]) -> Generator:
-        """Fetch one chunk of committed pages; ``{page: data}``."""
-        if len(chunk) == 1 and self.fs.cost.batch_pages == 1:
+        """Fetch one chunk of committed pages; ``{page: data}``.  The
+        chunk length alone picks the message: one page travels in the
+        paper's ``fs.pull_read``, more in ``fs.pull_read_range``."""
+        if len(chunk) == 1:
             data = yield from self.site.rpc(source, "fs.pull_read", {
                 "gfile": gfile, "page": chunk[0],
             }, timeout=self.site.backstop)

@@ -6,7 +6,7 @@ consistency suites re-run under the optimisation flags without editing
 any test.  Clusters built with an explicit CostModel keep it — tests
 that pin exact message counts stay pinned.  Example::
 
-    LOCUS_COST_FLAGS="batch_writes=1,pull_manifest=1,batch_pages=4" \
+    LOCUS_COST_FLAGS="pull_manifest=1,batch_pages=4" \
         pytest tests/
 """
 

@@ -1,4 +1,5 @@
-"""Batched page transfer (fs.read_pages / fs.pull_read_range), the widened
+"""Batched page transfer (fs.read_pages / fs.write_pages /
+fs.pull_read_range under the one ``batch_pages`` rule), the adaptive
 readahead window, the pipelined propagation pull, and the two bookkeeping
 fixes that ride along (buffer-cache file index, FIFO-floor pruning).
 """
@@ -34,20 +35,24 @@ def _open_remote(cluster, attrs):
 
 class TestBatchedRead:
     def test_multi_page_read_uses_few_messages(self):
-        data = bytes(range(256)) * 32            # 8 pages
-        cluster = _cluster(batch_pages=4, readahead_max=0)
-        attrs = _make_remote_file(cluster, "/f", data)
-        site1, handle = _open_remote(cluster, attrs)
-        win = StatsWindow(cluster.stats)
-        assert cluster.call(1, site1.fs.read(handle, 0, len(data))) == data
-        snap = win.close()
-        assert snap.sent["fs.read_pages"] == 2   # ceil(8 / 4)
-        assert "fs.read_page" not in snap.sent
-        assert cluster.stats.pages_per_message("fs.read_pages") == 4.0
+        # (pages, fs.read_pages sent, fs.read_page sent): a one-page tail
+        # chunk travels in the paper's per-page message.
+        for n_pages, many, single in ((8, 2, 0), (5, 1, 1)):
+            data = bytes(range(256)) * 4 * n_pages
+            cluster = _cluster(batch_pages=4, readahead_max=0)
+            attrs = _make_remote_file(cluster, "/f", data)
+            site1, handle = _open_remote(cluster, attrs)
+            win = StatsWindow(cluster.stats)
+            assert cluster.call(1, site1.fs.read(handle, 0, len(data))) \
+                == data
+            snap = win.close()
+            assert snap.sent["fs.read_pages"] == many, n_pages
+            assert snap.sent.get("fs.read_page", 0) == single, n_pages
+            assert cluster.stats.pages_per_message("fs.read_pages") == 4.0
 
     def test_batched_content_identical_to_unbatched(self):
         data = b"".join(bytes([i % 251]) * 97 for i in range(80))
-        for kw in ({}, {"batch_pages": 4, "readahead_window": 4}):
+        for kw in ({}, {"batch_pages": 4}):
             cluster = _cluster(**kw)
             _make_remote_file(cluster, "/f", data)
             assert cluster.shell(1).read_file("/f") == data
@@ -63,45 +68,50 @@ class TestBatchedRead:
         assert "fs.read_pages" not in snap.sent
 
     def test_readahead_window_batches_lookahead(self):
+        """The readahead window is the sequential run length so far: a
+        window of one page travels in the paper's fs.read_page, a wider
+        one in one fs.read_pages."""
         psz = CostModel().page_size
         data = b"r" * (psz * 8)
-        cluster = _cluster(batch_pages=4, readahead_window=4)
+        cluster = _cluster(batch_pages=4)
         attrs = _make_remote_file(cluster, "/f", data)
-        site1 = cluster.site(1)
-        from repro.fs.types import Mode
-        handle = cluster.call(
-            1, site1.fs.open_gfile((0, attrs["ino"]), Mode.READ))
+        site1, handle = _open_remote(cluster, attrs)
+
+        def read(page):
+            got = cluster.call(1, site1.fs.read(handle, page * psz, psz))
+            assert got == data[page * psz:(page + 1) * psz]
+            cluster.settle()
+
         win = StatsWindow(cluster.stats)
-        # Page 0 then page 1: the second (sequential) read opens the
-        # readahead window, which travels as one fs.read_pages batch.
-        assert cluster.call(1, site1.fs.read(handle, 0, psz)) == data[:psz]
-        assert cluster.call(1, site1.fs.read(handle, psz, psz)) \
-            == data[psz:2 * psz]
-        cluster.settle()
+        read(0)
+        read(1)             # run of 1: page 2 read ahead on its own
         snap = win.close()
-        assert snap.sent["fs.read_page"] == 2          # the demand reads
-        assert snap.sent["fs.read_pages"] == 1         # pages 2-5 together
-        # Pages 2-5 are now cached: reading them sends nothing.
+        assert snap.sent["fs.read_page"] == 3     # two demand, one ahead
+        assert "fs.read_pages" not in snap.sent
         win2 = StatsWindow(cluster.stats)
-        assert cluster.call(1, site1.fs.read(handle, 2 * psz, 4 * psz)) \
-            == data[2 * psz:6 * psz]
-        assert win2.close().total_messages == 0
+        read(2)             # buffer hit, run of 2: pages 3-4 together
+        snap2 = win2.close()
+        assert snap2.sent["fs.read_pages"] == 1
+        assert "fs.read_page" not in snap2.sent
+        cached = [p for p in range(8) if site1.fs._page_key(
+            handle.gfile, p) in site1.cache]
+        assert cached == [0, 1, 2, 3, 4]
         cluster.call(1, site1.fs.close(handle))
 
 
 class TestBatchedPull:
-    def _pull_stats(self, **cost_kw):
+    def _pull_stats(self, n_pages=16, **cost_kw):
         cluster = LocusCluster(n_sites=2, seed=9,
                                cost=CostModel().with_overrides(**cost_kw))
         sh0 = cluster.shell(0)
         sh0.setcopies(2)
         sh0.write_file("/big", b"s")
         cluster.settle()                       # tiny initial propagation
-        data = bytes((i * 7) % 256 for i in range(16 * 1024))   # 16 pages
+        data = bytes((i * 7) % 256 for i in range(n_pages * 1024))
         sh0.write_file("/big", data)
         # Measure from here: the local write is done and the commit notify
         # is already on the wire, so window and clock see (almost) only the
-        # 16-page propagation pull at site 1.
+        # n_pages-page propagation pull at site 1.
         t0 = cluster.sim.now
         win = StatsWindow(cluster.stats)
         cluster.settle()                       # the measured pull
@@ -110,7 +120,7 @@ class TestBatchedPull:
         site1 = cluster.site(1)
         pulled = b"".join(
             cluster.call(1, site1.fs._committed_block((0, 2), p))
-            for p in range(16))
+            for p in range(n_pages))
         # /big is ino 2 (first allocation after the root): verify from the
         # inode rather than assuming, to keep the check honest.
         ino = sh0.stat("/big")["ino"]
@@ -118,15 +128,20 @@ class TestBatchedPull:
         return cluster, snap, vtime, pulled[:len(data)], data
 
     def test_pull_uses_range_messages_and_pipelines(self):
-        cluster, snap, __, pulled, data = self._pull_stats(
-            batch_pages=4, pull_pipeline=2)
-        assert pulled == data
-        assert snap.sent["fs.pull_read_range"] == 4    # 16 pages / 4
-        assert "fs.pull_read" not in snap.sent
-        prop = cluster.site(1).fs.propagator.stats     # cumulative
-        assert prop.range_requests >= 4
-        assert prop.pipelined_rounds >= 2              # 4 chunks / depth 2
-        assert prop.pages_pulled >= 16
+        # (pages, pipeline depth, fs.pull_read_range sent, fs.pull_read
+        # sent, pipelined rounds): a one-page tail chunk travels in the
+        # paper's per-page message; a round of one chunk is not pipelined.
+        for n_pages, depth, ranges, singles, rounds in ((16, 2, 4, 0, 2),
+                                                        (5, 1, 1, 1, 0)):
+            cluster, snap, __, pulled, data = self._pull_stats(
+                n_pages, batch_pages=4, pull_pipeline=depth)
+            assert pulled == data
+            assert snap.sent["fs.pull_read_range"] == ranges, n_pages
+            assert snap.sent.get("fs.pull_read", 0) == singles, n_pages
+            prop = cluster.site(1).fs.propagator.stats     # cumulative
+            assert prop.range_requests >= ranges
+            assert prop.pipelined_rounds >= rounds
+            assert prop.pages_pulled >= n_pages
 
     def test_pipelined_pull_is_faster_and_lighter(self):
         __, snap_off, vtime_off, pulled_off, data = self._pull_stats()
@@ -157,7 +172,7 @@ class TestWriteBatchCostModel:
 
     def test_staged_flush_is_one_message_with_summed_payload(self):
         psz = CostModel().page_size
-        cluster = _cluster(batch_writes=True, batch_pages=4)
+        cluster = _cluster(batch_pages=4)
         attrs = _make_remote_file(cluster, "/f", b"0" * (4 * psz))
         site1 = cluster.site(1)
         from repro.fs.types import Mode
@@ -167,19 +182,43 @@ class TestWriteBatchCostModel:
         for p in range(4):
             cluster.call(1, site1.fs.write(handle, p * psz,
                                            bytes([p]) * psz))
+        cluster.call(1, site1.fs.commit(handle))
         snap = win.close()
-        # Four whole-page writes, batch_pages=4: exactly one flush message.
+        # Four whole-page writes, batch_pages=4: exactly one flush message,
+        # and the commit has nothing left to flush.
         assert snap.sent.get("fs.write_pages", 0) == 1
         assert "fs.write_page" not in snap.sent
         assert cluster.stats.pages_per_message("fs.write_pages") == 4.0
         # The wire charges the summed page payload (plus small framing):
         # the batch can never smuggle data past the byte-time model.
         assert snap.total_bytes >= 4 * psz
-        cluster.call(1, site1.fs.commit(handle))
         cluster.call(1, site1.fs.close(handle))
         cluster.settle()
         assert cluster.shell(0).read_file("/f") == b"".join(
             bytes([p]) * psz for p in range(4))
+
+    def test_commit_wire_bytes_do_not_depend_on_batching(self):
+        """The commit's count of shipped page writes rides the header, so
+        a batched fs.commit costs the per-page protocol's wire bytes."""
+        psz = CostModel().page_size
+        commit_bytes = []
+        for kw in ({}, {"batch_pages": 4}):
+            cluster = _cluster(**kw)
+            attrs = _make_remote_file(cluster, "/f", b"0" * (4 * psz))
+            site1 = cluster.site(1)
+            from repro.fs.types import Mode
+            handle = cluster.call(
+                1, site1.fs.open_gfile((0, attrs["ino"]), Mode.WRITE))
+            win = StatsWindow(cluster.stats)
+            cluster.call(1, site1.fs.write(handle, 0, b"w" * (4 * psz)))
+            cluster.call(1, site1.fs.commit(handle))
+            snap = win.close()
+            # The batched arm did batch: one flush carried all four pages.
+            assert snap.sent.get("fs.write_pages", 0) == (1 if kw else 0)
+            assert snap.sent["fs.commit"] == 1
+            commit_bytes.append(snap.bytes_sent["fs.commit"])
+            cluster.call(1, site1.fs.close(handle))
+        assert commit_bytes[0] == commit_bytes[1] > 0
 
     def test_fixed_cost_paid_once_per_message_not_per_page(self):
         """The attributable delta: batching 4 pages into one message saves
@@ -196,7 +235,7 @@ class TestWriteBatchCostModel:
     def test_single_page_flush_keeps_paper_message(self):
         """A one-page flush must stay on the paper-exact fs.write_page
         wire format (no batched framing for the degenerate case)."""
-        cluster = _cluster(batch_writes=True, batch_pages=4)
+        cluster = _cluster(batch_pages=4)
         win = StatsWindow(cluster.stats)
         cluster.shell(1).write_file("/one", b"q" * 100)
         cluster.settle()
@@ -343,7 +382,7 @@ class TestRunEqualsItsSingles:
             assert so.io_error is not None
             with pytest.raises(EIO):
                 _at_ss(cluster, "fs.commit", 1,
-                       {"gfile": gfile, "expected_pages": len(pages)})
+                       {"gfile": gfile, "_expected": len(pages)})
             # The refusal undid the staged state; the old content stands.
             assert so.io_error is None and so.pages_received == 0
             assert not so.shadow.dirty

@@ -83,7 +83,10 @@ class TestDispatch:
         assert "unknown command" in console.run_command("frobnicate")
 
     def test_usage_error(self, console):
-        assert "usage error" in console.run_command("cat")
+        # A missing argument, and an argument that is not a site number.
+        for line in ("cat", "partition 0 | 1,2", "site x", "copies x",
+                     "crash x", "boot x"):
+            assert "usage error" in console.run_command(line), line
 
     def test_help_lists_commands(self, console):
         out = console.run_command("help")

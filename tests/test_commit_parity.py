@@ -1,7 +1,7 @@
 """Batched write/commit + manifest heal parity harness.
 
-The batched write path (``CostModel.batch_writes``) and the manifest heal
-pull (``CostModel.pull_manifest``) are pure message-count optimisations:
+The batched write path (``CostModel.batch_pages`` > 1) and the manifest
+heal pull (``CostModel.pull_manifest``) are pure message-count optimisations:
 every scenario here runs once per flag combination and must end in an
 *identical* on-disk state — same inodes, same version vectors, same
 committed bytes on every pack of every site.  The snapshot excludes
@@ -26,10 +26,9 @@ from repro.tools import fsck
 
 FLAG_COMBOS = [
     {},                                                  # paper-exact
-    {"batch_writes": True, "batch_pages": 4},
+    {"batch_pages": 4},
     {"pull_manifest": True, "pull_pipeline": 4},
-    {"batch_writes": True, "pull_manifest": True,
-     "batch_pages": 4, "pull_pipeline": 4},
+    {"pull_manifest": True, "batch_pages": 4, "pull_pipeline": 4},
     # Supervision is ON in the default combo above; this leg proves the
     # whole machinery — stamps, ledgers and timeouts — is invisible on
     # fault-free runs: byte-identical post-state with the paper's bare
@@ -42,7 +41,7 @@ FLAG_COMBOS = [
     {"scrub_enabled": False},
 ]
 
-COMBO_IDS = ["off", "batch_writes", "pull_manifest", "both",
+COMBO_IDS = ["off", "batch", "pull_manifest", "both",
              "no_supervision", "no_scrub"]
 
 
@@ -336,7 +335,7 @@ def _drop_next(net, mtype):
 class TestMidBatchCircuitClose:
     def _run_lost_flush(self, lost_mtype, **flags):
         cluster = _cluster(
-            dict({"batch_writes": True, "batch_pages": 4}, **flags))
+            dict({"batch_pages": 4}, **flags))
         sh = cluster.shell(1)
         old = b"old" * 2000
         sh.write_file("/victim", old)
@@ -395,7 +394,7 @@ class TestMidBatchCircuitClose:
     def test_ss_crash_before_commit_leaves_old_content(self):
         """Kill the storage site after the flush but before the commit:
         the shadow pages die with it; restart exposes the old content."""
-        cluster = _cluster({"batch_writes": True, "batch_pages": 4})
+        cluster = _cluster({"batch_pages": 4})
         sh = cluster.shell(1)
         old = b"old" * 1000
         sh.write_file("/v", old)

@@ -120,15 +120,14 @@ class TestCrashDuringProtocols:
 
 
 class TestBatchedWriteFaults:
-    """The write-behind flush (CostModel.batch_writes) under faults: a
+    """The write-behind flush (CostModel.batch_pages > 1) under faults: a
     staged batch that only partially reaches the storage site must abort,
     never half-commit."""
 
     def _batched(self, seed=301):
         return LocusCluster(
             n_sites=2, seed=seed, root_pack_sites=[0],
-            cost=CostModel().with_overrides(batch_writes=True,
-                                            batch_pages=4))
+            cost=CostModel().with_overrides(batch_pages=4))
 
     def test_us_crash_mid_staged_write_aborts_cleanly(self):
         """The using site dies between flushing staged chunks and the
@@ -166,8 +165,7 @@ class TestBatchedWriteFaults:
         cluster = LocusCluster(
             n_sites=3, seed=302,
             cost=CostModel().with_overrides(
-                batch_writes=True, pull_manifest=True,
-                batch_pages=4, pull_pipeline=4))
+                pull_manifest=True, batch_pages=4, pull_pipeline=4))
         sh = cluster.shell(0)
         sh.setcopies(3)
         sh.write_file("/survivor", b"gen 0")
@@ -237,10 +235,10 @@ class TestManifestPullFaults:
         the heal does not restart from scratch."""
         cluster, n = self._diverged(seed=304)
         inj = cluster.inject(
-            FaultPlan(seed=304).drop("fs.pull_read_range", count=1))
+            FaultPlan(seed=304).drop("fs.pull_read", count=1))
         cluster.heal()
         cluster.settle()
-        assert _fired(inj, "dropped") == ["fs.pull_read_range"], \
+        assert _fired(inj, "dropped") == ["fs.pull_read"], \
             "fault never fired"
         sh1 = cluster.shell(1)
         for i in range(n):

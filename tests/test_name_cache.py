@@ -131,7 +131,6 @@ class TestRemoteCommitVisibility:
         cost = CostModel().with_overrides(
             name_cache=name_cache,
             batch_pages=4 if name_cache else 1,
-            readahead_window=4 if name_cache else 1,
             pull_pipeline=2 if name_cache else 1)
         return LocusCluster(cost=cost, **kw)
 
@@ -278,10 +277,9 @@ class TestNameCacheEffect:
 
     def test_same_seed_same_trace_under_every_flag_combo(self):
         for flags in ({}, {"name_cache": True},
-                      {"batch_pages": 4, "readahead_window": 4,
-                       "pull_pipeline": 2},
+                      {"batch_pages": 4, "pull_pipeline": 2},
                       {"name_cache": True, "batch_pages": 4,
-                       "readahead_window": 4, "pull_pipeline": 2}):
+                       "pull_pipeline": 2}):
             traces = []
             for __ in range(2):
                 cluster = LocusCluster(

@@ -456,8 +456,7 @@ class TestNegativeDelay:
 
 def _scan_cluster(readahead_max, batch_pages=1):
     cost = CostModel().with_overrides(
-        readahead_window=1, readahead_max=readahead_max,
-        batch_pages=batch_pages)
+        readahead_max=readahead_max, batch_pages=batch_pages)
     cluster = LocusCluster(n_sites=2, seed=11, root_pack_sites=[1],
                            cost=cost)
     sh1 = cluster.shell(1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 # -- Supervision policy ---------------------------------------------------
 # Timers and budgets of supervised remote calls (``Site.supervised_rpc``,
-# ``FsManager._read_rpc`` / ``_commit_remote``), in force when
+# the one client retry loop: its callers pick the budget), in force when
 # ``CostModel.supervise_remote_ops`` is on.
 RPC_TIMEOUT = 400.0     # per-op backstop for supervised RPCs
 RPC_RETRIES = 3         # bounded retry / failover attempts

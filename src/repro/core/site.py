@@ -32,10 +32,9 @@ Handler = Callable[[int, dict], Generator]
 
 class _OpLabels(NamedTuple):
     """What one protocol operation is reported under: its histogram key
-    and, in the cluster's span log, the label codes of its three spans."""
+    and, in the cluster's span log, the label codes of its two spans."""
     metric: str         # "rpc.<op>"   latency histogram key
     rpc: int            # "rpc:<op>"   span of one remote call
-    srpc: int           # "srpc:<op>"  span of a supervised call
     serve: int          # "serve:<op>" span of the handler
 
 
@@ -191,7 +190,7 @@ class Site:
 
     def _labels(self, op: str) -> _OpLabels:
         """The op vocabulary is small and static, so every call after an
-        op's first on this site reuses one key and three label codes
+        op's first on this site reuses one key and two label codes
         instead of formatting, hashing and — in the span log — retaining
         fresh strings.  The codes are the site's tracer's."""
         labels = self._op_labels.get(op)
@@ -199,7 +198,7 @@ class Site:
             code = self.tracer.spans.code
             labels = self._op_labels[op] = _OpLabels(
                 "rpc." + op, code("rpc:" + op, "rpc"),
-                code("srpc:" + op, "rpc"), code("serve:" + op, "handler"))
+                code("serve:" + op, "handler"))
         return labels
 
     def rpc(self, dst: int, op: str, payload: Optional[dict] = None,
@@ -257,10 +256,16 @@ class Site:
             tracer.finish(span, prev, status=status_label)
 
     def supervised_rpc(self, dst, op: str, payload: Optional[dict] = None,
-                       once: bool = False) -> Generator:
-        """Supervised remote call: the ``backstop`` timeout plus bounded
-        deterministic exponential backoff (``RPC_RETRIES`` attempts, each
-        after ``patient_backoff``: the supervision policy of ``config.py``).
+                       once: bool = False,
+                       retry_on: Tuple[type, ...] = (NetworkError,),
+                       budget: int = RPC_RETRIES,
+                       alive: Optional[Callable[[], bool]] = None,
+                       recover: Optional[Callable[..., Generator]] = None,
+                       counter: Optional[str] = None) -> Generator:
+        """Supervised remote call — the one client-side retry loop: the
+        ``backstop`` timeout plus up to ``budget`` retries of the errors in
+        ``retry_on``, each after ``patient_backoff`` (the supervision
+        policy of ``config.py``).
 
         ``dst`` may be a callable re-evaluated before every attempt so a
         retry chases responsibility that moved during the failure (e.g. a
@@ -273,6 +278,14 @@ class Site:
         exactly-once execution.  A caller that pre-stamped the payload
         (a background retry of a timed-out notification) keeps its own
         stamp and its own completion bookkeeping.
+
+        ``alive()`` (default: this site is up) is checked before and after
+        every backoff; once it fails the error is raised.  After a backoff,
+        ``recover(exc, target, retries)`` may repair what the failed attempt
+        at ``target`` broke before the next attempt (an fs handle re-homes
+        to another copy).  Each backoff is one ``retry`` event on the
+        caller's span, and counts ``rpc.retries`` plus the caller's own
+        ``counter``.
 
         ``EWOULDCONFLICT`` — the CSS refusing a writer open while the file
         is queued for reconciliation — is always retryable (the refusal
@@ -287,36 +300,22 @@ class Site:
         if not self.cost.supervise_remote_ops:
             result = yield from self.rpc(resolve(), op, payload)
             return result
+        alive = alive or (lambda: self.up)
         own_stamp = once and "_stamp" not in payload
         if own_stamp:
             payload["_stamp"] = self.next_stamp()
         tracer = self.tracer
-        span, prev = tracer.begin_coded(self._labels(op).srpc, self.site_id)
-        status_label = "ok"
         try:
             attempt = 0
             conflict_waits = 0
             while True:
                 if "_stamp" in payload:
                     payload["_ack"] = self.stamp_ack()
+                target = resolve()
                 try:
-                    result = yield from self.rpc(resolve(), op, payload,
+                    result = yield from self.rpc(target, op, payload,
                                                  timeout=self.backstop)
                     return result
-                except NetworkError as exc:
-                    if attempt >= RPC_RETRIES or not self.up:
-                        raise
-                    self.metrics.count("rpc.retries")
-                    wait = patient_backoff(attempt)
-                    tracer.event(span, "retry",
-                                 {"attempt": attempt,
-                                  "error": type(exc).__name__,
-                                  "backoff": wait})
-                    # Deterministic exponential backoff: gives the
-                    # partition protocol time to converge before the
-                    # retry resolves dst.
-                    yield wait
-                    attempt += 1
                 except EWOULDCONFLICT:
                     # Conflict-window refusal: wait for the merge the
                     # CSS has scheduled, on its own (longer) budget so
@@ -325,16 +324,33 @@ class Site:
                         raise
                     self.metrics.count("rpc.conflict_retries")
                     wait = patient_backoff(conflict_waits)
-                    tracer.event(span, "conflict_wait",
-                                 {"attempt": conflict_waits,
+                    tracer.event(tracer.current_ctx(), "conflict_wait",
+                                 {"op": op, "attempt": conflict_waits,
+                                  "error": "EWOULDCONFLICT",
                                   "backoff": wait})
                     yield wait
                     conflict_waits += 1
-        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-            status_label = type(exc).__name__
-            raise
+                except retry_on as exc:
+                    if attempt >= budget or not alive():
+                        raise
+                    self.metrics.count("rpc.retries")
+                    if counter is not None:
+                        self.metrics.count(counter)
+                    wait = patient_backoff(attempt)
+                    tracer.event(tracer.current_ctx(), "retry",
+                                 {"op": op, "attempt": attempt,
+                                  "error": type(exc).__name__,
+                                  "backoff": wait})
+                    # Deterministic exponential backoff: gives the
+                    # partition protocol time to converge before the
+                    # retry resolves dst.
+                    yield wait
+                    attempt += 1
+                    if not alive():
+                        raise
+                    if recover is not None:
+                        yield from recover(exc, target, attempt)
         finally:
-            tracer.finish(span, prev, status=status_label)
             if own_stamp:
                 # Success or final failure, this client will never re-send
                 # this seq: let the servers' ledgers retire it.

@@ -34,7 +34,7 @@ import functools
 import itertools
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from repro.config import PATIENT_RETRIES, RPC_RETRIES, patient_backoff
+from repro.config import PATIENT_RETRIES, RPC_RETRIES
 from repro.errors import (EBADF, EBUSY, ECONFLICT, EINVAL, EIO, ENOENT,
                           ESTALE, EWOULDCONFLICT, EWRITELOST, FsError,
                           NetworkError, SiteDown)
@@ -685,59 +685,48 @@ class FsManager(PathMixin, NamespaceMixin):
                                       handle.size)
         return len(staged)
 
-    def _read_rpc(self, handle: UsHandle, op: str, payload: dict) -> Generator:
-        """Supervised RPC to the handle's storage site.
+    def _ss_call(self, handle: UsHandle, op: str, payload: dict) -> Generator:
+        """Supervised call to the handle's storage site.
 
         When the SS crashes or the circuit closes mid-call (also: the SS
         restarted and lost its open state, or refuses as stale), fail over
-        to the next available pack copy and retry — bounded by
-        ``RPC_RETRIES`` with deterministic exponential backoff.  A
-        reader substitutes another copy of the same version; a writer
-        re-homes its write token and re-stages its shadow pages
-        (``rehome``), which is also what makes the idempotent
-        handle operations of the write path (truncate, attribute change)
-        safe to send through here.  With supervision off this is a plain
-        unsupervised call, the paper's behaviour.
+        to the next available pack copy and retry.  A reader substitutes
+        another copy of the same version; a writer re-homes its write
+        token and re-stages its shadow pages (``rehome``), which is also
+        what makes the idempotent handle operations of the write path
+        (truncate, attribute change) safe to send through here.  With
+        supervision off this is a plain unsupervised call, the paper's
+        behaviour.
         """
-        attempt = 0
-        while True:
+        writable = handle.mode.writable
+
+        def recover(exc, failed_ss, retries):
+            # Cleanup may have substituted a copy during the backoff; only
+            # reopen if the handle still points at the site that just
+            # failed.  The backoff came first: it gives the partition
+            # protocol time to agree on the new membership before the
+            # reopen picks a copy.
+            if handle.ss_site != failed_ss:
+                return
             try:
-                result = yield from self.site.rpc(
-                    handle.ss_site, op, payload, timeout=self.site.backstop)
-                return result
-            except (NetworkError, EBADF, ESTALE) as exc:
-                writable = handle.mode.writable
-                # A writer's budget mirrors the commit one: re-home and
-                # replay make its retries safe, so it should ride out a
-                # whole loss burst rather than fail the syscall.
-                budget = PATIENT_RETRIES if writable else RPC_RETRIES
-                if not self.cost.supervise_remote_ops or handle.closed \
-                        or attempt >= budget:
+                yield from self.rehome(handle)
+            except (NetworkError, ESTALE):
+                if not writable:
                     raise
-                attempt += 1
-                failed_ss = handle.ss_site
-                self.site.metrics.count("fs.read_retries")
-                tracer = self.site.tracer
-                tracer.event(tracer.current_ctx(), "read_retry",
-                             {"attempt": attempt, "op": op,
-                              "failed_ss": failed_ss,
-                              "error": type(exc).__name__})
-                # Backoff first: gives the partition protocol time to agree
-                # on the new membership before the reopen picks a copy.
-                yield patient_backoff(attempt - 1)
-                if handle.closed:
-                    raise   # reconfiguration cleanup closed it meanwhile
-                if handle.ss_site == failed_ss:
-                    # Cleanup may have substituted a copy during the
-                    # backoff; only reopen if the handle still points at
-                    # the site that just failed.
-                    try:
-                        yield from self.rehome(handle)
-                    except (NetworkError, ESTALE):
-                        if not writable:
-                            raise
-                        # Nobody reachable right now; keep burning the
-                        # budget — the next lap retries the reopen.
+                # Nobody reachable right now; keep burning the budget —
+                # the next lap retries the reopen.
+
+        # A writer's budget mirrors the commit one: re-home and replay make
+        # its retries safe, so it should ride out a whole loss burst rather
+        # than fail the syscall.  Reconfiguration cleanup may close the
+        # handle meanwhile, which ends the retries.
+        result = yield from self.site.supervised_rpc(
+            lambda: handle.ss_site, op, payload,
+            retry_on=(NetworkError, EBADF, ESTALE),
+            budget=PATIENT_RETRIES if writable else RPC_RETRIES,
+            alive=lambda: not handle.closed, recover=recover,
+            counter="fs.read_retries")
+        return result
 
     # ------------------------------------------------------------------
     # US: read
@@ -814,7 +803,7 @@ class FsManager(PathMixin, NamespaceMixin):
                     futs[p] = fut
             try:
                 fetched = yield from self._read_chunk(
-                    functools.partial(self._read_rpc, handle), gfile,
+                    functools.partial(self._ss_call, handle), gfile,
                     chunk, committed)
             except BaseException as exc:
                 for p, fut in futs.items():
@@ -873,7 +862,7 @@ class FsManager(PathMixin, NamespaceMixin):
         fut = self.site.sim.create_future(f"fetch:{key}")
         self._inflight[key] = fut
         try:
-            data = yield from self._read_rpc(handle, "fs.read_page", {
+            data = yield from self._ss_call(handle, "fs.read_page", {
                 "gfile": gfile, "page": page,
             })
         except BaseException as exc:
@@ -942,7 +931,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if cached is not None:
             yield from self.site.cpu(self.cost.buffer_hit)
             return cached
-        data = yield from self._read_rpc(handle, "fs.read_page", {
+        data = yield from self._ss_call(handle, "fs.read_page", {
             "gfile": gfile, "page": page, "committed": True,
         })
         self.site.cache.put(key, data)
@@ -1228,8 +1217,8 @@ class FsManager(PathMixin, NamespaceMixin):
             # asymmetric partition answers EBADF — re-home the handle (the
             # staged truncate replays there) and retry.  Truncating twice
             # is truncating once, so duplicate delivery is safe too.
-            yield from self._read_rpc(handle, "fs.truncate",
-                                      {"gfile": handle.gfile})
+            yield from self._ss_call(handle, "fs.truncate",
+                                     {"gfile": handle.gfile})
         self.site.cache.invalidate_file(*handle.gfile)
         handle.size = 0
         handle.dirty = True
@@ -1270,8 +1259,8 @@ class FsManager(PathMixin, NamespaceMixin):
             # Absolute patches are idempotent against duplicate delivery,
             # and failover-aware like truncate: EBADF from an SS that lost
             # our open re-homes the handle and replays staged state.
-            yield from self._read_rpc(handle, "fs.set_attrs",
-                                      {"gfile": handle.gfile, "patch": patch})
+            yield from self._ss_call(handle, "fs.set_attrs",
+                                     {"gfile": handle.gfile, "patch": patch})
         handle.attrs.update(patch)
         handle.dirty = True
         return None
@@ -1333,64 +1322,43 @@ class FsManager(PathMixin, NamespaceMixin):
         """
         payload = {"gfile": handle.gfile}
         yield from self._expect_pages(handle, payload)
-        if not self.cost.supervise_remote_ops:
-            vv = yield from self.site.rpc(handle.ss_site, "fs.commit",
-                                          payload)
-            return vv
-        stamp = self.site.next_stamp()
-        payload["_stamp"] = stamp
         ambiguous: Set[int] = set()
-        attempt = 0
-        try:
-            while True:
-                payload["_ack"] = self.site.stamp_ack()
-                target = handle.ss_site
-                try:
-                    vv = yield from self.site.rpc(
-                        target, "fs.commit", payload,
-                        timeout=self.site.backstop)
-                    return vv
-                except (EWRITELOST, NetworkError, EBADF) as exc:
-                    # The patient budget: with replay and re-home making
-                    # retries safe, the commit should ride out a whole
-                    # loss burst rather than surface a transient as a
-                    # failed write.
-                    if handle.closed or attempt >= PATIENT_RETRIES:
-                        raise
-                    attempt += 1
-                    if isinstance(exc, NetworkError):
-                        # The attempt may have applied before the circuit
-                        # closed; only a ledger replay or the vv floor can
-                        # disambiguate.
-                        ambiguous.add(target)
-                    self.site.metrics.count("fs.commit_retries")
-                    yield patient_backoff(attempt - 1)
-                    if handle.closed:
-                        raise
-                    if isinstance(exc, EWRITELOST):
-                        # The SS received fewer page writes than we
-                        # shipped (lost one-ways) and dropped its staged
-                        # state.  Not ambiguous — the commit definitively
-                        # did not apply.  Replay the retained staged
-                        # operations and try again.
-                        yield from self._replay_staged(handle)
-                        yield from self._expect_pages(handle, payload)
-                        continue
-                    same_site = handle.ss_site == target
-                    if same_site and isinstance(exc, NetworkError) \
-                            and attempt < 2:
-                        # First retry goes back to the same SS: if it is
-                        # reachable again its ledger replays the result.
-                        continue
-                    if same_site:
-                        yield from self.rehome(handle)
-                    yield from self._expect_pages(handle, payload)
-                    floor = handle.attrs["version"]
-                    for s in sorted(ambiguous):
-                        floor = floor.bump(s)
-                    payload["vv_floor"] = floor
-        finally:
-            self.site.stamp_done(stamp[1])
+
+        def recover(exc, target, retries):
+            if isinstance(exc, EWRITELOST):
+                # The SS received fewer page writes than we shipped (lost
+                # one-ways) and dropped its staged state.  Not ambiguous —
+                # the commit definitively did not apply.  Replay the
+                # retained staged operations and try again.
+                yield from self._replay_staged(handle)
+                yield from self._expect_pages(handle, payload)
+                return
+            same_site = handle.ss_site == target
+            if isinstance(exc, NetworkError):
+                # The attempt may have applied before the circuit closed;
+                # only a ledger replay or the vv floor can disambiguate.
+                ambiguous.add(target)
+                if same_site and retries < 2:
+                    # First retry goes back to the same SS: if it is
+                    # reachable again its ledger replays the result.
+                    return
+            if same_site:
+                yield from self.rehome(handle)
+            yield from self._expect_pages(handle, payload)
+            floor = handle.attrs["version"]
+            for s in sorted(ambiguous):
+                floor = floor.bump(s)
+            payload["vv_floor"] = floor
+
+        # The patient budget: with replay and re-home making retries safe,
+        # the commit should ride out a whole loss burst rather than surface
+        # a transient as a failed write.
+        vv = yield from self.site.supervised_rpc(
+            lambda: handle.ss_site, "fs.commit", payload, once=True,
+            retry_on=(EWRITELOST, NetworkError, EBADF),
+            budget=PATIENT_RETRIES, alive=lambda: not handle.closed,
+            recover=recover, counter="fs.commit_retries")
+        return vv
 
     def _expect_pages(self, handle: UsHandle, payload: dict) -> Generator:
         """Flush the write-behind remainder, then put into a commit request

@@ -361,9 +361,9 @@ class TestCausalTracing:
 
     def test_failover_annotation_on_affected_span(self, storm):
         annotated = [s for s in storm.tracer.spans
-                     if any(e[1] in ("failover", "read_retry")
+                     if any(e[1] in ("failover", "retry")
                             for e in s.events)]
-        assert annotated, "no failover/read_retry events despite SS crashes"
+        assert annotated, "no failover/retry events despite SS crashes"
         # The annotation rides on a span inside a syscall's trace.
         roots = {s.trace_id for s in storm.tracer.spans
                  if s.kind == "syscall"}

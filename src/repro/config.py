@@ -88,7 +88,9 @@ class CostModel:
     # Batched page transfer, the one rule for every page on the wire:
     # reads, readahead, write-behind flushes and propagation pulls move up
     # to this many pages per message, and a one-page chunk travels in the
-    # paper's per-page message (1 = the paper's protocol).  A remote write
+    # paper's per-page message (1 = the paper's protocol).  The known
+    # exception is recovery's read_copy, which still sends one
+    # fs.pull_read per page whatever this is set to.  A remote write
     # stages its page and flushes once this many are staged or at an
     # ordering point (commit, truncate, attribute change, close).  Message
     # size stays the sum of payload bytes, so the wire model keeps charging
@@ -101,12 +103,13 @@ class CostModel:
     # converge to full-window prefetch.
     readahead_max: int = 8
     pull_pipeline: int = 1          # concurrent propagation-pull requests
-    # Manifest-based heal pull: when the propagation queue holds several
-    # requests (a recovery sweep notifies once per behind file), ask each
-    # source for all of its files' attributes in one fs.pull_manifest RPC
-    # instead of one fs.pull_open round trip per file, then run up to
-    # pull_pipeline per-file pulls concurrently.  Files the manifest cannot
-    # vouch for fall back to the paper's per-file protocol.
+    # Manifest-based heal pull: the propagation process drains the queue
+    # behind each request it takes.  A batch of several requests (a
+    # recovery sweep notifies once per behind file) asks each source for
+    # all of its files' attributes in one fs.pull_manifest RPC instead of
+    # one fs.pull_open round trip per file, then runs up to pull_pipeline
+    # per-file pulls concurrently.  Files the manifest cannot vouch for
+    # fall back to the paper's per-file protocol.
     pull_manifest: bool = False
     merge_sequential_poll: bool = False  # ablation: poll sites one by one
     # Ablation: disable the CSS single-open-for-modification policy; with

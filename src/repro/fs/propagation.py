@@ -12,19 +12,23 @@ The pages travel in chunks of up to ``CostModel.batch_pages`` pages, the
 same rule as every other page transfer: a one-page chunk is the paper's
 ``fs.pull_read`` round trip, a longer one one ``fs.pull_read_range``.
 
-With ``CostModel.pull_manifest`` on, a backlog of queued requests (a
-recovery sweep after a partition heal sends one ``fs.notify`` per behind
-file) is serviced as a batch: one ``fs.pull_manifest`` RPC per source
-replaces that source's per-file ``fs.pull_open`` round trips, and up to
-``pull_pipeline`` per-file pulls run concurrently.  Any file the manifest
-cannot vouch for falls back to the paper's per-file protocol, and every
-pull still installs through the standard shadow-page commit.
+The kernel process has one service (``_service``) for a batch of
+requests.  It takes the next request off the queue; with
+``CostModel.pull_manifest`` on it also drains the backlog queued behind
+it (a recovery sweep after a partition heal sends one ``fs.notify`` per
+behind file).  A lone request is pulled inline, as in the paper.  A
+backlog sends one ``fs.pull_manifest`` RPC per source, replacing that
+source's per-file ``fs.pull_open`` round trips, and runs up to
+``pull_pipeline`` per-file pulls concurrently.  Any file the manifest
+cannot vouch for falls back to the paper's per-file protocol.  Every pull
+gets the same retry, defer and give-up policy (``_pull_one``), and every
+pull installs through the standard shadow-page commit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.errors import EIO, ENOENT, FsError, NetworkError
 from repro.fs.types import Gfile
@@ -160,27 +164,13 @@ class Propagator:
     # -- the kernel process ----------------------------------------------------
 
     def _run(self) -> Generator:
+        """Take the next request; with ``pull_manifest`` on, also drain
+        the backlog queued behind it.  One service handles either."""
         while True:
-            req = yield from self.queue.get()
-            if self.fs.cost.pull_manifest and len(self.queue):
-                batch = [req] + self.queue.drain()
-                yield from self._service_batch(batch)
-                continue
-            yield from self._service_one(req)
-
-    def _service_one(self, req: _Request) -> Generator:
-        try:
-            yield from self._service(req)
-        except (NetworkError, EIO):
-            # EIO here is a *physical write* failure installing pulled
-            # pages: the shadow already rolled back to the coherent old
-            # copy.  Dropping the request would strand this replica stale
-            # forever (no later membership change re-derives it), so a
-            # transient disk fault gets the same bounded retry as contact
-            # loss.
-            self._retry_later(req)
-        except FsError:
-            self._give_up(req)
+            batch = [(yield from self.queue.get())]
+            if self.fs.cost.pull_manifest:
+                batch += self.queue.drain()
+            yield from self._service(batch)
 
     def _give_up(self, req: _Request) -> None:
         """The pull failed for good: retire the request as ``failed``."""
@@ -268,29 +258,13 @@ class Propagator:
             return "defer"
         return "pull"
 
-    def _service(self, req: _Request) -> Generator:
-        verdict = self._precheck(req)
-        if verdict == "skip":
-            self.stats.skipped += 1
-            self._retire(req.gfile, "skipped")
-            return None
-        if verdict == "defer":
-            self._defer(req)
-            return None
-        pack = self.fs.local_pack(req.gfile[0])
-        outcome = yield from self._pull(req, pack,
-                                        pack.get_inode(req.gfile[1]).version)
-        if outcome != "deferred":
-            self._retire(req.gfile, outcome)
-        return None
-
-    # -- manifest batch service (CostModel.pull_manifest) ------------------
-
-    def _service_batch(self, batch: List[_Request]) -> Generator:
-        """Service a drained queue backlog with one ``fs.pull_manifest``
-        round trip per source site and up to ``pull_pipeline`` per-file
-        pulls in flight.  Each file keeps the serial path's retry/defer
-        policy; only the round-trip count changes."""
+    def _service(self, batch: List[_Request]) -> Generator:
+        """Service the request ``_run`` took off the queue, alone or with
+        the backlog it drained.  A backlog asks each source for its files'
+        attributes in one ``fs.pull_manifest`` round trip and runs up to
+        ``pull_pipeline`` per-file pulls at once; a lone request is pulled
+        inline, the paper's serial kernel process.  Either way every file
+        gets the one error policy of ``_pull_one``."""
         pull: List[_Request] = []
         chosen: Dict[Gfile, _Request] = {}
         for req in batch:
@@ -314,10 +288,12 @@ class Propagator:
                     self.stats.skipped += 1
         if not pull:
             return None
-        by_hint: Dict[int, List[_Request]] = {}
-        for req in pull:
-            by_hint.setdefault(req.hint, []).append(req)
+        lone = len(batch) == 1
         manifests: Dict[int, Dict[Gfile, dict]] = {}
+        by_hint: Dict[int, List[_Request]] = {}
+        if not lone:
+            for req in pull:
+                by_hint.setdefault(req.hint, []).append(req)
         for hint in sorted(by_hint):
             self.stats.manifest_requests += 1
             self.stats.sync_waits += 1
@@ -326,34 +302,29 @@ class Propagator:
                     "gfiles": [r.gfile for r in by_hint[hint]],
                 }, timeout=self.site.backstop)
             except (FsError, NetworkError):
-                continue   # per-file fs.pull_open fallback below
+                continue   # per-file fs.pull_open fallback in _open_source
             manifests[hint] = resp["files"]
         depth = max(1, self.fs.cost.pull_pipeline)
         for i in range(0, len(pull), depth):
             wave = pull[i:i + depth]
-            tasks = [self.site.spawn(
-                self._pull_task(req, manifests.get(req.hint, {})),
-                name=f"manifestpull:{req.gfile}") for req in wave]
-            rounds = yield self.site.sim.gather([t.done for t in tasks],
-                                                label="manifestwave")
+            if lone:
+                rounds = [(yield from self._pull_one(wave[0], {}))]
+            else:
+                tasks = [self.site.spawn(
+                    self._pull_one(req, manifests.get(req.hint, {})),
+                    name=f"manifestpull:{req.gfile}") for req in wave]
+                rounds = yield self.site.sim.gather([t.done for t in tasks],
+                                                    label="manifestwave")
             # The wave's pulls run concurrently: its critical path is the
             # *deepest* member's sequential round count, not their sum.
-            self.stats.sync_waits += max(
-                [r for r in rounds if r] + [1])
+            self.stats.sync_waits += max([r for r in rounds if r] + [1])
         return None
 
-    def _pull_task(self, req: _Request,
-                   manifest: Dict[Gfile, dict]) -> Generator:
-        """One file's pull inside a manifest wave, wrapped in the same
-        error policy the serial kernel process applies.  Returns the
-        number of sequential round-trip waits the pull performed, so the
-        wave accounting above can take the max across the wave."""
-        source = None
-        attrs = manifest.get(req.gfile)
-        if attrs is not None and attrs["version"].dominates(
-                req.attrs["version"]):
-            source = (req.hint, attrs)
-            self.stats.manifest_hits += 1
+    def _pull_one(self, req: _Request,
+                  manifest: Dict[Gfile, dict]) -> Generator:
+        """One file's pull under the one per-file error policy.  Returns
+        the number of sequential round-trip waits the pull performed; the
+        caller credits each wave its deepest member."""
         waits = [0]
         try:
             pack = self.fs.local_pack(req.gfile[0])
@@ -363,13 +334,16 @@ class Propagator:
                 self._retire(req.gfile, "skipped")
                 return waits[0]
             outcome = yield from self._pull(req, pack, inode.version,
-                                            manifest_source=source,
-                                            waits=waits)
+                                            manifest, waits)
             if outcome != "deferred":
                 self._retire(req.gfile, outcome)
         except (NetworkError, EIO):
-            # Same policy as _service_one: a transient disk-write fault
-            # must not permanently abandon convergence.
+            # EIO here is a *physical write* failure installing pulled
+            # pages: the shadow already rolled back to the coherent old
+            # copy.  Dropping the request would strand this replica stale
+            # forever (no later membership change re-derives it), so a
+            # transient disk fault gets the same bounded retry as contact
+            # loss.
             self._retry_later(req)
         except FsError:
             self._give_up(req)
@@ -377,31 +351,16 @@ class Propagator:
 
     # -- the pull itself ----------------------------------------------------
 
-    def _count_wait(self, waits: Optional[List[int]]) -> None:
-        """One sequential round-trip wait.  Serial pulls count straight
-        into the stats; pulls inside a manifest wave accumulate into the
-        wave's ``waits`` sink, which the wave reduces with ``max`` (its
-        members wait concurrently, not back to back)."""
-        if waits is None:
-            self.stats.sync_waits += 1
-        else:
-            waits[0] += 1
-
     def _pull(self, req: _Request, pack, local_vv: VersionVector,
-              manifest_source: Optional[Tuple[int, dict]] = None,
-              waits: Optional[List[int]] = None) -> Generator:
+              manifest: Dict[Gfile, dict], waits: List[int]) -> Generator:
         """Internally open the file at a site with the latest version and
         page the changes (or the whole file) across.  Returns the outcome:
         ``pulled``, ``skipped`` (the local copy is already as new) or
         ``deferred`` (re-queued; the file stays pending)."""
         fs = self.fs
         gfile = req.gfile
-        if manifest_source is not None:
-            # The manifest already vouched for the source's version: the
-            # per-file fs.pull_open round trip is unnecessary.
-            source, remote_attrs = manifest_source
-        else:
-            source, remote_attrs = yield from self._open_source(req, waits)
+        source, remote_attrs = yield from self._open_source(req, manifest,
+                                                            waits)
         target_vv = remote_attrs["version"]
         if local_vv.dominates(target_vv):
             self.stats.skipped += 1
@@ -458,8 +417,7 @@ class Propagator:
         return "pulled"
 
     def _pull_pages(self, source: int, gfile: Gfile, pages: List[int],
-                    shadow: ShadowFile,
-                    waits: Optional[List[int]] = None) -> Generator:
+                    shadow: ShadowFile, waits: List[int]) -> Generator:
         """Page the data across from ``source`` into ``shadow``.
 
         The pages travel in chunks of up to ``batch_pages`` pages
@@ -477,7 +435,7 @@ class Propagator:
         chunks = [pages[i:i + batch] for i in range(0, len(pages), batch)]
         for r in range(0, len(chunks), depth):
             in_flight = chunks[r:r + depth]
-            self._count_wait(waits)
+            waits[0] += 1
             if len(in_flight) == 1:
                 results = [(yield from self._fetch_chunk(source, gfile,
                                                          in_flight[0]))]
@@ -511,16 +469,23 @@ class Propagator:
         }, timeout=self.site.backstop)
         return resp["pages"]
 
-    def _open_source(self, req: _Request,
-                     waits: Optional[List[int]] = None) -> Generator:
-        """Find a site holding the (at least) announced version."""
-        fs = self.fs
+    def _open_source(self, req: _Request, manifest: Dict[Gfile, dict],
+                     waits: List[int]) -> Generator:
+        """Find a site holding the (at least) announced version: the
+        announcing site, if its manifest entry already vouches for it (no
+        ``fs.pull_open`` round trip), else the first candidate whose
+        ``fs.pull_open`` does."""
+        attrs = manifest.get(req.gfile)
+        if attrs is not None and attrs["version"].dominates(
+                req.attrs["version"]):
+            self.stats.manifest_hits += 1
+            return req.hint, attrs
         candidates = [req.hint] + [
             s for s in req.attrs["storage_sites"]
             if s not in (req.hint, self.site.site_id)]
         last_exc: Optional[Exception] = None
         for cand in candidates:
-            self._count_wait(waits)
+            waits[0] += 1
             try:
                 attrs = yield from self.site.rpc(cand, "fs.pull_open",
                                                  {"gfile": req.gfile},

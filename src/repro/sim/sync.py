@@ -38,9 +38,6 @@ class SimQueue:
         item = yield fut
         return item
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def drain(self) -> List[Any]:
         items = list(self._items)
         self._items.clear()

@@ -31,6 +31,9 @@ class FaultInjector:
         self.messages_seen = 0
         self._per_mtype: Dict[str, int] = {}
         self._msg_triggers: List[FaultEvent] = []
+        # Loss bursts in force, oldest first, and the rate before them.
+        self._bursts: List[FaultEvent] = []
+        self._base_loss = 0.0
         self._pending_checks = 0
         self._armed = False
 
@@ -107,13 +110,19 @@ class FaultInjector:
             self._pending_checks += 1
 
     def _do_loss_burst(self, ev: FaultEvent) -> None:
+        """Overlapping bursts stack: the newest one in force sets the
+        rate, and the rate from before the first returns with the last."""
         net = self.cluster.net
-        prev = net.loss_rate
+        if not self._bursts:
+            self._base_loss = net.loss_rate
+        self._bursts.append(ev)
         net.loss_rate = ev.rate
 
         def _restore() -> None:
-            net.loss_rate = prev
-            self._note("loss_restore", f"rate={prev}")
+            self._bursts.remove(ev)
+            net.loss_rate = (self._bursts[-1].rate if self._bursts
+                             else self._base_loss)
+            self._note("loss_restore", f"rate={net.loss_rate}")
 
         self.cluster.sim.schedule(ev.duration, _restore)
 

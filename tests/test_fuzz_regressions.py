@@ -21,13 +21,19 @@ import os
 
 import pytest
 
-from repro.fuzz import FuzzPlan, run_plan
+from repro.fuzz import FuzzPlan, generate_plan, run_plan
 from repro.fuzz.runner import PlanRunner
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "regressions")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 FINDINGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
                                          "findings", "*.json")))
+
+
+# Seeds the frozen chaos_fuzz corpus excluded as runaway (more than its
+# 30,000-event cap) or stalled; each now judges clean inside the cap.
+ONCE_RUNAWAY = (66, 71, 76, 92)
+FREEZE_CAP = 30_000
 
 
 def _load(path: str) -> FuzzPlan:
@@ -88,3 +94,10 @@ def test_open_finding_still_fails(path):
     assert not result.ok, f"{os.path.basename(path)} is fixed: move it " \
         f"to tests/regressions/"
     assert result.digest() == plan.expect_digest
+
+
+@pytest.mark.parametrize("seed", ONCE_RUNAWAY)
+def test_once_runaway_seed_is_clean_within_the_freeze_cap(seed):
+    result = run_plan(generate_plan(seed, n_ops=40, n_faults=8, n_sites=3))
+    assert result.ok, result.report()
+    assert result.run.cluster.sim.events_processed <= FREEZE_CAP

@@ -1706,7 +1706,14 @@ class FsManager(PathMixin, NamespaceMixin):
                 # failures are NOT caught: reconfiguration cleanup owns
                 # those (the descriptor is marked in error instead).
                 commit_error = exc
-                yield from self.abort(handle)
+                try:
+                    yield from self.abort(handle)
+                except FsError:
+                    # The SS has nothing left to undo (e.g. EBADF: the
+                    # refused commit already dropped its open).  The
+                    # close must still finish: a handle left in ``us``
+                    # answers h_validate_open for a file nobody holds.
+                    pass
         handle.closed = True
         self.us.pop(handle.hid, None)
         gfile = handle.gfile

@@ -4,7 +4,7 @@ kernel API surfaces."""
 import pytest
 
 from repro import LocusCluster, Mode
-from repro.errors import EBADF, EINVAL, ENOENT, ESTALE
+from repro.errors import EBADF, EINVAL, EIO, ENOENT, ESTALE
 
 
 @pytest.fixture
@@ -23,6 +23,36 @@ class TestRemoteStagingOps:
         cluster.call(0, fs0.write(handle, 0, b"DOOMED!!!"))
         cluster.call(0, fs0.abort(handle))
         cluster.call(0, fs0.close(handle))
+        assert sh2.read_file("/target") == b"committed"
+
+    def test_close_finishes_when_commit_and_abort_both_fail(
+            self, cluster, monkeypatch):
+        """A refused commit whose storage site also dropped the open: the
+        abort's ``fs.abort`` answers EBADF, yet the close completes and
+        surfaces the commit's error, so no leaked handle keeps telling
+        the SS's leaked-open check that the file is still open here."""
+        sh2 = cluster.shell(2)
+        sh2.write_file("/target", b"committed")
+        cluster.settle()
+        fs0 = cluster.site(0).fs
+        gfile = (0, sh2.stat("/target")["ino"])
+        handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
+        cluster.call(0, fs0.write(handle, 0, b"DOOMED!!!"))
+        ss = cluster.site(handle.ss_site).fs
+        ss_abort = ss._ss_abort
+
+        def abort_and_drop(g):
+            yield from ss_abort(g)
+            ss.ss.pop(g)
+
+        monkeypatch.setattr(ss, "_ss_abort", abort_and_drop)
+        ss.ss[gfile].io_error = "disk write failed"
+        with pytest.raises(EIO):
+            cluster.call(0, fs0.close(handle))
+        assert handle.closed
+        assert handle.hid not in fs0.us
+        assert cluster.call(0, fs0.h_validate_open(
+            handle.ss_site, {"gfile": gfile})) == {"open": 0}
         assert sh2.read_file("/target") == b"committed"
 
     def test_remote_set_attrs_roundtrip(self, cluster):

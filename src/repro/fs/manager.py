@@ -80,6 +80,10 @@ class FsManager(PathMixin, NamespaceMixin):
         self.topology_epoch = 0
         self._vv_probe_epoch: Dict[Gfile, int] = {}
         self._hids = itertools.count(1)
+        # Synchronized opens in flight per file: the CSS registers an
+        # open before its grant reply reaches us, so ``h_validate_open``
+        # counts these with the handles.
+        self._opening: Dict[Gfile, int] = {}
         self._delete_acks: Dict[Gfile, Set[int]] = {}
         # Volatile idempotency ledger for open/close bookkeeping RPCs: the
         # state those ops touch (CSS entries, SS open records) dies with
@@ -138,6 +142,7 @@ class FsManager(PathMixin, NamespaceMixin):
         self._inflight.clear()
         self._delete_acks.clear()
         self._vv_probe_epoch.clear()
+        self._opening.clear()
         self.op_ledger = IdempotencyLedger()
         for pack in self.site.packs.values():
             if pack.ledger is not None:
@@ -208,6 +213,8 @@ class FsManager(PathMixin, NamespaceMixin):
                                          "mode": mode.name})
         status_label = "ok"
         start = self.site.sim.now
+        opening = self._opening
+        opening[gfile] = opening.get(gfile, 0) + 1
         try:
             handle = yield from self._open_gfile(gfile, mode, allow_conflict,
                                                  reopen, known_vv)
@@ -217,6 +224,9 @@ class FsManager(PathMixin, NamespaceMixin):
             status_label = type(exc).__name__
             raise
         finally:
+            left = opening.pop(gfile, 0) - 1
+            if left > 0:
+                opening[gfile] = left
             self.site.metrics.observe("fs.open", self.site.sim.now - start)
             tracer.finish(span, prev, status=status_label)
 
@@ -1847,12 +1857,24 @@ class FsManager(PathMixin, NamespaceMixin):
 
     def h_validate_open(self, src: int, p: dict) -> Generator:
         """US side of leaked-handle detection: does this site still hold
-        open handles for the file?"""
+        open handles for the file?  An open still in flight counts: its
+        CSS registration may already exist."""
         gfile = tuple(p["gfile"])
         n = sum(1 for h in self.us.values()
                 if tuple(h.gfile) == gfile and not h.closed)
-        return {"open": n}
+        return {"open": n + self._opening.get(gfile, 0)}
         yield  # pragma: no cover
+
+    def _opens_at(self, us: int, gfile: Gfile) -> Generator:
+        """How many opens of ``gfile`` using site ``us`` holds (a local
+        call when ``us`` is this site), or None when it cannot answer."""
+        try:
+            reply = yield from self.site.rpc(
+                us, "fs.validate_open", {"gfile": gfile},
+                timeout=self.site.backstop)
+        except (NetworkError, FsError):
+            return None
+        return reply["open"]
 
     def validate_ss_entry(self, gfile: Gfile) -> Generator:
         """A propagation pull has been deferring on a local SS entry for a
@@ -1872,13 +1894,8 @@ class FsManager(PathMixin, NamespaceMixin):
         for us in sorted(set(list(so.users) + list(so.unsync_users))):
             if self.ss.get(gfile) is not so:
                 return None   # closed/reaped while we were validating
-            try:
-                reply = yield from self.site.rpc(
-                    us, "fs.validate_open", {"gfile": gfile},
-                    timeout=self.site.backstop)
-            except (NetworkError, FsError):
-                continue   # unreachable: membership cleanup owns that
-            if not reply["open"]:
+            # Unreachable (None): membership cleanup owns that.
+            if (yield from self._opens_at(us, gfile)) == 0:
                 if so.writer == us and so.shadow.dirty:
                     so.shadow.abort()
                     self.site.cache.invalidate_file(*gfile)
@@ -1886,6 +1903,28 @@ class FsManager(PathMixin, NamespaceMixin):
                 self.site.metrics.count("fs.ss_leak_repairs")
         self._maybe_drop_ss(gfile, so)
         return None
+
+    def validate_css_writer(self, gfile: Gfile) -> Generator:
+        """CSS side of leaked-handle detection: True while the write
+        token of ``gfile`` is held, i.e. its registered writer's US still
+        holds the file or cannot be asked.  A writer whose US holds no
+        open of the file is dropped, as membership cleanup drops a
+        departed one: its open failed after the grant (the reply was
+        lost), or its close notification went to another CSS.  Nothing
+        else collects such a token while membership stays put, and every
+        later writer is refused."""
+        entry = self.css_entries.get(gfile)
+        if entry is None or entry.writer is None:
+            return False
+        us = entry.writer
+        if (yield from self._opens_at(us, gfile)) != 0:
+            return True
+        if self.css_entries.get(gfile) is entry and entry.writer == us:
+            entry.drop_site(us)
+            if not entry.in_use:
+                self.css_entries.pop(gfile, None)
+            self.site.metrics.count("fs.css_leak_repairs")
+        return False
 
     # ------------------------------------------------------------------
     # File creation (section 2.3.7)

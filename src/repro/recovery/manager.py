@@ -219,13 +219,12 @@ class RecoveryManager:
     def _link_census(self, gfs: int) -> Generator:
         """Count live directory references per inode across the filegroup.
 
-        Returns ``(best, refs, conflicted)`` where ``best`` maps each live
-        inode to its latest ``(site, attrs)`` copy, ``refs`` maps inode to
-        the number of live entries naming it, and ``conflicted`` maps each
-        version-conflicted regular file to its live ``(site, attrs)``
-        holders — or None when any directory is unreadable or its copies
-        are in version conflict (a partial census could shrink a correct
-        nlink).
+        Returns ``(best, refs, copies)`` where ``copies`` maps each live
+        inode to its live ``(site, attrs)`` holders, ``best`` maps each of
+        them but the version-conflicted regular files to its latest copy,
+        and ``refs`` maps inode to the number of live entries naming it —
+        or None when any directory is unreadable or its copies are in
+        version conflict (a partial census could shrink a correct nlink).
         """
         inventories = yield from self.inventories(gfs)
         if not inventories:
@@ -234,18 +233,18 @@ class RecoveryManager:
         for inv in inventories.values():
             all_inos |= set(inv)
         best: Dict[int, Tuple[int, dict]] = {}
-        conflicted: Dict[int, List[Tuple[int, dict]]] = {}
+        copies: Dict[int, List[Tuple[int, dict]]] = {}
         for ino in all_inos:
             live = self.copies_of(inventories, ino, live=True)
             if not live:
                 continue
+            copies[ino] = live
             __, best_vv, conflict = latest(
                 (s, a["version"]) for s, a in live)
             if conflict or any(a["conflict"] for __, a in live):
                 if live[0][1]["ftype"] in (FileType.DIRECTORY,
                                            FileType.HIDDEN_DIR):
                     return None
-                conflicted[ino] = live
                 continue
             best[ino] = next((s, a) for s, a in live
                              if a["version"] == best_vv)
@@ -263,7 +262,7 @@ class RecoveryManager:
                 if entry.deleted or entry.name in (".", ".."):
                     continue
                 refs[entry.ino] = refs.get(entry.ino, 0) + 1
-        return best, refs, conflicted
+        return best, refs, copies
 
     def repair_link_counts(self, gfs: int, attempt: int = 0) -> Generator:
         """Post-sweep nlink repair.
@@ -280,22 +279,27 @@ class RecoveryManager:
         (``h_patch_nlink``): the census copy's, at every pack site in the
         partition, or for a conflicted file each holder's own.  Until
         every holder has applied it, copies at one version vector can
-        disagree on the count.  A refusal or a lost reply defers the file
+        disagree on the count, so each site is judged by the count its
+        own copy reported (a site that reported none, by the census
+        copy's).  A refusal or a lost reply defers the file
         at ``attempt + 1`` on the retry schedule, whose recount runs once
         the writer is gone; past the retry budget the scrub recounts.
         """
         census = yield from self._link_census(gfs)
         if census is None:
             return None
-        best, refs, conflicted = census
+        best, refs, copies = census
         # A conflicted file's live names are still real: directory merges
         # union inserts and undo deletes regardless of its own conflict.
-        patches = {ino: [(site, attrs) for site in self.pack_sites_up(gfs)]
-                   for ino, (__, attrs) in best.items()}
-        patches.update(conflicted)
+        patches = {ino: [(site, best[ino][1])
+                         for site in self.pack_sites_up(gfs)]
+                   if ino in best else live
+                   for ino, live in copies.items()}
         for ino in sorted(patches):
             n = refs.get(ino, 0)
-            holders = [(s, a) for s, a in patches[ino] if a["nlink"] != n]
+            own = dict(copies[ino])
+            holders = [(s, a) for s, a in patches[ino]
+                       if own.get(s, a)["nlink"] != n]
             if n == 0 or not holders or any(a["ftype"] is not FileType.REGULAR
                                             for __, a in patches[ino]):
                 continue  # orphans are fsck's report, not a repair target
@@ -403,17 +407,28 @@ class RecoveryManager:
         self.site.sim.schedule(30.0 * attempt, _retry)
 
     def _retry_ino(self, gfs: int, ino: int, attempt: int) -> Generator:
-        """Re-inventory one file and reconcile it (deferred recovery)."""
-        inventories = yield from self.inventories(gfs)
-        self.pending.get(gfs, set()).discard(ino)
-        try:
-            yield from self._reconcile_ino(gfs, ino, inventories,
-                                           attempt=attempt)
-        except (NetworkError, FsError):
-            if attempt < 10:
-                self._defer(gfs, ino, attempt + 1)
-            else:
-                self._exhausted((gfs, ino))
+        """Re-inventory one file and reconcile it (deferred recovery).
+
+        A file whose registered writer still holds it would only be
+        deferred again (section 5.6), so inside the budget the retry
+        first asks that writer's US, and re-defers without the
+        whole-filegroup inventory while it holds the file or cannot be
+        asked.  A token it does not hold is dropped and the file
+        reconciled now."""
+        if attempt < 10 and (
+                yield from self.site.fs.validate_css_writer((gfs, ino))):
+            self._defer(gfs, ino, attempt + 1)
+        else:
+            inventories = yield from self.inventories(gfs)
+            self.pending.get(gfs, set()).discard(ino)
+            try:
+                yield from self._reconcile_ino(gfs, ino, inventories,
+                                               attempt=attempt)
+            except (NetworkError, FsError):
+                if attempt < 10:
+                    self._defer(gfs, ino, attempt + 1)
+                else:
+                    self._exhausted((gfs, ino))
         yield from self._recount_when_drained(gfs, attempt)
         return None
 

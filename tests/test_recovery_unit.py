@@ -7,9 +7,10 @@ import pytest
 
 from repro import FileType, LocusCluster
 from repro.core.site import Site
-from repro.errors import ECONFLICT, NetworkError
+from repro.errors import EBUSY, ECONFLICT, CircuitClosed, NetworkError
 from repro.fuzz import FuzzPlan
 from repro.fuzz.runner import PlanRunner
+from repro.net.stats import StatsWindow
 
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -97,6 +98,32 @@ class TestDemandRecovery:
         rec.pending[0] = {99}
         assert rec.needs((0, 99))
         rec.pending[0].discard(99)
+        assert not rec.needs((0, 99))
+
+    def test_a_second_demand_waits_for_the_first(self, cluster):
+        """Two accesses demanding one file run one merge: the second
+        waits for the first's instead of racing its install."""
+        rec = cluster.site(0).recovery
+        rec.pending[0] = {99}
+        merges = []
+
+        def slow_merge(gfs, ino, inventories, attempt=0):
+            merges.append(ino)
+            yield 10.0
+
+        rec._reconcile_ino = slow_merge
+        ends = []
+
+        def access():
+            yield from rec.demand((0, 99))
+            ends.append(cluster.sim.now)
+
+        start = cluster.sim.now
+        for __ in range(2):
+            cluster.spawn(0, access())
+        cluster.settle()
+        assert merges == [99]
+        assert ends == [start + 10.0] * 2
         assert not rec.needs((0, 99))
 
     def test_stats_accumulate_across_merges(self, cluster):
@@ -213,6 +240,22 @@ class TestPatchNlink:
                            inode.version) is True
         assert inode.nlink == 5
         assert ss.fs.ss[gfile].shadow.incore.nlink == 5
+        sh.close(fd)
+        cluster.settle()
+
+
+class TestInstallMerged:
+    def test_refuses_a_file_open_at_this_storage_site(self, cluster):
+        """A merge installed under a live writer would interleave with
+        its commit: the install is refused and recovery retries."""
+        gfile = _linked_file(cluster)
+        sh = cluster.shell(0)
+        fd = sh.open("/f", "w")
+        ss = next(site for site in cluster.sites if gfile in site.fs.ss)
+        base_vv = ss.fs.local_inode(gfile).version
+        with pytest.raises(EBUSY):
+            cluster.call(ss.site_id, ss.recovery.h_install_merged(
+                0, {"gfile": gfile, "data": b"merged", "base_vv": base_vv}))
         sh.close(fd)
         cluster.settle()
 
@@ -336,6 +379,28 @@ class TestLinkCountRepair:
         cluster.settle()
         assert set(_nlinks(cluster, gfile).values()) == {2}
 
+    def test_a_patch_that_landed_only_at_the_css_is_finished(
+            self, cluster, monkeypatch):
+        """Each holder is judged by its own copy's count: once the census
+        copy reads right, the copies the lost patches missed still get
+        one."""
+        gfile = _linked_file(cluster)
+        rec = self._skew_and_repair(cluster, gfile)
+        rpc = rec.site.rpc
+
+        def lossy(dst, op, payload, *args, **kw):
+            if op == "fs.patch_nlink" and dst != rec.sid:
+                raise NetworkError("patch reply lost")
+            return rpc(dst, op, payload, *args, **kw)
+
+        monkeypatch.setattr(rec.site, "rpc", lossy)
+        cluster.sim.run(until=cluster.sim.now + 200.0)
+        assert _nlinks(cluster, gfile)[rec.sid] == 2
+        assert set(_nlinks(cluster, gfile).values()) == {1, 2}
+        monkeypatch.undo()
+        cluster.settle()
+        assert set(_nlinks(cluster, gfile).values()) == {2}
+
     def test_a_conflicted_directory_stops_the_census(self, cluster):
         """A partial census could shrink a correct count, so a directory
         copy flagged in conflict leaves every count as it is."""
@@ -441,3 +506,131 @@ class TestRecountGate:
         sh.close(fd)
         cluster.settle()
         assert set(_nlinks(cluster, gfile).values()) == {2}
+
+
+def _step_until(cluster, done):
+    while not done():
+        assert cluster.sim.step(), "event queue drained first"
+
+
+class TestWriterProbe:
+    """A retry that the CSS's registered writer blocks asks that writer's
+    US whether it holds the file, instead of inventorying the
+    filegroup."""
+
+    def _setup(self, cluster):
+        """``/f`` on every site; returns its gfile, its CSS, and the two
+        other sites."""
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.write_file("/f", b"v1")
+        cluster.settle()
+        fs = cluster.site(0).fs
+        gfile = cluster.call(0, fs.resolve_gfile(None, "/f"))[0]
+        css = fs.mount.css_for(gfile[0])
+        us, other = [s.site_id for s in cluster.sites if s.site_id != css]
+        return gfile, css, us, other
+
+    def test_a_lost_grant_reply_leaks_a_token_the_first_retry_drops(
+            self, cluster, monkeypatch):
+        gfile, css, us, other = self._setup(cluster)
+        rpc = Site.supervised_rpc
+
+        def lost_grant(self, dst, op, payload, *args, **kw):
+            reply = yield from rpc(self, dst, op, payload, *args, **kw)
+            if op == "fs.css_open" and self.site_id == us \
+                    and payload["mode"].writable:
+                raise CircuitClosed("grant reply lost")
+            return reply
+
+        monkeypatch.setattr(Site, "supervised_rpc", lost_grant)
+        with pytest.raises(CircuitClosed):
+            cluster.shell(us).open("/f", "w")
+        monkeypatch.undo()
+        css_fs = cluster.site(css).fs
+        assert css_fs.css_entries[gfile].writer == us
+        rec = cluster.site(css).recovery
+        rec.request(gfile)
+        cluster.settle()
+        assert rec.stats.retries_scheduled == 1
+        assert css_fs.site.metrics.counters["fs.css_leak_repairs"] == 1
+        assert gfile not in css_fs.css_entries
+        cluster.shell(other).write_file("/f", b"v2")
+        cluster.settle()
+        assert cluster.shell(us).read_file("/f") == b"v2"
+
+    def test_a_held_token_is_probed_not_inventoried(self, cluster):
+        """A writer really holds the file: its retries still stop at the
+        budget, and none before the last inventories the filegroup."""
+        gfile, css, us, __ = self._setup(cluster)
+        sh = cluster.shell(us)
+        fd = sh.open("/f", "w")
+        rec = cluster.site(css).recovery
+        rec.request(gfile)
+        window = StatsWindow(cluster.stats)
+        _step_until(cluster, lambda: rec.stats.retries_scheduled == 10)
+        sent = window.close().sent
+        assert sent["fs.validate_open"] == 9
+        assert "fs.pack_inventory" not in sent
+        cluster.sim.run(until=cluster.sim.now + 5000.0)
+        assert rec.stats.retries_scheduled == 10
+        assert cluster.site(css).fs.css_entries[gfile].writer == us
+        sh.close(fd)
+        cluster.settle()
+
+    def test_an_unreachable_writer_keeps_its_token(self, cluster,
+                                                   monkeypatch):
+        """A US that cannot be asked may still hold the file: its retries
+        re-defer without an inventory, and membership cleanup owns the
+        token."""
+        gfile, css, us, __ = self._setup(cluster)
+        sh = cluster.shell(us)
+        fd = sh.open("/f", "w")
+        css_site = cluster.site(css)
+        rpc = css_site.rpc
+
+        def unreachable(dst, op, payload, *args, **kw):
+            if op == "fs.validate_open":
+                raise NetworkError("no route to the writer")
+            return rpc(dst, op, payload, *args, **kw)
+
+        monkeypatch.setattr(css_site, "rpc", unreachable)
+        rec = css_site.recovery
+        rec.request(gfile)
+        window = StatsWindow(cluster.stats)
+        _step_until(cluster, lambda: rec.stats.retries_scheduled == 3)
+        assert "fs.pack_inventory" not in window.close().sent
+        assert css_site.fs.css_entries[gfile].writer == us
+        monkeypatch.undo()
+        sh.close(fd)
+        cluster.settle()
+
+    def test_an_open_in_flight_counts_as_held(self, cluster, monkeypatch):
+        """A probe served between the CSS's grant and its reply's arrival
+        sees the open: dropping the token then would admit a second
+        writer beside a live one."""
+        gfile, css, us, __ = self._setup(cluster)
+        us_fs = cluster.site(us).fs
+        served = []
+
+        def probe():
+            reply = yield from cluster.site(css).rpc(
+                us, "fs.validate_open", {"gfile": gfile})
+            served.append(reply["open"])
+
+        rpc = Site.supervised_rpc
+
+        def spy(self, dst, op, payload, *args, **kw):
+            if op == "fs.css_open" and self.site_id == us:
+                cluster.spawn(css, probe())
+            reply = yield from rpc(self, dst, op, payload, *args, **kw)
+            served.append(len(us_fs.us))
+            return reply
+
+        monkeypatch.setattr(Site, "supervised_rpc", spy)
+        sh = cluster.shell(us)
+        fd = sh.open("/f", "w")
+        monkeypatch.undo()
+        assert served == [1, 0]
+        sh.close(fd)
+        cluster.settle()

@@ -394,10 +394,12 @@ class Propagator:
                 shadow.truncate()
             yield from self._pull_pages(source, gfile, pull_pages, shadow,
                                         waits)
-            if gfile in fs.ss:
+            if gfile in fs.ss or shadow.base_moved():
                 # A local open slipped in before the pull gate existed (or
                 # via an unsynchronized path): committing now would be
-                # clobbered by that open's stale shadow.  Defer instead.
+                # clobbered by that open's stale shadow.  Or the copy moved
+                # during the page fetches (a dropped copy freed the blocks
+                # this shadow would free again).  Defer instead.
                 shadow.abort()
                 self._defer(req)
                 return "deferred"

@@ -176,11 +176,13 @@ class ScrubManager:
         data-holding inode's committed content, so the scrub can detect
         copies whose version vectors agree but whose bytes do not.  The
         reply is a superset of ``fs.pack_inventory``'s shape — the scrub
-        reuses it wherever recovery expects an inventory."""
+        reuses it wherever recovery expects an inventory — and goes back
+        as a delta the same way (``RecoveryManager.delta_reply``)."""
         cost = self.site.cost
+        recovery = self.site.recovery
         pack = self.site.fs.local_pack(p["gfs"])
         if pack is None:
-            return {}
+            return recovery.delta_reply(src, p, "fs.scrub_digest", {})
         summary = {}
         blocks_read = 0
         for ino, inode in pack.inodes.items():
@@ -192,7 +194,7 @@ class ScrubManager:
                             "has_data": inode.has_data,
                             "digest": digest}
         yield from self.site.cpu(cost.disk_read * max(1, blocks_read))
-        return summary
+        return recovery.delta_reply(src, p, "fs.scrub_digest", summary)
 
     def _round(self, gfs: int) -> Generator:
         """One classification pass; returns the number of mismatches found

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Generator, List, Optional
 
-from repro.errors import EBADF, EINVAL, EISDIR
+from repro.errors import EBADF, EINVAL, EISDIR, LocusError
 from repro.fs.types import Mode
 from repro.obs.tracer import traced_syscall
 from repro.proc.process import Process, Signal
@@ -69,7 +69,16 @@ class ProcApi:
         handle = yield from self.fs.open_gfile(
             gfile, m, allow_conflict=allow_conflict)
         if trunc and m.writable and not created and handle.size:
-            yield from self.fs.truncate(handle)
+            try:
+                yield from self.fs.truncate(handle)
+            except LocusError:
+                # No descriptor will own the handle: close it, or the US
+                # keeps a real open and the CSS its write token for good.
+                try:
+                    yield from self.fs.close(handle)
+                except LocusError:
+                    pass
+                raise
         ofd_id = self.pm.fdtable.create("file", gfile, m, handle=handle)
         return self.proc.alloc_fd(ofd_id)
 

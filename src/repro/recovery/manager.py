@@ -15,9 +15,40 @@ from repro.obs.tracer import traced_pass
 from repro.recovery.dir_merge import merge_directories
 from repro.recovery.mailbox import (MailMessage, decode_mailbox,
                                     encode_mailbox, merge_mailboxes)
-from repro.storage.inode import FileType
+from repro.storage.inode import DiskInode, FileType, InodeAttrs
 from repro.storage.shadow import ShadowFile
 from repro.storage.version_vector import VersionVector, latest
+
+
+# How many of its latest inventory replies a pack site remembers per
+# requester, filegroup and call.  A requester's base stays usable across
+# this many replies lost or overtaken since it last rebuilt one.
+INVENTORY_MEMOS = 4
+
+
+# An inventory entry is ``{"attrs": InodeAttrs, **extras}``; its extra
+# fields, by call.
+_EXTRAS = {"fs.pack_inventory": ("has_data",),
+           "fs.scrub_digest": ("has_data", "digest")}
+_ATTR_FIELDS = tuple(DiskInode(ino=0).attrs())
+_SITES = _ATTR_FIELDS.index("storage_sites")
+
+
+def _compact(entry: dict) -> tuple:
+    """An inventory entry as one comparable tuple of its field values:
+    what both ends remember of a reply, instead of the entry dicts."""
+    values = list(entry["attrs"].values())
+    values[_SITES] = tuple(values[_SITES])
+    return tuple(values) + tuple(entry.values())[1:]
+
+
+def _expand(record: tuple, op: str) -> dict:
+    """The inventory entry ``record`` was compacted from."""
+    attrs = InodeAttrs(zip(_ATTR_FIELDS, record))
+    attrs["storage_sites"] = list(record[_SITES])
+    entry = {"attrs": attrs}
+    entry.update(zip(_EXTRAS[op], record[len(_ATTR_FIELDS):]))
+    return entry
 
 
 def _same_entries(a, b) -> bool:
@@ -67,6 +98,17 @@ class RecoveryManager:
         # (section 4.3): ftype -> callable(copies) -> merged bytes or None.
         self.merge_managers: Dict[FileType, Callable] = {}
         self._mail_seq = itertools.count(1)
+        # Delta inventories.  As requester: (pack site, gfs, op) -> the
+        # token and the compact records of the last reply rebuilt.  As
+        # pack site: (requester, gfs, op) -> token -> compact records of
+        # the last INVENTORY_MEMOS replies, oldest first.
+        self._held: Dict[Tuple[int, int, str],
+                         Tuple[int, Dict[int, tuple]]] = {}
+        self._memos: Dict[Tuple[int, int, str],
+                          Dict[int, Dict[int, tuple]]] = {}
+        # Never reset, crash included (like the RPC stamp counter): a
+        # token issued before a restart can never match a memo made after.
+        self._tokens = itertools.count(1)
         # The pack-site half of the protocol (see "Pack-site service").
         reg = site.register_handler
         reg("fs.pack_inventory", self.h_pack_inventory)
@@ -84,6 +126,8 @@ class RecoveryManager:
         self._demanding.clear()
         self._recount_due.clear()
         self._recounting.clear()
+        self._held.clear()
+        self._memos.clear()
 
     def on_restart(self) -> None:
         pass
@@ -166,15 +210,38 @@ class RecoveryManager:
                     ) -> Generator:
         """Every in-partition pack site's per-inode state, by site: the
         ``fs.pack_inventory`` answer, or the scrub's ``fs.scrub_digest``
-        superset of it.  Sites that fail to answer are skipped."""
+        superset of it.  Sites that fail to answer are skipped.
+
+        Each request names, as ``base``, the last reply this site rebuilt
+        from that pack; the pack answers with what changed since (see
+        ``delta_reply``), and the complete map is rebuilt here."""
         inventories: Dict[int, dict] = {}
         for s in self.pack_sites_up(gfs):
+            key = (s, gfs, op)
+            base, held = self._held.get(key, (None, {}))
             try:
-                inventories[s] = yield from self.site.rpc(
-                    s, op, {"gfs": gfs}, timeout=self.site.backstop)
+                reply = yield from self.site.rpc(
+                    s, op, {"gfs": gfs, "base": base},
+                    timeout=self.site.backstop)
             except (NetworkError, FsError):
                 continue
+            inventories[s] = self._rebuild(key, held, reply)
         return inventories
+
+    def _rebuild(self, key: Tuple[int, int, str], held: Dict[int, tuple],
+                 reply: dict) -> Dict[int, dict]:
+        """The complete map a reply stands for (``held`` is the records
+        its request named as base), remembered as the next base."""
+        records = dict(held) if reply["base"] is not None else {}
+        changed = reply["changed"]
+        for ino, entry in changed.items():
+            records[ino] = _compact(entry)
+        for ino in reply["gone"]:
+            del records[ino]
+        self._held[key] = (reply["token"], records)
+        return {ino: changed[ino] if ino in changed
+                else _expand(record, key[2])
+                for ino, record in records.items()}
 
     @staticmethod
     def copies_of(inventories: Dict[int, dict], ino: int,
@@ -712,9 +779,40 @@ class RecoveryManager:
     def h_pack_inventory(self, src: int, p: dict) -> Generator:
         pack = self.site.fs.local_pack(p["gfs"])
         if pack is None:
-            return {}
+            return self.delta_reply(src, p, "fs.pack_inventory", {})
         yield from self.site.cpu(self.site.cost.disk_read)
-        return pack.inventory()
+        return self.delta_reply(src, p, "fs.pack_inventory",
+                                pack.inventory())
+
+    def delta_reply(self, src: int, p: dict, op: str,
+                    table: Dict[int, dict]) -> dict:
+        """Answer an inventory call (``op``) from ``src`` with ``table``,
+        this pack's complete ``{ino: entry}`` map, as a delta.
+
+        A ``base`` token naming one of the last replies remembered for
+        ``src`` gets ``{base, token, changed, gone}``: the entries whose
+        fields differ from that reply's, and the inodes gone since.  Any
+        other base gets the whole table as ``changed``, with base None.
+        Either way the reply is remembered under its fresh token."""
+        memos = self._memos.setdefault((src, p["gfs"], op), {})
+        old = memos.get(p.get("base"))
+        records = {ino: _compact(entry) for ino, entry in table.items()}
+        if old is None:
+            base, changed, gone = None, table, []
+        else:
+            base, changed = p["base"], {}
+            for ino, record in records.items():
+                if old.get(ino) == record:
+                    records[ino] = old[ino]   # share, do not duplicate
+                else:
+                    changed[ino] = table[ino]
+            gone = [ino for ino in old if ino not in records]
+        token = next(self._tokens)
+        memos[token] = records
+        if len(memos) > INVENTORY_MEMOS:
+            del memos[next(iter(memos))]
+        return {"base": base, "token": token, "changed": changed,
+                "gone": gone}
 
     def _check_merge_base(self, gfile: Gfile, inode, base_vv) -> None:
         """Refuse a merged install whose base snapshot went stale.
@@ -770,10 +868,15 @@ class RecoveryManager:
                          storage_sites=list(p["storage_sites"]),
                          deleted=False, conflict=False, has_data=True)
         # Page writes yielded above: re-check in the same atomic step as
-        # the commit that nothing moved the file while we staged.
+        # the commit that nothing moved the file while we staged, and that
+        # no writer or pull began on it meanwhile: an SS shadow born during
+        # the yields cloned the old blocks and would free them again.
         try:
             self._check_merge_base(gfile, pack.get_inode(gfile[1]),
                                    p["base_vv"])
+            if gfile in fs.ss or fs.propagator.is_pulling(gfile) \
+                    or shadow.base_moved():
+                raise EBUSY(f"merge install of {gfile} raced local activity")
         except FsError:
             shadow.abort()
             raise

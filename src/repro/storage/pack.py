@@ -87,6 +87,11 @@ class Pack:
         self.blocks[blockno] = data
 
     @property
+    def free_list(self) -> List[int]:
+        """The freed block numbers awaiting reuse (fsck reads it)."""
+        return self._free_blocks
+
+    @property
     def blocks_in_use(self) -> int:
         return self._next_block - len(self._free_blocks)
 

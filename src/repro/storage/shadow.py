@@ -36,9 +36,21 @@ class ShadowFile:
         self.pack = pack
         self.ino = ino
         self.incore: DiskInode = disk.clone()
+        self._base = self._snapshot(disk)
         self._shadowed: Dict[int, Optional[int]] = {}  # page idx -> old block
         self._freed_old: List[int] = []                # truncated-away blocks
         self.dirty = False
+
+    @staticmethod
+    def _snapshot(disk: Optional[DiskInode]) -> Optional[tuple]:
+        return None if disk is None else (disk.version, tuple(disk.pages))
+
+    def base_moved(self) -> bool:
+        """Has the disk inode moved off the one this shadow cloned (a
+        commit, a dropped copy, a released inode)?  Committing over a moved
+        base would free the blocks it already freed, and install pages
+        the mover already gave back."""
+        return self._snapshot(self.pack.get_inode(self.ino)) != self._base
 
     # -- reads -------------------------------------------------------------
 
@@ -136,6 +148,7 @@ class ShadowFile:
         self.incore.mtime = mtime
         # The atomic step: one pointer swap in the real system.
         self.pack.inodes[self.ino] = self.incore.clone()
+        self._base = self._snapshot(self.incore)
         # Old pages are now unreachable; free them.
         for old_block in self._shadowed.values():
             if old_block is not None:
@@ -158,6 +171,7 @@ class ShadowFile:
         disk = self.pack.get_inode(self.ino)
         if disk is not None:
             self.incore = disk.clone()
+            self._base = self._snapshot(disk)
         self.dirty = False
 
     @property

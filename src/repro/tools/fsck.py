@@ -13,7 +13,10 @@ Audits every pack of every filegroup, cross-site:
 * content — copies with equal version vectors are one version, so they
   hold identical committed bytes unless conflict-flagged;
 * link counts — a file's nlink matches the number of live entries that
-  reference it (hard links).
+  reference it (hard links);
+* block aliasing — within each pack, no block is referenced by two inode
+  pages, referenced while on the free list, or on the free list twice (a
+  double free hands one block to two files).
 
 This is the one walk that classifies replica copies: the invariant checker
 and the fuzz oracle read its report rather than walking the packs again.
@@ -41,7 +44,8 @@ _DIR_TYPES = (FileType.DIRECTORY, FileType.HIDDEN_DIR)
 # The audited categories: a report is clean when every one is empty.  The
 # invariant checker reports each finding as ``fsck:<category>``.
 AUDITED = ("orphan_inodes", "dangling_entries", "placement_errors",
-           "content_mismatch", "unflagged_conflicts", "nlink_errors")
+           "content_mismatch", "unflagged_conflicts", "nlink_errors",
+           "block_aliasing")
 
 
 @dataclass
@@ -58,6 +62,9 @@ class FsckReport:
     content_mismatch: List[Tuple[Gfile, str]] = field(default_factory=list)
     unflagged_conflicts: List[Gfile] = field(default_factory=list)
     nlink_errors: List[Tuple[Gfile, int, int]] = field(default_factory=list)
+    # (filegroup, site, block, what is wrong with it)
+    block_aliasing: List[Tuple[int, int, int, str]] = field(
+        default_factory=list)
     # Informational, outside ``clean``: replicas lag legitimately on a live
     # cluster.  ``replica_divergence`` holds files whose unflagged copies
     # sit at more than one version vector, with the per-site vectors.
@@ -101,6 +108,10 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
     if not packs:
         return
     page_size = cluster.config.cost.page_size
+
+    for site_id, pack in packs.items():
+        report.block_aliasing += [(gfs, site_id, blockno, what) for
+                                  blockno, what in _aliased_blocks(pack)]
 
     # Union inode table, plus the freshest copy for reading directories.
     inodes: Dict[int, Dict[int, object]] = {}
@@ -188,3 +199,27 @@ def _check_filegroup(cluster, gfs: int, report: FsckReport) -> None:
         any_inode = next(iter(inodes[ino].values()))
         if any_inode.ftype is FileType.REGULAR and any_inode.nlink != refs:
             report.nlink_errors.append(((gfs, ino), any_inode.nlink, refs))
+
+
+def _aliased_blocks(pack) -> List[Tuple[int, str]]:
+    """One pack's blocks referenced twice, referenced while free, or freed
+    twice, as ``(block, what)``."""
+    owner: Dict[int, int] = {}
+    out = []
+    for ino, inode in sorted(pack.inodes.items()):
+        for blockno in inode.pages:
+            if blockno is None:
+                continue
+            if blockno in owner:
+                out.append((blockno, f"referenced by inodes {owner[blockno]}"
+                                     f" and {ino}"))
+            owner[blockno] = ino
+    freed: Set[int] = set()
+    for blockno in pack.free_list:
+        if blockno in freed:
+            out.append((blockno, "freed twice"))
+        freed.add(blockno)
+        if blockno in owner:
+            out.append((blockno, f"free but referenced by inode "
+                                 f"{owner[blockno]}"))
+    return out

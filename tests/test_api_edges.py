@@ -3,7 +3,8 @@
 import pytest
 
 from repro import LocusCluster, Signal
-from repro.errors import (EACCES, EBADF, EINVAL, EISDIR, ENOENT, ESRCH)
+from repro.errors import (EACCES, EBADF, EINVAL, EIO, EISDIR, ENOENT,
+                          ESRCH)
 
 
 @pytest.fixture
@@ -34,6 +35,31 @@ class TestOpenModes:
     def test_create_without_write_mode_does_not_create(self, sh):
         with pytest.raises(ENOENT):
             sh.open("/nope", "r", create=True)
+
+
+    def test_a_truncate_that_raises_closes_the_open(self, cluster, sh):
+        """An open whose truncate fails hands no descriptor out, so it
+        must not keep the file open: no US handle, no CSS write token,
+        and a later writer gets in."""
+        sh.write_file("/t", b"old content")
+        fs = cluster.site(0).fs
+        truncate = fs.truncate
+
+        def failing(handle):
+            raise EIO("truncate failed")
+            yield  # pragma: no cover
+
+        fs.truncate = failing
+        with pytest.raises(EIO):
+            sh.open("/t", "w", trunc=True)
+        fs.truncate = truncate
+        gfile, __ = cluster.call(0, fs.resolve_gfile(None, "/t"))
+        assert not [h for h in fs.us.values() if h.gfile == gfile]
+        for site in cluster.sites:
+            entry = site.fs.css_entries.get(gfile)
+            assert entry is None or entry.writer is None
+        cluster.shell(1).write_file("/t", b"new")
+        assert sh.read_file("/t") == b"new"
 
 
 class TestSeekAndOffsets:

@@ -156,6 +156,35 @@ def test_forged_missing_advertised_copy_is_placement_error(run):
     assert "site 0" in detail and "advertised" in detail
 
 
+@pytest.mark.parametrize("forgery, what", [
+    ("free_in_use", "free but referenced by inode"),
+    ("free_twice", "freed twice"),
+    ("share", "referenced by inodes"),
+])
+def test_forged_block_aliasing(run, forgery, what):
+    """A block on the free list while a page references it, on it twice,
+    or under two inodes' pages: the next allocation would hand it to a
+    second file.  fsck names the pack and block, and the oracle judges
+    it."""
+    packs, gfs, ino = data_packs(run.cluster)
+    pack = packs[1]
+    blockno = pack.inodes[ino].pages[0]
+    if forgery == "free_in_use":
+        pack.free_block(blockno)
+    elif forgery == "free_twice":
+        blockno = pack.alloc_block()
+        pack.free_block(blockno)
+        pack.free_block(blockno)
+    else:
+        other = next(i for i in pack.inodes.values()
+                     if i.ino != ino and i.pages)
+        other.pages.append(blockno)
+    from repro.tools.fsck import fsck
+    (found,) = fsck(run.cluster).block_aliasing
+    assert found[:3] == (gfs, 1, blockno) and what in found[3]
+    assert "fsck:block_aliasing" in judged(run)
+
+
 def test_fsck_reports_in_inode_order(run):
     """fsck lists findings in inode order, not in the order a pack
     installed its inodes: a higher inode installed before the file's, both

@@ -9,6 +9,7 @@ from repro.fs.handles import SsOpen
 from repro.net.stats import StatsWindow
 from repro.storage.shadow import ShadowFile
 from repro.storage.version_vector import VersionVector
+from repro.tools import fsck
 
 
 @pytest.fixture
@@ -97,6 +98,32 @@ class TestPullMechanics:
             landed - first_enqueue[0])
         assert cluster.site(1).packs[0].get_inode(gfile[1]).version == \
             sh.stat("/race")["version"]
+
+    def test_a_copy_dropped_mid_pull_defers_the_pull(self, cluster):
+        """A copy whose pages were freed while a pull fetched (a dropped
+        replica, a delete seen) must not take the pull's commit: the
+        shadow cloned those pages and would free them again.  The pull
+        re-queues and lands on the copy as it now stands."""
+        psz = cluster.config.cost.page_size
+        sh = make_replicated(cluster, "/dropped", b"old." * psz)
+        gfile = (0, sh.stat("/dropped")["ino"])
+        prop = cluster.site(1).fs.propagator
+        pack = cluster.site(1).packs[0]
+        original_pull_pages = prop._pull_pages
+
+        def pull_pages(source, g, pages, shadow, waits=None):
+            yield from original_pull_pages(source, g, pages, shadow, waits)
+            if prop.stats.deferred == 0:
+                pack.drop_data(g[1])
+
+        prop._pull_pages = pull_pages
+        sh.write_file("/dropped", b"new!" * psz)
+        cluster.settle()
+        assert prop.stats.deferred == 1
+        assert fsck(cluster).block_aliasing == []
+        assert pack.get_inode(gfile[1]).version == \
+            sh.stat("/dropped")["version"]
+        assert cluster.shell(1).read_file("/dropped") == b"new!" * psz
 
     def test_interrupted_pull_leaves_coherent_old_copy(self, cluster):
         """'If contact is lost with the site containing the newer version,

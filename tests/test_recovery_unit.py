@@ -5,12 +5,13 @@ import os
 
 import pytest
 
-from repro import FileType, LocusCluster
+from repro import FileType, LocusCluster, Mode
 from repro.core.site import Site
 from repro.errors import EBUSY, ECONFLICT, CircuitClosed, NetworkError
 from repro.fuzz import FuzzPlan
 from repro.fuzz.runner import PlanRunner
 from repro.net.stats import StatsWindow
+from repro.tools import fsck
 
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -258,6 +259,33 @@ class TestInstallMerged:
                 0, {"gfile": gfile, "data": b"merged", "base_vv": base_vv}))
         sh.close(fd)
         cluster.settle()
+
+
+    def test_refuses_a_writer_that_opened_during_its_page_writes(
+            self, cluster):
+        """An SS open born while the install stages its pages cloned the
+        old blocks: the install must not commit under it, or the open's
+        later commit frees those blocks a second time."""
+        gfile = _linked_file(cluster)
+        ss = cluster.site(1)
+        attrs = ss.fs.local_inode(gfile).attrs()
+        psz = cluster.config.cost.page_size
+        install = cluster.spawn(1, ss.recovery.h_install_merged(0, {
+            "gfile": gfile, "data": b"m" * (4 * psz),
+            "base_vv": attrs["version"], "ftype": attrs["ftype"],
+            "owner": attrs["owner"], "perms": attrs["perms"],
+            "nlink": attrs["nlink"],
+            "storage_sites": attrs["storage_sites"]}))
+        cluster.call(1, ss.fs._ss_open_local(gfile, Mode.WRITE, 1))
+        assert not install.finished
+        cluster.settle()
+        with pytest.raises(EBUSY):
+            install.result()
+        ss.fs.ss[gfile].shadow.write_page(0, b"writer")
+        cluster.call(1, ss.fs._ss_commit(gfile))
+        cluster.call(1, ss.fs._ss_close_local(gfile, Mode.WRITE, 1))
+        cluster.settle()
+        assert fsck(cluster).block_aliasing == []
 
 
 class TestLinkCountRepair:

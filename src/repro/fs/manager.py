@@ -1707,14 +1707,20 @@ class FsManager(PathMixin, NamespaceMixin):
         if handle.mode.writable and handle.dirty:
             try:
                 yield from self.commit(handle)
+            except NetworkError:
+                # Not a refusal: the failure propagates, and the SS's open
+                # entry and the CSS's write token are left to membership
+                # cleanup or the leaked-open probes.  Those probes ask
+                # h_validate_open, so the dead handle must leave ``us``.
+                handle.closed = True
+                self.us.pop(handle.hid, None)
+                raise
             except FsError as exc:
                 # The SS refused (e.g. a staged page hit a disk write
                 # error): undo to the previous commit point — which also
                 # drops locally cached pages of the never-committed data —
                 # finish the close, and surface the failure through the
-                # close like Unix's deferred write error.  Communication
-                # failures are NOT caught: reconfiguration cleanup owns
-                # those (the descriptor is marked in error instead).
+                # close like Unix's deferred write error.
                 commit_error = exc
                 try:
                     yield from self.abort(handle)

@@ -4,6 +4,7 @@ marking, owner notification, and demand recovery (section 4).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
@@ -25,6 +26,10 @@ from repro.storage.version_vector import VersionVector, latest
 # this many replies lost or overtaken since it last rebuilt one.
 INVENTORY_MEMOS = 4
 
+# The ``base`` of a reply answered against the table the request
+# proposed in ``have`` (never a token: those start at 1).
+SEEDED = 0
+
 
 # An inventory entry is ``{"attrs": InodeAttrs, **extras}``; its extra
 # fields, by call.
@@ -40,6 +45,25 @@ def _compact(entry: dict) -> tuple:
     values = list(entry["attrs"].values())
     values[_SITES] = tuple(values[_SITES])
     return tuple(values) + tuple(entry.values())[1:]
+
+
+def _fingerprint(record: tuple) -> int:
+    """A compact record as a deterministic 64-bit digest (never the
+    salted ``hash()``: requester and pack must agree on it)."""
+    return int.from_bytes(hashlib.blake2b(repr(record).encode(),
+                                          digest_size=8).digest(), "big")
+
+
+def _placed(record: tuple, site: int) -> tuple:
+    """``record``, taken from another pack, as ``site``'s pack would
+    likely hold it: data where the inode places a copy, and the scrub
+    digest only where both packs hold data."""
+    n = len(_ATTR_FIELDS)
+    has_data = site in record[_SITES]
+    extras = (has_data,)
+    if len(record) > n + 1:
+        extras += (record[n + 1] if has_data and record[n] else None,)
+    return record[:n] + extras
 
 
 def _expand(record: tuple, op: str) -> dict:
@@ -71,6 +95,10 @@ class RecoveryStats:
         self.nlink_repairs = 0
         self.retries_scheduled = 0
         self.retries_exhausted = 0
+        # Inventory replies this site served as a pack, by kind.
+        self.inventories_full = 0
+        self.inventories_seeded = 0
+        self.inventories_delta = 0
 
 
 class RecoveryManager:
@@ -214,24 +242,45 @@ class RecoveryManager:
 
         Each request names, as ``base``, the last reply this site rebuilt
         from that pack; the pack answers with what changed since (see
-        ``delta_reply``), and the complete map is rebuilt here."""
+        ``delta_reply``), and the complete map is rebuilt here.  With no
+        such reply, the request proposes in ``have`` the table ``_seed``
+        predicts from another pack's."""
         inventories: Dict[int, dict] = {}
         for s in self.pack_sites_up(gfs):
             key = (s, gfs, op)
-            base, held = self._held.get(key, (None, {}))
+            request = {"gfs": gfs, "base": None}
+            if key in self._held:
+                request["base"], held = self._held[key]
+            else:
+                held = self._seed(s, gfs, op)
+                if held:
+                    request["have"] = {ino: _fingerprint(record)
+                                       for ino, record in held.items()}
             try:
-                reply = yield from self.site.rpc(
-                    s, op, {"gfs": gfs, "base": base},
-                    timeout=self.site.backstop)
+                reply = yield from self.site.rpc(s, op, request,
+                                                 timeout=self.site.backstop)
             except (NetworkError, FsError):
                 continue
             inventories[s] = self._rebuild(key, held, reply)
         return inventories
 
+    def _seed(self, site: int, gfs: int, op: str) -> Dict[int, tuple]:
+        """The records held from another pack of ``gfs`` for ``op`` (this
+        site's own pack first), each as ``site``'s pack would likely hold
+        it; empty when there are none."""
+        source = next((key for key in ((self.sid, gfs, op), *self._held)
+                       if key in self._held and key[1:] == (gfs, op)
+                       and key[0] != site), None)
+        if source is None:
+            return {}
+        return {ino: _placed(record, site)
+                for ino, record in self._held[source][1].items()}
+
     def _rebuild(self, key: Tuple[int, int, str], held: Dict[int, tuple],
                  reply: dict) -> Dict[int, dict]:
         """The complete map a reply stands for (``held`` is the records
-        its request named as base), remembered as the next base."""
+        its request named as base, or proposed as ``have``), remembered
+        as the next base."""
         records = dict(held) if reply["base"] is not None else {}
         changed = reply["changed"]
         for ino, entry in changed.items():
@@ -792,14 +841,25 @@ class RecoveryManager:
         A ``base`` token naming one of the last replies remembered for
         ``src`` gets ``{base, token, changed, gone}``: the entries whose
         fields differ from that reply's, and the inodes gone since.  Any
-        other base gets the whole table as ``changed``, with base None.
+        other base with a ``have`` of ``{ino: fingerprint}`` gets the
+        same against that proposed table, with base SEEDED; with neither,
+        the whole table comes back as ``changed``, with base None.
         Either way the reply is remembered under its fresh token."""
         memos = self._memos.setdefault((src, p["gfs"], op), {})
         old = memos.get(p.get("base"))
         records = {ino: _compact(entry) for ino, entry in table.items()}
-        if old is None:
+        have = p.get("have")
+        if old is None and have is None:
+            self.stats.inventories_full += 1
             base, changed, gone = None, table, []
+        elif old is None:
+            self.stats.inventories_seeded += 1
+            base = SEEDED
+            changed = {ino: table[ino] for ino, record in records.items()
+                       if have.get(ino) != _fingerprint(record)}
+            gone = [ino for ino in have if ino not in records]
         else:
+            self.stats.inventories_delta += 1
             base, changed = p["base"], {}
             for ino, record in records.items():
                 if old.get(ino) == record:
@@ -838,6 +898,11 @@ class RecoveryManager:
         """
         fs = self.site.fs
         gfile: Gfile = p["gfile"]
+        if gfile in fs.ss:
+            # A registration whose fs.close was lost would refuse every
+            # merge of the file for good: drop those whose US no longer
+            # holds the file, as the propagator does for its pulls.
+            yield from fs.validate_ss_entry(gfile)
         pack = fs.local_pack(gfile[0])
         if pack is None:
             raise ESTALE(f"site {self.sid} holds no pack of fg {gfile[0]}")
@@ -882,8 +947,10 @@ class RecoveryManager:
             raise
         merged_vv = p["base_vv"].bump(self.sid)
         shadow.commit(new_version=merged_vv, mtime=self.site.sim.now)
-        yield from self.site.cpu(self.site.cost.disk_write)
+        # Same atomic step as the commit: a read during the inode write
+        # below must not find pages cached from the copy just replaced.
         self.site.cache.invalidate_file(*gfile)
+        yield from self.site.cpu(self.site.cost.disk_write)
         attrs = pack.get_inode(gfile[1]).attrs()
         # pages=None: receivers must full-pull (the whole content changed).
         yield from fs._after_commit(gfile, attrs, None)

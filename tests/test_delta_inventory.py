@@ -1,6 +1,8 @@
 """Delta inventories: a pack site answers ``fs.pack_inventory`` and
 ``fs.scrub_digest`` with only what changed since a reply the requester
-still holds, and the requester rebuilds the complete map.
+still holds, or, on first contact, since the table the requester
+predicts from another pack's reply; the requester rebuilds the complete
+map.
 
 Every test checks the rebuild exactly.  The ``exact`` fixture hooks both
 halves of the protocol: the pack side attaches its complete table to each
@@ -19,7 +21,8 @@ import pytest
 from repro import LocusCluster
 from repro.fuzz import FuzzPlan, run_plan
 from repro.net.stats import StatsWindow
-from repro.recovery.manager import INVENTORY_MEMOS, RecoveryManager
+from repro.recovery.manager import (INVENTORY_MEMOS, SEEDED,
+                                    RecoveryManager)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPS = ("fs.pack_inventory", "fs.scrub_digest")
@@ -27,18 +30,26 @@ OPS = ("fs.pack_inventory", "fs.scrub_digest")
 
 class Exact:
     """What the hooked protocol saw: one ``(op, requester, pack site,
-    delta, equal)`` per reply rebuilt, ``delta`` false for a full
-    table."""
+    kind, equal)`` per reply rebuilt, ``kind`` one of "full", "seeded"
+    and "delta"."""
 
     def __init__(self):
         self.rebuilt = []
+        self.replies = []   # (op, pack site, reply) per reply served
 
     @property
     def all_equal(self) -> bool:
         return bool(self.rebuilt) and all(row[4] for row in self.rebuilt)
 
-    def deltas(self, op: str) -> int:
-        return sum(1 for row in self.rebuilt if row[0] == op and row[3])
+    def count(self, op: str, kind: str) -> int:
+        return sum(1 for row in self.rebuilt
+                   if row[0] == op and row[3] == kind)
+
+
+def _kind(reply: dict) -> str:
+    if reply["base"] is None:
+        return "full"
+    return "seeded" if reply["base"] == SEEDED else "delta"
 
 
 @pytest.fixture
@@ -50,12 +61,12 @@ def exact(monkeypatch):
     def full_attached(self, src, p, op, table):
         reply = reply_of(self, src, p, op, table)
         reply["_full"] = dict(table)
+        seen.replies.append((op, self.sid, reply))
         return reply
 
     def checked(self, key, held, reply):
         inv = rebuild(self, key, held, reply)
-        seen.rebuilt.append((key[2], self.sid, key[0],
-                             reply["base"] is not None,
+        seen.rebuilt.append((key[2], self.sid, key[0], _kind(reply),
                              inv == reply["_full"]))
         return inv
 
@@ -87,14 +98,17 @@ def reply_bytes(cluster, fn):
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_a_repeat_call_sends_only_what_changed(cluster, exact, op):
-    first = reply_bytes(cluster, lambda: inventories(cluster, op=op))
+def test_a_repeat_call_sends_only_what_changed(cluster, exact, monkeypatch,
+                                              op):
+    with monkeypatch.context() as unseeded:
+        unseeded.setattr(RecoveryManager, "_seed", lambda *args: {})
+        first = reply_bytes(cluster, lambda: inventories(cluster, op=op))
     cluster.shell(1).write_file("/f3", b"changed")
     cluster.settle()
     rebuilt = []
     again = reply_bytes(
         cluster, lambda: rebuilt.append(inventories(cluster, op=op)))
-    assert exact.all_equal and exact.deltas(op) == 3
+    assert exact.all_equal and exact.count(op, "delta") == 3
     assert again < first / 3
     for s in (0, 1, 2):
         assert rebuilt[0][s] == exact_table(cluster, s, op)
@@ -110,6 +124,64 @@ def exact_table(cluster, site_id, op):
     return reply["changed"]
 
 
+@pytest.mark.parametrize("site_id", (0, 1, 2))
+@pytest.mark.parametrize("op", OPS)
+def test_a_first_contact_is_answered_against_a_seeded_table(
+        cluster, exact, monkeypatch, op, site_id):
+    """A requester holding no base asks its first pack in full and the
+    others against the table it predicts from that reply: every rebuild
+    is exact, and replicas that agree send no entry."""
+    seeded = reply_bytes(cluster,
+                         lambda: inventories(cluster, site_id, op))
+    assert [row[2:] for row in exact.rebuilt] == [
+        (0, "full", True), (1, "seeded", True), (2, "seeded", True)]
+    assert [r["changed"] for __, s, r in exact.replies if s] == [{}, {}]
+    served = [(site.recovery.stats.inventories_full,
+               site.recovery.stats.inventories_seeded,
+               site.recovery.stats.inventories_delta)
+              for site in cluster.sites]
+    assert served == [(1, 0, 0), (0, 1, 0), (0, 1, 0)]
+    cluster.site(site_id).recovery.reset_volatile()
+    monkeypatch.setattr(RecoveryManager, "_seed", lambda *args: {})
+    full = reply_bytes(cluster, lambda: inventories(cluster, site_id, op))
+    assert seeded < full
+
+
+def test_a_non_storing_pack_is_predicted_from_a_storing_one(exact):
+    """Pack 2 stores no data of files placed at sites 0 and 1: the seed
+    taken from pack 0's reply predicts its ``has_data`` and scrub digest,
+    so its seeded reply carries no entry."""
+    cluster = LocusCluster(n_sites=3, seed=44)
+    sh = cluster.shell(0)
+    sh.setcopies(2)
+    for i in range(4):
+        sh.write_file(f"/f{i}", bytes([65 + i]) * 1500)
+    cluster.settle()
+    inv = inventories(cluster, op="fs.scrub_digest")
+    ino = sh.stat("/f0")["ino"]
+    assert inv[0][ino]["has_data"] and inv[0][ino]["digest"]
+    assert not inv[2][ino]["has_data"] and inv[2][ino]["digest"] is None
+    (reply,) = [r for __, s, r in exact.replies if s == 2]
+    assert _kind(reply) == "seeded" and reply["changed"] == {}
+    assert exact.all_equal
+
+
+def test_a_digest_skew_surfaces_through_a_seeded_reply(cluster, exact):
+    """Equal version vectors, different bytes at one pack: the seed
+    predicts the other pack's digest, so the skewed copy comes back as a
+    change and the scrub round still flags it."""
+    ino = cluster.shell(0).stat("/f2")["ino"]
+    pack = cluster.site(2).packs[0]
+    blockno = pack.inodes[ino].pages[0]
+    pack.blocks[blockno] = bytes(b ^ 0xAA for b in pack.blocks[blockno])
+    scrub = cluster.site(0).scrub
+    cluster.call(0, scrub._round(0))
+    assert scrub.stats.digest_skews == 1
+    reply = next(r for __, s, r in exact.replies if s == 2)
+    assert _kind(reply) == "seeded" and list(reply["changed"]) == [ino]
+    assert exact.all_equal
+
+
 def test_lost_replies_within_the_memo_depth_still_delta(cluster, exact):
     """Replies the requester never saw leave its base among the pack's
     memos for INVENTORY_MEMOS - 1 more replies; past that it is
@@ -123,12 +195,12 @@ def test_lost_replies_within_the_memo_depth_still_delta(cluster, exact):
     cluster.shell(0).unlink("/f1")
     cluster.settle()
     inventories(cluster)
-    assert exact.rebuilt[-1] == ("fs.pack_inventory", 0, 2, True, True)
+    assert exact.rebuilt[-1] == ("fs.pack_inventory", 0, 2, "delta", True)
     token, __ = cluster.site(0).recovery._held[(2, 0, "fs.pack_inventory")]
     for __ in range(INVENTORY_MEMOS):
         cluster.call(2, pack.h_pack_inventory(0, {"gfs": 0, "base": token}))
     inventories(cluster)
-    assert exact.rebuilt[-1] == ("fs.pack_inventory", 0, 2, False, True)
+    assert exact.rebuilt[-1] == ("fs.pack_inventory", 0, 2, "full", True)
     assert exact.all_equal
 
 
@@ -142,7 +214,7 @@ def test_an_inode_gone_since_the_base_is_removed(cluster, exact):
     inventories(cluster, site_id=1)
     __, held = cluster.site(1).recovery._held[(1, 0, "fs.pack_inventory")]
     assert ino not in held
-    assert exact.all_equal and exact.deltas("fs.pack_inventory") == 3
+    assert exact.all_equal and exact.count("fs.pack_inventory", "delta") == 3
 
 
 def test_concurrent_requests_from_one_site_each_rebuild_exactly(
@@ -161,13 +233,14 @@ def test_concurrent_requests_from_one_site_each_rebuild_exactly(
     assert len(first.result()) == len(second.result()) == 3
     third = inventories(cluster)
     assert len(exact.rebuilt) == 12
-    assert exact.all_equal and exact.deltas("fs.pack_inventory") == 9
+    assert exact.all_equal and exact.count("fs.pack_inventory", "delta") == 9
     assert third[2][ino]["attrs"]["nlink"] == 7
 
 
 def test_a_pack_restart_forgets_its_memos_not_its_tokens(cluster, exact):
     """The restarted pack answers its first call after the restart in
-    full, under a token above every one it issued before."""
+    full, under a token above every one it issued before: the requester
+    holds a base for it, so it proposes no table."""
     inventories(cluster)
     rec = cluster.site(0).recovery
     before, __ = rec._held[(2, 0, "fs.pack_inventory")]
@@ -179,14 +252,15 @@ def test_a_pack_restart_forgets_its_memos_not_its_tokens(cluster, exact):
     assert after > before
     first_from_2 = next(row for row in exact.rebuilt[n:]
                         if row[:3] == ("fs.pack_inventory", 0, 2))
-    assert first_from_2[3] is False
+    assert first_from_2[3] == "full"
     assert rebuilt[2] == exact_table(cluster, 2, "fs.pack_inventory")
     assert exact.all_equal
 
 
-def test_a_requester_crash_starts_it_from_full_tables(cluster, exact):
-    """A restarted requester holds no base, so each pack answers its
-    first call in full; the call after that is a delta again."""
+def test_a_requester_crash_starts_it_from_seeded_tables(cluster, exact):
+    """A restarted requester holds no base: the first pack it asks
+    answers in full, and the others answer against that table; the call
+    after that is a delta again."""
     op = "fs.scrub_digest"
     inventories(cluster, site_id=1, op=op)
     cluster.fail_site(1)
@@ -201,8 +275,8 @@ def test_a_requester_crash_starts_it_from_full_tables(cluster, exact):
     firsts = {}
     for row in mine:
         firsts.setdefault(row[2], row[3])
-    assert firsts == {0: False, 1: False, 2: False}
-    assert [row[3] for row in mine[-3:]] == [True] * 3
+    assert firsts == {0: "full", 1: "seeded", 2: "seeded"}
+    assert [row[3] for row in mine[-3:]] == ["delta"] * 3
     assert exact.all_equal
 
 
@@ -233,5 +307,5 @@ def test_corpus_replay_rebuilds_every_inventory_exactly(exact, seed):
     assert result.ok, result.report()
     assert result.digest() == digest
     assert exact.all_equal
-    assert exact.deltas("fs.pack_inventory") and \
-        exact.deltas("fs.scrub_digest")
+    for op in OPS:
+        assert exact.count(op, "seeded") and exact.count(op, "delta")

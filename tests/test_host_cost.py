@@ -224,9 +224,13 @@ class TestDifferentialSizing:
 # base/token/changed/gone keys and later ones shrank, so 29 recovery, scrub
 # and pull spans start or end up to 1 vt apart, and the 6 recovery, scrub
 # and repair instants and both detection lines after them move with them;
-# every name, site, status and count is unchanged.
-STORM_JSONL_SHA1 = "b779fb12455fc089c2f9d2d31fff37bfc432f9ba"
-STORM_CHROME_SHA1 = "9a70240898e6e9c48bce6ce39713294fe0d97cbe"
+# every name, site, status and count is unchanged.  Both were re-pinned
+# when a first call to a pack became a delta against a table seeded from
+# another pack's reply: 14 recovery, scrub, rpc and handler spans, 3
+# instants and 1 detection line move by at most 1.2 vt, and nothing else
+# in the JSONL differs.
+STORM_JSONL_SHA1 = "97344b6a3af84ad5a75e165fd2eb796dd630dd18"
+STORM_CHROME_SHA1 = "db9e601809c5c2ea93bdd87874c96d51a5ead752"
 
 
 def _sha1(path):

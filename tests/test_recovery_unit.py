@@ -261,6 +261,26 @@ class TestInstallMerged:
         cluster.settle()
 
 
+    def test_probes_a_leaked_reader_registration_first(self, cluster):
+        """A reader open whose ``fs.close`` was lost stays registered at
+        the SS for good: the install asks its US, drops the registration
+        and lands on its first try."""
+        gfile = _linked_file(cluster)
+        ss = cluster.site(1)
+        cluster.call(1, ss.fs._ss_open_local(gfile, Mode.READ, 2))
+        assert ss.fs.ss[gfile].users == {2: 1}
+        attrs = ss.fs.local_inode(gfile).attrs()
+        cluster.call(1, ss.recovery.h_install_merged(0, {
+            "gfile": gfile, "data": b"merged",
+            "base_vv": attrs["version"], "ftype": attrs["ftype"],
+            "owner": attrs["owner"], "perms": attrs["perms"],
+            "nlink": attrs["nlink"],
+            "storage_sites": attrs["storage_sites"]}))
+        assert ss.metrics.counters["fs.ss_leak_repairs"] == 1
+        assert gfile not in ss.fs.ss
+        cluster.settle()
+        assert cluster.shell(2).read_file("/g") == b"merged"
+
     def test_refuses_a_writer_that_opened_during_its_page_writes(
             self, cluster):
         """An SS open born while the install stages its pages cloned the
@@ -586,6 +606,32 @@ class TestWriterProbe:
         cluster.shell(other).write_file("/f", b"v2")
         cluster.settle()
         assert cluster.shell(us).read_file("/f") == b"v2"
+
+    def test_a_close_whose_commit_lost_its_circuit_drops_the_handle(
+            self, cluster, monkeypatch):
+        """The close's commit raises ``CircuitClosed``: the handle still
+        leaves ``us``, so the writer probe finds the file unheld and the
+        CSS drops the write token."""
+        gfile, css, us, __ = self._setup(cluster)
+        fs = cluster.site(us).fs
+        sh = cluster.shell(us)
+        fd = sh.open("/f", "w")
+        sh.write(fd, b"lost")
+
+        def lost(handle):
+            raise CircuitClosed("removed from partition")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(fs, "commit", lost)
+        with pytest.raises(CircuitClosed):
+            sh.close(fd)
+        monkeypatch.undo()
+        assert not [h for h in fs.us.values() if h.gfile == gfile]
+        css_fs = cluster.site(css).fs
+        assert css_fs.css_entries[gfile].writer == us
+        assert not cluster.call(css, css_fs.validate_css_writer(gfile))
+        assert gfile not in css_fs.css_entries
+        assert css_fs.site.metrics.counters["fs.css_leak_repairs"] == 1
 
     def test_a_held_token_is_probed_not_inventoried(self, cluster):
         """A writer really holds the file: its retries still stop at the

@@ -37,6 +37,8 @@ _EXTRAS = {"fs.pack_inventory": ("has_data",),
            "fs.scrub_digest": ("has_data", "digest")}
 _ATTR_FIELDS = tuple(DiskInode(ino=0).attrs())
 _SITES = _ATTR_FIELDS.index("storage_sites")
+# A compact record's field names, by call, in record order.
+_FIELDS = {op: _ATTR_FIELDS + extras for op, extras in _EXTRAS.items()}
 
 
 def _compact(entry: dict) -> tuple:
@@ -73,6 +75,22 @@ def _expand(record: tuple, op: str) -> dict:
     entry = {"attrs": attrs}
     entry.update(zip(_EXTRAS[op], record[len(_ATTR_FIELDS):]))
     return entry
+
+
+def _patch(old: tuple, new: tuple, op: str) -> dict:
+    """The fields of compact record ``new`` that differ from ``old``, as
+    ``{field: value}``."""
+    return {name: value for name, value, was in zip(_FIELDS[op], new, old)
+            if value != was}
+
+
+def _patched(record: tuple, patch: dict, op: str) -> tuple:
+    """``record`` with ``patch``'s fields set."""
+    fields = _FIELDS[op]
+    values = list(record)
+    for name, value in patch.items():
+        values[fields.index(name)] = value
+    return tuple(values)
 
 
 def _same_entries(a, b) -> bool:
@@ -195,13 +213,16 @@ class RecoveryManager:
             # second merge concurrently would race the first's install.
             yield inflight
             return None
-        if not self.needs(gfile):
+        if not self.needs(gfile) or gfs not in self._sweep_inventories:
+            # Not pending; or pending for a queued retry, with no sweep
+            # snapshot to reconcile against: the retry takes fresh
+            # inventories, and the file stays pending until it does.
             return None
         # The delayed access's span shows why it waited.
         tracer = self.site.tracer
         tracer.event(tracer.current_ctx(), "demand_recovery",
                      {"gfile": list(gfile)})
-        inventories = self._sweep_inventories.get(gfs, {})
+        inventories = self._sweep_inventories[gfs]
         self.pending.get(gfs, set()).discard(ino)
         done = self.site.sim.create_future(f"demand:{gfile}")
         self._demanding[gfile] = done
@@ -228,10 +249,14 @@ class RecoveryManager:
     # The filegroup sweep
     # ------------------------------------------------------------------
 
+    def _members(self) -> Set[int]:
+        """The sites in this site's partition view."""
+        return self.site.topology.partition_set if self.site.topology \
+            else set(self.site.net.site_ids)
+
     def pack_sites_up(self, gfs: int) -> List[int]:
         """The filegroup's pack sites inside this site's partition."""
-        members = self.site.topology.partition_set if self.site.topology \
-            else set(self.site.net.site_ids)
+        members = self._members()
         return [s for s in self.site.fs.mount.pack_sites(gfs) if s in members]
 
     def inventories(self, gfs: int, op: str = "fs.pack_inventory"
@@ -281,15 +306,18 @@ class RecoveryManager:
         """The complete map a reply stands for (``held`` is the records
         its request named as base, or proposed as ``have``), remembered
         as the next base."""
+        op = key[2]
         records = dict(held) if reply["base"] is not None else {}
         changed = reply["changed"]
         for ino, entry in changed.items():
             records[ino] = _compact(entry)
+        for ino, patch in reply["patched"].items():
+            records[ino] = _patched(records[ino], patch, op)
         for ino in reply["gone"]:
             del records[ino]
         self._held[key] = (reply["token"], records)
         return {ino: changed[ino] if ino in changed
-                else _expand(record, key[2])
+                else _expand(record, op)
                 for ino, record in records.items()}
 
     @staticmethod
@@ -479,7 +507,8 @@ class RecoveryManager:
             yield from self.merge_directory(gfile, live, inventories)
             return None
         if not conflict:
-            yield from self._propagate_best(gfile, holders, best_vv)
+            yield from self._propagate_best(gfile, holders, best_vv,
+                                            inventories)
             return None
         # Mutually inconsistent copies: dispatch by type (section 4.3).
         if ftype is FileType.MAILBOX:
@@ -569,18 +598,26 @@ class RecoveryManager:
         return None
 
     def _propagate_best(self, gfile: Gfile, holders: List[Tuple[int, dict]],
-                        best_vv: VersionVector) -> Generator:
+                        best_vv: VersionVector,
+                        inventories: Dict[int, dict]) -> Generator:
+        """Push the best copy among ``holders`` to the storage sites that
+        lack it: the holders behind it, and the advertised storage sites
+        holding no data (e.g. replicas of a file created while they were
+        in the other partition) that answered ``inventories`` or lie
+        outside this site's partition, where no inventory reaches.  An
+        in-partition pack that did not answer gets no push: if it joined
+        since, its merge sweeps it; if its reply was lost, the scrub's
+        round is partial and runs again."""
         winners = [(s, a) for s, a in holders if a["version"] == best_vv]
         if not winners:
             return None
         win_site, win_attrs = winners[0]
         current = {s for s, a in holders if a["version"] == best_vv}
         behind = {s for s, __ in holders} - current
-        # Advertised storage sites holding no data yet (e.g. replicas of a
-        # file created while they were in the other partition) must be
-        # seeded too.
         if not win_attrs["deleted"]:
-            behind |= set(win_attrs["storage_sites"]) - current
+            members = self._members()
+            behind |= {s for s in win_attrs["storage_sites"]
+                       if s in inventories or s not in members} - current
         if not behind:
             return None
         self.stats.propagations_scheduled += len(behind)
@@ -678,7 +715,8 @@ class RecoveryManager:
                 if attrs["version"] != best_vv:
                     continue
                 if _same_entries(merged, entries):
-                    yield from self._propagate_best(gfile, holders, best_vv)
+                    yield from self._propagate_best(gfile, holders, best_vv,
+                                                    inventories)
                     return None
                 break
         yield from self._install_winner(gfile, holders, holders,
@@ -839,16 +877,20 @@ class RecoveryManager:
         this pack's complete ``{ino: entry}`` map, as a delta.
 
         A ``base`` token naming one of the last replies remembered for
-        ``src`` gets ``{base, token, changed, gone}``: the entries whose
-        fields differ from that reply's, and the inodes gone since.  Any
-        other base with a ``have`` of ``{ino: fingerprint}`` gets the
-        same against that proposed table, with base SEEDED; with neither,
-        the whole table comes back as ``changed``, with base None.
-        Either way the reply is remembered under its fresh token."""
+        ``src`` gets ``{base, token, changed, patched, gone}``: an inode
+        in that reply whose record differs goes in ``patched`` as only
+        the fields that differ, ``{ino: {field: value}}``; a new inode
+        goes whole in ``changed``; ``gone`` lists the inodes removed
+        since.  Any other base with a ``have`` of ``{ino: fingerprint}``
+        gets whole entries against that proposed table, with base SEEDED
+        (a fingerprint names no fields); with neither, the whole table
+        comes back as ``changed``, with base None.  Either way the reply
+        is remembered under its fresh token."""
         memos = self._memos.setdefault((src, p["gfs"], op), {})
         old = memos.get(p.get("base"))
         records = {ino: _compact(entry) for ino, entry in table.items()}
         have = p.get("have")
+        patched = {}
         if old is None and have is None:
             self.stats.inventories_full += 1
             base, changed, gone = None, table, []
@@ -862,17 +904,20 @@ class RecoveryManager:
             self.stats.inventories_delta += 1
             base, changed = p["base"], {}
             for ino, record in records.items():
-                if old.get(ino) == record:
-                    records[ino] = old[ino]   # share, do not duplicate
-                else:
+                prior = old.get(ino)
+                if prior is None:
                     changed[ino] = table[ino]
+                elif prior == record:
+                    records[ino] = prior   # share, do not duplicate
+                else:
+                    patched[ino] = _patch(prior, record, op)
             gone = [ino for ino in old if ino not in records]
         token = next(self._tokens)
         memos[token] = records
         if len(memos) > INVENTORY_MEMOS:
             del memos[next(iter(memos))]
         return {"base": base, "token": token, "changed": changed,
-                "gone": gone}
+                "patched": patched, "gone": gone}
 
     def _check_merge_base(self, gfile: Gfile, inode, base_vv) -> None:
         """Refuse a merged install whose base snapshot went stale.

@@ -1,8 +1,8 @@
 """Delta inventories: a pack site answers ``fs.pack_inventory`` and
 ``fs.scrub_digest`` with only what changed since a reply the requester
-still holds, or, on first contact, since the table the requester
-predicts from another pack's reply; the requester rebuilds the complete
-map.
+still holds (an inode it held as only the fields that differ), or, on
+first contact, since the table the requester predicts from another pack's
+reply; the requester rebuilds the complete map.
 
 Every test checks the rebuild exactly.  The ``exact`` fixture hooks both
 halves of the protocol: the pack side attaches its complete table to each
@@ -20,6 +20,7 @@ import pytest
 
 from repro import LocusCluster
 from repro.fuzz import FuzzPlan, run_plan
+from repro.net.message import payload_size
 from repro.net.stats import StatsWindow
 from repro.recovery.manager import (INVENTORY_MEMOS, SEEDED,
                                     RecoveryManager)
@@ -31,15 +32,17 @@ OPS = ("fs.pack_inventory", "fs.scrub_digest")
 class Exact:
     """What the hooked protocol saw: one ``(op, requester, pack site,
     kind, equal)`` per reply rebuilt, ``kind`` one of "full", "seeded"
-    and "delta"."""
+    and "delta", and one ``equal`` per patched entry rebuilt."""
 
     def __init__(self):
         self.rebuilt = []
         self.replies = []   # (op, pack site, reply) per reply served
+        self.patched = []
 
     @property
     def all_equal(self) -> bool:
-        return bool(self.rebuilt) and all(row[4] for row in self.rebuilt)
+        return (bool(self.rebuilt) and all(row[4] for row in self.rebuilt)
+                and all(self.patched))
 
     def count(self, op: str, kind: str) -> int:
         return sum(1 for row in self.rebuilt
@@ -68,6 +71,8 @@ def exact(monkeypatch):
         inv = rebuild(self, key, held, reply)
         seen.rebuilt.append((key[2], self.sid, key[0], _kind(reply),
                              inv == reply["_full"]))
+        seen.patched += [inv[ino] == reply["_full"][ino]
+                         for ino in reply["patched"]]
         return inv
 
     monkeypatch.setattr(RecoveryManager, "delta_reply", full_attached)
@@ -204,6 +209,56 @@ def test_lost_replies_within_the_memo_depth_still_delta(cluster, exact):
     assert exact.all_equal
 
 
+def _patched_reply(cluster, exact, edit):
+    """The reply pack 2 sends site 0 after ``edit(inode)`` changes its
+    copy of ``/f2``, and that file's inode number."""
+    inventories(cluster)
+    ino = cluster.shell(0).stat("/f2")["ino"]
+    edit(cluster.site(2).packs[0].get_inode(ino))
+    inventories(cluster)
+    (reply,) = [r for __, s, r in exact.replies[-3:] if s == 2]
+    return ino, reply
+
+
+@pytest.mark.parametrize("field, value", (("nlink", 4), ("conflict", True)))
+def test_a_one_field_change_is_patched_exactly(cluster, exact, field,
+                                               value):
+    """An inode the base held comes back as the one field that moved, and
+    costs fewer bytes than its whole entry would."""
+    ino, reply = _patched_reply(
+        cluster, exact, lambda inode: setattr(inode, field, value))
+    assert reply["changed"] == {} and reply["gone"] == []
+    assert reply["patched"] == {ino: {field: value}}
+    assert exact.all_equal and exact.patched == [True]
+    whole = dict(reply, changed={ino: reply["_full"][ino]}, patched={})
+    assert payload_size(reply) < payload_size(whole)
+    assert inventories(cluster)[2][ino]["attrs"][field] == value
+
+
+def test_a_patch_after_a_lost_reply_rebuilds_from_the_older_base(
+        cluster, exact):
+    """A reply the requester never saw patched ``nlink``; the next one,
+    against the base the requester still holds, patches both fields that
+    moved since that base."""
+    inventories(cluster)
+    ino = cluster.shell(0).stat("/f2")["ino"]
+    pack = cluster.site(2).recovery
+    inode = cluster.site(2).packs[0].get_inode(ino)
+    token, __ = cluster.site(0).recovery._held[(2, 0, "fs.pack_inventory")]
+    inode.nlink = 4
+    lost = cluster.call(2, pack.h_pack_inventory(0, {"gfs": 0,
+                                                     "base": token}))
+    assert lost["patched"] == {ino: {"nlink": 4}}
+    inode.conflict = True
+    rebuilt = inventories(cluster)
+    (reply,) = [r for __, s, r in exact.replies[-3:] if s == 2]
+    assert reply["base"] == token
+    assert reply["patched"] == {ino: {"nlink": 4, "conflict": True}}
+    assert rebuilt[2][ino]["attrs"]["nlink"] == 4
+    assert rebuilt[2][ino]["attrs"]["conflict"] is True
+    assert exact.all_equal and exact.patched == [True]
+
+
 def test_an_inode_gone_since_the_base_is_removed(cluster, exact):
     inventories(cluster, site_id=1)
     ino = cluster.shell(0).stat("/f2")["ino"]
@@ -309,3 +364,4 @@ def test_corpus_replay_rebuilds_every_inventory_exactly(exact, seed):
     assert exact.all_equal
     for op in OPS:
         assert exact.count(op, "seeded") and exact.count(op, "delta")
+    assert exact.patched

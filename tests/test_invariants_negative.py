@@ -320,17 +320,17 @@ def _forge_run(extra):
 def test_stalled_plan_is_a_finding(monkeypatch):
     """A window of events that barely moves the clock stops the plan
     there: ``liveness:stalled``, a shrinkable finding, not a hang."""
-    # The plan's third 300-event window moves the clock 58.4 vt (42.9
-    # before first-contact inventories were seeded); the first two move
-    # more than 60.
+    # Seed 76's plan, which once stalled at the real constants, under a
+    # lasting 9.9% loss: its 300-event window ending at event 4,990 moves
+    # the clock 35.4 vt, and every window before it more than 60.
     monkeypatch.setattr(runner, "STALL_EVENTS", 300)
     monkeypatch.setattr(runner, "STALL_VT", 60.0)
     path = os.path.join(os.path.dirname(__file__), "regressions",
-                        "loss-burst-lost-notify.json")
+                        "seed76-link-write-stall.json")
     with open(path) as fh:
         plan = FuzzPlan.from_json(fh.read())
     result = run_plan(plan)
-    assert result.run.events == 900 and result.run.stall_vt < 60.0
+    assert result.run.events == 4990 and result.run.stall_vt < 60.0
     assert [v.kind for v in result.violations
             if v.kind.startswith("liveness:")] == ["liveness:stalled"]
 

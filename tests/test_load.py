@@ -123,8 +123,8 @@ class TestConvergence:
         # scrub to find.  The records were first the ones the online
         # recorder this derivation replaced wrote for the same run; they
         # are re-pinned when a protocol change re-times the run (smaller
-        # delta inventory replies, then seeded first replies, moved both
-        # timestamps).
+        # delta inventory replies, then seeded first replies, then
+        # field-level patches, moved both timestamps).
         seed = 31
         cluster = LocusCluster(n_sites=3, seed=seed)
         sh = cluster.shell(0)
@@ -140,17 +140,17 @@ class TestConvergence:
         records, summary = convergence(cluster.tracer)
         fault_ts = 203.57599999999994
         assert records == [
-            {"type": "detection", "seq": 1, "ts": 563.306,
+            {"type": "detection", "seq": 1, "ts": 563.3340000000001,
              "event": "detect", "kind": "reconcile", "site": 0,
-             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 359.73},
-            {"type": "detection", "seq": 2, "ts": 652.0619999999999,
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 359.758},
+            {"type": "detection", "seq": 2, "ts": 652.1179999999999,
              "event": "repair", "kind": "propagate", "site": 0,
-             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 448.486}]
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 448.542}]
         assert summary == {
             "faults": 3, "detections": 1, "repairs": 1,
             "detection_latency": {
-                "count": 1, "total": 359.73, "mean": 359.73,
-                "min": 359.73, "max": 359.73,
+                "count": 1, "total": 359.758, "mean": 359.758,
+                "min": 359.758, "max": 359.758,
                 "p50": 500.0, "p95": 500.0, "p99": 500.0}}
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from repro import FileType, LocusCluster, Mode
 from repro.core.site import Site
-from repro.errors import EBUSY, ECONFLICT, CircuitClosed, NetworkError
+from repro.errors import (EBUSY, ECONFLICT, EWOULDCONFLICT, CircuitClosed,
+                          NetworkError)
 from repro.fuzz import FuzzPlan
 from repro.fuzz.runner import PlanRunner
 from repro.net.stats import StatsWindow
@@ -105,6 +106,7 @@ class TestDemandRecovery:
         """Two accesses demanding one file run one merge: the second
         waits for the first's instead of racing its install."""
         rec = cluster.site(0).recovery
+        rec._sweep_inventories[0] = {}   # a sweep is running
         rec.pending[0] = {99}
         merges = []
 
@@ -127,6 +129,31 @@ class TestDemandRecovery:
         assert ends == [start + 10.0] * 2
         assert not rec.needs((0, 99))
 
+    def test_a_demand_with_no_sweep_leaves_a_deferred_file_pending(
+            self, cluster):
+        """A file pending only for its queued retry has no sweep snapshot
+        to reconcile against: a demand leaves it pending, so a writer is
+        still refused until the retry reconciles it from fresh
+        inventories."""
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.write_file("/f", b"v1")
+        cluster.settle()
+        fs = cluster.site(0).fs
+        gfile, __ = cluster.call(0, fs.resolve_gfile(None, "/f"))
+        css = cluster.site(fs.mount.css_for(gfile[0]))
+        rec = css.recovery
+        rec._defer(*gfile, attempt=1)
+        cluster.call(css, rec.demand(gfile))
+        assert rec.needs(gfile)
+        with pytest.raises(EWOULDCONFLICT):
+            cluster.call(css, css.fs.h_css_open(2, {
+                "gfile": gfile, "mode": Mode.WRITE, "us_vv": None,
+                "allow_conflict": False}))
+        cluster.settle()
+        assert not rec.needs(gfile)
+        assert rec.stats.retries_scheduled == 1
+
     def test_stats_accumulate_across_merges(self, cluster):
         sh0, sh2 = cluster.shell(0), cluster.shell(2)
         sh0.setcopies(3)
@@ -141,6 +168,59 @@ class TestDemandRecovery:
         assert stats.files_examined >= 2
         assert stats.propagations_scheduled >= 2
         assert cluster.shell(2).read_file("/w") == b"round 1"
+
+
+class TestPushRule:
+    """A reconcile pushes the best copy only to the packs it inventoried
+    that lack it and to the advertised storage sites outside its
+    partition, never to an in-partition pack that did not answer."""
+
+    def _reconcile(self, cluster, edit):
+        """Reconcile ``/f`` at site 0 against its inventories as
+        ``edit`` leaves them; the sites sent an ``fs.notify``."""
+        site = cluster.site(0)
+        rec = site.recovery
+        gfile, __ = cluster.call(0, site.fs.resolve_gfile(None, "/f"))
+        inventories = cluster.call(0, rec.inventories(gfile[0]))
+        edit(inventories)
+        sent = []
+        send = site.oneway_quiet
+
+        def counted(dst, op, payload=None):
+            if op == "fs.notify":
+                sent.append(dst)
+            return send(dst, op, payload)
+
+        site.oneway_quiet = counted
+        cluster.call(0, rec._reconcile_ino(*gfile, inventories))
+        del site.oneway_quiet
+        return sent
+
+    @staticmethod
+    def _no_data_at_1(inventories):
+        for ino, entry in inventories[1].items():
+            inventories[1][ino] = dict(entry, has_data=False)
+
+    @pytest.fixture
+    def placed(self, cluster):
+        sh = cluster.shell(0)
+        sh.setcopies(3)
+        sh.write_file("/f", b"v1")
+        cluster.settle()
+        return cluster
+
+    def test_no_push_to_an_in_partition_pack_that_did_not_answer(
+            self, placed):
+        assert self._reconcile(placed, lambda inv: inv.pop(2)) == []
+
+    def test_an_inventoried_storage_site_with_no_data_gets_one(
+            self, placed):
+        assert self._reconcile(placed, self._no_data_at_1) == [1]
+
+    def test_a_storage_site_outside_the_partition_gets_one(self, placed):
+        placed.partition({0, 1}, {2})
+        assert placed.site(0).recovery.pack_sites_up(0) == [0, 1]
+        assert self._reconcile(placed, self._no_data_at_1) == [1, 2]
 
 
 class TestDeferral:

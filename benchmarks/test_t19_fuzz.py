@@ -22,8 +22,9 @@ corpus (``bench/corpus/chaos_plans.json``) and, apart, the seeds the
 freeze excluded, and records per plan what convergence cost: verdict, run
 digest, messages, wire bytes, simulator events, recovery retries (and how
 many a spent retry budget stopped), the inventory replies packs served as
-whole tables, the pushes recovery scheduled to storage sites lacking the
-best copy, and task deaths.  Every field is
+whole tables, the inventory requests sent (``fs.pack_inventory`` and
+``fs.scrub_digest``), the pushes recovery scheduled to storage sites
+lacking the best copy, and task deaths.  Every field is
 deterministic, so a diff of the committed file shows which plans a change
 moved.
 """
@@ -168,6 +169,8 @@ def _ledger_row(seed, result):
                                  for site in cluster.sites),
         "full_inventories": sum(site.recovery.stats.inventories_full
                                 for site in cluster.sites),
+        "inventories": sum(cluster.net.stats.sent[op] for op in
+                           ("fs.pack_inventory", "fs.scrub_digest")),
         "pushes": sum(site.recovery.stats.propagations_scheduled
                       for site in cluster.sites),
         "deaths": len(result.deaths),
@@ -182,8 +185,8 @@ def _ledger_totals(rows):
               "clean": sum(row["verdict"] == "clean" for row in rows),
               "digest_of_digests": digests.hexdigest()}
     for key in ("messages", "bytes", "events", "retries_scheduled",
-                "retries_exhausted", "full_inventories", "pushes",
-                "deaths"):
+                "retries_exhausted", "full_inventories", "inventories",
+                "pushes", "deaths"):
         totals[key] = sum(row[key] for row in rows)
     return totals
 

@@ -333,8 +333,7 @@ class Propagator:
                 self.stats.skipped += 1
                 self._retire(req.gfile, "skipped")
                 return waits[0]
-            outcome = yield from self._pull(req, pack, inode.version,
-                                            manifest, waits)
+            outcome = yield from self._pull(req, pack, manifest, waits)
             if outcome != "deferred":
                 self._retire(req.gfile, outcome)
         except (NetworkError, EIO):
@@ -351,8 +350,8 @@ class Propagator:
 
     # -- the pull itself ----------------------------------------------------
 
-    def _pull(self, req: _Request, pack, local_vv: VersionVector,
-              manifest: Dict[Gfile, dict], waits: List[int]) -> Generator:
+    def _pull(self, req: _Request, pack, manifest: Dict[Gfile, dict],
+              waits: List[int]) -> Generator:
         """Internally open the file at a site with the latest version and
         page the changes (or the whole file) across.  Returns the outcome:
         ``pulled``, ``skipped`` (the local copy is already as new) or
@@ -361,22 +360,24 @@ class Propagator:
         gfile = req.gfile
         source, remote_attrs = yield from self._open_source(req, manifest,
                                                             waits)
+        # The local copy is read only now: an install or commit that
+        # landed while the source was opened must not be pulled over.
+        local_inode = pack.get_inode(req.gfile[1])
         target_vv = remote_attrs["version"]
-        if local_vv.dominates(target_vv):
+        if local_inode is None or local_inode.version.dominates(target_vv):
             self.stats.skipped += 1
             return "skipped"
+        local_vv = local_inode.version
 
         # Delta pull is only sound when the remote version is exactly one
         # commit (originated at the announcing site) ahead of our copy, and
         # the file did not shrink (shrinks need the page list rebuilt).
         psz = fs.cost.page_size
         n_pages = (remote_attrs["size"] + psz - 1) // psz
-        local_inode = pack.get_inode(req.gfile[1])
         delta_ok = (fs.cost.delta_propagation
                     and req.pages is not None
                     and remote_attrs["version"] == req.attrs["version"]
                     and target_vv == local_vv.bump(req.hint)
-                    and local_inode is not None
                     and not local_inode.deleted
                     and local_inode.has_data
                     and n_pages >= len(local_inode.pages))

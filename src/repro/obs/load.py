@@ -239,9 +239,8 @@ def cluster_load_report(cluster) -> Dict:
         if inode.conflict and not inode.deleted})
     scrub_backlog = sum(len(s.scrub._active) for s in cluster.sites
                         if s.scrub is not None)
-    recovery_backlog = sum(
-        len(inos) for s in cluster.sites if s.recovery is not None
-        for inos in s.recovery.pending.values())
+    recovery_backlog = sum(s.recovery.backlog() for s in cluster.sites
+                           if s.recovery is not None)
     sites = [{"site": s.site_id, "up": s.up,
               "cpu_used": round(s.cpu_used, 2),
               **_counts(loads[s.site_id], now),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import EBUSY, EEXIST, ESTALE, FsError, NetworkError
@@ -16,6 +17,9 @@ from repro.obs.tracer import traced_pass
 from repro.recovery.dir_merge import merge_directories
 from repro.recovery.mailbox import (MailMessage, decode_mailbox,
                                     encode_mailbox, merge_mailboxes)
+from repro.sim.future import Future
+from repro.sim.sync import SimQueue
+from repro.sim.task import Task
 from repro.storage.inode import DiskInode, FileType, InodeAttrs
 from repro.storage.shadow import ShadowFile
 from repro.storage.version_vector import VersionVector, latest
@@ -29,6 +33,14 @@ INVENTORY_MEMOS = 4
 # The ``base`` of a reply answered against the table the request
 # proposed in ``have`` (never a token: those start at 1).
 SEEDED = 0
+
+# How many times one file's reconcile is deferred, 30 vt more apart each
+# time, before it is left as it stands (``retries_exhausted``).
+RETRY_BUDGET = 10
+
+# The reconcile-queue item that sweeps the whole filegroup; every other
+# item is an inode whose deferred reconcile came due.
+SWEEP = None
 
 
 # An inventory entry is ``{"attrs": InodeAttrs, **extras}``; its extra
@@ -93,6 +105,12 @@ def _patched(record: tuple, patch: dict, op: str) -> tuple:
     return tuple(values)
 
 
+def _merge_mail(copies) -> bytes:
+    """The built-in merge manager: mailboxes merge by section 4.5's rule."""
+    return encode_mailbox(merge_mailboxes(
+        [decode_mailbox(data) for __, __, data in copies]))
+
+
 def _same_entries(a, b) -> bool:
     """Entry-set equality, order-independent (merge output is sorted,
     on-disk copies are not)."""
@@ -102,21 +120,40 @@ def _same_entries(a, b) -> bool:
     return sorted(map(key, a)) == sorted(map(key, b))
 
 
+@dataclass
 class RecoveryStats:
-    def __init__(self):
-        self.files_examined = 0
-        self.propagations_scheduled = 0
-        self.dir_merges = 0
-        self.type_manager_merges = 0
-        self.conflicts_marked = 0
-        self.name_conflicts = 0
-        self.nlink_repairs = 0
-        self.retries_scheduled = 0
-        self.retries_exhausted = 0
-        # Inventory replies this site served as a pack, by kind.
-        self.inventories_full = 0
-        self.inventories_seeded = 0
-        self.inventories_delta = 0
+    files_examined: int = 0
+    propagations_scheduled: int = 0
+    dir_merges: int = 0
+    type_manager_merges: int = 0
+    conflicts_marked: int = 0
+    name_conflicts: int = 0
+    nlink_repairs: int = 0
+    retries_scheduled: int = 0
+    retries_exhausted: int = 0
+    # Inventory replies this site served as a pack, by kind.
+    inventories_full: int = 0
+    inventories_seeded: int = 0
+    inventories_delta: int = 0
+
+
+@dataclass
+class _ReconcileQueue:
+    """One filegroup's reconcile queue (docs/PROTOCOLS.md, "Recovery
+    scheduling"): ``queue`` holds SWEEP and the inodes whose retries came
+    due, for the one ``task`` that drains it."""
+    queue: Optional[SimQueue]
+    task: Optional[Task] = None
+    # ino -> attempt, from the file's mark until its reconcile starts.
+    dirty: Dict[int, int] = field(default_factory=dict)
+    # ino -> completion future of a demand reconciling it now: ``needs``
+    # stays true, so a writer open racing the merge is still refused.
+    demands: Dict[int, Future] = field(default_factory=dict)
+    # The running batch's inventories, which a demand reconciles from.
+    snapshot: Optional[Dict[int, dict]] = None
+
+
+_IDLE = _ReconcileQueue(None)   # what a filegroup never marked reads as
 
 
 class RecoveryManager:
@@ -126,23 +163,13 @@ class RecoveryManager:
     def __init__(self, site):
         self.site = site
         self.stats = RecoveryStats()
-        # gfs -> inos still awaiting reconciliation (demand recovery pulls
-        # individual files forward in the queue, section 4.4).
-        self.pending: Dict[int, Set[int]] = {}
-        self._sweep_inventories: Dict[int, Dict[int, dict]] = {}
-        # Demand reconciliations currently executing: gfile -> completion
-        # future.  ``needs`` stays true for these so a writer open racing a
-        # mid-flight merge is still refused (the conflict window would
-        # otherwise reopen between the pending-discard and the install).
-        self._demanding: Dict[Gfile, object] = {}
-        # The retries' link recount, coalesced per filegroup: gfs -> the
-        # highest attempt among the retries finished since the last
-        # recount, and the filegroups whose recount is running.
-        self._recount_due: Dict[int, int] = {}
-        self._recounting: Set[int] = set()
+        # gfs -> its reconcile queue (demand recovery pulls individual
+        # files forward in it, section 4.4).
+        self._queues: Dict[int, _ReconcileQueue] = {}
         # Registered higher-level recovery/merge managers by file type
         # (section 4.3): ftype -> callable(copies) -> merged bytes or None.
-        self.merge_managers: Dict[FileType, Callable] = {}
+        self.merge_managers: Dict[FileType, Callable] = {
+            FileType.MAILBOX: _merge_mail}
         self._mail_seq = itertools.count(1)
         # Delta inventories.  As requester: (pack site, gfs, op) -> the
         # token and the compact records of the last reply rebuilt.  As
@@ -167,11 +194,9 @@ class RecoveryManager:
         return self.site.site_id
 
     def reset_volatile(self) -> None:
-        self.pending.clear()
-        self._sweep_inventories.clear()
-        self._demanding.clear()
-        self._recount_due.clear()
-        self._recounting.clear()
+        # The drains died with the site; a timer of a deferral made before
+        # the crash finds its file no longer dirty in the new queue.
+        self._queues.clear()
         self._held.clear()
         self._memos.clear()
 
@@ -185,68 +210,180 @@ class RecoveryManager:
         self.merge_managers[ftype] = fn
 
     # ------------------------------------------------------------------
-    # Sweep scheduling
+    # Recovery scheduling: one reconcile queue per filegroup
     # ------------------------------------------------------------------
 
+    def _queue(self, gfs: int) -> _ReconcileQueue:
+        """``gfs``'s queue.  Every mark passes here, and spawns the drain
+        again if it died (a torn read), as ``Propagator.start`` does."""
+        q = self._queues.get(gfs)
+        if q is None:
+            q = self._queues[gfs] = _ReconcileQueue(
+                SimQueue(self.site.sim, f"recovery@{self.sid}:fg{gfs}"))
+        if q.task is None or q.task.finished:
+            q.task = self.site.spawn(self._drain(gfs, q),
+                                     f"recovery:fg{gfs}@{self.sid}")
+            q.task.span_ctx = None   # it roots its own traces
+        return q
+
+    def _put(self, gfs: int, item) -> None:
+        self._queue(gfs).queue.put(item)
+
     def schedule_filegroup(self, gfs: int) -> None:
-        sweep = traced_pass(
-            self.site, "recovery", gfs, self.reconcile_filegroup(gfs),
-            lambda: {"files_examined": self.stats.files_examined})
-        self.site.spawn(sweep, name=f"recovery:fg{gfs}@{self.sid}")
+        """Queue a sweep: every inode the next inventory lists is marked
+        and reconciled."""
+        self._put(gfs, SWEEP)
 
     def needs(self, gfile: Gfile) -> bool:
-        return (gfile[1] in self.pending.get(gfile[0], ())
-                or gfile in self._demanding)
+        q = self._queues.get(gfile[0], _IDLE)
+        return gfile[1] in q.dirty or gfile[1] in q.demands
 
     def busy(self, gfs: int) -> bool:
         """Reconciles of ``gfs`` are still queued, or a demand
-        reconciliation (of any file) is running."""
-        return bool(self.pending.get(gfs) or self._demanding)
+        reconciliation of one of its files is running."""
+        q = self._queues.get(gfs, _IDLE)
+        return bool(q.dirty or q.demands)
+
+    def backlog(self) -> int:
+        """Files queued for a reconcile, over every filegroup."""
+        return sum(len(q.dirty) for q in self._queues.values())
 
     def demand(self, gfile: Gfile) -> Generator:
         """Demand recovery: reconcile one file out of order so regular
         traffic sees only a small delay (section 4.4)."""
         gfs, ino = gfile
-        inflight = self._demanding.get(gfile)
+        q = self._queues.get(gfs, _IDLE)
+        inflight = q.demands.get(ino)
         if inflight is not None:
             # Another access is already reconciling this file; running a
             # second merge concurrently would race the first's install.
             yield inflight
             return None
-        if not self.needs(gfile) or gfs not in self._sweep_inventories:
-            # Not pending; or pending for a queued retry, with no sweep
-            # snapshot to reconcile against: the retry takes fresh
-            # inventories, and the file stays pending until it does.
+        entry = self.site.fs.css_entries.get(gfile)
+        if ino not in q.dirty or q.snapshot is None or (
+                entry is not None and entry.writer is not None):
+            # Not queued; or no batch running, so no snapshot to reconcile
+            # against; or held by a writer, which would only defer it
+            # again (section 5.6).  A queued file stays for the drain.
             return None
         # The delayed access's span shows why it waited.
         tracer = self.site.tracer
         tracer.event(tracer.current_ctx(), "demand_recovery",
                      {"gfile": list(gfile)})
-        inventories = self._sweep_inventories[gfs]
-        self.pending.get(gfs, set()).discard(ino)
+        attempt = q.dirty.pop(ino)
         done = self.site.sim.create_future(f"demand:{gfile}")
-        self._demanding[gfile] = done
+        q.demands[ino] = done
         try:
-            yield from self._reconcile_ino(gfs, ino, inventories)
+            yield from self._reconcile_ino(gfs, ino, q.snapshot, attempt)
+        except (NetworkError, FsError):
+            self._defer(gfs, ino, attempt + 1)
         finally:
-            self._demanding.pop(gfile, None)
+            q.demands.pop(ino, None)
             done.resolve(None)
         return None
 
     def demand_soon(self, gfile: Gfile) -> None:
-        """Schedule demand reconciliation without blocking the caller.
+        """``demand`` without blocking: a writer refused EWOULDCONFLICT
+        retries to find the file reconciled, not waiting for the drain,
+        which may be that writer (a conflict's mail to a queued mailbox)."""
+        q = self._queues.get(gfile[0], _IDLE)
+        if q.snapshot is not None and gfile[1] in q.dirty:
+            self.site.spawn(self.demand(gfile),
+                            name=f"demand:{gfile}@{self.sid}")
 
-        The conflict-window retirement path: the CSS refuses a writer open
-        with EWOULDCONFLICT and kicks the merge off here, so the writer's
-        supervised retry finds the file reconciled instead of waiting for
-        the sweep to reach it."""
-        if gfile in self._demanding or not self.needs(gfile):
-            return
-        self.site.spawn(self.demand(gfile),
-                        name=f"demand:{gfile}@{self.sid}")
+    def request(self, gfile: Gfile, attempt: int = 0) -> None:
+        """Queue one file's reconcile as the retry after ``attempt``."""
+        self._defer(gfile[0], gfile[1], attempt + 1)
+
+    def _defer(self, gfs: int, ino: int, attempt: int) -> bool:
+        """The one retry rule: mark the file and queue its reconcile
+        ``30 * attempt`` vt from now, unless it is marked already; past the
+        retry budget, leave it as it stands.  Returns whether it is
+        queued."""
+        q = self._queue(gfs)
+        if ino in q.dirty:
+            return True
+        if attempt > RETRY_BUDGET:
+            # Counted and on the timeline: a file left as it stood shows.
+            self.stats.retries_exhausted += 1
+            self.site.tracer.instant("recovery.retry_exhausted", self.sid,
+                                     {"gfile": [gfs, ino]})
+            return False
+        self.stats.retries_scheduled += 1
+        q.dirty[ino] = attempt
+        self.site.sim.schedule(30.0 * attempt, self._put, gfs, ino)
+        return True
+
+    def _drain(self, gfs: int, q: _ReconcileQueue) -> Generator:
+        """The filegroup's one reconcile task: serve what was queued since
+        its last batch, a sweep's batch inside its recovery pass."""
+        while True:
+            batch = [(yield from q.queue.get())] + q.queue.drain()
+            serve = self._serve(gfs, q, batch)
+            if SWEEP in batch:
+                serve = traced_pass(
+                    self.site, "recovery", gfs, serve,
+                    lambda: {"files_examined": self.stats.files_examined})
+            yield from serve
+
+    def _serve(self, gfs: int, q: _ReconcileQueue, batch: list) -> Generator:
+        """One batch: probe each due retry's writer, reconcile the rest
+        (and, for a sweep, every inventoried inode) from one inventory in
+        inode order, then recount the filegroup's links after a sweep or
+        once no file is left queued."""
+        todo = []
+        for ino in sorted({item for item in batch if item is not SWEEP}):
+            attempt = q.dirty.get(ino)
+            if attempt is None:
+                continue   # reconciled since it was queued
+            # A file its registered writer still holds would only be
+            # deferred again (section 5.6): ask that writer's US first,
+            # and drop a token it does not hold.
+            if attempt < RETRY_BUDGET and (
+                    yield from self.site.fs.validate_css_writer((gfs, ino))):
+                if q.dirty.pop(ino, None) is not None:
+                    self._defer(gfs, ino, attempt + 1)
+            else:
+                todo.append(ino)
+        if SWEEP not in batch and not todo:
+            return None
+        inventories = yield from self.inventories(gfs)
+        if SWEEP in batch:   # every file's budget starts afresh
+            todo = sorted(set(todo).union(*inventories.values()))
+            q.dirty.update(dict.fromkeys(todo, 0))
+        q.snapshot = inventories
+        highest = 0
+        unserved = iter(todo)
+        try:
+            for ino in unserved:
+                attempt = q.dirty.pop(ino, None)
+                if attempt is None:
+                    continue   # a demand reconciled it out of order
+                highest = max(highest, attempt)
+                try:
+                    yield from self._reconcile_ino(gfs, ino, inventories,
+                                                   attempt)
+                except (NetworkError, FsError):
+                    # A site vanished, or an install write failed (EIO)
+                    # while the winner was being put in place: retry from a
+                    # fresh inventory rather than leave the replicas
+                    # divergent until the next sweep.
+                    self._defer(gfs, ino, attempt + 1)
+        finally:
+            q.snapshot = None
+            # A batch its task died in leaves the files it did not reach
+            # to the drain the next mark spawns.
+            for ino in unserved:
+                if ino in q.dirty:
+                    q.queue.put(ino)
+        # A deferred directory merge can resurrect entries after the last
+        # recount ran; its refusals defer at the batch's highest attempt.
+        if SWEEP in batch or not q.dirty:
+            yield from self.repair_link_counts(gfs, highest)
+        return None
 
     # ------------------------------------------------------------------
-    # The filegroup sweep
+    # Inventories and the link census
     # ------------------------------------------------------------------
 
     def _members(self) -> Set[int]:
@@ -329,37 +466,6 @@ class RecoveryManager:
                 if ino in inv and inv[ino]["has_data"]
                 and not (live and inv[ino]["attrs"]["deleted"])]
 
-    def reconcile_filegroup(self, gfs: int) -> Generator:
-        inventories = yield from self.inventories(gfs)
-        if not inventories:
-            return None
-        all_inos = set()
-        for inv in inventories.values():
-            all_inos |= set(inv)
-        self._sweep_inventories[gfs] = inventories
-        self.pending[gfs] = set(all_inos)
-        for ino in sorted(all_inos):
-            if ino not in self.pending.get(gfs, ()):
-                continue  # demand recovery already handled it
-            self.pending[gfs].discard(ino)
-            try:
-                yield from self._reconcile_ino(gfs, ino, inventories)
-            except (NetworkError, FsError):
-                # A site vanished, or an install write failed (EIO) while
-                # the winner was being put in place.  Dropping the file
-                # here would leave its replicas divergent until some
-                # unrelated membership change re-sweeps; instead put it on
-                # the same bounded deferral schedule the writer-active
-                # path uses, with a fresh inventory per attempt.
-                self._defer(gfs, ino, attempt=1)
-        try:
-            yield from self.repair_link_counts(gfs)
-        except (NetworkError, FsError):
-            pass
-        self.pending.pop(gfs, None)
-        self._sweep_inventories.pop(gfs, None)
-        return None
-
     def _link_census(self, gfs: int) -> Generator:
         """Count live directory references per inode across the filegroup.
 
@@ -373,12 +479,9 @@ class RecoveryManager:
         inventories = yield from self.inventories(gfs)
         if not inventories:
             return None
-        all_inos = set()
-        for inv in inventories.values():
-            all_inos |= set(inv)
         best: Dict[int, Tuple[int, dict]] = {}
         copies: Dict[int, List[Tuple[int, dict]]] = {}
-        for ino in all_inos:
+        for ino in set().union(*inventories.values()):
             live = self.copies_of(inventories, ino, live=True)
             if not live:
                 continue
@@ -475,15 +578,12 @@ class RecoveryManager:
         self.stats.files_examined += 1
         gfile: Gfile = (gfs, ino)
         entry = self.site.fs.css_entries.get(gfile)
-        if entry is not None and entry.writer is not None:
-            if attempt < 10:
-                # An operation in progress: "the desired action is to
-                # permit these operations to continue to completion, and
-                # only then perform file system conflict analysis"
-                # (section 5.6).
-                self._defer(gfs, ino, attempt + 1)
-                return None
-            self._exhausted(gfile)
+        if entry is not None and entry.writer is not None \
+                and self._defer(gfs, ino, attempt + 1):
+            # An operation in progress: "the desired action is to permit
+            # these operations to continue to completion, and only then
+            # perform file system conflict analysis" (section 5.6).
+            return None
         holders = self.copies_of(inventories, ino)
         if not holders:
             return None
@@ -511,90 +611,21 @@ class RecoveryManager:
                                             inventories)
             return None
         # Mutually inconsistent copies: dispatch by type (section 4.3).
-        if ftype is FileType.MAILBOX:
-            yield from self._merge_mailbox(gfile, live or holders)
-        elif ftype in self.merge_managers:
-            yield from self._merge_via_manager(gfile, live or holders, ftype)
-        else:
+        merge = self.merge_managers.get(ftype)
+        merged = None
+        if merge is not None:
+            holders = live or holders
+            copies = []
+            for s, attrs in holders:
+                data = yield from self.read_copy(s, gfile, attrs)
+                copies.append((s, attrs, data))
+            merged = merge(copies)
+        if merged is None:
             yield from self.mark_conflict(gfile, holders)
-        return None
-
-    def request(self, gfile: Gfile, attempt: int = 0) -> None:
-        """Re-reconcile one file against fresh inventories, unless a
-        deferred reconcile of it is already queued or ``attempt`` has
-        spent the retry budget."""
-        gfs, ino = gfile
-        if ino in self.pending.get(gfs, ()):
-            return
-        if attempt < 10:
-            self._defer(gfs, ino, attempt + 1)
-        else:
-            self._exhausted(gfile)
-
-    def _exhausted(self, gfile: Gfile) -> None:
-        """The retry budget stopped deferring ``gfile``: count it and
-        mark the timeline, so a file left as it stood is visible."""
-        self.stats.retries_exhausted += 1
-        self.site.tracer.instant("recovery.retry_exhausted", site=self.sid,
-                                 attrs={"gfile": list(gfile)})
-
-    def _defer(self, gfs: int, ino: int, attempt: int) -> None:
-        """The one retry rule: count the retry, mark the file pending and
-        reconcile it alone, from fresh inventories, ``30 * attempt`` vt
-        from now."""
-        self.stats.retries_scheduled += 1
-        self.pending.setdefault(gfs, set()).add(ino)
-
-        def _retry():
-            self.site.spawn(self._retry_ino(gfs, ino, attempt),
-                            name=f"recovery-retry:{gfs}:{ino}")
-
-        self.site.sim.schedule(30.0 * attempt, _retry)
-
-    def _retry_ino(self, gfs: int, ino: int, attempt: int) -> Generator:
-        """Re-inventory one file and reconcile it (deferred recovery).
-
-        A file whose registered writer still holds it would only be
-        deferred again (section 5.6), so inside the budget the retry
-        first asks that writer's US, and re-defers without the
-        whole-filegroup inventory while it holds the file or cannot be
-        asked.  A token it does not hold is dropped and the file
-        reconciled now."""
-        if attempt < 10 and (
-                yield from self.site.fs.validate_css_writer((gfs, ino))):
-            self._defer(gfs, ino, attempt + 1)
-        else:
-            inventories = yield from self.inventories(gfs)
-            self.pending.get(gfs, set()).discard(ino)
-            try:
-                yield from self._reconcile_ino(gfs, ino, inventories,
-                                               attempt=attempt)
-            except (NetworkError, FsError):
-                if attempt < 10:
-                    self._defer(gfs, ino, attempt + 1)
-                else:
-                    self._exhausted((gfs, ino))
-        yield from self._recount_when_drained(gfs, attempt)
-        return None
-
-    def _recount_when_drained(self, gfs: int, attempt: int) -> Generator:
-        """A deferred directory merge can resurrect entries after the
-        sweep's link-count pass already ran, so every finished retry
-        leaves ``gfs`` due a recount.  The whole-filegroup census runs
-        once the retry queue of ``gfs`` has drained, not once per retry:
-        the retry that finds no other queued and no recount running runs
-        it, again while more retries finish during it.  Its refusals
-        defer at the highest attempt the recount covers, plus one."""
-        self._recount_due[gfs] = max(attempt, self._recount_due.get(gfs, 0))
-        if gfs in self._recounting:
             return None
-        self._recounting.add(gfs)
-        try:
-            while gfs in self._recount_due and not self.pending.get(gfs):
-                yield from self.repair_link_counts(
-                    gfs, self._recount_due.pop(gfs))
-        finally:
-            self._recounting.discard(gfs)
+        self.stats.type_manager_merges += 1
+        yield from self._install_winner(gfile, holders, holders,
+                                        content=merged)
         return None
 
     def _propagate_best(self, gfile: Gfile, holders: List[Tuple[int, dict]],
@@ -723,50 +754,14 @@ class RecoveryManager:
                                         content=encode_entries(merged))
         for name, ino_a, ino_b in report.name_conflicts:
             for ino in (ino_a, ino_b):
-                owner = self._owner_of(gfile[0], ino, inventories)
+                owner = next((inv[ino]["attrs"]["owner"]
+                              for inv in inventories.values() if ino in inv),
+                             "root")
                 yield from self.send_mail(
                     owner, subject=f"name conflict on {name!r}",
                     body=(f"Directory merge found {name!r} bound to two "
                           f"different files; yours is now "
                           f"{name}@{ino}."))
-        return None
-
-    def _owner_of(self, gfs: int, ino: int,
-                  inventories: Dict[int, dict]) -> str:
-        for inv in inventories.values():
-            entry = inv.get(ino)
-            if entry is not None:
-                return entry["attrs"]["owner"]
-        return "root"
-
-    def _read_copies(self, gfile: Gfile,
-                     holders: List[Tuple[int, dict]]) -> Generator:
-        """Every holder's raw copy, as ``[(site, attrs, bytes)]``."""
-        triples = []
-        for s, attrs in holders:
-            data = yield from self.read_copy(s, gfile, attrs)
-            triples.append((s, attrs, data))
-        return triples
-
-    def _merge_mailbox(self, gfile: Gfile,
-                       holders: List[Tuple[int, dict]]) -> Generator:
-        triples = yield from self._read_copies(gfile, holders)
-        merged = merge_mailboxes([decode_mailbox(d) for __, __, d in triples])
-        yield from self._install_winner(gfile, holders, holders,
-                                        content=encode_mailbox(merged))
-        return None
-
-    def _merge_via_manager(self, gfile: Gfile,
-                           holders: List[Tuple[int, dict]],
-                           ftype: FileType) -> Generator:
-        triples = yield from self._read_copies(gfile, holders)
-        merged = self.merge_managers[ftype](triples)
-        if merged is None:
-            yield from self.mark_conflict(gfile, holders)
-            return None
-        self.stats.type_manager_merges += 1
-        yield from self._install_winner(gfile, holders, holders,
-                                        content=merged)
         return None
 
     # ------------------------------------------------------------------
@@ -1013,12 +1008,19 @@ class RecoveryManager:
         """
         fs = self.site.fs
         gfile = p["gfile"]
-        inode = fs.local_inode(gfile)
-        if inode is None or inode.deleted:
-            return True
-        so = fs.ss.get(gfile)
-        if so is not None and (so.writer is not None or so.shadow.dirty):
-            return False
+        for probe in (True, False):
+            inode = fs.local_inode(gfile)
+            if inode is None or inode.deleted:
+                return True
+            so = fs.ss.get(gfile)
+            if so is None or (so.writer is None and not so.shadow.dirty):
+                break
+            if not probe:
+                return False
+            # A writer registration whose fs.close was lost would refuse
+            # every patch for good: drop it if its US no longer holds the
+            # file, as the merge install does, and look again.
+            yield from fs.validate_ss_entry(gfile)
         if inode.version != p["version"]:
             return not inode.has_data
         inode.nlink = p["nlink"]
@@ -1026,7 +1028,6 @@ class RecoveryManager:
             so.shadow.incore.nlink = p["nlink"]
         self.site.cache.invalidate_file(*gfile)
         return True
-        yield  # pragma: no cover
 
     def h_mark_conflict(self, src: int, p: dict) -> Generator:
         """Flag divergent copies so normal access attempts fail
@@ -1048,42 +1049,40 @@ class RecoveryManager:
             yield from fs.mkdir(None, "/mail")
         except EEXIST:
             pass
-        path = f"/mail/{owner}"
-        gfile, __ = yield from fs.create_file(None, path,
+        gfile, __ = yield from fs.create_file(None, f"/mail/{owner}",
                                               ftype=FileType.MAILBOX)
-        handle = yield from fs.open_gfile(gfile, Mode.WRITE)
-        try:
-            data = yield from fs.read(handle, 0, handle.size)
-            messages = decode_mailbox(data)
-            messages.append(MailMessage(
-                msg_id=f"{self.sid}-{int(self.site.sim.now * 1000)}-"
-                       f"{next(self._mail_seq)}",
-                sender="recovery-daemon",
-                subject=subject, body=body,
-                stamp=self.site.sim.now))
-            yield from fs.truncate(handle)
-            yield from fs.write(handle, 0, encode_mailbox(messages))
-        finally:
-            yield from fs.close(handle)
-        return None
+        yield from self._edit_mailbox(gfile, lambda messages: messages.append(
+            MailMessage(msg_id=f"{self.sid}-{int(self.site.sim.now * 1000)}-"
+                               f"{next(self._mail_seq)}",
+                        sender="recovery-daemon", subject=subject, body=body,
+                        stamp=self.site.sim.now)))
 
     def delete_mail(self, owner: str, msg_id: str) -> Generator:
         """Mark one message deleted (a tombstone, so partition merges never
         resurrect read-and-deleted mail, section 4.5)."""
+        gfile, __ = yield from self.site.fs.resolve_gfile(None,
+                                                          f"/mail/{owner}")
+
+        def tombstone(messages):
+            for message in messages:
+                if message.msg_id == msg_id:
+                    message.deleted = True
+
+        yield from self._edit_mailbox(gfile, tombstone)
+
+    def _edit_mailbox(self, gfile: Gfile, edit: Callable) -> Generator:
+        """Rewrite a mailbox under one write open; ``edit`` changes its
+        decoded messages in place."""
         fs = self.site.fs
-        gfile, __ = yield from fs.resolve_gfile(None, f"/mail/{owner}")
         handle = yield from fs.open_gfile(gfile, Mode.WRITE)
         try:
             data = yield from fs.read(handle, 0, handle.size)
             messages = decode_mailbox(data)
-            for message in messages:
-                if message.msg_id == msg_id:
-                    message.deleted = True
+            edit(messages)
             yield from fs.truncate(handle)
             yield from fs.write(handle, 0, encode_mailbox(messages))
         finally:
             yield from fs.close(handle)
-        return None
 
     def read_mail(self, owner: str) -> Generator:
         """Convenience for tests/examples: the owner's mailbox contents."""

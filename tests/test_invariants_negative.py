@@ -321,16 +321,16 @@ def test_stalled_plan_is_a_finding(monkeypatch):
     """A window of events that barely moves the clock stops the plan
     there: ``liveness:stalled``, a shrinkable finding, not a hang."""
     # Seed 76's plan, which once stalled at the real constants, under a
-    # lasting 9.9% loss: its 300-event window ending at event 4,990 moves
-    # the clock 35.4 vt, and every window before it more than 60.
-    monkeypatch.setattr(runner, "STALL_EVENTS", 300)
-    monkeypatch.setattr(runner, "STALL_VT", 60.0)
+    # lasting 9.9% loss: its 200-event window ending at event 3,090 moves
+    # the clock 33.9 vt, and every other window more than 51.
+    monkeypatch.setattr(runner, "STALL_EVENTS", 200)
+    monkeypatch.setattr(runner, "STALL_VT", 45.0)
     path = os.path.join(os.path.dirname(__file__), "regressions",
                         "seed76-link-write-stall.json")
     with open(path) as fh:
         plan = FuzzPlan.from_json(fh.read())
     result = run_plan(plan)
-    assert result.run.events == 4990 and result.run.stall_vt < 60.0
+    assert result.run.events == 3090 and result.run.stall_vt < 45.0
     assert [v.kind for v in result.violations
             if v.kind.startswith("liveness:")] == ["liveness:stalled"]
 

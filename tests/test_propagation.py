@@ -125,6 +125,38 @@ class TestPullMechanics:
             sh.stat("/dropped")["version"]
         assert cluster.shell(1).read_file("/dropped") == b"new!" * psz
 
+    def test_an_install_during_the_source_open_is_not_pulled_over(
+            self, cluster):
+        """A merge install that commits while a pull waits on its
+        ``fs.pull_open`` leaves a copy newer than the pull's source: the
+        pull must find it current, not commit the older version over it."""
+        sh = make_replicated(cluster, "/raced", b"v1")
+        gfile = (0, sh.stat("/raced")["ino"])
+        site = cluster.site(1)
+        rpc = site.rpc
+        installed = []
+
+        def open_after_an_install(dst, op, payload, *args, **kw):
+            if op == "fs.pull_open" and not installed:
+                attrs = cluster.site(dst).fs.local_inode(gfile).attrs()
+                installed.append((yield from site.recovery.h_install_merged(
+                    0, {"gfile": gfile, "data": b"merged",
+                        "base_vv": attrs["version"],
+                        **{k: attrs[k] for k in ("ftype", "owner", "perms",
+                                                 "nlink", "storage_sites")}
+                        })))
+            return (yield from rpc(dst, op, payload, *args, **kw))
+
+        site.rpc = open_after_an_install
+        sh.write_file("/raced", b"v2")
+        cluster.settle()
+        del site.rpc
+        merged_vv = installed[0]["version"]
+        assert site.fs.local_inode(gfile).version == merged_vv
+        for s in range(3):
+            assert cluster.site(s).fs.local_inode(gfile).version == merged_vv
+            assert cluster.shell(s).read_file("/raced") == b"merged"
+
     def test_interrupted_pull_leaves_coherent_old_copy(self, cluster):
         """'If contact is lost with the site containing the newer version,
         the local site is still left with a coherent, complete copy of the

@@ -12,6 +12,7 @@ from repro.errors import (EBUSY, ECONFLICT, EWOULDCONFLICT, CircuitClosed,
 from repro.fuzz import FuzzPlan
 from repro.fuzz.runner import PlanRunner
 from repro.net.stats import StatsWindow
+from repro.recovery.manager import SWEEP
 from repro.tools import fsck
 
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
@@ -95,19 +96,23 @@ class TestMergeManagerFallback:
 
 class TestDemandRecovery:
     def test_needs_and_pending_bookkeeping(self, cluster):
+        """A marked file is needed, and its filegroup busy, until its
+        reconcile starts."""
         rec = cluster.site(0).recovery
         assert not rec.needs((0, 99))
-        rec.pending[0] = {99}
-        assert rec.needs((0, 99))
-        rec.pending[0].discard(99)
-        assert not rec.needs((0, 99))
+        rec.request((0, 99))
+        assert rec.needs((0, 99)) and rec.busy(0) and rec.backlog() == 1
+        cluster.settle()
+        assert not rec.needs((0, 99)) and not rec.busy(0)
+        assert rec.backlog() == 0
 
     def test_a_second_demand_waits_for_the_first(self, cluster):
         """Two accesses demanding one file run one merge: the second
         waits for the first's instead of racing its install."""
         rec = cluster.site(0).recovery
-        rec._sweep_inventories[0] = {}   # a sweep is running
-        rec.pending[0] = {99}
+        queue = rec._queue(0)
+        queue.snapshot = {}   # a batch is running
+        queue.dirty[99] = 0
         merges = []
 
         def slow_merge(gfs, ino, inventories, attempt=0):
@@ -234,13 +239,14 @@ class TestDeferral:
         cluster.settle()
         rec = cluster.site(0).recovery
         runs = []
-        retry_ino = rec._retry_ino
+        put = rec._put
 
-        def counted(*args):
-            runs.append(args)
-            return retry_ino(*args)
+        def counted(gfs, item):
+            if item is not SWEEP:
+                runs.append(item)
+            return put(gfs, item)
 
-        rec._retry_ino = counted
+        rec._put = counted
         fd = sh.open("/f", "w")
         rec.schedule_filegroup(0)
         cluster.settle()
@@ -310,6 +316,20 @@ class TestPatchNlink:
         assert inode.nlink == 2
         sh.close(fd)
         cluster.settle()
+
+    def test_probes_a_leaked_writer_registration_first(self, cluster):
+        """A write open whose ``fs.close`` was lost stays registered at
+        the SS: the patch asks its US, drops the registration and
+        applies."""
+        gfile = _linked_file(cluster)
+        ss = cluster.site(1)
+        cluster.call(1, ss.fs._ss_open_local(gfile, Mode.WRITE, 2))
+        assert ss.fs.ss[gfile].writer == 2
+        inode = ss.fs.local_inode(gfile)
+        assert self._patch(cluster, 1, gfile, inode.version) is True
+        assert inode.nlink == 5
+        assert ss.metrics.counters["fs.ss_leak_repairs"] == 1
+        assert gfile not in ss.fs.ss
 
     def test_applies_under_readers_and_their_incore_copy(self, cluster):
         gfile = _linked_file(cluster)
@@ -591,7 +611,107 @@ class TestRecountGate:
         cluster.settle()
         assert rec.stats.retries_scheduled == 5
         assert len(censuses) == 1
-        assert not rec._recount_due and not rec._recounting
+        assert not rec.busy(gfile[0])
+
+    def test_retries_falling_due_together_share_one_inventory(
+            self, cluster):
+        """Five retries come due at once: one batch, one inventory for
+        their five reconciles and one for the census."""
+        rec, gfile, others, censuses = self._setup(cluster, "abcd")
+        examined = rec.stats.files_examined
+        taken = []
+        inventories = rec.inventories
+
+        def counted(gfs, *args):
+            taken.append(cluster.sim.now)
+            return inventories(gfs, *args)
+
+        rec.inventories = counted
+        for gfs, ino in [gfile] + others:
+            rec._defer(gfs, ino, 1)
+        cluster.settle()
+        assert rec.stats.files_examined - examined == 5
+        assert len(censuses) == 1
+        assert len(taken) == 2
+
+    def test_a_mark_during_a_reconcile_queues_the_file_once_more(
+            self, cluster):
+        """Two requests while ``/f``'s reconcile runs: the first marks it
+        again, the second finds it marked, so it reconciles twice in
+        all."""
+        rec, gfile, __, censuses = self._setup(cluster, "")
+        reconcile = rec._reconcile_ino
+        runs = []
+
+        def marked_twice(gfs, ino, inventories, attempt=0):
+            runs.append(attempt)
+            if len(runs) == 1:
+                rec.request(gfile)
+                rec.request(gfile)
+                assert rec.needs(gfile)
+            return reconcile(gfs, ino, inventories, attempt)
+
+        rec._reconcile_ino = marked_twice
+        rec._defer(*gfile, 1)
+        cluster.settle()
+        assert runs == [1, 1]
+        assert rec.stats.retries_scheduled == 2
+        assert len(censuses) == 1
+        assert not rec.needs(gfile)
+
+    def test_a_drain_killed_by_a_torn_census_is_respawned(self, cluster):
+        """A sweep defers ``/f`` past its writer, and its census read
+        tears: the drain dies, the next mark (``/f``'s retry coming due)
+        spawns another, and ``/f`` still reconciles."""
+        rec, gfile, __, censuses = self._setup(cluster, "")
+        link_census = rec._link_census
+        tears = []
+
+        def torn(gfs):
+            if not tears:
+                tears.append(cluster.sim.now)
+                raise ValueError("torn directory read")
+            return link_census(gfs)
+
+        rec._link_census = torn
+        sh = cluster.shell(0)
+        fd = sh.open("/f", "w")
+        rec.schedule_filegroup(gfile[0])
+        first = rec._queues[gfile[0]].task
+        _step_until(cluster, lambda: first.finished)
+        assert rec.needs(gfile)
+        assert [d for d in cluster.sim.task_deaths
+                if d.startswith("recovery:fg")]
+        sh.close(fd)
+        cluster.settle()
+        assert rec._queues[gfile[0]].task is not first
+        assert not rec.needs(gfile)
+        assert len(tears) == 1 and len(censuses) == 1
+
+    def test_a_drain_killed_mid_batch_leaves_the_rest_queued(self, cluster):
+        """The sweep's first reconcile tears: the files its batch had not
+        reached stay marked and queued, and the drain the next mark spawns
+        reconciles them."""
+        rec, gfile, others, __ = self._setup(cluster, "ab")
+        reconcile = rec._reconcile_ino
+        runs = []
+
+        def torn_first(gfs, ino, inventories, attempt=0):
+            runs.append(ino)
+            if len(runs) == 1:
+                raise ValueError("torn directory read")
+            return reconcile(gfs, ino, inventories, attempt)
+
+        rec._reconcile_ino = torn_first
+        rec.schedule_filegroup(gfile[0])
+        first = rec._queues[gfile[0]].task
+        _step_until(cluster, lambda: first.finished)
+        left = [(gfile[0], ino) for ino in sorted(rec._queues[0].dirty)]
+        assert left and set([gfile] + others) <= set(left)
+        rec.request((gfile[0], runs[0]))
+        cluster.settle()
+        assert not rec.busy(gfile[0])
+        assert {ino for __, ino in left} <= set(runs[1:])
 
     def test_the_last_retry_raising_at_the_budget_still_recounts(
             self, cluster):

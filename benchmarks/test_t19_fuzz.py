@@ -173,6 +173,7 @@ def _ledger_row(seed, result):
                            ("fs.pack_inventory", "fs.scrub_digest")),
         "pushes": sum(site.recovery.stats.propagations_scheduled
                       for site in cluster.sites),
+        "pull_opens": cluster.net.stats.sent["fs.pull_open"],
         "deaths": len(result.deaths),
     }
 
@@ -186,7 +187,7 @@ def _ledger_totals(rows):
               "digest_of_digests": digests.hexdigest()}
     for key in ("messages", "bytes", "events", "retries_scheduled",
                 "retries_exhausted", "full_inventories", "inventories",
-                "pushes", "deaths"):
+                "pushes", "pull_opens", "deaths"):
         totals[key] = sum(row[key] for row in rows)
     return totals
 

@@ -86,12 +86,13 @@ def _detection_metrics(seed=31):
     sh.write_file("/f", b"base content " * 40)
     cluster.settle()
     # The injector's fault instant starts the clock; the dropped commit
-    # notifies leave the other replicas stale.
+    # notifies leave the other replicas stale.  The scrub is scheduled as
+    # the write returns: left to quiescence, the circuit loss the drops
+    # caused runs a merge whose recovery sweep repairs the replicas first.
     t0 = cluster.sim.now
     cluster.inject(FaultPlan(seed=seed, name="t21-divergence")
                    .drop("fs.notify", count=2, at=t0 + 10.0))
     sh.write_file("/f", b"newer content " * 40)
-    cluster.settle()
     gfs = 0
     css = cluster.site(0).fs.mount.css_for(gfs)
     cluster.site(css).scrub.schedule(gfs)

@@ -55,6 +55,12 @@ class UsHandle:
     staged_pages: Dict[int, bytes] = field(default_factory=dict)
     staged_truncate: bool = False
     staged_attrs: Dict[str, object] = field(default_factory=dict)
+    # A commit request of this open is on the wire: a re-home may find it
+    # applied at the replica.  A writer re-homed onto a copy that carries
+    # another writer's commit is superseded: its staged changes rest on a
+    # version that no longer stands, so its next commit fails.
+    committing: bool = False
+    superseded: bool = False
 
     @property
     def size(self) -> int:

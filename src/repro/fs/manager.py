@@ -546,6 +546,8 @@ class FsManager(PathMixin, NamespaceMixin):
     def _ss_open_local(self, gfile: Gfile, mode: Mode, us: int,
                        required_vv: Optional[VersionVector] = None
                        ) -> Generator:
+        if mode.writable and mode.synchronized:
+            yield from self._ss_admit_writer(gfile, us)
         pack = self.local_pack(gfile[0])
         if pack is None or not pack.stores(gfile[1]):
             raise ESTALE(f"site {self.sid} does not store {gfile}")
@@ -578,11 +580,29 @@ class FsManager(PathMixin, NamespaceMixin):
             return pack.get_inode(gfile[1]).attrs()
         return so.shadow.incore.attrs()
 
+    def _ss_admit_writer(self, gfile: Gfile, us: int) -> Generator:
+        """Refuse a second writer at this storage site.  The CSS grants one
+        write token, but two partition views that each elected a CSS grant
+        one each, and the storage site is where both writers meet: a second
+        writer sharing the first one's shadow would commit its pages under
+        the other's open.  A registration whose using site no longer holds
+        the file open (a lost close) is dropped first."""
+        so = self.ss.get(gfile)
+        if so is None or so.writer in (None, us):
+            return None
+        yield from self.validate_ss_entry(gfile)
+        so = self.ss.get(gfile)
+        if so is not None and so.writer not in (None, us):
+            raise EBUSY(f"{gfile} already open for modification at storage "
+                        f"site {self.sid}")
+        return None
+
     # ------------------------------------------------------------------
     # US: replica failover (sections 2.3.2, 5.2, 5.6)
     # ------------------------------------------------------------------
 
-    def rehome(self, handle: UsHandle) -> Generator:
+    def rehome(self, handle: UsHandle,
+               ambiguous: Set[int] = frozenset()) -> Generator:
         """Internal close + reopen at another pack copy, adopting the
         replacement under the old handle id so the process never notices
         (section 5.2 principle 3: "the system substitutes a different copy
@@ -597,6 +617,14 @@ class FsManager(PathMixin, NamespaceMixin):
         with the reopen flag (so its own write token is re-homed, not
         refused as a second writer) and replays that state at the new SS.
         Either raises whatever the reopen raises when no copy remains.
+
+        A writer may only re-home onto a copy whose history past its own
+        base is its own: commits at the SSs its commit requests may have
+        reached (``ambiguous``, and the failed SS while one is on the
+        wire).  A copy that carries another writer's commit supersedes
+        the open: the handle adopts that copy whole, so its reads stay
+        coherent, drops its staged changes and fails its next commit
+        rather than replay them over the other commit.
         """
         if handle.failover_busy is not None and not handle.failover_busy.done:
             # Another task (e.g. reconfiguration cleanup racing a mid-call
@@ -627,13 +655,25 @@ class FsManager(PathMixin, NamespaceMixin):
                 replacement = yield from self.open_gfile(
                     handle.gfile, handle.mode, reopen=True,
                     known_vv=old_version)
-                # Keep our staged view of the attributes (size, patches);
-                # only the committed base version comes from the
-                # replacement — it may already include the lost SS's
-                # commit if the replica pulled it before the failure.
-                handle.attrs["version"] = replacement.attrs["version"]
-                handle.attrs["storage_sites"] = \
-                    replacement.attrs["storage_sites"]
+                own = set(ambiguous)
+                if handle.committing:
+                    own.add(failed_ss)
+                new_version = replacement.attrs["version"]
+                if any(new_version.get(s) != old_version.get(s)
+                       for s in set(new_version.sites()) - own):
+                    handle.superseded = True
+                    handle.attrs = replacement.attrs
+                    handle.clear_staged()   # the replay below sends none
+                    self.site.cache.invalidate_file(*handle.gfile)
+                else:
+                    # Keep our staged view of the attributes (size,
+                    # patches); only the committed base version comes
+                    # from the replacement — it may already include the
+                    # lost SS's commit if the replica pulled it before
+                    # the failure.
+                    handle.attrs["version"] = new_version
+                    handle.attrs["storage_sites"] = \
+                        replacement.attrs["storage_sites"]
             else:
                 replacement = yield from self.open_gfile(handle.gfile,
                                                          handle.mode)
@@ -767,6 +807,17 @@ class FsManager(PathMixin, NamespaceMixin):
             chunks.append(data[lo:hi])
             yield from self.site.cpu(self.cost.cpu_page_copy)
         return b"".join(chunks)
+
+    def read_all(self, handle: UsHandle) -> Generator:
+        """The whole file.  A failover that substitutes another version
+        mid-read (``rehome``) changes the size and the pages under the
+        read; the substitute is then read again, whole, rather than cut
+        to the old size or mixed with the old pages."""
+        while True:
+            version = handle.attrs["version"]
+            data = yield from self.read(handle, 0, handle.size)
+            if handle.attrs["version"] == version:
+                return data
 
     def _read_chunk(self, rpc, gfile: Gfile, chunk: List[int],
                     committed: bool) -> Generator:
@@ -1300,6 +1351,7 @@ class FsManager(PathMixin, NamespaceMixin):
         status_label = "ok"
         start = self.site.sim.now
         try:
+            self._refuse_superseded(handle)
             if handle.ss_site == self.sid:
                 vv = yield from self._ss_commit(handle.gfile)
             else:
@@ -1353,7 +1405,10 @@ class FsManager(PathMixin, NamespaceMixin):
                     # reachable again its ledger replays the result.
                     return
             if same_site:
-                yield from self.rehome(handle)
+                yield from self.rehome(handle, ambiguous)
+            # This re-home or a concurrent one (reconfiguration cleanup)
+            # may have found another writer's commit at the replica.
+            self._refuse_superseded(handle)
             yield from self._expect_pages(handle, payload)
             floor = handle.attrs["version"]
             for s in sorted(ambiguous):
@@ -1363,12 +1418,24 @@ class FsManager(PathMixin, NamespaceMixin):
         # The patient budget: with replay and re-home making retries safe,
         # the commit should ride out a whole loss burst rather than surface
         # a transient as a failed write.
-        vv = yield from self.site.supervised_rpc(
-            lambda: handle.ss_site, "fs.commit", payload, once=True,
-            retry_on=(EWRITELOST, NetworkError, EBADF),
-            budget=PATIENT_RETRIES, alive=lambda: not handle.closed,
-            recover=recover, counter="fs.commit_retries")
+        handle.committing = True
+        try:
+            vv = yield from self.site.supervised_rpc(
+                lambda: handle.ss_site, "fs.commit", payload, once=True,
+                retry_on=(EWRITELOST, NetworkError, EBADF),
+                budget=PATIENT_RETRIES, alive=lambda: not handle.closed,
+                recover=recover, counter="fs.commit_retries")
+        finally:
+            handle.committing = False
         return vv
+
+    @staticmethod
+    def _refuse_superseded(handle: UsHandle) -> None:
+        """A writer re-homed onto another writer's commit (``rehome``)
+        has lost its staged changes; committing would commit nothing."""
+        if handle.superseded:
+            raise ECONFLICT(f"{handle.gfile}: another writer committed over "
+                            f"this open's base version")
 
     def _expect_pages(self, handle: UsHandle, payload: dict) -> Generator:
         """Flush the write-behind remainder, then put into a commit request
@@ -1391,6 +1458,7 @@ class FsManager(PathMixin, NamespaceMixin):
                                  {"gfile": handle.gfile})
         self.site.cache.invalidate_file(*handle.gfile)
         handle.dirty = False
+        handle.superseded = False
         inode_attrs = yield from self._fetch_attrs_anywhere(handle.gfile)
         handle.attrs = dict(inode_attrs)
         return None
@@ -1454,9 +1522,11 @@ class FsManager(PathMixin, NamespaceMixin):
             pack_.applied_ops[key] = pack_.applied_ops.get(key, 0) + 1
             self._pack_ledger(gfile[0]).commit(stamp[0], stamp[1], vv)
         so.pages_received = 0
-        yield from self.site.cpu(self.cost.disk_write)  # the inode write
-        # Committed-view pages cached before this commit are now stale.
+        # Committed-view pages cached before this commit are now stale:
+        # dropped in the commit's own step, so no read served during the
+        # inode write below returns old bytes under the new vector.
         self.site.cache.invalidate_committed(*gfile)
+        yield from self.site.cpu(self.cost.disk_write)  # the inode write
         pack = self.local_pack(gfile[0])
         attrs = pack.get_inode(gfile[1]).attrs()
         yield from self._after_commit(gfile, attrs, pages_changed)

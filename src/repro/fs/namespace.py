@@ -52,7 +52,7 @@ class NamespaceMixin:
         try:
             if handle.attrs["ftype"] not in _DIR_TYPES:
                 raise ENOTDIR(f"gfile {dir_gfile}")
-            data = yield from self.read(handle, 0, handle.size)
+            data = yield from self.read_all(handle)
             view = DirView(decode_entries(data))
             yield from self.site.cpu(
                 self.cost.cpu_dir_entry * max(1, len(view.entries)))

@@ -192,7 +192,7 @@ class PathMixin:
                 if handle.attrs["ftype"] not in (FileType.DIRECTORY,
                                                  FileType.HIDDEN_DIR):
                     raise ENOTDIR(f"gfile {gfile}")
-                data = yield from self.read(handle, 0, handle.size)
+                data = yield from self.read_all(handle)
             finally:
                 yield from self.close(handle)
             try:

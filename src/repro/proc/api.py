@@ -103,7 +103,7 @@ class ProcApi:
     def _read_gfile(self, gfile) -> Generator:
         handle = yield from self.fs.open_gfile(gfile, Mode.READ)
         try:
-            data = yield from self.fs.read(handle, 0, handle.size)
+            data = yield from self.fs.read_all(handle)
         finally:
             yield from self.fs.close(handle)
         return data

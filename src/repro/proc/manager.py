@@ -216,7 +216,7 @@ class ProcManager:
         fs = self.site.fs
         handle = yield from fs.open_path(ctx, path, Mode.READ)
         try:
-            data = yield from fs.read(handle, 0, handle.size)
+            data = yield from fs.read_all(handle)
         finally:
             yield from fs.close(handle)
         try:

@@ -729,7 +729,17 @@ class RecoveryManager:
                 out = out.merge(vv)
             return out
 
-        merged, report = merge_directories(copies, file_version)
+        def deleted_at(ino: int) -> Optional[VersionVector]:
+            records = [inv[ino]["attrs"] for inv in inventories.values()
+                       if ino in inv]
+            for dead in records:
+                if dead["deleted"] and all(
+                        dead["version"].dominates(a["version"])
+                        for a in records):
+                    return dead["version"]
+            return None
+
+        merged, report = merge_directories(copies, file_version, deleted_at)
         self.stats.dir_merges += 1
         self.stats.name_conflicts += len(report.name_conflicts)
         # When one copy dominates and the merge changed nothing relative to
@@ -1076,7 +1086,7 @@ class RecoveryManager:
         fs = self.site.fs
         handle = yield from fs.open_gfile(gfile, Mode.WRITE)
         try:
-            data = yield from fs.read(handle, 0, handle.size)
+            data = yield from fs.read_all(handle)
             messages = decode_mailbox(data)
             edit(messages)
             yield from fs.truncate(handle)
@@ -1093,7 +1103,7 @@ class RecoveryManager:
             return []
         handle = yield from fs.open_gfile(gfile, Mode.READ)
         try:
-            data = yield from fs.read(handle, 0, handle.size)
+            data = yield from fs.read_all(handle)
         finally:
             yield from fs.close(handle)
         return [m for m in decode_mailbox(data) if not m.deleted]

@@ -335,13 +335,16 @@ class Simulator:
                 return False
 
     def fire_idle_hooks(self) -> bool:
-        """Run the idle hooks if the queue is truly empty.  Returns True
-        when a hook scheduled new work (so stepping should continue)."""
+        """Run the idle hooks, in order, if the queue is truly empty.
+        Returns True when a hook scheduled new work (so stepping should
+        continue); the hooks after it wait for the next quiescence."""
         if not self.idle_hooks or self._peek_time() != _INF:
             return False
         for hook in list(self.idle_hooks):
             hook()
-        return self._peek_time() != _INF
+            if self._peek_time() != _INF:
+                return True
+        return False
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

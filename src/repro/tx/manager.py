@@ -120,7 +120,7 @@ class TxManager:
         if owner is not tx and gfile not in tx.snapshots:
             # Savepoint: remember the ancestor's staged content so aborting
             # this subtransaction restores exactly it.
-            staged = yield from self.site.fs.read(handle, 0, handle.size)
+            staged = yield from self.site.fs.read_all(handle)
             tx.snapshots[gfile] = (staged, owner)
         n = yield from self.site.fs.write(handle, offset, data)
         return n

@@ -337,8 +337,9 @@ def test_a_requester_crash_starts_it_from_seeded_tables(cluster, exact):
 
 # -- corpus replays ------------------------------------------------------
 
-# Corpus plans (by source seed) with crashes, partitions and scrubs.
-REPLAYED = (20, 90, 100)
+# Corpus plans (by source seed) with crashes, partitions and scrubs, each
+# rebuilding seeded and delta replies of both inventory kinds.
+REPLAYED = (20, 86, 100)
 
 
 def _corpus_plan(seed):

@@ -55,6 +55,25 @@ class TestIdempotencyLedger:
         state, waiter = led.begin(1, 0)
         assert state == "running" and waiter is fut
 
+    def test_a_duplicate_arriving_mid_execution_waits_and_replays(self):
+        """Through a registered handler: the duplicate of a stamped request
+        still executing waits for it, then replays its reply; the body
+        runs once."""
+        cluster = LocusCluster(n_sites=2, seed=3)
+        site, led, runs = cluster.site(1), IdempotencyLedger(window=4), []
+
+        def slow(src, p):
+            runs.append(cluster.sim.now)
+            yield 10.0
+            return "applied"
+        site.register_handler("t.slow", slow, ledger=lambda p: led)
+        handler = site._handlers["t.slow"]
+        calls = [cluster.spawn(1, handler(0, {"_stamp": (0, 7)}))
+                 for __ in range(2)]
+        cluster.settle()
+        assert [c.result() for c in calls] == ["applied", "applied"]
+        assert len(runs) == 1 and led.replays == 1
+
     def test_entries_survive_until_client_acks(self):
         """Eviction is ack-driven: an un-acked entry stays (its reply may
         still be retried); ``ack`` retires everything at or below it."""

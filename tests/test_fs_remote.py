@@ -7,7 +7,7 @@ The cluster has 3 sites, root filegroup packed at all of them, CSS = site 0.
 import pytest
 
 from repro import LocusCluster, Mode
-from repro.errors import EBUSY
+from repro.errors import EBADF, EBUSY
 from repro.net.stats import StatsWindow
 
 
@@ -135,6 +135,39 @@ class TestSynchronization:
         sh0.close(fd)
         fd2 = sh1.open("/lock", "w")   # free again after close
         sh1.close(fd2)
+
+    def test_storage_site_refuses_a_read_of_a_file_it_has_not_open(
+            self, cluster):
+        """A page read of the open view reaching a storage site that holds
+        no open state for the file (it restarted, or the open moved) is
+        refused with ``EBADF``, which sends the using site's supervised
+        read to another copy."""
+        sh0 = cluster.shell(0)
+        sh0.write_file("/unopened", b"x")
+        gfile = (0, sh0.stat("/unopened")["ino"])
+        with pytest.raises(EBADF):
+            cluster.call(1, cluster.site(1).rpc(0, "fs.read_page", {
+                "gfile": gfile, "page": 0}))
+
+    def test_storage_site_refuses_a_second_writer(self, cluster):
+        """Two partition views that each elected a CSS can each grant a
+        write token; the storage site both writers meet admits only the
+        first, unless its using site no longer holds the file open."""
+        sh0 = cluster.shell(0)
+        sh0.write_file("/two", b"x")
+        gfile = (0, sh0.stat("/two")["ino"])
+        ss = cluster.site(0).fs
+        handle = cluster.call(1, cluster.site(1).fs.open_gfile(
+            gfile, Mode.WRITE))
+        assert ss.ss[gfile].writer == 1
+        with pytest.raises(EBUSY):
+            cluster.call(0, ss._ss_open_local(gfile, Mode.WRITE, us=2))
+        assert ss.ss[gfile].writer == 1
+        # The first writer's US forgets the open (its close was lost):
+        # the registration is probed, dropped, and the writer admitted.
+        cluster.site(1).fs.us.pop(handle.hid)
+        cluster.call(0, ss._ss_open_local(gfile, Mode.WRITE, us=2))
+        assert ss.ss[gfile].writer == 2
 
     def test_concurrent_readers_allowed(self, cluster):
         sh0, sh1, sh2 = (cluster.shell(i) for i in range(3))

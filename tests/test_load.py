@@ -124,7 +124,10 @@ class TestConvergence:
         # recorder this derivation replaced wrote for the same run; they
         # are re-pinned when a protocol change re-times the run (smaller
         # delta inventory replies, then seeded first replies, then
-        # field-level patches, moved both timestamps).
+        # field-level patches, then pulls without ``fs.pull_open``, moved
+        # both timestamps).  The scrub is scheduled as the write returns:
+        # left to quiescence, the circuit loss the drops caused runs a
+        # merge whose recovery sweep repairs the replica first.
         seed = 31
         cluster = LocusCluster(n_sites=3, seed=seed)
         sh = cluster.shell(0)
@@ -134,23 +137,22 @@ class TestConvergence:
         cluster.inject(FaultPlan(seed=seed, name="t21-divergence").drop(
             "fs.notify", count=2, at=cluster.sim.now + 10.0))
         sh.write_file("/f", b"newer content " * 40)
-        cluster.settle()
         cluster.site(cluster.site(0).fs.mount.css_for(0)).scrub.schedule(0)
         cluster.settle()
         records, summary = convergence(cluster.tracer)
-        fault_ts = 203.57599999999994
+        fault_ts = 175.91399999999996
         assert records == [
-            {"type": "detection", "seq": 1, "ts": 563.3340000000001,
+            {"type": "detection", "seq": 1, "ts": 415.66200000000003,
              "event": "detect", "kind": "reconcile", "site": 0,
-             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 359.758},
-            {"type": "detection", "seq": 2, "ts": 652.1179999999999,
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 239.748},
+            {"type": "detection", "seq": 2, "ts": 504.446,
              "event": "repair", "kind": "propagate", "site": 0,
-             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 448.542}]
+             "gfile": [0, 2], "fault_ts": fault_ts, "latency": 328.532}]
         assert summary == {
             "faults": 3, "detections": 1, "repairs": 1,
             "detection_latency": {
-                "count": 1, "total": 359.758, "mean": 359.758,
-                "min": 359.758, "max": 359.758,
+                "count": 1, "total": 239.748, "mean": 239.748,
+                "min": 239.748, "max": 239.748,
                 "p50": 500.0, "p95": 500.0, "p99": 500.0}}
 
 

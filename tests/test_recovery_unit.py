@@ -94,6 +94,47 @@ class TestMergeManagerFallback:
         assert cluster.site(0).recovery.stats.type_manager_merges == 1
 
 
+class TestDirectoryMergeReads:
+    def test_a_copy_that_never_decodes_is_a_transient(self, cluster):
+        """A directory copy torn on every read (a writer committing under
+        each attempt), with its holder not answering the attribute
+        re-fetch either: after three reads the merge gives up with a
+        ``NetworkError``, so the caller retries the reconcile rather than
+        merge garbage."""
+        rec, site = cluster.site(0).recovery, cluster.site(0)
+        gfile = (0, cluster.shell(0).stat("/")["ino"])
+        holders = [(s, cluster.site(s).fs.local_inode(gfile).attrs())
+                   for s in range(3)]
+        reads, rpc = [], site.rpc
+
+        def torn(source, g, attrs):
+            reads.append(source)
+            return b'[{"n": "torn'
+            yield  # pragma: no cover
+
+        def refetch_fails(dst, op, payload, *args, **kw):
+            if op == "fs.fetch_attrs":
+                raise CircuitClosed(dst, "message lost")
+            return (yield from rpc(dst, op, payload, *args, **kw))
+
+        rec.read_copy, site.rpc = torn, refetch_fails
+        with pytest.raises(NetworkError, match="unstable"):
+            cluster.call(0, rec.merge_directory(gfile, holders, {}))
+        assert reads == [0, 0, 0]
+
+    def test_an_unreadable_directory_leaves_no_link_census(self, cluster):
+        """The link census counts every directory's entries; one it cannot
+        read would undercount, so there is no census (and no repair)."""
+        rec = cluster.site(0).recovery
+
+        def unreachable(source, gfile, attrs):
+            raise CircuitClosed(source, "message lost")
+            yield  # pragma: no cover
+
+        rec.read_copy = unreachable
+        assert cluster.call(0, rec._link_census(0)) is None
+
+
 class TestDemandRecovery:
     def test_needs_and_pending_bookkeeping(self, cluster):
         """A marked file is needed, and its filegroup busy, until its

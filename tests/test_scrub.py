@@ -139,6 +139,26 @@ def test_planted_digest_skew_flags_conflict():
     assert not report.unflagged_conflicts
 
 
+def test_planted_concurrent_lineages_go_to_recovery():
+    """Two copies each carry a commit the other lacks (concurrent
+    lineages): no copy can be pulled over the other, so the scrub hands
+    the file to recovery's merge, which marks the untyped file a
+    conflict on every copy."""
+    cluster = make_cluster()
+    gfs, ino = seeded(cluster)
+    packs = packs_for(cluster)
+    for site in (1, 2):
+        inode = packs[site].inodes[ino]
+        blockno = inode.pages[0]
+        packs[site].blocks[blockno] = bytes([site]) * len(
+            packs[site].blocks[blockno])
+        inode.version = inode.version.bump(site)
+    scrub = run_scrub(cluster)
+    assert scrub.stats.reconciles >= 1
+    assert all(p.inodes[ino].conflict for p in packs.values())
+    assert not fsck(cluster).unflagged_conflicts
+
+
 def test_planted_misplaced_copy_retired():
     """A pack storing data its inode no longer advertises there (a
     replica drop whose notify was lost): the scrub tells the site to

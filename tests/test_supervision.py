@@ -13,7 +13,7 @@ import pytest
 
 from repro import LocusCluster, Mode
 from repro.config import PATIENT_RETRIES, CostModel
-from repro.errors import EBUSY, LocusError, NetworkError
+from repro.errors import EBUSY, ECONFLICT, LocusError, NetworkError
 from repro.faults import FaultPlan
 from repro.fs.types import ROOT_GFS
 from repro.net.message import MsgKind
@@ -293,13 +293,15 @@ def _rehome_scene(mode, elsewhere, seed, supervised=True):
             cluster.settle()
         else:
             # The commit applies and propagates, but its reply never
-            # reaches the handle: the replica is ahead of what the writer
-            # believes is the committed base.
+            # reaches the handle, which still waits on it when its storage
+            # site is lost: the replica is ahead of what the writer
+            # believes is the committed base, by the writer's own commit.
             base = handle.attrs["version"]
             cluster.call(0, fs0.write(handle, 0, V2))
             cluster.call(0, fs0.commit(handle))
             cluster.settle()
             handle.attrs["version"] = base
+            handle.committing = True
 
     def lose():
         if elsewhere == "older":
@@ -402,6 +404,75 @@ class TestRehomeContract:
         assert cluster.shell(0).read_file("/f") == image
         assert cluster.shell(0).stat("/f")["perms"] == 0o600
         assert fsck(cluster).clean
+
+    def test_writer_superseded_by_another_commit_fails_its_commit(self):
+        """The replica is ahead by a commit this open has not got on the
+        wire: another writer's, as far as the handle can tell.  Replaying
+        the staged pages over it would drop it, so the writer adopts the
+        replica whole (coherent reads), drops its staged changes and
+        fails its commit."""
+        cluster, handle, lose = _rehome_scene(Mode.WRITE, "newer", seed=92)
+        handle.committing = False   # no commit of this open on the wire
+        fs0 = cluster.site(0).fs
+        cluster.call(0, fs0.truncate(handle))
+        cluster.call(0, fs0.write(handle, 0, b"stale base"))
+        lose()
+        assert handle.superseded and handle.ss_site == 2
+        base = cluster.site(2).packs[ROOT_GFS].get_inode(handle.gfile[1])
+        assert handle.attrs["version"] == base.version
+        assert handle.size == base.size == len(V2)
+        assert not handle.staged_pages and not handle.staged_truncate
+        assert cluster.call(0, fs0.read_all(handle)) == V2
+        with pytest.raises(ECONFLICT):
+            cluster.call(0, fs0.commit(handle))
+        cluster.call(0, fs0.abort(handle))
+        assert not handle.superseded
+        cluster.call(0, fs0.close(handle))
+        cluster.restart_site(1)
+        cluster.settle()
+        assert cluster.shell(0).read_file("/f") == V2
+        assert fsck(cluster).clean
+
+    def test_a_commit_in_flight_refuses_to_land_over_another_commit(self):
+        """The storage site is lost under a commit whose re-home finds the
+        replica ahead by another writer's commit (one bumped at site 2,
+        not at the lost SS): the commit fails rather than send an empty
+        staged state to the replica."""
+        cluster, handle, __ = _rehome_scene(Mode.WRITE, "same", seed=95)
+        fs0 = cluster.site(0).fs
+        replica = cluster.site(2).packs[ROOT_GFS].get_inode(handle.gfile[1])
+        replica.version = replica.version.bump(2)
+        cluster.call(0, fs0.write(handle, 0, b"mine"))
+        commit = cluster.spawn(0, fs0.commit(handle))
+        cluster.fail_site(1, settle=False)
+        cluster.settle()
+        assert isinstance(commit.done.exception(), ECONFLICT)
+        assert handle.superseded and handle.ss_site == 2
+        assert handle.attrs["version"] == replica.version
+        cluster.call(0, fs0.abort(handle))
+        cluster.call(0, fs0.close(handle))
+        assert cluster.shell(0).read_file("/f") == V1
+
+    def test_read_all_rereads_a_version_substituted_mid_read(self):
+        """A failover that lands inside a whole-file read changes the size
+        and pages under it: ``read_all`` reads the substitute again rather
+        than return the new pages cut to the old size."""
+        cluster, handle, lose = _rehome_scene(Mode.READ, "newer", seed=91)
+        fs0 = cluster.site(0).fs
+        read, calls = fs0.read, []
+
+        def failover_inside(h, offset, nbytes):
+            data = yield from read(h, offset, nbytes)
+            if not calls:
+                lose()   # the reader adopts site 2's newer copy
+            calls.append(nbytes)
+            return data
+
+        fs0.read = failover_inside
+        assert cluster.call(0, fs0.read_all(handle)) == V2
+        del fs0.read
+        assert calls == [len(V1), len(V2)]
+        cluster.call(0, fs0.close(handle))
 
     @pytest.mark.parametrize("mode, elsewhere, supervised, error, status", [
         (Mode.READ, "older", True, "remaining copies are stale", "ESTALE"),
